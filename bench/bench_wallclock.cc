@@ -446,14 +446,14 @@ int main(int argc, char** argv) {
   // ratio is the honest measure of what the pipeline overlaps.
   std::string pool_on_label = "pool on(" + std::to_string(pool_threads) + ")";
   // The wall-clock floor only means something where the workers can actually
-  // run in parallel with the event loop; on a host with fewer hardware
-  // threads than pool threads + the main loop, the pair still runs (and the
+  // run in parallel with the event loop: there must be workers, and more
+  // hardware threads than workers. Otherwise the pair still runs (and the
   // determinism gate still applies) but the timing gate is waived. The JSON
   // metadata records hardware_concurrency so readers can tell which case a
   // given artifact measured.
   const unsigned hw = std::thread::hardware_concurrency();
   const bool hw_can_parallelize =
-      hw > static_cast<unsigned>(pool_threads);
+      pool_threads > 0 && hw > static_cast<unsigned>(pool_threads);
   json.Key("worker_pool");
   json.BeginObject();
   json.Field("threads", pool_threads);
@@ -505,7 +505,9 @@ int main(int argc, char** argv) {
         "worker pool (config %s, %d threads, %u hw): %.2fx wall speedup%s, "
         "traces %s",
         cfg.name.c_str(), pool_threads, hw, pool_speedup,
-        hw_can_parallelize ? "" : " (timing gate waived: too few cores)",
+        hw_can_parallelize  ? ""
+        : pool_threads == 0 ? " (timing gate waived: no workers)"
+                            : " (timing gate waived: too few cores)",
         pool_traces_match ? "identical" : "DIVERGED");
     pool_summaries.push_back(line);
 

@@ -41,11 +41,8 @@ void CheckpointManager::OnModify(size_t object_index) {
   // current abstract value IS the checkpoint value).
   auto it = checkpoints_.find(latest_seq_);
   assert(it != checkpoints_.end());
-  ObjectCopy copy;
-  copy.value = adapter_->GetObj(object_index);
-  copy.digest = leaf_digests_[leaf];
   ++cow_copies_taken_;
-  it->second.cow.emplace(leaf, std::move(copy));
+  it->second.cow.emplace(leaf, adapter_->GetObj(object_index));
 }
 
 Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
@@ -58,7 +55,6 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
       dirty_.insert(leaf);
     }
     leaf_count_ = new_leaf_count;
-    leaf_digests_.resize(leaf_count_);
     tree_.Resize(leaf_count_);
   }
   new_leaves_.clear();
@@ -75,10 +71,8 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
       Bytes value = leaf == 0 ? protocol_state_
                               : adapter_->GetObj(ObjectForLeaf(leaf));
       ChargeDigest(value.size());
-      Digest digest = Digest::Of(value);
-      leaf_digests_[leaf] = digest;
-      tree_.SetLeaf(leaf, digest);
-      full.cow.emplace(leaf, ObjectCopy{std::move(value), digest});
+      tree_.SetLeaf(leaf, Digest::Of(value));
+      full.cow.emplace(leaf, std::move(value));
     }
     Digest root = tree_.Root();
     sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *
@@ -146,18 +140,14 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
       }
     }
     for (size_t i = 0; i < leaves.size(); ++i) {
-      Digest digest(digests[i]);
-      leaf_digests_[leaves[i]] = digest;
-      tree_.SetLeaf(leaves[i], digest);
+      tree_.SetLeaf(leaves[i], Digest(digests[i]));
     }
   } else {
     for (size_t leaf : dirty_) {
       Bytes value = leaf == 0 ? protocol_state_
                               : adapter_->GetObj(ObjectForLeaf(leaf));
       ChargeDigest(value.size());
-      Digest digest = Digest::Of(value);
-      leaf_digests_[leaf] = digest;
-      tree_.SetLeaf(leaf, digest);
+      tree_.SetLeaf(leaf, Digest::Of(value));
     }
   }
   Digest root = tree_.Root();
@@ -190,7 +180,7 @@ void CheckpointManager::DiscardBefore(SeqNum seq) {
 
 Digest CheckpointManager::LeafDigest(size_t index) {
   assert(index < leaf_count_);
-  return leaf_digests_[index];
+  return tree_.Leaf(index);
 }
 
 Bytes CheckpointManager::LeafValue(size_t index) {
@@ -201,7 +191,7 @@ Bytes CheckpointManager::LeafValue(size_t index) {
   if (cp_it != checkpoints_.end()) {
     auto cow_it = cp_it->second.cow.find(index);
     if (cow_it != cp_it->second.cow.end()) {
-      return cow_it->second.value;
+      return cow_it->second;
     }
   }
   if (index == 0) {
@@ -213,12 +203,12 @@ Bytes CheckpointManager::LeafValue(size_t index) {
 Digest CheckpointManager::CurrentLeafDigest(size_t index) {
   assert(index < leaf_count_);
   if (dirty_.count(index) == 0) {
-    return leaf_digests_[index];
+    return tree_.Leaf(index);
   }
   if (index == 0) {
     // The live protocol blob is refreshed only at checkpoints; its current
     // digest equals the checkpointed one.
-    return leaf_digests_[index];
+    return tree_.Leaf(index);
   }
   Bytes value = adapter_->GetObj(ObjectForLeaf(index));
   ChargeDigest(value.size());
@@ -235,7 +225,6 @@ Bytes CheckpointManager::InstallFetchedState(
     const std::vector<ObjectUpdate>& leaf_updates) {
   if (leaf_count > leaf_count_) {
     leaf_count_ = leaf_count;
-    leaf_digests_.resize(leaf_count_);
     tree_.Resize(leaf_count_);
   }
 
@@ -244,9 +233,7 @@ Bytes CheckpointManager::InstallFetchedState(
   for (const ObjectUpdate& update : leaf_updates) {
     assert(update.index < leaf_count_);
     ChargeDigest(update.value.size());
-    Digest digest = Digest::Of(update.value);
-    leaf_digests_[update.index] = digest;
-    tree_.SetLeaf(update.index, digest);
+    tree_.SetLeaf(update.index, Digest::Of(update.value));
     if (update.index == 0) {
       protocol_state_ = update.value;
     } else {
@@ -272,9 +259,7 @@ Bytes CheckpointManager::InstallFetchedState(
     Bytes value =
         leaf == 0 ? protocol_state_ : adapter_->GetObj(ObjectForLeaf(leaf));
     ChargeDigest(value.size());
-    Digest digest = Digest::Of(value);
-    leaf_digests_[leaf] = digest;
-    tree_.SetLeaf(leaf, digest);
+    tree_.SetLeaf(leaf, Digest::Of(value));
   }
 
   Digest recomputed = tree_.Root();
@@ -304,16 +289,22 @@ Bytes CheckpointManager::InstallFetchedState(
 
 void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
   leaf_count_ = adapter_->ObjectCount() + 1;
-  leaf_digests_.assign(leaf_count_, Digest());
   tree_.Resize(leaf_count_);
   protocol_state_ = protocol_state;
+  // A cold state repeats values leaf after leaf (empty slots, free inodes),
+  // so a leaf whose value equals its predecessor's reuses that digest. The
+  // model still charges one digest per leaf: only real hashing is skipped.
+  Bytes previous;
+  Digest previous_digest;
   for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
     Bytes value =
         leaf == 0 ? protocol_state_ : adapter_->GetObj(ObjectForLeaf(leaf));
     ChargeDigest(value.size());
-    Digest digest = Digest::Of(value);
-    leaf_digests_[leaf] = digest;
-    tree_.SetLeaf(leaf, digest);
+    if (leaf == 0 || value != previous) {
+      previous_digest = Digest::Of(value);
+      previous = std::move(value);
+    }
+    tree_.SetLeaf(leaf, previous_digest);
   }
   latest_root_ = tree_.Root();
   sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *
@@ -333,8 +324,8 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
 size_t CheckpointManager::CowBytes() const {
   size_t total = 0;
   for (const auto& [seq, checkpoint] : checkpoints_) {
-    for (const auto& [leaf, copy] : checkpoint.cow) {
-      total += copy.value.size();
+    for (const auto& [leaf, value] : checkpoint.cow) {
+      total += value.size();
     }
   }
   return total;

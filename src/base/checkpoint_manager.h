@@ -59,8 +59,8 @@ class CheckpointManager {
   Digest LeafDigest(size_t index);
   // Protocol-state blob as of the latest checkpoint / installed state.
   const Bytes& protocol_state() const { return protocol_state_; }
-  // Value of leaf `index` at the latest checkpoint (object value or the
-  // protocol blob for the last leaf).
+  // Value of leaf `index` at the latest checkpoint (the protocol blob for
+  // leaf 0, object ObjectForLeaf(index) otherwise).
   Bytes LeafValue(size_t index);
   PartitionTree& tree() { return tree_; }
 
@@ -83,7 +83,9 @@ class CheckpointManager {
                             const std::vector<ObjectUpdate>& leaf_updates);
 
   // Recomputes every leaf digest from the adapter (used after RestartClean
-  // during recovery and by tests/benches that need a cold start).
+  // during recovery and by tests/benches that need a cold start). Charges
+  // one digest per leaf, but hashes only leaves whose value differs from the
+  // previous leaf's.
   void FullResync(SeqNum seq, const Bytes& protocol_state);
 
   // Number of checkpoints currently retained.
@@ -108,31 +110,26 @@ class CheckpointManager {
   bool last_install_root_ok() const { return last_install_root_ok_; }
 
  private:
-  struct ObjectCopy {
-    Bytes value;
-    Digest digest;
-  };
   struct Checkpoint {
     SeqNum seq = 0;
     Digest root;
     size_t leaf_count = 0;
     // Copy-on-write set: value AS OF this checkpoint for leaves modified
     // after it was taken.
-    std::map<size_t, ObjectCopy> cow;
+    std::map<size_t, Bytes> cow;
   };
 
   void ChargeDigest(size_t bytes);
-  size_t ProtocolLeafIndex() const { return leaf_count_ - 1; }
 
   Simulation* sim_;
   ServiceAdapter* adapter_;
   bool full_copy_;
 
+  // The only copy of the leaf digests (as of the latest checkpoint).
   PartitionTree tree_;
-  std::vector<Digest> leaf_digests_;  // as of the latest checkpoint
-  std::set<size_t> dirty_;            // modified since the latest checkpoint
-  std::set<size_t> new_leaves_;       // created since the latest checkpoint
-  size_t leaf_count_ = 1;             // objects + protocol leaf
+  std::set<size_t> dirty_;       // modified since the latest checkpoint
+  std::set<size_t> new_leaves_;  // created since the latest checkpoint
+  size_t leaf_count_ = 1;        // objects + protocol leaf
   SeqNum latest_seq_ = 0;
   Digest latest_root_;
   Bytes protocol_state_;  // as of the latest checkpoint

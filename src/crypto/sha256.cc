@@ -49,24 +49,14 @@ void Sha256::Update(BytesView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
+      CompressBlocks(buffer_, 1);
       buffer_len_ = 0;
     }
   }
   size_t nblocks = (data.size() - offset) / 64;
   if (nblocks > 0) {
-    if (hotpath::crypto_kernel_enabled()) {
-      // Same logical work (sha256_blocks counts it identically); only the
-      // compression unit differs.
-      hotpath::counters().sha256_blocks += nblocks;
-      sha256_multi::CompressBlocks(state_, data.data() + offset, nblocks);
-      offset += nblocks * 64;
-    } else {
-      for (size_t i = 0; i < nblocks; ++i) {
-        ProcessBlock(data.data() + offset);
-        offset += 64;
-      }
-    }
+    CompressBlocks(data.data() + offset, nblocks);
+    offset += nblocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_, data.data() + offset, data.size() - offset);
@@ -100,9 +90,16 @@ void Sha256::Final(uint8_t out[kDigestSize]) {
   }
 }
 
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  ++hotpath::counters().sha256_blocks;
-  sha256_internal::Compress(state_, block);
+void Sha256::CompressBlocks(const uint8_t* data, size_t nblocks) {
+  // Same logical work on either unit, so sha256_blocks counts it once here.
+  hotpath::counters().sha256_blocks += nblocks;
+  if (hotpath::crypto_kernel_enabled()) {
+    sha256_multi::CompressBlocks(state_, data, nblocks);
+    return;
+  }
+  for (size_t i = 0; i < nblocks; ++i) {
+    sha256_internal::Compress(state_, data + 64 * i);
+  }
 }
 
 void sha256_internal::Compress(uint32_t state_[8], const uint8_t block[64]) {

@@ -43,7 +43,10 @@ class Sha256 {
   void ExportState(uint32_t out[8]) const;
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
+  // Compresses `nblocks` whole 64-byte blocks, buffered or straight from the
+  // caller's data: through sha256_multi (SHA-NI when the CPU has it) when the
+  // crypto kernel is on, else with the scalar sha256_internal::Compress.
+  void CompressBlocks(const uint8_t* data, size_t nblocks);
 
   uint32_t state_[8];
   uint64_t bit_count_;

@@ -1,8 +1,12 @@
 // Unit tests for the copy-on-write checkpoint manager.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <vector>
+
 #include "src/base/checkpoint_manager.h"
 #include "src/base/kv_adapter.h"
+#include "src/util/hotpath.h"
 
 namespace bftbase {
 namespace {
@@ -155,6 +159,86 @@ TEST_F(CheckpointManagerTest, FullCopyModeSnapshotsEverything) {
   // And the roots agree with the COW manager given the same state.
   Set(1, "x");
   EXPECT_EQ(cm_.TakeCheckpoint(10, Bytes()), full.latest_root());
+}
+
+// Eight-byte object values: in runs of ten equal values, or all distinct.
+std::vector<ObjectUpdate> EqualSizeValues(size_t count, bool runs) {
+  std::vector<ObjectUpdate> values;
+  for (size_t i = 0; i < count; ++i) {
+    char text[9];
+    std::snprintf(text, sizeof(text), runs ? "run%05zu" : "val%05zu",
+                  runs ? i / 10 : i);
+    values.push_back(ObjectUpdate{i, ToBytes(text)});
+  }
+  return values;
+}
+
+TEST(CheckpointManagerResyncTest, RepeatedValuesHashOnceButChargeEveryLeaf) {
+  constexpr size_t kObjects = 200;
+  const Bytes protocol_state = ToBytes("protocol");  // also eight bytes
+  SimTime charged[2] = {};
+  for (bool runs : {true, false}) {
+    Simulation sim(5);
+    KvAdapter adapter(&sim, kObjects);
+    CheckpointManager cm(&sim, &adapter, false);
+    const std::vector<ObjectUpdate> values = EqualSizeValues(kObjects, runs);
+    adapter.PutObjs(values);
+
+    const SimTime start = sim.CurrentHandlerFinishTime();
+    const uint64_t invocations = hotpath::counters().sha256_invocations;
+    cm.FullResync(/*seq=*/7, protocol_state);
+    charged[runs ? 0 : 1] = sim.CurrentHandlerFinishTime() - start;
+    if (runs) {
+      EXPECT_LT(hotpath::counters().sha256_invocations - invocations,
+                cm.LeafCount());
+    }
+
+    PartitionTree reference;
+    reference.Resize(kObjects + 1);
+    reference.SetLeaf(0, Digest::Of(protocol_state));
+    for (const ObjectUpdate& value : values) {
+      reference.SetLeaf(CheckpointManager::LeafForObject(value.index),
+                        Digest::Of(value.value));
+    }
+    EXPECT_EQ(cm.latest_root(), reference.Root()) << "runs " << runs;
+    ASSERT_EQ(cm.LeafCount(), kObjects + 1);
+    for (size_t leaf = 0; leaf < cm.LeafCount(); ++leaf) {
+      EXPECT_EQ(cm.LeafDigest(leaf), reference.Leaf(leaf))
+          << "leaf " << leaf << " runs " << runs;
+    }
+  }
+  EXPECT_GT(charged[0], 0);
+  EXPECT_EQ(charged[0], charged[1]);
+}
+
+TEST_F(CheckpointManagerTest, LeafDigestsFollowTreeThroughInstall) {
+  Set(5, "mine");
+  Set(9, "kept");
+  cm_.TakeCheckpoint(10, ToBytes("ps-10"));
+  Set(5, "changed");  // dirty leaf the install below overwrites
+  Set(9, "dirty");    // dirty leaf the install leaves at its live value
+
+  const size_t leaf5 = CheckpointManager::LeafForObject(5);
+  const size_t leaf9 = CheckpointManager::LeafForObject(9);
+  std::vector<ObjectUpdate> updates = {
+      ObjectUpdate{0, ToBytes("ps-20")},
+      ObjectUpdate{leaf5, ToBytes("fetched")},
+  };
+  Simulation sim2(6);
+  KvAdapter adapter2(&sim2, kSlots);
+  adapter2.PutObjs({ObjectUpdate{5, ToBytes("fetched")},
+                    ObjectUpdate{9, ToBytes("dirty")}});
+  CheckpointManager target(&sim2, &adapter2, false);
+  target.FullResync(20, ToBytes("ps-20"));
+
+  cm_.InstallFetchedState(20, target.latest_root(), kSlots + 1, updates);
+  EXPECT_TRUE(cm_.last_install_root_ok());
+  EXPECT_EQ(cm_.LeafDigest(leaf9), Digest::Of(ToBytes("dirty")));
+  for (size_t leaf = 0; leaf < cm_.LeafCount(); ++leaf) {
+    EXPECT_EQ(cm_.LeafDigest(leaf), cm_.tree().Leaf(leaf)) << "leaf " << leaf;
+    EXPECT_EQ(cm_.LeafDigest(leaf), target.LeafDigest(leaf))
+        << "leaf " << leaf;
+  }
 }
 
 }  // namespace

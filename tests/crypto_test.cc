@@ -224,6 +224,50 @@ TEST(Sha256, HotPathCountersTrackWork) {
   EXPECT_EQ(after.sha256_blocks - before.sha256_blocks, 3u);
 }
 
+TEST(Sha256, BufferedBlocksRunOnKernel) {
+  // A partition-tree node hashes as many small Digest::Builder Adds, so every
+  // block it compresses is assembled in the hasher's buffer, as are the tail
+  // and padding blocks of most streamed hashes. With the kernel on, those
+  // blocks must reach the kernel too, and hash exactly as the scalar path.
+  const Digest child = Digest::Of(ToBytes("child"));
+  std::vector<Bytes> inputs;
+  for (size_t len : {56, 64, 100, 300}) {
+    Bytes input(len);
+    for (size_t i = 0; i < len; ++i) {
+      input[i] = static_cast<uint8_t>(i * 29 + len);
+    }
+    inputs.push_back(std::move(input));
+  }
+  auto hash_all = [&] {
+    Digest::Builder node;
+    node.Add(uint64_t{2}).Add(uint64_t{37});
+    for (int i = 0; i < 16; ++i) {
+      node.Add(child);
+    }
+    std::vector<std::array<uint8_t, Sha256::kDigestSize>> out;
+    out.push_back(node.Build().array());
+    for (const Bytes& input : inputs) {
+      out.push_back(Sha256::Hash(input));
+    }
+    return out;
+  };
+  std::vector<std::array<uint8_t, Sha256::kDigestSize>> scalar;
+  {
+    ScopedCryptoKernel off(false);
+    scalar = hash_all();
+  }
+  ScopedCryptoKernel on(true);
+  const hotpath::Counters before = hotpath::counters();
+  const std::vector<std::array<uint8_t, Sha256::kDigestSize>> kernel =
+      hash_all();
+  const hotpath::Counters& after = hotpath::counters();
+  EXPECT_EQ(kernel, scalar);
+  if (sha256_multi::HasShaNi()) {
+    EXPECT_EQ(after.sha256_ni_blocks - before.sha256_ni_blocks,
+              after.sha256_blocks - before.sha256_blocks);
+  }
+}
+
 TEST(Sha256Multi, NistCavpShortMessageVectors) {
   // NIST CAVP SHA256ShortMsg.rsp (byte-oriented) known-answer tests; these
   // lengths all take the one-shot single-compression path when the kernel
@@ -456,6 +500,14 @@ TEST(Sha256Multi, LogicalWorkCountersMatchScalarPath) {
     HmacKey key(Bytes(16, 5));
     key.Hmac(Bytes(40, 6));
     key.Hmac(Bytes(80, 7));
+    // One partition-tree node: every block passes through the buffer.
+    const Digest child = Digest::Of(digest_msg);
+    Digest::Builder node;
+    node.Add(uint64_t{1}).Add(uint64_t{3});
+    for (int i = 0; i < 16; ++i) {
+      node.Add(child);
+    }
+    node.Build();
   };
   uint64_t scalar[3];
   uint64_t kernel[3];
