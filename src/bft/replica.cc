@@ -144,7 +144,7 @@ void Replica::OnMessage(NodeId /*from*/, const Bytes& wire) {
       HandleViewChange(msg, wire);
       break;
     case MsgType::kNewView:
-      HandleNewView(msg);
+      HandleNewView(msg, wire);
       break;
     case MsgType::kState:
       if (config_.IsReplica(msg.sender)) {
@@ -213,9 +213,13 @@ void Replica::HandleRequest(const WireMessage& msg, const Bytes& wire) {
   } else if (!in_view_change_) {
     // Backup: relay the client's envelope to the primary (the client's own
     // authenticator makes it verifiable there) and start suspecting the
-    // primary if it fails to order the request.
+    // primary if it fails to order the request. A running timer is left
+    // alone (PBFT's liveness rule): restarting it on every retransmission
+    // would let client retries postpone suspicion of a dead primary.
     channel_.Send(config_.PrimaryOf(view_), wire);
-    ArmViewChangeTimer();
+    if (view_change_timer_ == 0) {
+      ArmViewChangeTimer();
+    }
   }
 }
 
@@ -376,7 +380,15 @@ void Replica::HandlePrePrepare(const WireMessage& msg, const Bytes& wire) {
     StashWire(wire);  // early: we have not installed that view yet
     return;
   }
-  if (pp->view != view_ || fetching_state_ || !InWindow(pp->seq)) {
+  if (pp->view < view_) {
+    MaybeForwardNewView(msg.sender);
+    return;
+  }
+  // Accepted even while fetching state: execution still waits for the
+  // transfer (everything up to its target is below the window), and the
+  // batches after it are then ready to execute instead of leaving a gap
+  // only the next checkpoint could fill.
+  if (!InWindow(pp->seq)) {
     return;
   }
 
@@ -448,7 +460,11 @@ void Replica::HandlePrepare(const WireMessage& msg, const Bytes& wire) {
     StashWire(wire);
     return;
   }
-  if (prepare->view != view_ || !InWindow(prepare->seq)) {
+  if (prepare->view < view_) {
+    MaybeForwardNewView(msg.sender);
+    return;
+  }
+  if (!InWindow(prepare->seq)) {
     return;
   }
   if (msg.sender == config_.PrimaryOf(prepare->view)) {
@@ -470,7 +486,11 @@ void Replica::HandleCommit(const WireMessage& msg, const Bytes& wire) {
     StashWire(wire);
     return;
   }
-  if (commit->view != view_ || !InWindow(commit->seq)) {
+  if (commit->view < view_) {
+    MaybeForwardNewView(msg.sender);
+    return;
+  }
+  if (!InWindow(commit->seq)) {
     return;
   }
   LogEntry& entry = log_.Get(commit->seq);
@@ -483,17 +503,10 @@ void Replica::TryPrepared(SeqNum seq) {
   if (entry.prepared || !entry.pre_prepare.has_value()) {
     return;
   }
-  // prepared(m, v, n, i): the pre-prepare plus 2f matching prepares from
-  // distinct replicas (the primary's pre-prepare stands in for its prepare;
-  // our own prepare is in the pool).
-  size_t needed = static_cast<size_t>(config_.prepared_quorum());
-  bool is_primary_entry = config_.PrimaryOf(entry.view) == id_;
-  size_t have = entry.MatchingPrepares();
-  // The primary has no own prepare in the pool; it needs 2f from backups.
-  // A backup's own prepare is in the pool, so it needs 2f total as well
-  // (its own plus 2f-1 others ... plus the implicit primary pre-prepare).
-  (void)is_primary_entry;
-  if (have < needed) {
+  // prepared(m, v, n, i): the primary's pre-prepare stands in for its
+  // prepare, so 2f matching prepares from distinct backups complete it.
+  if (entry.MatchingPrepares() <
+      static_cast<size_t>(config_.prepared_quorum())) {
     return;
   }
   entry.prepared = true;
@@ -646,6 +659,7 @@ void Replica::ExecuteBatch(SeqNum seq, LogEntry& entry) {
   }
   entry.executed = true;
   last_executed_ = seq;
+  catching_up_ = false;
   sim_->metrics().Inc(kBatchesExecuted, id_);
   sim_->trace().Record(TraceEvent::kExecuted, sim_->Now(), id_, -1,
                        entry.view, seq, entry.digest.view());
@@ -968,6 +982,7 @@ void Replica::MaybeStartStateTransfer(SeqNum seq, const Digest& digest) {
 }
 
 void Replica::OnStateTransferDone(SeqNum seq, const Digest& digest) {
+  catching_up_ = false;
   if (recovering_) {
     FinishProactiveRecovery(seq, digest);
     return;
@@ -984,6 +999,16 @@ void Replica::OnStateTransferDone(SeqNum seq, const Digest& digest) {
       next_seq_ = seq + 1;
     }
     DecodeReplyCache(service_->GetProtocolState());
+    // The group answered these requests while we were behind; waiting on
+    // them would only run the view-change timer against a working primary.
+    std::erase_if(pending_requests_, [this](const auto& item) {
+      auto ts_it = last_executed_timestamp_.find(item.second.request.client);
+      return ts_it != last_executed_timestamp_.end() &&
+             item.second.request.timestamp <= ts_it->second;
+    });
+    if (pending_requests_.empty()) {
+      DisarmViewChangeTimer();
+    }
     log_.TruncateBelow(seq);
     // We now genuinely hold this checkpoint, so vouch for it: our vote may
     // be the one that lets the group stabilize it and advance the window
@@ -1128,6 +1153,10 @@ void Replica::Crash() {
   checkpoint_votes_.clear();
   view_change_votes_.clear();
   new_view_sent_.clear();
+  new_view_wire_.clear();
+  new_view_forwarded_.clear();
+  catching_up_ = false;
+  gap_commit_seen_ = 0;
   stashed_wires_.clear();
   view_change_timeout_ = config_.EffectiveViewChangeTimeout();
   null_timer_marker_ = 0;
@@ -1141,6 +1170,8 @@ void Replica::RestartFromStorage() {
     return;
   }
   crashed_ = false;
+  // The group may have moved on while we were down.
+  catching_up_ = true;
   keys_->RefreshKeysFor(id_);
   ServiceInterface::RecoveryInfo info = service_->RecoverFromStorage();
   if (!info.ok) {

@@ -190,9 +190,16 @@ class Replica : public SimNode {
   void DisarmViewChangeTimer();
   void OnViewChangeTimeout();
   void StartViewChange(ViewNum target_view);
+  // Whether this replica is catching up (catching_up_) and the group keeps
+  // committing past a gap only it has: its log holds a committed entry above
+  // last_executed_ + 1 newer than at the previous call.
+  bool GroupCommitsPastOwnGap();
   void HandleViewChange(const WireMessage& msg, const Bytes& wire);
-  void HandleNewView(const WireMessage& msg);
+  void HandleNewView(const WireMessage& msg, const Bytes& wire);
   void MaybeSendNewView(ViewNum target_view);
+  // Sends `to` the NEW-VIEW that installed the current view, once per
+  // replica and view: `to` spoke an older view, so it missed the multicast.
+  void MaybeForwardNewView(NodeId to);
   // Validates a VIEW-CHANGE message's embedded proofs. Returns the parsed
   // message on success.
   Result<ViewChangeMsg> ValidateViewChange(const WireMessage& msg);
@@ -208,7 +215,8 @@ class Replica : public SimNode {
   Result<NewViewPlan> ComputeNewViewPlan(
       ViewNum target_view, const std::vector<ViewChangeMsg>& view_changes);
   void EnterNewView(ViewNum target_view, const NewViewPlan& plan,
-                    const std::vector<Bytes>& new_view_pre_prepare_wires);
+                    const std::vector<Bytes>& new_view_pre_prepare_wires,
+                    const Bytes& new_view_wire);
 
   // --- Recovery internals ----------------------------------------------------
   void FinishProactiveRecovery(SeqNum seq, const Digest& digest);
@@ -286,11 +294,24 @@ class Replica : public SimNode {
   };
   std::map<ViewNum, std::map<NodeId, ViewChangeVote>> view_change_votes_;
   std::set<ViewNum> new_view_sent_;
+  // The signed NEW-VIEW that installed view_ (the one this replica sent as
+  // primary, or accepted as a backup); empty in view 0 and after a crash.
+  // It is self-certifying, so any replica may hand it to one that missed it.
+  Bytes new_view_wire_;
+  // Replicas the current view's NEW-VIEW was already forwarded to.
+  std::set<NodeId> new_view_forwarded_;
 
   // State-transfer / recovery state.
   bool fetching_state_ = false;
   bool recovering_ = false;
   bool crashed_ = false;
+  // Set when this replica restarts from disk or installs a view whose
+  // change it took no part in (either way it missed the group's traffic),
+  // until its first executed batch or finished state transfer; with the
+  // newest committed entry past its execution gap seen at the last
+  // view-change timer expiry (GroupCommitsPastOwnGap).
+  bool catching_up_ = false;
+  SeqNum gap_commit_seen_ = 0;
   // Bumped on every Crash(): lets pending timers from a previous incarnation
   // (e.g. a proactive-recovery reboot scheduled before the crash) detect
   // they are stale and do nothing.

@@ -29,10 +29,50 @@ void Replica::OnViewChangeTimeout() {
   if (recovering_) {
     return;
   }
+  // A replica that is behind the group must not depose a working primary:
+  // a view change it starts alone cannot be undone (it may not re-enter a
+  // lower view), so it would cascade on its own. It keeps waiting while a
+  // state transfer is in flight, and while catching up as long as the group
+  // keeps committing past a gap only it has. The f+1 join rule still pulls
+  // it into any view change the others start.
+  if (!in_view_change_ && fetching_state_) {
+    ArmViewChangeTimer();
+    return;
+  }
+  if (!in_view_change_ && GroupCommitsPastOwnGap()) {
+    // Progress is sampled once per expiry, and the live primary of an idle
+    // group commits only a null request per null_request_interval (at worst
+    // two intervals apart), so the next sample must not come sooner.
+    view_change_timer_ = sim_->After(
+        id_, std::max(view_change_timeout_, 2 * config_.null_request_interval),
+        [this] { OnViewChangeTimeout(); });
+    return;
+  }
   // No progress: move to the next view. If we are already waiting for a
   // NEW-VIEW that never came, cascade to the view after that with a doubled
   // timeout (PBFT's liveness rule).
   StartViewChange(view_ + 1);
+}
+
+bool Replica::GroupCommitsPastOwnGap() {
+  if (!catching_up_) {
+    return false;
+  }
+  SeqNum newest = 0;
+  for (auto it = log_.entries().rbegin();
+       it != log_.entries().rend() && it->first > last_executed_ + 1; ++it) {
+    if (it->second.committed) {
+      newest = it->first;
+      break;
+    }
+  }
+  // Only a commit newer than at the previous expiry shows the group is still
+  // making progress; an old one alone could mask a primary that died since.
+  if (newest <= gap_commit_seen_) {
+    return false;
+  }
+  gap_commit_seen_ = newest;
+  return true;
 }
 
 // ------------------------------------------------------------- view change
@@ -192,7 +232,9 @@ void Replica::HandleViewChange(const WireMessage& msg, const Bytes& wire) {
   }
   ViewNum target = vc->new_view;
   if (target < view_ || (target == view_ && !in_view_change_)) {
-    return;  // stale
+    // Stale: the sender is still trying to reach a view we installed.
+    MaybeForwardNewView(msg.sender);
+    return;
   }
   if (config_.view_change_horizon > 0 &&
       target > view_ + config_.view_change_horizon) {
@@ -324,10 +366,22 @@ void Replica::MaybeSendNewView(ViewNum target_view) {
   LOG_INFO << "replica " << id_ << " sends NEW-VIEW for view " << target_view
            << " with " << nv.pre_prepares.size() << " reproposals";
 
-  EnterNewView(target_view, *plan, nv.pre_prepares);
+  EnterNewView(target_view, *plan, nv.pre_prepares, wire);
 }
 
-void Replica::HandleNewView(const WireMessage& msg) {
+void Replica::MaybeForwardNewView(NodeId to) {
+  // At most once per (replica, view), so a replica replaying stale messages
+  // (view-change-spam) cannot amplify them into a NEW-VIEW stream.
+  if (in_view_change_ || new_view_wire_.empty() || to == id_ ||
+      !new_view_forwarded_.insert(to).second) {
+    return;
+  }
+  LOG_INFO << "replica " << id_ << " forwards NEW-VIEW for view " << view_
+           << " to replica " << to;
+  channel_.Send(to, new_view_wire_);
+}
+
+void Replica::HandleNewView(const WireMessage& msg, const Bytes& wire) {
   auto nv = NewViewMsg::Decode(msg.payload);
   if (!nv.ok() || msg.auth != AuthKind::kSigned) {
     return;
@@ -390,14 +444,22 @@ void Replica::HandleNewView(const WireMessage& msg) {
     return;
   }
 
-  EnterNewView(nv->view, *plan, nv->pre_prepares);
+  // A view whose change we took no part in: we missed the group's traffic
+  // (typically this NEW-VIEW was forwarded to us), so we are catching up.
+  if (nv->view > view_) {
+    catching_up_ = true;
+  }
+  EnterNewView(nv->view, *plan, nv->pre_prepares, wire);
 }
 
 void Replica::EnterNewView(ViewNum target_view, const NewViewPlan& plan,
-                           const std::vector<Bytes>& new_view_pre_prepares) {
+                           const std::vector<Bytes>& new_view_pre_prepares,
+                           const Bytes& new_view_wire) {
   LOG_INFO << "replica " << id_ << " enters view " << target_view;
   view_ = target_view;
   in_view_change_ = false;
+  new_view_wire_ = new_view_wire;
+  new_view_forwarded_.clear();
   // A durable view mark: a replica restarting from disk must not come back
   // in an older view than the one it operated in.
   service_->LogViewMark(target_view);

@@ -1,6 +1,7 @@
 // Protocol edge-case regressions: the log-window high watermark under lost
-// checkpoint votes, client retransmission against the reply cache, and the
-// stale-timestamp guard on replayed replies.
+// checkpoint votes, client retransmission against the reply cache, the
+// stale-timestamp guard on replayed replies, and the view-change timer under
+// client retransmissions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -405,6 +406,61 @@ TEST(ProtocolEdge, DigestQuorumWithoutResultRetransmitsEagerly) {
   EXPECT_EQ(group->client(0).retries(), 1u);
   EXPECT_LT(group->client(0).last_latency(),
             group->config().client_retry_timeout);
+}
+
+// PBFT's liveness rule (OSDI '99 §4.5.2): a backup starts its view-change
+// timer when it receives a request and the timer is not already running.
+// The primary is cut off and the client retransmits more often than the
+// view-change timeout. If every relayed retransmission restarted the timer,
+// a dead primary would be suspected only once the retries thinned out; the
+// backups must instead start the view change within one timeout of the
+// first request they relayed.
+TEST(ProtocolEdge, RetransmissionsDoNotPostponeSuspicion) {
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.config.view_change_timeout = kSecond;
+  params.config.client_retry_timeout = 100 * kMillisecond;
+  params.seed = 9008;
+  auto group = MakeGroup(std::move(params));
+  group->sim().network().Isolate(0);
+
+  // The first retransmission is the first request a backup sees (and
+  // relays); the LAN adds well under a millisecond before it arrives.
+  const NodeId client_id = group->config().ClientId(0);
+  SimTime first_relay = -1;
+  group->sim().network().SetInterceptor([&](NodeId from, NodeId to,
+                                            Bytes& wire) {
+    if (first_relay < 0 && from == client_id && to == 1 &&
+        WireType(wire) == static_cast<uint8_t>(MsgType::kRequest)) {
+      first_relay = group->sim().Now();
+    }
+    return true;
+  });
+  bool done = false;
+  Status status = Unavailable("never completed");
+  group->client(0).Invoke(KvAdapter::EncodeSet(1, ToBytes("v")),
+                          /*read_only=*/false, [&](Status s, Bytes) {
+                            status = std::move(s);
+                            done = true;
+                          });
+  ASSERT_TRUE(group->sim().RunUntilTrue([&] { return first_relay >= 0; },
+                                        group->sim().Now() + 10 * kSecond));
+
+  const SimTime suspect_by =
+      first_relay + group->config().EffectiveViewChangeTimeout() +
+      10 * kMillisecond;
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return group->replica(1).view_changes_started() > 0; },
+      suspect_by))
+      << "backup 1 relayed at t=" << first_relay
+      << "us but did not suspect the primary by t=" << suspect_by << "us";
+  EXPECT_GE(group->client(0).retries(), 3u)
+      << "the client did not retransmit inside one view-change timeout";
+
+  ASSERT_TRUE(group->sim().RunUntilTrue([&] { return done; },
+                                        group->sim().Now() + 60 * kSecond));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(group->replica(1).view(), 1u);
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
 // Unit tests for the hierarchical state-transfer protocol, wired directly
 // between CheckpointManagers (no BFT replicas) so individual mechanisms are
 // observable: selective fetching, discovery quorums, Byzantine servers,
-// local-source short-circuiting, retries.
+// local-source short-circuiting, retries. The last tests run a replica group
+// and pin how a replica that fetches state rejoins agreement.
 #include <gtest/gtest.h>
 
 #include "src/base/kv_adapter.h"
 #include "src/base/replica_service.h"
+#include "src/base/service_group.h"
 #include "src/base/state_transfer.h"
+#include "src/bft/message.h"
 #include "src/sim/network.h"
 #include "src/sim/storage.h"
+#include "tests/audit_helpers.h"
 
 namespace bftbase {
 namespace {
@@ -328,6 +332,140 @@ TEST(StateTransfer, CrashMidTransferDoesNotResumeHalfApplied) {
   // Re-checkpoint the live state (roots are seq-independent): the adapter
   // and protocol state hash back to exactly the durable root.
   EXPECT_EQ(svc.TakeCheckpoint(9), durable_root);
+}
+
+// --- A lagging replica in a live group ---------------------------------------
+
+// A group whose replica 3 misses every agreement message (but still gets
+// checkpoint votes) while `cut_agreement` is set, and whose state-transfer
+// replies are lost while `hold_state` is set. With the group stopped at
+// checkpoint 8, replica 3 adopts it as stable and starts fetching it.
+class LaggingReplicaTest : public ::testing::Test {
+ protected:
+  static constexpr NodeId kLagging = 3;
+
+  LaggingReplicaTest() {
+    ServiceGroup::Params params;
+    params.config.f = 1;
+    params.config.checkpoint_interval = 8;
+    params.config.log_window = 16;
+    params.seed = 17;
+    group_.reset(new ServiceGroup(params, [](Simulation* sim, NodeId) {
+      return std::make_unique<KvAdapter>(sim, 64);
+    }));
+    group_->EnableAudit();
+    client_ = group_->config().ClientId(0);
+    group_->sim().network().SetInterceptor(
+        [this](NodeId from, NodeId to, Bytes& wire) {
+          const uint8_t type = wire.empty() ? 0 : wire[0];
+          if (from == client_ && type == Type(MsgType::kRequest)) {
+            last_request_ = wire;
+          }
+          if (to != kLagging) {
+            return true;
+          }
+          const bool agreement = type == Type(MsgType::kPrePrepare) ||
+                                 type == Type(MsgType::kPrepare) ||
+                                 type == Type(MsgType::kCommit);
+          return !(cut_agreement_ && agreement) &&
+                 !(hold_state_ && type == Type(MsgType::kState));
+        });
+  }
+
+  static uint8_t Type(MsgType type) { return static_cast<uint8_t>(type); }
+
+  void Set(uint32_t slot) {
+    ASSERT_TRUE(group_->Invoke(KvAdapter::EncodeSet(slot, ToBytes("v"))).ok());
+  }
+
+  // Commits Sets until the group has executed exactly seq 8, then waits for
+  // replica 3 to start fetching that checkpoint.
+  void FallBehindToCheckpoint8() {
+    for (uint32_t i = 0; group_->replica(0).last_executed() < 8; ++i) {
+      ASSERT_NO_FATAL_FAILURE(Set(i % 8));
+    }
+    ASSERT_EQ(group_->replica(0).last_executed(), 8u);
+    ASSERT_TRUE(group_->sim().RunUntilTrue(
+        [&] { return group_->service(kLagging).InStateTransfer(); },
+        group_->sim().Now() + kSecond));
+    ASSERT_EQ(group_->replica(kLagging).stable_seq(), 8u);
+    ASSERT_EQ(group_->replica(kLagging).last_executed(), 0u);
+  }
+
+  void FinishTransfer() {
+    hold_state_ = false;
+    ASSERT_TRUE(group_->sim().RunUntilTrue(
+        [&] { return !group_->service(kLagging).InStateTransfer(); },
+        group_->sim().Now() + 5 * kSecond));
+  }
+
+  AuditedGroup group_;
+  NodeId client_ = 0;
+  bool cut_agreement_ = true;
+  bool hold_state_ = true;
+  Bytes last_request_;
+};
+
+// While the fetch is in flight the group keeps committing. The lagging
+// replica takes part in agreement on the batches past the checkpoint, so the
+// moment the transfer lands it executes them: no gap is left that only the
+// next checkpoint (and a second transfer) could fill. A transfer that
+// outlasts the view-change timeout does not make it suspect the primary.
+TEST_F(LaggingReplicaTest, ExecutesNextBatchesWithoutSecondTransfer) {
+  ASSERT_NO_FATAL_FAILURE(FallBehindToCheckpoint8());
+  cut_agreement_ = false;
+  for (uint32_t i = 0; i < 3; ++i) {
+    ASSERT_NO_FATAL_FAILURE(Set(i));
+  }
+  // Longer than the view-change timeout: the fetch is still held.
+  group_->sim().RunUntil(group_->sim().Now() +
+                         2 * group_->config().view_change_timeout);
+  Replica& lagging = group_->replica(kLagging);
+  ASSERT_TRUE(group_->service(kLagging).InStateTransfer());
+  EXPECT_EQ(lagging.last_executed(), 0u) << "executed before the transfer";
+  EXPECT_EQ(lagging.view_changes_started(), 0u);
+
+  ASSERT_NO_FATAL_FAILURE(FinishTransfer());
+  EXPECT_EQ(lagging.stable_seq(), 8u);
+  EXPECT_GE(lagging.batches_executed(), 3u);
+  EXPECT_EQ(lagging.last_executed(), group_->replica(0).last_executed());
+
+  // It stays in the pipeline across later checkpoints: every batch executes
+  // live, and nothing more is fetched.
+  const uint64_t leaves = group_->service(kLagging).state_transfer()
+                              .leaves_fetched();
+  for (uint32_t i = 0; i < 12; ++i) {
+    ASSERT_NO_FATAL_FAILURE(Set(i % 8));
+  }
+  ASSERT_TRUE(group_->sim().RunUntilTrue(
+      [&] {
+        return lagging.last_executed() == group_->replica(0).last_executed();
+      },
+      group_->sim().Now() + kSecond));
+  EXPECT_GE(lagging.stable_seq(), 16u);
+  EXPECT_EQ(group_->service(kLagging).state_transfer().leaves_fetched(),
+            leaves);
+  EXPECT_EQ(lagging.view_changes_started(), 0u);
+}
+
+// The lagging replica holds a client request the group executed at seq 8
+// (it arrives as a retransmission while the fetch is in flight). The fetched
+// reply cache shows it executed, so it is no longer pending: the view-change
+// timer stops, and the replica never suspects the primary that ordered it.
+TEST_F(LaggingReplicaTest, PendingRequestExecutedByFetchedStateIsDropped) {
+  ASSERT_NO_FATAL_FAILURE(FallBehindToCheckpoint8());
+  ASSERT_FALSE(last_request_.empty());
+  group_->sim().network().Send(client_, kLagging, last_request_);
+  group_->sim().RunUntil(group_->sim().Now() +
+                         2 * group_->config().view_change_timeout);
+  ASSERT_NO_FATAL_FAILURE(FinishTransfer());
+  group_->sim().RunUntil(group_->sim().Now() +
+                         4 * group_->config().view_change_timeout);
+  Replica& lagging = group_->replica(kLagging);
+  EXPECT_EQ(lagging.last_executed(), 8u);
+  EXPECT_EQ(lagging.view_changes_started(), 0u);
+  EXPECT_FALSE(lagging.in_view_change());
+  EXPECT_EQ(lagging.view(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // (framing, checksum chain, torn/duplicated tails, truncate-at-checkpoint),
 // ReplicaService recovery (checkpoint load + WAL-tail replay to a byte-
 // identical partition-tree root), restart-from-disk at the group level
-// (including the poisoned-reply-cache regression), the kernel-witness-style
+// (including the poisoned-reply-cache regression and a restarted primary
+// rejoining the current view), the kernel-witness-style
 // pin that durable mode is invisible in fault-free traces, and replays of
 // the two shrunk chaos schedules that exposed real recovery-path safety
 // bugs (volatile prepared certificates; P-set loss across view changes).
@@ -483,6 +484,102 @@ TEST(DurableGroup, CrashedReplicaRestartsFromDiskAndCatchesUp) {
     EXPECT_EQ(ToString(group->adapter(2)->GetObj(slot)),
               ToString(group->adapter(0)->GetObj(slot)));
   }
+}
+
+// The primary drops out (crashed, or only cut off) while the others install
+// view 1, and comes back in view 0 — after a crash from its last durable
+// view mark — still believing it is the primary: the NEW-VIEW was multicast
+// while it was away. Every request also reaches it, as a client's
+// retransmission would, so its first view-0 PRE-PREPARE draws that NEW-VIEW
+// from a replica in view 1 and it rejoins the current view. There it still
+// lacks the batches committed while it was away, and only the next
+// checkpoint fills that gap. Until then it must not depose the primary the
+// group keeps following: first under load whose requests arrive further
+// apart than the view-change timeout, then with the group idle and only
+// null requests committing. Afterwards it executes live batches instead of
+// catching up only by state transfer.
+void ExpectPrimaryRejoinsCurrentView(bool crash) {
+  auto group = MakeDurableKvGroup(DurableParams());
+  const NodeId client = group->config().ClientId(0);
+  std::vector<Bytes> requests;
+  group->sim().network().SetInterceptor(
+      [&](NodeId from, NodeId to, Bytes& wire) {
+        if (from == client && to != 0 && !wire.empty() &&
+            wire[0] == static_cast<uint8_t>(MsgType::kRequest)) {
+          requests.push_back(wire);
+        }
+        return true;
+      });
+  auto set = [&](int i) {
+    ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(i % 4, ToBytes("v"))).ok());
+    for (const Bytes& wire : requests) {
+      group->sim().network().Send(client, 0, wire);
+    }
+    requests.clear();
+  };
+  // Stop just past checkpoint 8, so the gap left by the outage is not
+  // filled until checkpoint 16.
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_NO_FATAL_FAILURE(set(i));
+  }
+  group->sim().network().Isolate(0);
+  if (crash) {
+    group->replica(0).Crash();
+  }
+  auto others_in_view_1 = [&] {
+    for (int r = 1; r < group->replica_count(); ++r) {
+      if (group->replica(r).view() != 1 || group->replica(r).in_view_change()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int i = 0; i < 20 && !others_in_view_1(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(set(i));
+  }
+  ASSERT_TRUE(others_in_view_1());
+  ASSERT_NO_FATAL_FAILURE(set(0));
+
+  group->sim().network().Heal(0);
+  if (crash) {
+    group->replica(0).RestartFromStorage();
+  }
+  Replica& primary = group->replica(0);
+  ASSERT_EQ(primary.view(), 0u);
+  const uint64_t view_changes = primary.view_changes_started();
+  const uint64_t batches = primary.batches_executed();
+
+  ASSERT_NO_FATAL_FAILURE(set(0));
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return primary.view() == 1 && !primary.in_view_change(); },
+      group->sim().Now() + kSecond));
+
+  const SimTime pace =
+      group->config().EffectiveViewChangeTimeout() + 100 * kMillisecond;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NO_FATAL_FAILURE(set(i));
+    group->sim().RunUntil(group->sim().Now() + pace);
+  }
+  ASSERT_LT(primary.last_executed(), group->replica(1).last_executed());
+  ASSERT_EQ(primary.batches_executed(), batches) << "the gap closed early";
+
+  EXPECT_TRUE(group->sim().RunUntilTrue(
+      [&] { return primary.batches_executed() > batches; },
+      group->sim().Now() + 20 * group->config().null_request_interval))
+      << "caught up only through state transfer";
+  EXPECT_EQ(primary.view_changes_started(), view_changes);
+  EXPECT_FALSE(primary.in_view_change());
+  EXPECT_EQ(primary.view(), group->replica(1).view());
+}
+
+TEST(DurableGroup, RestartedPrimaryRejoinsCurrentView) {
+  ExpectPrimaryRejoinsCurrentView(/*crash=*/true);
+}
+
+// Same, with the primary only cut off: it keeps its memory, so it is not
+// restarted, yet it enters view 1 through a NEW-VIEW it took no part in.
+TEST(DurableGroup, PartitionedPrimaryRejoinsCurrentView) {
+  ExpectPrimaryRejoinsCurrentView(/*crash=*/false);
 }
 
 // Regression: crash-restart in the local-checkpoint-not-yet-stable window,
