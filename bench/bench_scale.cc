@@ -1,37 +1,21 @@
 // Large-group scale benchmark for the event kernel (BENCH_scale.json).
 //
-// Three parts. First, a kill-switch before/after pair in the style of
-// bench_wallclock's SetCachesEnabled runs: an f=1-group, single-client
+// Three parts. First, the harness-cost figure: an f=1-group, single-client
 // message/timer flood — full Network fabric (multicast, fault checks, cost
 // model, CPU serialization, retransmission-style timer arm/cancel churn) with
-// protocol-free handlers — executed once under the legacy kernel
-// (hotpath::SetScaleKernelEnabled(false) — per-event std::function
-// allocation, priority_queue copies on pop and requeue, std::map node tables,
-// string-keyed metric updates) and once under the scale-out kernel (pooled
-// move-only events, 4-ary heap of PODs, generation-checked cancellation,
-// dense tables, pre-resolved counter handles). Both runs execute the
-// identical event sequence, so the events/sec ratio isolates exactly what the
-// kernel costs per event. The flood is the right measurement instrument
-// because the replicated protocol itself is crypto-bound: gprof on the f=1 KV
-// workload attributes ~85% of cycles to SHA-256 (checkpoint partition-tree
-// hashing), so no kernel could move that end-to-end number much — which is
-// the point of the overhaul: harness overhead should disappear under protocol
-// work.
+// protocol-free handlers — reported as sim events per wall-clock second. The
+// flood is the right instrument for what the kernel costs per event because
+// the replicated protocol itself is crypto-bound. Its event count is
+// deterministic and pinned at commit fb72bea, where the std::priority_queue
+// kernel this one replaced still ran the identical event sequence.
 //
-// Second, the same kill-switch pair on the real f=1 single-client KV protocol
-// workload, so the artifact shows the honest end-to-end effect next to the
-// isolated kernel effect. Re-measured with the SHA-NI crypto kernel enabled
-// (which shrank the SHA-256 share that used to dominate this workload): the
-// end-to-end kernel gain holds at ~1.17x, so full runs gate it at a lenient
-// ≥1.05x floor (smoke runs only report it — short sanitizer runs are noisy).
-//
-// Third, a sweep over group size n ∈ {4, 7, 10, 13, 25} × concurrent
-// clients ∈ {1, 16, 64, 256} under the scale kernel, reporting sim
+// Second, a sweep over group size n ∈ {4, 7, 10, 13, 25} × concurrent
+// clients ∈ {1, 16, 64, 256} on the closed-loop KV protocol, reporting sim
 // events/sec, wall-clock requests/sec, peak scheduler queue depth and the
 // event-pool reuse rate. This is the scaling surface the paper's testbed
 // could not reach (their experiments stop at n = 4).
 //
-// Fourth, the sharded scale-OUT sweep: S independent f=1 BASE groups behind
+// Third, the sharded scale-OUT sweep: S independent f=1 BASE groups behind
 // the key→shard router (src/shard/), driven by the closed-loop zipfian keyed
 // KV workload, over shards ∈ {1, 2, 4, 8} × router clients. Reported per
 // cell: aggregate committed ops/sec on the SIMULATED clock (the scaling
@@ -40,14 +24,14 @@
 // per sub-op). Gated: S = 4 must deliver ≥ 3x the S = 1 aggregate
 // simulated-time throughput at the same client count.
 //
-// Usage: bench_scale [--smoke] [--json PATH]
-//   --smoke  shrink request counts and the sweep grid (CI's ctest target)
-//   --json   where to write the JSON artifact (default: BENCH_scale.json)
+// Usage: bench_scale [--smoke] [--json PATH] [--threads N]
+//   --smoke    shrink request counts and the sweep grid (CI's ctest target)
+//   --json     where to write the JSON artifact (default: BENCH_scale.json)
+//   --threads  worker-pool size (default: BASE_THREADS, else 0)
 //
-// Exits nonzero if any run fails to complete, the scale kernel does not
-// beat the legacy kernel on flood events/sec (≥2.0x full, ≥1.2x smoke — the
-// smoke bar is lenient because short sanitizer runs are noisy), or the
-// sharded sweep misses its scaling floor (≥3.0x full, ≥2.0x smoke).
+// Exits nonzero if any run fails to complete, the flood's event count moves
+// off its pin, or the sharded sweep misses its scaling floor (≥3.0x full,
+// ≥2.0x smoke).
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -104,7 +88,7 @@ struct ScaleStats {
   }
 };
 
-// --- Kernel flood: the measurement instrument for the kill-switch pair ----
+// --- Kernel flood: the harness-cost instrument ------------------------------
 //
 // An f=1-sized group (n = 4) plus one client, speaking a protocol-shaped
 // but crypto-free exchange: client sends a 1 KiB request to the primary,
@@ -187,8 +171,7 @@ class FloodClient : public SimNode {
   Bytes request_;
 };
 
-ScaleStats RunKernelFlood(uint64_t rounds, uint64_t seed, bool scale_kernel) {
-  hotpath::SetScaleKernelEnabled(scale_kernel);
+ScaleStats RunKernelFlood(uint64_t rounds, uint64_t seed) {
   const hotpath::Counters before = hotpath::counters();
 
   Simulation sim(seed);
@@ -206,8 +189,6 @@ ScaleStats RunKernelFlood(uint64_t rounds, uint64_t seed, bool scale_kernel) {
                                    static_cast<SimTime>(rounds) * kSecond);
   sim.RunUntilIdle();  // drain the uncancelled tail timers
   auto stop = std::chrono::steady_clock::now();
-
-  hotpath::SetScaleKernelEnabled(true);  // restore the process default
 
   ScaleStats s;
   s.ok = finished && client.completed() == rounds;
@@ -227,8 +208,7 @@ ScaleStats RunKernelFlood(uint64_t rounds, uint64_t seed, bool scale_kernel) {
 
 // The bench_wallclock closed-loop KV workload: each client keeps one Set in
 // flight until its quota is done.
-ScaleStats RunOnce(const ScaleConfig& cfg, bool scale_kernel) {
-  hotpath::SetScaleKernelEnabled(scale_kernel);
+ScaleStats RunOnce(const ScaleConfig& cfg) {
   const hotpath::Counters before = hotpath::counters();
 
   ServiceGroup::Params params;
@@ -271,8 +251,6 @@ ScaleStats RunOnce(const ScaleConfig& cfg, bool scale_kernel) {
       static_cast<SimTime>(total) * kSecond);
   auto stop = std::chrono::steady_clock::now();
 
-  hotpath::SetScaleKernelEnabled(true);  // restore the process default
-
   ScaleStats s;
   s.ok = finished;
   s.wall_sec = std::chrono::duration<double>(stop - start).count();
@@ -312,24 +290,6 @@ std::string FormatRate(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.0f", v);
   return buf;
-}
-
-void EmitPairRows(Table& table, const char* label, const ScaleStats& legacy,
-                  const ScaleStats& fast) {
-  table.AddRow({label, "legacy", FormatRate(legacy.RequestsPerSec()),
-                FormatRate(legacy.EventsPerSec()),
-                FormatCount(legacy.sim_events),
-                FormatCount(legacy.peak_queue_depth), "-"});
-  table.AddRow({label, "scale", FormatRate(fast.RequestsPerSec()),
-                FormatRate(fast.EventsPerSec()), FormatCount(fast.sim_events),
-                FormatCount(fast.peak_queue_depth),
-                FormatPercent(fast.PoolReuseRate())});
-}
-
-double Ratio(const ScaleStats& legacy, const ScaleStats& fast) {
-  return legacy.EventsPerSec() > 0
-             ? fast.EventsPerSec() / legacy.EventsPerSec()
-             : 0;
 }
 
 // --- Sharded keyed sweep (Part 3) ----------------------------------------
@@ -423,8 +383,8 @@ int main(int argc, char** argv) {
   WorkerPool::Global().SetThreads(pool_threads > 0 ? pool_threads : 0);
 
   PrintHeader(smoke ? "Event-kernel scale bench (smoke config)"
-                    : "Event-kernel scale bench: pooled events + O(1) "
-                      "scheduling vs legacy kernel");
+                    : "Event-kernel scale bench: harness cost, group-size "
+                      "and shard sweeps");
 
   JsonWriter json;
   json.BeginObject();
@@ -433,55 +393,33 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
 
-  // --- Part 1: kill-switch before/after, f=1 single-client kernel flood ----
+  // --- Part 1: harness cost, f=1 single-client kernel flood ----------------
   const uint64_t flood_rounds = smoke ? 3000 : 30000;
   const uint64_t flood_seed = 7100;
-  // Untimed warmups so the process-global buffer pool and the allocator are
-  // equally warm for both timed runs.
-  RunKernelFlood(flood_rounds / 10, flood_seed, /*scale_kernel=*/false);
-  RunKernelFlood(flood_rounds / 10, flood_seed, /*scale_kernel=*/true);
-  ScaleStats flood_legacy =
-      RunKernelFlood(flood_rounds, flood_seed, /*scale_kernel=*/false);
-  ScaleStats flood_fast =
-      RunKernelFlood(flood_rounds, flood_seed, /*scale_kernel=*/true);
-  all_ok = all_ok && flood_legacy.ok && flood_fast.ok;
-  const double kernel_ratio = Ratio(flood_legacy, flood_fast);
-  // Identical event sequences (witness-tested), so differing event counts
-  // mean the comparison itself is broken.
-  const bool same_events = flood_legacy.sim_events == flood_fast.sim_events;
-  const double ratio_floor = smoke ? 1.2 : 2.0;
-  const bool ratio_met = kernel_ratio >= ratio_floor && same_events;
+  // Seven events per round plus the four tail timers, pinned at fb72bea: a
+  // kernel change that adds, drops or splits events moves this count.
+  const uint64_t flood_pinned_events = smoke ? 21004 : 210004;
+  // Untimed warmup so the process-global buffer pool and the allocator are
+  // warm for the timed run.
+  RunKernelFlood(flood_rounds / 10, flood_seed);
+  ScaleStats flood = RunKernelFlood(flood_rounds, flood_seed);
+  all_ok = all_ok && flood.ok;
+  const bool flood_events_met = flood.sim_events == flood_pinned_events;
 
-  // --- Part 1b: the same pair on the real KV protocol (reported only) ------
-  ScaleConfig pair_cfg;
-  pair_cfg.f = 1;
-  pair_cfg.clients = 1;
-  pair_cfg.requests_per_client = smoke ? 60 : 600;
-  pair_cfg.seed = 7101;
-  ScaleStats proto_legacy = RunOnce(pair_cfg, /*scale_kernel=*/false);
-  ScaleStats proto_fast = RunOnce(pair_cfg, /*scale_kernel=*/true);
-  all_ok = all_ok && proto_legacy.ok && proto_fast.ok;
-  const double protocol_ratio = Ratio(proto_legacy, proto_fast);
-  // Gated on full runs only: the protocol pair is a wall-clock ratio and
-  // short sanitizer runs jitter too much to hold a floor.
-  const double protocol_floor = 1.05;
-  const bool protocol_ratio_met = smoke || protocol_ratio >= protocol_floor;
+  Table flood_table({"workload", "req/s", "sim ev/s", "events", "peak queue",
+                     "pool reuse"});
+  flood_table.AddRow({"flood", FormatRate(flood.RequestsPerSec()),
+                      FormatRate(flood.EventsPerSec()),
+                      FormatCount(flood.sim_events),
+                      FormatCount(flood.peak_queue_depth),
+                      FormatPercent(flood.PoolReuseRate())});
+  flood_table.Print();
+  std::printf("flood events: %llu (pinned %llu)\n",
+              static_cast<unsigned long long>(flood.sim_events),
+              static_cast<unsigned long long>(flood_pinned_events));
 
-  Table pair_table({"workload", "kernel", "req/s", "sim ev/s", "events",
-                    "peak queue", "pool reuse"});
-  EmitPairRows(pair_table, "flood", flood_legacy, flood_fast);
-  EmitPairRows(pair_table, "kv", proto_legacy, proto_fast);
-  pair_table.Print();
-  std::printf("kernel events/sec ratio (flood, gated): %.2fx (floor %.2fx)\n",
-              kernel_ratio, ratio_floor);
-  std::printf("kernel events/sec ratio (kv protocol):  %.2fx "
-              "(crypto/protocol-bound with the SHA-NI crypto kernel on; "
-              "full-run floor %.2fx)\n",
-              protocol_ratio, protocol_floor);
-
-  json.Key("kernel_comparison");
+  json.Key("kernel_flood");
   json.BeginObject();
-  json.Field("workload", "kernel_flood");
   json.Key("params");
   json.BeginObject();
   json.Field("f", 1);
@@ -490,46 +428,13 @@ int main(int argc, char** argv) {
   json.Field("rounds", flood_rounds);
   json.Field("seed", flood_seed);
   json.EndObject();
-  json.Key("legacy");
-  EmitRunJson(json, flood_legacy);
-  json.Key("scale");
-  EmitRunJson(json, flood_fast);
-  json.Field("events_per_sec_ratio", kernel_ratio);
-  json.Field("identical_event_counts", same_events);
-  json.Field("ratio_floor", ratio_floor);
-  json.Field("ratio_met", ratio_met);
+  json.Key("run");
+  EmitRunJson(json, flood);
+  json.Field("pinned_sim_events", flood_pinned_events);
+  json.Field("events_met", flood_events_met);
   json.EndObject();
 
-  json.Key("protocol_comparison");
-  json.BeginObject();
-  json.Field("workload", "kv_protocol");
-  json.Field("note",
-             "end-to-end protocol pair; the KV workload stays "
-             "crypto/protocol-bound even with the SHA-NI crypto kernel "
-             "enabled, so the end-to-end kernel gain (~1.17x re-measured "
-             "post-crypto-kernel) is far below the isolated flood ratio; "
-             "full runs gate it at a lenient floor");
-  json.Key("params");
-  json.BeginObject();
-  json.Field("f", pair_cfg.f);
-  json.Field("n", 3 * pair_cfg.f + 1);
-  json.Field("clients", pair_cfg.clients);
-  json.Field("requests_per_client", pair_cfg.requests_per_client);
-  json.Field("seed", pair_cfg.seed);
-  json.EndObject();
-  json.Key("legacy");
-  EmitRunJson(json, proto_legacy);
-  json.Key("scale");
-  EmitRunJson(json, proto_fast);
-  json.Field("events_per_sec_ratio", protocol_ratio);
-  json.Field("identical_event_counts",
-             proto_legacy.sim_events == proto_fast.sim_events);
-  json.Field("ratio_floor", protocol_floor);
-  json.Field("gated", !smoke);
-  json.Field("ratio_met", protocol_ratio_met);
-  json.EndObject();
-
-  // --- Part 2: group-size × client-count sweep (scale kernel) --------------
+  // --- Part 2: group-size × client-count sweep ------------------------------
   const std::vector<int> fs = smoke ? std::vector<int>{1, 8}
                                     : std::vector<int>{1, 2, 3, 4, 8};
   const std::vector<int> client_counts =
@@ -551,7 +456,7 @@ int main(int argc, char** argv) {
       cfg.requests_per_client = std::max(2, budget / clients);
       cfg.seed = 7200 + cell;
       ++cell;
-      ScaleStats s = RunOnce(cfg, /*scale_kernel=*/true);
+      ScaleStats s = RunOnce(cfg);
       all_ok = all_ok && s.ok;
       const int n = 3 * f + 1;
       sweep_table.AddRow({FormatCount(n), FormatCount(clients),
@@ -577,7 +482,7 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
 
-  // --- Part 3: sharded keyed scale-out sweep -----------------------------
+  // --- Part 3: sharded keyed scale-out sweep -------------------------------
   // The scaling gate needs the S = 1 group saturated (queueing at the
   // primary): with too few closed-loop clients each shard is latency-bound
   // and splitting the load shows no queueing win. The full gate cell runs
@@ -692,11 +597,6 @@ int main(int argc, char** argv) {
       "sharded aggregate sim ops/s at %d clients: S=4 is %.2fx S=1 "
       "(floor %.2fx)\n",
       gate_clients, shard_ratio, shard_floor);
-  std::printf(
-      "\n'legacy' reproduces the pre-overhaul kernel (std::function events,\n"
-      "copy-on-pop priority queue, std::map node tables, string-keyed\n"
-      "metrics) via hotpath::SetScaleKernelEnabled(false); both kernels run\n"
-      "byte-identical event sequences (tests/kernel_witness_test.cc).\n");
 
   if (!json.WriteFile(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());
@@ -708,14 +608,10 @@ int main(int argc, char** argv) {
     std::printf("FAILED: some runs did not complete\n");
     return 1;
   }
-  if (!ratio_met) {
-    std::printf("FAILED: scale kernel events/sec ratio %.2fx below %.2fx\n",
-                kernel_ratio, ratio_floor);
-    return 1;
-  }
-  if (!protocol_ratio_met) {
-    std::printf("FAILED: kv protocol events/sec ratio %.2fx below %.2fx\n",
-                protocol_ratio, protocol_floor);
+  if (!flood_events_met) {
+    std::printf("FAILED: flood ran %llu events, pinned %llu\n",
+                static_cast<unsigned long long>(flood.sim_events),
+                static_cast<unsigned long long>(flood_pinned_events));
     return 1;
   }
   if (!shard_ratio_met) {

@@ -8,13 +8,11 @@
 // sim-events/sec, SHA-256 work per request and payload bytes copied per
 // delivered message.
 //
-// Each configuration runs twice: once with the hot-path caches disabled
-// (hotpath::SetCachesEnabled(false)), which reproduces the pre-optimization
-// hashing profile exactly, and once with them enabled. The copy columns
-// additionally compare against the old copy-per-recipient multicast fabric
-// ("hot.eager_*" counters). Both runs produce identical protocol behaviour —
-// the caches only skip real CPU work — so the before/after numbers are an
-// honest like-for-like comparison.
+// Each configuration runs once. SHA-256 invocations per request and payload
+// bytes copied per delivered message are deterministic per seed, so each is
+// gated against a ceiling pinned from commit fb72bea: a digest or MAC cache
+// that stops hitting, or a fabric that copies per recipient again, pushes a
+// figure over its ceiling.
 //
 // The worker-pool pair runs each configuration with the pool empty (every
 // pipeline job claimed synchronously at its join point) and with N worker
@@ -27,10 +25,9 @@
 //   --threads  worker-pool size for the "pool on" runs (default: the
 //              BASE_THREADS environment variable, else 4)
 //
-// Exits nonzero if the optimized run fails the acceptance thresholds
-// (≥2x fewer payload bytes copied per delivered message than the eager
-// fabric, and fewer SHA-256 invocations per request than the uncached run),
-// so perf plumbing cannot silently rot.
+// Exits nonzero if a run does not complete, a counter ceiling is exceeded,
+// or the worker-pool pair fails its gates, so perf plumbing cannot silently
+// rot.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -59,6 +56,9 @@ struct WallclockConfig {
   int requests_per_client = 400;
   size_t value_size = 1024;
   uint64_t seed = 7001;
+  // Ceilings pinned from commit fb72bea (the smoke or full request counts).
+  double max_sha_per_request = 0;
+  double max_copied_per_delivered = 0;
 };
 
 struct RunStats {
@@ -85,8 +85,6 @@ struct RunStats {
   uint64_t bytes_delivered = 0;
   uint64_t payload_copies = 0;
   uint64_t bytes_copied = 0;
-  uint64_t eager_copies = 0;
-  uint64_t eager_copy_bytes = 0;
 
   double RequestsPerSec() const {
     return wall_sec > 0 ? requests / wall_sec : 0;
@@ -106,28 +104,19 @@ struct RunStats {
                ? static_cast<double>(bytes_copied) / messages_delivered
                : 0;
   }
-  double EagerCopiedPerDelivered() const {
-    return messages_delivered > 0
-               ? static_cast<double>(eager_copy_bytes) / messages_delivered
-               : 0;
-  }
 
-  // Set when the run traced (crypto-kernel pair): the EventTrace digest that
-  // must be identical whichever implementation hashes the bytes.
+  // Set when the run traced (worker-pool pair): the EventTrace digest that
+  // must be identical at any thread count.
   std::string trace_digest;
   uint64_t trace_events = 0;
 };
 
 struct RunOptions {
-  bool caches_enabled = true;
-  bool crypto_kernel = true;
   bool trace = false;
   int threads = 0;  // worker-pool size for this run (0 = synchronous joins)
 };
 
 RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
-  hotpath::SetCachesEnabled(opt.caches_enabled);
-  hotpath::SetCryptoKernelEnabled(opt.crypto_kernel);
   WorkerPool::Global().SetThreads(opt.threads);
   const hotpath::Counters before = hotpath::counters();
 
@@ -175,10 +164,8 @@ RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
       static_cast<SimTime>(total) * kSecond);
   auto stop = std::chrono::steady_clock::now();
 
-  // Leave the process in the default state (queued prologue jobs survive the
-  // pool shrink and are claimed at their joins when the group tears down).
-  hotpath::SetCachesEnabled(true);
-  hotpath::SetCryptoKernelEnabled(true);
+  // Leave the pool empty (queued prologue jobs survive the shrink and are
+  // claimed at their joins when the group tears down).
   WorkerPool::Global().SetThreads(0);
 
   RunStats s;
@@ -211,8 +198,6 @@ RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
   s.bytes_delivered = net.bytes_delivered();
   s.payload_copies = net.payload_copies();
   s.bytes_copied = net.bytes_copied();
-  s.eager_copies = net.eager_copies();
-  s.eager_copy_bytes = net.eager_copy_bytes();
   return s;
 }
 
@@ -235,10 +220,6 @@ void EmitRunJson(JsonWriter& json, const RunStats& s) {
   json.Field("payload_copies", s.payload_copies);
   json.Field("bytes_copied", s.bytes_copied);
   json.Field("bytes_copied_per_delivered_message", s.CopiedPerDelivered());
-  json.Field("eager_copies", s.eager_copies);
-  json.Field("eager_copy_bytes", s.eager_copy_bytes);
-  json.Field("eager_bytes_copied_per_delivered_message",
-             s.EagerCopiedPerDelivered());
   json.Field("encode_allocs", s.encode_allocs);
   json.Field("encode_reuses", s.encode_reuses);
   json.Field("digest_memo_hits", s.memo_hits);
@@ -249,6 +230,23 @@ void EmitRunJson(JsonWriter& json, const RunStats& s) {
   json.Field("pool_digest_shard_jobs", s.pool_digest_shard_jobs);
   json.Field("verify_memo_hits", s.verify_memo_hits);
   json.EndObject();
+}
+
+void AddRow(Table& table, const std::string& config, const std::string& label,
+            const RunStats& s) {
+  char reqs[64];
+  std::snprintf(reqs, sizeof(reqs), "%.0f", s.RequestsPerSec());
+  char evs[64];
+  std::snprintf(evs, sizeof(evs), "%.0f", s.EventsPerSec());
+  char sha[64];
+  std::snprintf(sha, sizeof(sha), "%.1f", s.ShaPerRequest());
+  char hashed[64];
+  std::snprintf(hashed, sizeof(hashed), "%.1f",
+                s.BytesHashedPerRequest() / 1024.0);
+  char copied[64];
+  std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
+  table.AddRow({config, label, reqs, evs, sha, hashed, copied,
+                FormatCount(s.memo_hits)});
 }
 
 }  // namespace
@@ -279,6 +277,8 @@ int main(int argc, char** argv) {
     standard.requests_per_client = smoke ? 40 : 600;
     standard.value_size = 1024;
     standard.seed = 7001;
+    standard.max_sha_per_request = smoke ? 217.6 : 194.98;
+    standard.max_copied_per_delivered = smoke ? 65.66 : 65.56;
     configs.push_back(standard);
 
     WallclockConfig scaled;
@@ -288,14 +288,16 @@ int main(int argc, char** argv) {
     scaled.requests_per_client = smoke ? 5 : 60;
     scaled.value_size = 1024;
     scaled.seed = 7002;
+    scaled.max_sha_per_request = smoke ? 227.14 : 205.74;
+    scaled.max_copied_per_delivered = smoke ? 53.19 : 54.24;
     configs.push_back(scaled);
   }
 
   PrintHeader(smoke
                   ? "Wall-clock hot path (smoke config)"
                   : "Wall-clock hot path: zero-copy fabric + digest caches");
-  Table table({"config", "caches", "req/s", "sim ev/s", "SHA/req",
-               "kB hashed/req", "B copied/msg", "eager B/msg", "memo hits"});
+  Table table({"config", "run", "req/s", "sim ev/s", "SHA/req",
+               "kB hashed/req", "B copied/msg", "memo hits"});
 
   JsonWriter json;
   json.BeginObject();
@@ -307,43 +309,20 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   bool thresholds_met = true;
   for (const WallclockConfig& cfg : configs) {
-    RunStats uncached =
-        RunOnce(cfg, RunOptions{.caches_enabled = false});
-    RunStats cached = RunOnce(cfg, RunOptions{.caches_enabled = true});
-    all_ok = all_ok && uncached.ok && cached.ok;
+    RunStats s = RunOnce(cfg, RunOptions{});
+    all_ok = all_ok && s.ok;
+    AddRow(table, cfg.name, "gated", s);
 
-    auto add_row = [&](const char* label, const RunStats& s) {
-      char hashed[64];
-      std::snprintf(hashed, sizeof(hashed), "%.1f",
-                    s.BytesHashedPerRequest() / 1024.0);
-      char sha[64];
-      std::snprintf(sha, sizeof(sha), "%.1f", s.ShaPerRequest());
-      char copied[64];
-      std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
-      char eager[64];
-      std::snprintf(eager, sizeof(eager), "%.0f",
-                    s.EagerCopiedPerDelivered());
-      char reqs[64];
-      std::snprintf(reqs, sizeof(reqs), "%.0f", s.RequestsPerSec());
-      char evs[64];
-      std::snprintf(evs, sizeof(evs), "%.0f", s.EventsPerSec());
-      table.AddRow({cfg.name, label, reqs, evs, sha, hashed, copied, eager,
-                    FormatCount(s.memo_hits)});
-    };
-    add_row("off", uncached);
-    add_row("on", cached);
-
-    // Acceptance: the shared-buffer fabric must copy at least 2x less than
-    // the old copy-per-recipient fabric, and the caches must measurably cut
-    // SHA-256 invocations per request.
-    double copy_ratio =
-        cached.bytes_copied > 0
-            ? static_cast<double>(cached.eager_copy_bytes) /
-                  cached.bytes_copied
-            : (cached.eager_copy_bytes > 0 ? 1e9 : 0);
-    bool met = copy_ratio >= 2.0 &&
-               cached.sha256_invocations < uncached.sha256_invocations;
+    const bool met = s.ShaPerRequest() <= cfg.max_sha_per_request &&
+                     s.CopiedPerDelivered() <= cfg.max_copied_per_delivered;
     thresholds_met = thresholds_met && met;
+    if (!met) {
+      std::printf(
+          "%s: %.2f SHA-256/request (ceiling %.2f), %.2f B copied/message "
+          "(ceiling %.2f)\n",
+          cfg.name.c_str(), s.ShaPerRequest(), cfg.max_sha_per_request,
+          s.CopiedPerDelivered(), cfg.max_copied_per_delivered);
+    }
 
     json.BeginObject();
     json.Field("name", cfg.name);
@@ -356,22 +335,14 @@ int main(int argc, char** argv) {
     json.Field("value_size", static_cast<uint64_t>(cfg.value_size));
     json.Field("seed", cfg.seed);
     json.EndObject();
-    json.Key("before");  // caches disabled == pre-optimization profile
-    EmitRunJson(json, uncached);
-    json.Key("after");
-    EmitRunJson(json, cached);
-    json.Key("improvement");
+    json.Key("run");
+    EmitRunJson(json, s);
+    json.Key("gates");
     json.BeginObject();
-    json.Field("payload_copy_bytes_ratio", copy_ratio);
-    json.Field("sha256_invocations_ratio",
-               cached.sha256_invocations > 0
-                   ? static_cast<double>(uncached.sha256_invocations) /
-                         cached.sha256_invocations
-                   : 0);
-    json.Field("wall_speedup",
-               uncached.wall_sec > 0 && cached.wall_sec > 0
-                   ? uncached.wall_sec / cached.wall_sec
-                   : 0);
+    json.Field("sha256_invocations_per_request_ceiling",
+               cfg.max_sha_per_request);
+    json.Field("bytes_copied_per_delivered_message_ceiling",
+               cfg.max_copied_per_delivered);
     json.Field("thresholds_met", met);
     json.EndObject();
     json.EndObject();
@@ -379,71 +350,12 @@ int main(int argc, char** argv) {
 
   json.EndArray();
 
-  // Crypto hot-path kernel, like-for-like: the f=1 config with caches on
-  // both times, kernel off (scalar SHA-256 everywhere) then on (multi-lane
-  // MACs, one-shot digests, incremental tree rehash). The kernel replaces
-  // how bytes get hashed, never what the protocol does or what the cost
-  // model charges, so the same-seed EventTrace digests must be identical —
-  // that equality plus the wall-clock ratio is the honest before/after.
-  const WallclockConfig& crypto_cfg = configs[0];
-  RunStats crypto_off = RunOnce(
-      crypto_cfg, RunOptions{.crypto_kernel = false, .trace = true});
-  RunStats crypto_on = RunOnce(
-      crypto_cfg, RunOptions{.crypto_kernel = true, .trace = true});
-  all_ok = all_ok && crypto_off.ok && crypto_on.ok;
-  auto add_crypto_row = [&](const char* label, const RunStats& s) {
-    char reqs[64];
-    std::snprintf(reqs, sizeof(reqs), "%.0f", s.RequestsPerSec());
-    char evs[64];
-    std::snprintf(evs, sizeof(evs), "%.0f", s.EventsPerSec());
-    char sha[64];
-    std::snprintf(sha, sizeof(sha), "%.1f", s.ShaPerRequest());
-    char hashed[64];
-    std::snprintf(hashed, sizeof(hashed), "%.1f",
-                  s.BytesHashedPerRequest() / 1024.0);
-    char copied[64];
-    std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
-    char eager[64];
-    std::snprintf(eager, sizeof(eager), "%.0f", s.EagerCopiedPerDelivered());
-    table.AddRow({crypto_cfg.name, label, reqs, evs, sha, hashed, copied,
-                  eager, FormatCount(s.memo_hits)});
-  };
-  add_crypto_row("crypto off", crypto_off);
-  add_crypto_row("crypto on", crypto_on);
-  double crypto_speedup =
-      crypto_off.wall_sec > 0 && crypto_on.wall_sec > 0
-          ? crypto_off.wall_sec / crypto_on.wall_sec
-          : 0;
-  bool traces_match = crypto_off.trace_digest == crypto_on.trace_digest &&
-                      crypto_off.trace_events == crypto_on.trace_events;
-  // Smoke runs are too short for a stable ratio (and also run under
-  // sanitizers); they enforce determinism only. Full runs gate the speedup.
-  bool crypto_met = traces_match && (smoke || crypto_speedup >= 1.4);
-  thresholds_met = thresholds_met && crypto_met;
-
-  json.Key("crypto_kernel");
-  json.BeginObject();
-  json.Field("config", crypto_cfg.name);
-  json.Key("before");  // kernel off == scalar hashing everywhere
-  EmitRunJson(json, crypto_off);
-  json.Key("after");
-  EmitRunJson(json, crypto_on);
-  json.Key("improvement");
-  json.BeginObject();
-  json.Field("wall_speedup", crypto_speedup);
-  json.Field("trace_digest_before", crypto_off.trace_digest);
-  json.Field("trace_digest_after", crypto_on.trace_digest);
-  json.Field("traces_match", traces_match);
-  json.Field("thresholds_met", crypto_met);
-  json.EndObject();
-  json.EndObject();
-
-  // Worker-pool pipeline, like-for-like: caches and crypto kernel on both
-  // times, pool empty (every verify/MAC/digest job runs synchronously at its
-  // join point) then `pool_threads` workers racing the event loop to the
-  // same joins. The pool may only move work off the critical path — the
-  // same-seed EventTrace digests must be byte-identical — so the wall-clock
-  // ratio is the honest measure of what the pipeline overlaps.
+  // Worker-pool pipeline, like-for-like: pool empty (every verify/MAC/digest
+  // job runs synchronously at its join point) then `pool_threads` workers
+  // racing the event loop to the same joins. The pool may only move work off
+  // the critical path — the same-seed EventTrace digests must be
+  // byte-identical — so the wall-clock ratio is the honest measure of what
+  // the pipeline overlaps.
   std::string pool_on_label = "pool on(" + std::to_string(pool_threads) + ")";
   // The wall-clock floor only means something where the workers can actually
   // run in parallel with the event loop: there must be workers, and more
@@ -467,26 +379,8 @@ int main(int argc, char** argv) {
     RunStats pool_on = RunOnce(
         cfg, RunOptions{.trace = true, .threads = pool_threads});
     all_ok = all_ok && pool_off.ok && pool_on.ok;
-    auto add_pool_row = [&](const char* label, const RunStats& s) {
-      char reqs[64];
-      std::snprintf(reqs, sizeof(reqs), "%.0f", s.RequestsPerSec());
-      char evs[64];
-      std::snprintf(evs, sizeof(evs), "%.0f", s.EventsPerSec());
-      char sha[64];
-      std::snprintf(sha, sizeof(sha), "%.1f", s.ShaPerRequest());
-      char hashed[64];
-      std::snprintf(hashed, sizeof(hashed), "%.1f",
-                    s.BytesHashedPerRequest() / 1024.0);
-      char copied[64];
-      std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
-      char eager[64];
-      std::snprintf(eager, sizeof(eager), "%.0f",
-                    s.EagerCopiedPerDelivered());
-      table.AddRow({cfg.name, label, reqs, evs, sha, hashed, copied, eager,
-                    FormatCount(s.memo_hits)});
-    };
-    add_pool_row("pool off", pool_off);
-    add_pool_row(pool_on_label.c_str(), pool_on);
+    AddRow(table, cfg.name, "pool off", pool_off);
+    AddRow(table, cfg.name, pool_on_label, pool_on);
     double pool_speedup = pool_off.wall_sec > 0 && pool_on.wall_sec > 0
                               ? pool_off.wall_sec / pool_on.wall_sec
                               : 0;
@@ -535,17 +429,10 @@ int main(int argc, char** argv) {
   json.EndObject();
 
   table.Print();
-  std::printf(
-      "\ncrypto kernel (config %s): %.2fx wall speedup, traces %s\n",
-      crypto_cfg.name.c_str(), crypto_speedup,
-      traces_match ? "identical" : "DIVERGED");
+  std::printf("\n");
   for (const std::string& line : pool_summaries) {
     std::printf("%s\n", line.c_str());
   }
-  std::printf(
-      "\n'caches off' reproduces the pre-optimization profile (per-recipient\n"
-      "digests, per-MAC key derivation); 'eager B/msg' is what the old\n"
-      "copy-per-recipient multicast fabric copied for the same traffic.\n");
 
   if (!json.WriteFile(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());
@@ -559,7 +446,8 @@ int main(int argc, char** argv) {
   }
   if (!thresholds_met) {
     std::printf(
-        "FAILED: hot-path thresholds not met (see 'improvement' in JSON)\n");
+        "FAILED: hot-path thresholds not met (see 'gates' and "
+        "'worker_pool' in JSON)\n");
     return 1;
   }
   return 0;

@@ -90,65 +90,52 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
   }
 
   // Copy-on-write mode: only leaves touched since the previous checkpoint
-  // need their digest recomputed. With the crypto kernel on, the dirty
-  // leaves are digested as interleaved SHA-256 lanes (same digests, same
-  // simulated charges, same logical-work counters); otherwise one at a time.
-  if (hotpath::crypto_kernel_enabled()) {
-    std::vector<size_t> leaves(dirty_.begin(), dirty_.end());
-    std::vector<Bytes> values;
-    std::vector<BytesView> views;
-    values.reserve(leaves.size());
-    views.reserve(leaves.size());
-    for (size_t leaf : leaves) {
-      values.push_back(leaf == 0 ? protocol_state_
-                                 : adapter_->GetObj(ObjectForLeaf(leaf)));
-      ChargeDigest(values.back().size());
-      views.emplace_back(values.back().data(), values.back().size());
+  // need their digest recomputed; they are digested as interleaved SHA-256
+  // lanes (same digests, simulated charges and logical-work counters as one
+  // Digest::Of per leaf).
+  std::vector<size_t> leaves(dirty_.begin(), dirty_.end());
+  std::vector<Bytes> values;
+  std::vector<BytesView> views;
+  values.reserve(leaves.size());
+  views.reserve(leaves.size());
+  for (size_t leaf : leaves) {
+    values.push_back(leaf == 0 ? protocol_state_
+                               : adapter_->GetObj(ObjectForLeaf(leaf)));
+    ChargeDigest(values.back().size());
+    views.emplace_back(values.back().data(), values.back().size());
+  }
+  std::vector<std::array<uint8_t, Digest::kSize>> digests(leaves.size());
+  // Epilogue sharding: DigestMany processes inputs in independent groups of
+  // kMaxLanes in order, so splitting the leaf range at lane-multiple
+  // boundaries produces byte-identical digests AND identical logical-work
+  // counters per chunk. Chunks run as worker-pool jobs (inline at the join
+  // when the pool has no threads); `values`/`views`/`digests` outlive the
+  // joins below, and the merge order is the fixed leaf order regardless of
+  // which worker finished first.
+  constexpr size_t kChunk = 8 * sha256_multi::kMaxLanes;
+  const size_t count = leaves.size();
+  if (count > kChunk) {
+    std::vector<WorkerPool::JobRef> jobs;
+    jobs.reserve(count / kChunk + 1);
+    for (size_t off = 0; off < count; off += kChunk) {
+      const size_t len = std::min(kChunk, count - off);
+      const BytesView* in = views.data() + off;
+      uint8_t(*out)[Digest::kSize] =
+          reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data() + off);
+      ++hotpath::counters().pool_digest_shard_jobs;
+      jobs.push_back(WorkerPool::Global().Submit(
+          [in, out, len] { sha256_multi::DigestMany(in, out, len); }));
     }
-    std::vector<std::array<uint8_t, Digest::kSize>> digests(leaves.size());
-    // Epilogue sharding: DigestMany processes inputs in independent groups
-    // of kMaxLanes in order, so splitting the leaf range at lane-multiple
-    // boundaries produces byte-identical digests AND identical logical-work
-    // counters per chunk. Chunks run as worker-pool jobs (inline at the join
-    // when the pool has no threads); `values`/`views`/`digests` outlive the
-    // joins below, and the merge order is the fixed leaf order regardless of
-    // which worker finished first.
-    {
-      constexpr size_t kChunk = 8 * sha256_multi::kMaxLanes;
-      const size_t count = leaves.size();
-      if (count > kChunk) {
-        std::vector<WorkerPool::JobRef> jobs;
-        jobs.reserve(count / kChunk + 1);
-        for (size_t off = 0; off < count; off += kChunk) {
-          const size_t len = std::min(kChunk, count - off);
-          const BytesView* in = views.data() + off;
-          uint8_t(*out)[Digest::kSize] =
-              reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data() +
-                                                          off);
-          ++hotpath::counters().pool_digest_shard_jobs;
-          jobs.push_back(WorkerPool::Global().Submit(
-              [in, out, len] { sha256_multi::DigestMany(in, out, len); }));
-        }
-        for (const WorkerPool::JobRef& job : jobs) {
-          WorkerPool::Global().Join(job);
-        }
-      } else {
-        sha256_multi::DigestMany(
-            views.data(),
-            reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data()),
-            count);
-      }
-    }
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      tree_.SetLeaf(leaves[i], Digest(digests[i]));
+    for (const WorkerPool::JobRef& job : jobs) {
+      WorkerPool::Global().Join(job);
     }
   } else {
-    for (size_t leaf : dirty_) {
-      Bytes value = leaf == 0 ? protocol_state_
-                              : adapter_->GetObj(ObjectForLeaf(leaf));
-      ChargeDigest(value.size());
-      tree_.SetLeaf(leaf, Digest::Of(value));
-    }
+    sha256_multi::DigestMany(
+        views.data(),
+        reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data()), count);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    tree_.SetLeaf(leaves[i], Digest(digests[i]));
   }
   Digest root = tree_.Root();
   sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *

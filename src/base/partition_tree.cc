@@ -21,16 +21,15 @@ void PartitionTree::Resize(size_t leaf_count) {
   leaf_count_ = std::max<size_t>(leaf_count, 1);
   leaves_.resize(leaf_count_, Digest());
   Rebuild();
-  // The cost model is unchanged: after a grow every interior node is dirty
-  // and the next Root() charges a full recompute, exactly as before. Real
-  // hashing can do better: a node's hash covers (level, index, children),
-  // so when the depth is unchanged, any node whose leaf range was complete
-  // under the old leaf count — and whose digest was current — hashes to the
-  // same bytes. Keep those digests; the next Root() skips re-hashing them.
-  // Depth growth shifts every node's level id (which is bound into its
-  // hash), so nothing is preservable then.
-  if (!hotpath::crypto_kernel_enabled() || old_leaf_count == 0 ||
-      old_levels.size() != levels_.size()) {
+  // The cost model charges a grow as a full rebuild: every interior node is
+  // dirty and the next Root() counts each one as recomputed. Real hashing
+  // can do better: a node's hash covers (level, index, children), so when
+  // the depth is unchanged, any node whose leaf range was complete under the
+  // old leaf count — and whose digest was current — hashes to the same
+  // bytes. Keep those digests; the next Root() skips re-hashing them. Depth
+  // growth shifts every node's level id (which is bound into its hash), so
+  // nothing is preservable then.
+  if (old_leaf_count == 0 || old_levels.size() != levels_.size()) {
     return;
   }
   size_t span = 1;  // leaves covered per node at the current level
@@ -114,11 +113,10 @@ Digest PartitionTree::ComputeNode(int level, size_t index) {
   size_t first = index * branching_;
   size_t last = std::min(first + branching_, child_width);
   Node& node = levels_[level][index];
-  if (!node.stale && hotpath::crypto_kernel_enabled()) {
+  if (!node.stale) {
     // Digest preserved across a grow. The children still get their model
-    // visit (the legacy path recomputed the whole subtree, and the cost
-    // model must charge identically), but no bytes are hashed for them
-    // unless their own digests are stale.
+    // visit (the cost model charges a grow as a whole-subtree recompute),
+    // but no bytes are hashed for them unless their own digests are stale.
     for (size_t child = first; child < last; ++child) {
       NodeDigest(level + 1, child);
     }

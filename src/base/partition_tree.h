@@ -64,12 +64,12 @@ class PartitionTree {
 
  private:
   // `dirty` is the cost-model flag: a dirty node is counted in
-  // recomputed_nodes_ when next visited, exactly as before the crypto
-  // kernel. `stale` is the real flag: the digest bytes need rebuilding. They
-  // diverge only across a grow (Resize re-dirties every node for the model,
-  // but digests of subtrees that were complete under the old leaf count are
-  // still valid), so with the kernel on a checkpoint after a grow re-hashes
-  // only genuinely changed paths while charging the model identically.
+  // recomputed_nodes_ when next visited. `stale` is the real flag: the
+  // digest bytes need rebuilding. They diverge only across a grow (Resize
+  // re-dirties every node for the model, but digests of subtrees that were
+  // complete under the old leaf count are still valid), so a checkpoint
+  // after a grow re-hashes only genuinely changed paths while the model
+  // charges a full rebuild.
   struct Node {
     Digest digest;
     bool dirty = true;

@@ -216,12 +216,6 @@ void Channel::InstallVerifyPrologue(Simulation* sim, const KeyTable* keys,
   sim->SetDeliveryPrologue(
       [sim, keys, config](const std::shared_ptr<const Bytes>& payload,
                           NodeId to) -> Simulation::DeliveryPrologue {
-        // The prologue publishes through the delivery memos, so it follows
-        // the same switch: with caches off nothing is precomputed and the
-        // honest-baseline hashing profile is undistorted.
-        if (!hotpath::caches_enabled()) {
-          return {};
-        }
         // Cheap, copy-free envelope parse. Anything malformed falls through
         // to the synchronous Open(), which reproduces the exact error.
         Decoder dec{BytesView(*payload)};

@@ -93,9 +93,8 @@ class Channel {
   // deterministic join point before the first receiving handler runs. Open()
   // consumes the verdicts when the buffer identity and key-epoch marker
   // still match, and falls back to the synchronous path otherwise, so
-  // results — and with caches off, even the hashing profile — are identical
-  // whether or not a prologue ran. `keys` and the sim must outlive the sim's
-  // event processing.
+  // results are identical whether or not a prologue ran. `keys` and the sim
+  // must outlive the sim's event processing.
   static void InstallVerifyPrologue(Simulation* sim, const KeyTable* keys,
                                     const Config& config);
 

@@ -48,7 +48,7 @@ void RunMacLaneBatch(const MacLaneBatch& b) {
                                              b.lanes);
   auto& c = hotpath::counters();
   ++c.hmac_lane_batches;
-  // Same logical work the scalar loop would count: per MAC, two finalizes
+  // Same logical work n PairMac calls would count: per MAC, two finalizes
   // of two blocks over message + inner-digest bytes.
   c.sha256_invocations += 2 * b.lanes;
   c.sha256_blocks += 2 * b.lanes;
@@ -120,8 +120,7 @@ HmacKey::HmacKey(BytesView key) {
 
 std::array<uint8_t, Sha256::kDigestSize> HmacKey::Hmac(
     BytesView message) const {
-  if (hotpath::crypto_kernel_enabled() &&
-      message.size() <= sha256_multi::kOneShotMax) {
+  if (message.size() <= sha256_multi::kOneShotMax) {
     // Both passes are midstate + one padded compression. Counters match the
     // streaming path: two finalizes, two blocks, message + inner-digest
     // bytes (the pad blocks were counted when the midstates were built).
@@ -201,9 +200,10 @@ Bytes KeyTable::SigningKey(int node) const {
 }
 
 Mac KeyTable::PairMac(int a, int b, BytesView message) const {
-  if (!hotpath::caches_enabled()) {
-    return ComputeMac(SessionKey(a, b), message);
-  }
+  return PairKey(a, b).MacOf(message);
+}
+
+const HmacKey& KeyTable::PairKey(int a, int b) const {
   int lo = std::min(a, b);
   int hi = std::max(a, b);
   uint64_t epoch = std::max(epochs_[lo], epochs_[hi]);
@@ -214,31 +214,11 @@ Mac KeyTable::PairMac(int a, int b, BytesView message) const {
     slot.second = HmacKey(DeriveSessionKey(lo, hi, epoch));
     slot.first = epoch + 1;
   }
-  return slot.second.MacOf(message);
-}
-
-const HmacKey& KeyTable::PairKey(int a, int b, HmacKey& scratch) const {
-  int lo = std::min(a, b);
-  int hi = std::max(a, b);
-  uint64_t epoch = std::max(epochs_[lo], epochs_[hi]);
-  if (!hotpath::caches_enabled()) {
-    // Caches and the crypto kernel are orthogonal switches: with caches off
-    // the midstates are rebuilt per MAC (same work as the uncached scalar
-    // path) but the lanes still run interleaved.
-    scratch = HmacKey(SessionKey(a, b));
-    return scratch;
-  }
-  auto& slot = session_cache_[{lo, hi}];
-  if (slot.first != epoch + 1) {
-    slot.second = HmacKey(DeriveSessionKey(lo, hi, epoch));
-    slot.first = epoch + 1;
-  }
   return slot.second;
 }
 
 void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
-  if (!hotpath::crypto_kernel_enabled() ||
-      message.size() > sha256_multi::kOneShotMax) {
+  if (message.size() > sha256_multi::kOneShotMax) {
     for (int i = 0; i < n; ++i) {
       out[i] = PairMac(sender, i, message);
     }
@@ -260,10 +240,8 @@ void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
     MacLaneBatch& b = shard ? *owned : inline_batch;
     b.lanes = std::min(kLanes, static_cast<size_t>(n - base));
     for (size_t l = 0; l < b.lanes; ++l) {
-      HmacKey scratch;
-      const HmacKey& key =
-          PairKey(sender, base + static_cast<int>(l), scratch);
-      key.ExportStates(b.inner[l], b.outer[l]);
+      PairKey(sender, base + static_cast<int>(l))
+          .ExportStates(b.inner[l], b.outer[l]);
     }
     std::memcpy(b.message, message.data(), message.size());
     b.message_len = message.size();
@@ -281,37 +259,28 @@ void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
   }
 }
 
-std::array<uint8_t, Sha256::kDigestSize> KeyTable::Sign(
-    int node, BytesView message) const {
-  if (!hotpath::caches_enabled()) {
-    return HmacSha256(SigningKey(node), message);
-  }
+const HmacKey& KeyTable::SigningHmacKey(int node) const {
   auto it = signing_cache_.find(node);
   if (it == signing_cache_.end()) {
-    Bytes key = SigningKey(node);
-    it = signing_cache_.emplace(node, HmacKey(key)).first;
+    it = signing_cache_.emplace(node, HmacKey(SigningKey(node))).first;
   }
-  return it->second.Hmac(message);
+  return it->second;
+}
+
+std::array<uint8_t, Sha256::kDigestSize> KeyTable::Sign(
+    int node, BytesView message) const {
+  return SigningHmacKey(node).Hmac(message);
 }
 
 HmacKey KeyTable::PairKeySnapshot(int a, int b, uint64_t* marker) const {
   if (marker != nullptr) {
     *marker = PairEpochMarker(a, b);
   }
-  HmacKey scratch;
-  return PairKey(a, b, scratch);
+  return PairKey(a, b);
 }
 
 HmacKey KeyTable::SigningKeySnapshot(int node) const {
-  if (!hotpath::caches_enabled()) {
-    return HmacKey(SigningKey(node));
-  }
-  auto it = signing_cache_.find(node);
-  if (it == signing_cache_.end()) {
-    Bytes key = SigningKey(node);
-    it = signing_cache_.emplace(node, HmacKey(key)).first;
-  }
-  return it->second;
+  return SigningHmacKey(node);
 }
 
 uint64_t KeyTable::PairEpochMarker(int a, int b) const {

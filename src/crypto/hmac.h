@@ -11,8 +11,7 @@
 // so each MAC costs only the message blocks plus two finalizations instead of
 // four full compressions, and KeyTable memoizes both the derived keys and
 // their HmacKeys per epoch. Outputs are byte-identical to the plain
-// HmacSha256 path; hotpath::SetCachesEnabled(false) disables the memoization
-// for before/after measurements.
+// HmacSha256 path.
 #ifndef SRC_CRYPTO_HMAC_H_
 #define SRC_CRYPTO_HMAC_H_
 
@@ -81,11 +80,11 @@ class KeyTable {
   Mac PairMac(int a, int b, BytesView message) const;
 
   // Computes out[i] = PairMac(sender, i, message) for every i in [0, n) — a
-  // full PBFT authenticator. When the crypto kernel is on and the message
-  // fits one compression block, the MACs run as interleaved SHA-256 lanes
-  // (all inner passes share the message block; outer passes finish over the
-  // per-lane inner digests); otherwise it loops over PairMac. Results and
-  // logical-work counters are identical either way.
+  // full PBFT authenticator. When the message fits one compression block,
+  // the MACs run as interleaved SHA-256 lanes (all inner passes share the
+  // message block; outer passes finish over the per-lane inner digests);
+  // otherwise it loops over PairMac. Results and logical-work counters are
+  // those of n PairMac calls either way.
   void PairMacs(int sender, int n, BytesView message, Mac* out) const;
 
   // Signature stand-in: HMAC of `message` under `node`'s signing key.
@@ -116,16 +115,16 @@ class KeyTable {
 
  private:
   Bytes DeriveSessionKey(int lo, int hi, uint64_t epoch) const;
-  // The (possibly cached) HmacKey for the pair; built into `scratch` when
-  // caches are off.
-  const HmacKey& PairKey(int a, int b, HmacKey& scratch) const;
+  // The cached HmacKey for the pair at its current epoch (built on a miss).
+  const HmacKey& PairKey(int a, int b) const;
+  // The cached HmacKey over `node`'s signing key (built on a miss).
+  const HmacKey& SigningHmacKey(int node) const;
 
   uint64_t master_secret_;
   std::vector<uint64_t> epochs_;
   // (lo, hi) -> (built-at epoch + 1, HmacKey); rebuilt on epoch mismatch, so
   // RefreshKeysFor invalidates naturally (the +1 keeps a default-constructed
   // slot from passing for a real epoch-0 entry). Signing keys never rotate.
-  // Both caches are bypassed when hotpath caches are disabled.
   mutable std::map<std::pair<int, int>, std::pair<uint64_t, HmacKey>>
       session_cache_;
   mutable std::map<int, HmacKey> signing_cache_;

@@ -93,13 +93,7 @@ void Sha256::Final(uint8_t out[kDigestSize]) {
 void Sha256::CompressBlocks(const uint8_t* data, size_t nblocks) {
   // Same logical work on either unit, so sha256_blocks counts it once here.
   hotpath::counters().sha256_blocks += nblocks;
-  if (hotpath::crypto_kernel_enabled()) {
-    sha256_multi::CompressBlocks(state_, data, nblocks);
-    return;
-  }
-  for (size_t i = 0; i < nblocks; ++i) {
-    sha256_internal::Compress(state_, data + 64 * i);
-  }
+  sha256_multi::CompressBlocks(state_, data, nblocks);
 }
 
 void sha256_internal::Compress(uint32_t state_[8], const uint8_t block[64]) {
@@ -148,8 +142,7 @@ void sha256_internal::Compress(uint32_t state_[8], const uint8_t block[64]) {
 
 std::array<uint8_t, Sha256::kDigestSize> Sha256::Hash(BytesView data) {
   std::array<uint8_t, kDigestSize> out;
-  if (hotpath::crypto_kernel_enabled() &&
-      data.size() <= sha256_multi::kOneShotMax) {
+  if (data.size() <= sha256_multi::kOneShotMax) {
     // Single padded compression; counters match the streaming path exactly
     // (one block, one finalize, message bytes only).
     auto& c = hotpath::counters();

@@ -2,8 +2,9 @@
 //
 // The BFT protocol hashes requests, replies, checkpoints and every node of
 // the state-partition tree, so digest throughput shows up directly in the
-// replication overhead the paper measures. The implementation is a plain
-// streaming hasher with no dependencies.
+// replication overhead the paper measures. The streaming hasher compresses
+// blocks through src/crypto/sha256_multi (SHA-NI when the CPU has it) and
+// hashes inputs that fit one padded block in a single compression.
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
 
@@ -16,8 +17,8 @@ namespace bftbase {
 
 namespace sha256_internal {
 // Scalar reference compression of one 64-byte block (no counter side
-// effects). Shared with src/crypto/sha256_multi.cc as its portable fallback
-// and by the equivalence tests as ground truth.
+// effects). src/crypto/sha256_multi.cc's portable fallback on hosts without
+// SHA-NI, and the tests' oracle.
 void Compress(uint32_t state[8], const uint8_t block[64]);
 }  // namespace sha256_internal
 
@@ -44,8 +45,7 @@ class Sha256 {
 
  private:
   // Compresses `nblocks` whole 64-byte blocks, buffered or straight from the
-  // caller's data: through sha256_multi (SHA-NI when the CPU has it) when the
-  // crypto kernel is on, else with the scalar sha256_internal::Compress.
+  // caller's data, through sha256_multi (SHA-NI when the CPU has it).
   void CompressBlocks(const uint8_t* data, size_t nblocks);
 
   uint32_t state_[8];

@@ -20,12 +20,13 @@
 //      otherwise lanes use an interleaved portable implementation the
 //      compiler vectorizes and bulk falls back to the scalar reference.
 //
-// Everything here is gated by hotpath::crypto_kernel_enabled(); with the
-// switch off, callers take the scalar streaming path bit-for-bit as before.
-// Counter discipline: these primitives bump only their per-path counters
-// (sha256_ni_blocks, sha256_multi_blocks, sha256_oneshot); callers keep
-// bumping the generic sha256_blocks/invocations/bytes_hashed so the logical
-// work counters agree exactly with the scalar path.
+// Every output is byte-identical to the FIPS 180-4 streaming definition;
+// tests/crypto_test.cc checks each primitive against a reference hasher built
+// on sha256_internal::Compress. Counter discipline: these primitives bump
+// only their per-path counters (sha256_ni_blocks, sha256_multi_blocks,
+// sha256_oneshot); callers keep bumping the generic
+// sha256_blocks/invocations/bytes_hashed so the logical work counters count
+// what a block-at-a-time streaming hasher would.
 #ifndef SRC_CRYPTO_SHA256_MULTI_H_
 #define SRC_CRYPTO_SHA256_MULTI_H_
 

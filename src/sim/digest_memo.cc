@@ -6,7 +6,7 @@ namespace bftbase {
 
 std::optional<Digest> DeliveryDigestMemo::Lookup(
     const std::shared_ptr<const Bytes>& buf) const {
-  if (!hotpath::caches_enabled() || buf == nullptr) {
+  if (buf == nullptr) {
     ++hotpath::counters().digest_memo_misses;
     return std::nullopt;
   }
@@ -27,7 +27,7 @@ std::optional<Digest> DeliveryDigestMemo::Lookup(
 
 void DeliveryDigestMemo::Store(const std::shared_ptr<const Bytes>& buf,
                                const Digest& digest) {
-  if (!hotpath::caches_enabled() || buf == nullptr) {
+  if (buf == nullptr) {
     return;
   }
   if (entries_.size() >= kSweepThreshold) {
@@ -45,7 +45,7 @@ void DeliveryDigestMemo::Clear() { entries_.clear(); }
 
 std::optional<DeliveryVerdict> DeliveryVerifyMemo::Lookup(
     const std::shared_ptr<const Bytes>& buf, int receiver) const {
-  if (!hotpath::caches_enabled() || buf == nullptr) {
+  if (buf == nullptr) {
     ++hotpath::counters().verify_memo_misses;
     return std::nullopt;
   }
@@ -71,7 +71,7 @@ std::optional<DeliveryVerdict> DeliveryVerifyMemo::Lookup(
 
 void DeliveryVerifyMemo::Store(const std::shared_ptr<const Bytes>& buf,
                                std::vector<DeliveryVerdict> verdicts) {
-  if (!hotpath::caches_enabled() || buf == nullptr || verdicts.empty()) {
+  if (buf == nullptr || verdicts.empty()) {
     return;
   }
   if (entries_.size() >= kSweepThreshold) {

@@ -29,10 +29,10 @@ namespace bftbase {
 class DeliveryDigestMemo {
  public:
   // Returns the digest cached for exactly this buffer, or nullopt. Counts a
-  // hotpath memo hit/miss; always misses when hotpath caches are disabled.
+  // hotpath memo hit/miss.
   std::optional<Digest> Lookup(const std::shared_ptr<const Bytes>& buf) const;
 
-  // Caches `digest` for `buf`. No-op when hotpath caches are disabled.
+  // Caches `digest` for `buf`.
   void Store(const std::shared_ptr<const Bytes>& buf, const Digest& digest);
 
   void Clear();
@@ -75,13 +75,11 @@ struct DeliveryVerdict {
 class DeliveryVerifyMemo {
  public:
   // Returns the verdict stored for exactly this buffer and `receiver` (or a
-  // kAnyReceiver entry), or nullopt. Counts a hotpath verify-memo hit/miss;
-  // always misses when hotpath caches are disabled.
+  // kAnyReceiver entry), or nullopt. Counts a hotpath verify-memo hit/miss.
   std::optional<DeliveryVerdict> Lookup(const std::shared_ptr<const Bytes>& buf,
                                         int receiver) const;
 
-  // Caches per-receiver verdicts for `buf`. No-op when hotpath caches are
-  // disabled or `verdicts` is empty.
+  // Caches per-receiver verdicts for `buf`. No-op when `verdicts` is empty.
   void Store(const std::shared_ptr<const Bytes>& buf,
              std::vector<DeliveryVerdict> verdicts);
 

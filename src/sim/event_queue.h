@@ -1,5 +1,5 @@
-// Pooled move-only event storage and an O(1)-ish scheduler for the
-// scale-out event kernel (see simulation.h).
+// Pooled move-only event storage and an O(1)-ish scheduler for the event
+// kernel (see simulation.h).
 //
 // Three pieces, composed by Simulation:
 //
@@ -21,8 +21,8 @@
 //    24-byte PODs pointing into the pool. Push/pop/requeue sift plain
 //    integers; the event payload (callback, shared buffer) never moves once
 //    it lands in its pool slot. (time, seq) with unique seq is a strict
-//    total order, so pop order is bit-for-bit identical to the legacy
-//    std::priority_queue.
+//    total order, so pop order is fully determined: FIFO among same-time
+//    events.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 

@@ -28,29 +28,9 @@ void MetricsRegistry::Set(std::string_view name, uint64_t value, int node,
 
 void SyncHotPathCounters(MetricsRegistry& metrics) {
   const hotpath::Counters& c = hotpath::counters();
-  metrics.Set("hot.sha256_invocations", c.sha256_invocations);
-  metrics.Set("hot.sha256_blocks", c.sha256_blocks);
-  metrics.Set("hot.bytes_hashed", c.bytes_hashed);
-  metrics.Set("hot.sha256_oneshot", c.sha256_oneshot);
-  metrics.Set("hot.sha256_ni_blocks", c.sha256_ni_blocks);
-  metrics.Set("hot.sha256_multi_blocks", c.sha256_multi_blocks);
-  metrics.Set("hot.hmac_lane_batches", c.hmac_lane_batches);
-  metrics.Set("hot.tree_nodes_rehashed", c.tree_nodes_rehashed);
-  metrics.Set("hot.tree_nodes_preserved", c.tree_nodes_preserved);
-  metrics.Set("hot.encode_allocs", c.encode_allocs);
-  metrics.Set("hot.encode_reuses", c.encode_reuses);
-  metrics.Set("hot.digest_memo_hits", c.digest_memo_hits);
-  metrics.Set("hot.digest_memo_misses", c.digest_memo_misses);
-  metrics.Set("hot.event_pool_allocs", c.event_pool_allocs);
-  metrics.Set("hot.event_pool_reuses", c.event_pool_reuses);
-  metrics.Set("hot.events_pruned", c.events_pruned);
-  metrics.Set("hot.events_requeued", c.events_requeued);
-  metrics.Set("hot.pool_jobs", c.pool_jobs);
-  metrics.Set("hot.pool_verify_jobs", c.pool_verify_jobs);
-  metrics.Set("hot.pool_mac_shard_jobs", c.pool_mac_shard_jobs);
-  metrics.Set("hot.pool_digest_shard_jobs", c.pool_digest_shard_jobs);
-  metrics.Set("hot.verify_memo_hits", c.verify_memo_hits);
-  metrics.Set("hot.verify_memo_misses", c.verify_memo_misses);
+  for (const hotpath::CounterField& field : hotpath::kCounterFields) {
+    metrics.Set(std::string("hot.") + field.name, c.*field.member);
+  }
 }
 
 void MetricsRegistry::Counter::Rebind() {

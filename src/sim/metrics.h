@@ -30,7 +30,7 @@ class MetricsRegistry {
   void Inc(std::string_view name, int node = kAny, int tag = kAny,
            uint64_t delta = 1);
 
-  // Pre-resolved counter handle for hot paths (the scale-out event kernel's
+  // Pre-resolved counter handle for hot paths (the event kernel's
   // network delivery path). Resolves the string-keyed lookup once and memoizes
   // the last (node, tag) cell, so a burst of same-sender traffic — e.g. the n
   // recipients of one multicast — updates a counter with one pointer chase
@@ -147,13 +147,11 @@ class MetricsRegistry {
 };
 
 // Mirrors the process-wide hot-path counters (src/util/hotpath.h) into
-// `metrics` as "hot.*" gauges: hot.sha256_invocations, hot.sha256_blocks,
-// hot.bytes_hashed, hot.encode_allocs, hot.encode_reuses,
-// hot.digest_memo_hits, hot.digest_memo_misses, plus the event-kernel
-// counters hot.event_pool_allocs, hot.event_pool_reuses, hot.events_pruned
-// and hot.events_requeued. Benches call this at phase boundaries and diff
-// the values. (hot.payload_copies / hot.bytes_copied are maintained directly
-// by Network and need no sync.)
+// `metrics` as "hot.<name>" gauges, one per hotpath::kCounterFields entry
+// (hot.sha256_invocations, hot.digest_memo_hits, hot.events_requeued, ...).
+// Benches call this at phase boundaries and diff the values.
+// (hot.payload_copies / hot.bytes_copied are maintained directly by Network
+// and need no sync.)
 void SyncHotPathCounters(MetricsRegistry& metrics);
 
 }  // namespace bftbase

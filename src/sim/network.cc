@@ -17,12 +17,9 @@ constexpr const char kMsgsDuplicated[] = "net.messages_duplicated";
 constexpr const char kBytesOffered[] = "net.bytes_offered";
 constexpr const char kBytesDelivered[] = "net.bytes_delivered";
 constexpr const char kBytesDropped[] = "net.bytes_dropped";
-// Hot-path accounting: real copies the fabric performed vs. the copies the
-// old copy-per-recipient fabric would have performed for the same traffic.
+// Hot-path accounting: real payload copies the fabric performed.
 constexpr const char kPayloadCopies[] = "hot.payload_copies";
 constexpr const char kBytesCopied[] = "hot.bytes_copied";
-constexpr const char kEagerCopies[] = "hot.eager_copies";
-constexpr const char kEagerCopyBytes[] = "hot.eager_copy_bytes";
 
 // The wire envelope's first byte is the MsgType (see Channel::Seal), so the
 // network can label traffic per message kind without parsing. Payloads that
@@ -36,8 +33,7 @@ int MessageTag(const Bytes& payload) {
 
 }  // namespace
 
-Network::Network(Simulation* sim)
-    : sim_(sim), fast_metrics_(sim->scale_kernel()) {
+Network::Network(Simulation* sim) : sim_(sim) {
   MetricsRegistry& metrics = sim_->metrics();
   c_msgs_offered_ = metrics.CounterHandle(kMsgsOffered);
   c_msgs_delivered_ = metrics.CounterHandle(kMsgsDelivered);
@@ -48,19 +44,11 @@ Network::Network(Simulation* sim)
   c_bytes_dropped_ = metrics.CounterHandle(kBytesDropped);
   c_payload_copies_ = metrics.CounterHandle(kPayloadCopies);
   c_bytes_copied_ = metrics.CounterHandle(kBytesCopied);
-  c_eager_copies_ = metrics.CounterHandle(kEagerCopies);
-  c_eager_copy_bytes_ = metrics.CounterHandle(kEagerCopyBytes);
 }
 
 void Network::CountDrop(NodeId from, NodeId to, int tag, size_t size) {
-  if (fast_metrics_) {
-    c_msgs_dropped_.Inc(from, tag);
-    c_bytes_dropped_.Inc(from, tag, size);
-  } else {
-    MetricsRegistry& metrics = sim_->metrics();
-    metrics.Inc(kMsgsDropped, from, tag);
-    metrics.Inc(kBytesDropped, from, tag, size);
-  }
+  c_msgs_dropped_.Inc(from, tag);
+  c_bytes_dropped_.Inc(from, tag, size);
   sim_->trace().Record(TraceEvent::kMsgDrop, sim_->Now(), from, to, size,
                        static_cast<uint64_t>(tag));
 }
@@ -71,35 +59,22 @@ void Network::CountOffered(NodeId from, NodeId to, int tag,
   // fault checks counts as "delivered". Counting sent traffic before the
   // checks (as earlier revisions did) inflates reported bandwidth under
   // fault injection by exactly the dropped volume.
-  if (fast_metrics_) {
-    c_msgs_offered_.Inc(from, tag);
-    c_bytes_offered_.Inc(from, tag, payload.size());
-  } else {
-    MetricsRegistry& metrics = sim_->metrics();
-    metrics.Inc(kMsgsOffered, from, tag);
-    metrics.Inc(kBytesOffered, from, tag, payload.size());
-  }
+  c_msgs_offered_.Inc(from, tag);
+  c_bytes_offered_.Inc(from, tag, payload.size());
   sim_->trace().Record(TraceEvent::kMsgSend, sim_->Now(), from, to,
                        payload.size(), static_cast<uint64_t>(tag), payload);
 }
 
 void Network::CountCopy(NodeId from, int tag, size_t size) {
-  if (fast_metrics_) {
-    c_payload_copies_.Inc(from, tag);
-    c_bytes_copied_.Inc(from, tag, size);
-    return;
-  }
-  MetricsRegistry& metrics = sim_->metrics();
-  metrics.Inc(kPayloadCopies, from, tag);
-  metrics.Inc(kBytesCopied, from, tag, size);
+  c_payload_copies_.Inc(from, tag);
+  c_bytes_copied_.Inc(from, tag, size);
 }
 
 bool Network::PassesFaultChecks(NodeId from, NodeId to) {
   // Fast path: with no fault lever armed the answer is always "yes" and no
   // RNG draw would happen, so skipping the per-message set walks is
-  // observationally identical. Gated on fast_metrics_ so the legacy kernel
-  // keeps the pre-overhaul per-message lookup cost for honest benchmarking.
-  if (fast_metrics_ && no_faults_armed_) {
+  // observationally identical.
+  if (no_faults_armed_) {
     return true;
   }
   if (isolated_.count(from) > 0 || isolated_.count(to) > 0 ||
@@ -198,14 +173,8 @@ SimTime Network::DeliveryLatency(NodeId from, NodeId to, size_t size) {
 
 void Network::Deliver(NodeId from, NodeId to, int tag,
                       std::shared_ptr<const Bytes> payload) {
-  if (fast_metrics_) {
-    c_msgs_delivered_.Inc(from, tag);
-    c_bytes_delivered_.Inc(from, tag, payload->size());
-  } else {
-    MetricsRegistry& metrics = sim_->metrics();
-    metrics.Inc(kMsgsDelivered, from, tag);
-    metrics.Inc(kBytesDelivered, from, tag, payload->size());
-  }
+  c_msgs_delivered_.Inc(from, tag);
+  c_bytes_delivered_.Inc(from, tag, payload->size());
 
   SimTime latency;
   if (from == to) {
@@ -229,16 +198,9 @@ void Network::Deliver(NodeId from, NodeId to, int tag,
                 static_cast<uint64_t>(duplicate_max_)));
     const SimTime base = sim_->cost().MessageLatency(payload->size());
     for (int i = 0; i < copies; ++i) {
-      if (fast_metrics_) {
-        c_msgs_duplicated_.Inc(from, tag);
-        c_msgs_delivered_.Inc(from, tag);
-        c_bytes_delivered_.Inc(from, tag, payload->size());
-      } else {
-        MetricsRegistry& metrics = sim_->metrics();
-        metrics.Inc(kMsgsDuplicated, from, tag);
-        metrics.Inc(kMsgsDelivered, from, tag);
-        metrics.Inc(kBytesDelivered, from, tag, payload->size());
-      }
+      c_msgs_duplicated_.Inc(from, tag);
+      c_msgs_delivered_.Inc(from, tag);
+      c_bytes_delivered_.Inc(from, tag, payload->size());
       SimTime dup_latency =
           DeliveryLatency(from, to, payload->size()) +
           static_cast<SimTime>(
@@ -274,17 +236,6 @@ void Network::Multicast(NodeId from, NodeId first, NodeId last,
     if (to == skip) {
       continue;
     }
-    // What the old fabric did: copy the payload per recipient, before any
-    // fault check. Recorded so benches can report the before/after ratio.
-    if (fast_metrics_) {
-      c_eager_copies_.Inc(from, tag);
-      c_eager_copy_bytes_.Inc(from, tag, payload.size());
-    } else {
-      MetricsRegistry& metrics = sim_->metrics();
-      metrics.Inc(kEagerCopies, from, tag);
-      metrics.Inc(kEagerCopyBytes, from, tag, payload.size());
-    }
-
     CountOffered(from, to, tag, payload);
     if (!PassesFaultChecks(from, to)) {
       CountDrop(from, to, tag, payload.size());
@@ -422,14 +373,6 @@ uint64_t Network::payload_copies() const {
 
 uint64_t Network::bytes_copied() const {
   return sim_->metrics().Total(kBytesCopied);
-}
-
-uint64_t Network::eager_copies() const {
-  return sim_->metrics().Total(kEagerCopies);
-}
-
-uint64_t Network::eager_copy_bytes() const {
-  return sim_->metrics().Total(kEagerCopyBytes);
 }
 
 void Network::ResetStats() { sim_->metrics().ResetPrefix("net."); }

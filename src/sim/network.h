@@ -161,13 +161,9 @@ class Network {
   uint64_t bytes_offered() const;
   uint64_t bytes_delivered() const;
   // Real payload copies the fabric performed ("hot.payload_copies" /
-  // "hot.bytes_copied"), and what the old copy-per-recipient fabric would
-  // have performed ("hot.eager_*") — the before/after pair the wall-clock
-  // bench reports.
+  // "hot.bytes_copied").
   uint64_t payload_copies() const;
   uint64_t bytes_copied() const;
-  uint64_t eager_copies() const;
-  uint64_t eager_copy_bytes() const;
   // Clears the network's metrics (leaves other layers' metrics alone).
   void ResetStats();
 
@@ -200,16 +196,11 @@ class Network {
                std::shared_ptr<const Bytes> payload);
 
   Simulation* sim_;
-  // Scale-kernel fast path: pre-resolved counter handles so the per-message
-  // accounting is a pointer chase instead of a string-map walk. When the
-  // simulation runs the legacy kernel (fast_metrics_ false) the same cells
-  // are updated through the legacy string-keyed MetricsRegistry::Inc calls,
-  // reproducing the pre-overhaul accounting cost for honest before/after
-  // benchmarking. Values and iteration order are identical either way.
-  bool fast_metrics_ = false;
   // True while no lever that PassesFaultChecks consults is armed; lets the
-  // fast path skip the per-message set walks entirely.
+  // per-message check skip the set walks entirely.
   bool no_faults_armed_ = true;
+  // Pre-resolved counter handles: per-message accounting is a pointer chase
+  // instead of a string-map walk.
   MetricsRegistry::Counter c_msgs_offered_;
   MetricsRegistry::Counter c_msgs_delivered_;
   MetricsRegistry::Counter c_msgs_dropped_;
@@ -219,8 +210,6 @@ class Network {
   MetricsRegistry::Counter c_bytes_dropped_;
   MetricsRegistry::Counter c_payload_copies_;
   MetricsRegistry::Counter c_bytes_copied_;
-  MetricsRegistry::Counter c_eager_copies_;
-  MetricsRegistry::Counter c_eager_copy_bytes_;
   std::set<Link> blocked_links_;
   std::set<NodeId> isolated_;
   double drop_probability_ = 0.0;

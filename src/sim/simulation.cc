@@ -7,7 +7,7 @@
 namespace bftbase {
 
 Simulation::Simulation(uint64_t seed, CostModel cost)
-    : scale_kernel_(hotpath::scale_kernel_enabled()), cost_(cost), rng_(seed) {
+    : cost_(cost), rng_(seed) {
   network_ = new Network(this);
 }
 
@@ -26,27 +26,24 @@ Simulation::~Simulation() {
 void Simulation::AddNode(NodeId id, SimNode* node) {
   assert(node != nullptr);
   assert(id >= 0);
-  nodes_map_[id] = node;
-  if (static_cast<size_t>(id) >= nodes_dense_.size()) {
-    nodes_dense_.resize(id + 1, nullptr);
+  if (static_cast<size_t>(id) >= nodes_.size()) {
+    nodes_.resize(id + 1, nullptr);
   }
-  nodes_dense_[id] = node;
+  nodes_[id] = node;
 }
 
 void Simulation::RemoveNode(NodeId id) {
-  nodes_map_.erase(id);
-  if (id >= 0 && static_cast<size_t>(id) < nodes_dense_.size()) {
-    nodes_dense_[id] = nullptr;
+  if (id >= 0 && static_cast<size_t>(id) < nodes_.size()) {
+    nodes_[id] = nullptr;
   }
   // Clear CPU-serialization state: a replica that crashes mid-handler and is
   // later re-added must not start life behind a stale busy-until horizon.
-  busy_map_.erase(id);
-  if (id >= 0 && static_cast<size_t>(id) < busy_dense_.size()) {
-    busy_dense_[id] = 0;
+  if (id >= 0 && static_cast<size_t>(id) < busy_.size()) {
+    busy_[id] = 0;
   }
 }
 
-TimerId Simulation::AfterFast(NodeId owner, SimTime when, InlineFn fn) {
+TimerId Simulation::ScheduleCallback(NodeId owner, SimTime when, InlineFn fn) {
   const uint32_t idx = pool_.Acquire();
   PooledEvent& slot = pool_.at(idx);
   slot.kind = PooledEvent::Kind::kCallback;
@@ -55,21 +52,6 @@ TimerId Simulation::AfterFast(NodeId owner, SimTime when, InlineFn fn) {
   heap_.Push({when, next_seq_++, idx});
   NotePushed(heap_.Size());
   return PackTimerId(idx, slot.generation);
-}
-
-TimerId Simulation::AfterLegacy(NodeId owner, SimTime when,
-                                std::function<void()> fn) {
-  // The legacy kernel stores the callback in the queue (and copies it on pop
-  // and requeue, as the pre-overhaul kernel did); the pool slot only tracks
-  // cancellation, so Cancel stays O(1) and bounded in both modes.
-  const uint32_t idx = pool_.Acquire();
-  PooledEvent& slot = pool_.at(idx);
-  slot.kind = PooledEvent::Kind::kCallback;
-  slot.owner = owner;
-  const TimerId id = PackTimerId(idx, slot.generation);
-  legacy_queue_.push(LegacyEvent{when, next_seq_++, owner, std::move(fn), id});
-  NotePushed(legacy_queue_.size());
-  return id;
 }
 
 void Simulation::Cancel(TimerId id) {
@@ -92,14 +74,10 @@ void Simulation::ChargeCpu(SimTime cpu_cost) {
 }
 
 void Simulation::SetBusyUntil(NodeId owner, SimTime until) {
-  if (scale_kernel_) {
-    if (static_cast<size_t>(owner) >= busy_dense_.size()) {
-      busy_dense_.resize(owner + 1, 0);
-    }
-    busy_dense_[owner] = until;
-  } else {
-    busy_map_[owner] = until;
+  if (static_cast<size_t>(owner) >= busy_.size()) {
+    busy_.resize(owner + 1, 0);
   }
+  busy_[owner] = until;
 }
 
 void Simulation::MaybeSubmitPrologue(
@@ -136,28 +114,17 @@ void Simulation::ScheduleDelivery(SimTime when, NodeId to, NodeId from,
                                   std::shared_ptr<const Bytes> payload,
                                   int tag) {
   MaybeSubmitPrologue(payload, to);
-  if (scale_kernel_) {
-    // A delivery is a tagged struct in a recycled pool slot — no callback,
-    // no allocation beyond the slot itself.
-    const uint32_t idx = pool_.Acquire();
-    PooledEvent& slot = pool_.at(idx);
-    slot.kind = PooledEvent::Kind::kDelivery;
-    slot.owner = to;
-    slot.from = from;
-    slot.tag = tag;
-    slot.payload = std::move(payload);
-    heap_.Push({when, next_seq_++, idx});
-    NotePushed(heap_.Size());
-    return;
-  }
-  // Legacy: every delivery heap-allocates a capturing lambda.
-  legacy_queue_.push(
-      LegacyEvent{when, next_seq_++, to,
-                  [this, to, from, tag, payload = std::move(payload)]() {
-                    RunDelivery(to, from, tag, payload);
-                  },
-                  0});
-  NotePushed(legacy_queue_.size());
+  // A delivery is a tagged struct in a recycled pool slot — no callback, no
+  // allocation beyond the slot itself.
+  const uint32_t idx = pool_.Acquire();
+  PooledEvent& slot = pool_.at(idx);
+  slot.kind = PooledEvent::Kind::kDelivery;
+  slot.owner = to;
+  slot.from = from;
+  slot.tag = tag;
+  slot.payload = std::move(payload);
+  heap_.Push({when, next_seq_++, idx});
+  NotePushed(heap_.Size());
 }
 
 void Simulation::RunDelivery(NodeId to, NodeId from, int tag,
@@ -183,66 +150,21 @@ void Simulation::RunDelivery(NodeId to, NodeId from, int tag,
   current_delivery_ = std::move(prev);
 }
 
-void Simulation::RunHandlerLegacy(const LegacyEvent& ev) {
-  // Serialize on the owning node's CPU: the handler starts when both the
-  // event time has arrived and the node is free.
-  if (ev.owner != kNoOwner) {
-    auto it = busy_map_.find(ev.owner);
-    if (it != busy_map_.end() && it->second > now_) {
-      // Requeue behind the node's current work — copying the whole event,
-      // callback and captured buffer included (the pre-overhaul behavior the
-      // scale kernel's move-only requeue is measured against).
-      legacy_queue_.push(
-          LegacyEvent{it->second, next_seq_++, ev.owner, ev.fn, ev.timer_id});
-      NotePushed(legacy_queue_.size());
-      ++hotpath::counters().events_requeued;
-      return;
-    }
-  }
-  if (ev.timer_id != 0) {
-    // About to run: retire the cancellation slot.
-    pool_.Release(static_cast<uint32_t>(ev.timer_id >> 32));
-  }
-  handler_cpu_ = 0;
-  ev.fn();
-  if (ev.owner != kNoOwner && handler_cpu_ > 0) {
-    busy_map_[ev.owner] = now_ + handler_cpu_;
-  }
-  handler_cpu_ = 0;
-  ++events_processed_;
-  if (step_observer_) {
-    step_observer_();
-  }
-}
-
 void Simulation::PruneCancelledTop() {
   // Discard cancelled timers sitting at the head of the queue. The check is
-  // an O(1) flag read on the timer's pool slot in both kernels.
-  if (scale_kernel_) {
-    while (!heap_.Empty()) {
-      const uint32_t idx = heap_.Top().pool_index;
-      if (!pool_.at(idx).cancelled) {
-        break;
-      }
-      heap_.PopTop();
-      pool_.Release(idx);
-      ++hotpath::counters().events_pruned;
+  // an O(1) flag read on the timer's pool slot.
+  while (!heap_.Empty()) {
+    const uint32_t idx = heap_.Top().pool_index;
+    if (!pool_.at(idx).cancelled) {
+      break;
     }
-  } else {
-    while (!legacy_queue_.empty() && legacy_queue_.top().timer_id != 0) {
-      const uint32_t idx =
-          static_cast<uint32_t>(legacy_queue_.top().timer_id >> 32);
-      if (!pool_.at(idx).cancelled) {
-        break;
-      }
-      legacy_queue_.pop();
-      pool_.Release(idx);
-      ++hotpath::counters().events_pruned;
-    }
+    heap_.PopTop();
+    pool_.Release(idx);
+    ++hotpath::counters().events_pruned;
   }
 }
 
-bool Simulation::StepFast() {
+bool Simulation::Step() {
   PruneCancelledTop();
   if (heap_.Empty()) {
     return false;
@@ -291,24 +213,9 @@ bool Simulation::StepFast() {
   return true;
 }
 
-bool Simulation::StepLegacy() {
-  PruneCancelledTop();
-  if (legacy_queue_.empty()) {
-    return false;
-  }
-  LegacyEvent ev = legacy_queue_.top();  // the legacy kernel's per-step copy
-  legacy_queue_.pop();
-  assert(ev.time >= now_);
-  now_ = ev.time;
-  RunHandlerLegacy(ev);
-  return true;
-}
-
-bool Simulation::Step() { return scale_kernel_ ? StepFast() : StepLegacy(); }
-
 SimTime Simulation::NextEventTime() {
   PruneCancelledTop();
-  return QueueEmpty() ? kNoPendingEvent : QueueTopTime();
+  return heap_.Empty() ? kNoPendingEvent : heap_.Top().time;
 }
 
 void Simulation::RunUntilIdle() {
@@ -317,12 +224,9 @@ void Simulation::RunUntilIdle() {
 }
 
 void Simulation::RunUntil(SimTime deadline) {
-  for (;;) {
-    PruneCancelledTop();
-    if (QueueEmpty() || QueueTopTime() > deadline) {
-      break;
-    }
-    Step();
+  // Step() returns false once the queue is empty, which also ends the loop
+  // for deadline == kNoPendingEvent.
+  while (NextEventTime() <= deadline && Step()) {
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -334,12 +238,7 @@ bool Simulation::RunUntilTrue(const std::function<bool()>& pred,
   if (pred()) {
     return true;
   }
-  for (;;) {
-    PruneCancelledTop();
-    if (QueueEmpty() || QueueTopTime() > deadline) {
-      break;
-    }
-    Step();
+  while (NextEventTime() <= deadline && Step()) {
     if (pred()) {
       return true;
     }

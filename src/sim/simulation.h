@@ -12,28 +12,22 @@
 // that node are delayed behind it. Messages sent from within a handler leave
 // the node at its current finish time.
 //
-// Scale-out event kernel (default): events live in a pooled, move-only
-// representation (src/sim/event_queue.h) — deliveries are tagged structs, not
-// capturing lambdas; timers use small-buffer-optimized callables — scheduled
-// by a 4-ary heap of 24-byte PODs, with O(1) generation-checked timer
+// Event kernel: events live in a pooled, move-only representation
+// (src/sim/event_queue.h) — deliveries are tagged structs, not capturing
+// lambdas; timers use small-buffer-optimized callables — scheduled by a
+// 4-ary heap of 24-byte PODs, with O(1) generation-checked timer
 // cancellation, dense NodeId-indexed node/busy tables, and pre-resolved
-// metric handles on the network path. hotpath::SetScaleKernelEnabled(false)
-// (sampled at construction) selects the legacy kernel instead: a
-// std::priority_queue of std::function events copied on pop and requeue,
-// std::map node tables and string-keyed metric updates — the pre-overhaul
-// cost profile, kept so one binary can measure an honest before/after
-// (bench_scale). Event order, RNG draws and EventTrace digests are
-// byte-identical in both modes; see DESIGN.md §10 for the argument.
+// metric handles on the network path. Events run in (time, seq) order; the
+// pinned EventTrace digests in tests/kernel_witness_test.cc record that
+// order (DESIGN.md §10).
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -94,13 +88,8 @@ class Simulation {
   // until horizon.
   void RemoveNode(NodeId id);
   SimNode* GetNode(NodeId id) const {
-    if (scale_kernel_) {
-      return id >= 0 && static_cast<size_t>(id) < nodes_dense_.size()
-                 ? nodes_dense_[id]
-                 : nullptr;
-    }
-    auto it = nodes_map_.find(id);
-    return it == nodes_map_.end() ? nullptr : it->second;
+    return id >= 0 && static_cast<size_t>(id) < nodes_.size() ? nodes_[id]
+                                                             : nullptr;
   }
 
   // Schedules `fn` to run `delay` from now on behalf of node `owner`
@@ -111,11 +100,8 @@ class Simulation {
   template <typename F>
   TimerId After(NodeId owner, SimTime delay, F&& fn) {
     assert(delay >= 0);
-    if (scale_kernel_) {
-      return AfterFast(owner, now_ + delay, InlineFn(std::forward<F>(fn)));
-    }
-    return AfterLegacy(owner, now_ + delay,
-                       std::function<void()>(std::forward<F>(fn)));
+    return ScheduleCallback(owner, now_ + delay,
+                            InlineFn(std::forward<F>(fn)));
   }
   // Cancels a pending timer; O(1) no-op if it already fired, was already
   // cancelled, or never existed (stale ids are detected by a per-slot
@@ -149,19 +135,12 @@ class Simulation {
   SimTime NextEventTime();
 
   // --- Kernel telemetry (tests and bench_scale) ----------------------------
-  // Which kernel this simulation runs (sampled from
-  // hotpath::scale_kernel_enabled() at construction).
-  bool scale_kernel() const { return scale_kernel_; }
   // High-water mark of the scheduler queue.
   uint64_t peak_queue_depth() const { return peak_queue_depth_; }
   // Events currently queued.
-  size_t queued_events() const {
-    return scale_kernel_ ? heap_.Size() : legacy_queue_.size();
-  }
-  // Pool capacity / in-flight events. Under the legacy kernel only
-  // cancellable timers occupy slots (deliveries live in the queue itself);
-  // under the scale kernel every queued event does. The Cancel-leak
-  // regression test asserts slots stay bounded under churn in both modes.
+  size_t queued_events() const { return heap_.Size(); }
+  // Pool capacity / in-flight events: every queued event occupies one slot.
+  // The Cancel-leak regression test asserts slots stay bounded under churn.
   size_t event_pool_slots() const { return pool_.slots(); }
   size_t event_pool_live() const { return pool_.live(); }
 
@@ -212,39 +191,14 @@ class Simulation {
   }
 
  private:
-  // Legacy kernel: the pre-overhaul event representation, kept verbatim so
-  // bench_scale can compare against it in one binary. Every event is a
-  // copyable std::function (deliveries are capturing lambdas); Step() copies
-  // the top, and deferral behind a busy node copies the whole event again.
-  struct LegacyEvent {
-    SimTime time;
-    uint64_t seq;  // tie-breaker: FIFO among same-time events
-    NodeId owner;
-    std::function<void()> fn;
-    TimerId timer_id;  // 0 for non-cancellable events
-  };
-  struct LegacyEventOrder {
-    bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  // TimerIds pack (pool slot, slot generation); both kernels allocate a pool
-  // slot per cancellable timer so Cancel is uniform and bounded.
+  // TimerIds pack (pool slot, slot generation), so Cancel is O(1) and a
+  // stale id can never reach a recycled slot.
   static TimerId PackTimerId(uint32_t slot, uint32_t generation) {
     return (static_cast<TimerId>(slot) << 32) | generation;
   }
 
-  TimerId AfterFast(NodeId owner, SimTime when, InlineFn fn);
-  TimerId AfterLegacy(NodeId owner, SimTime when, std::function<void()> fn);
-
-  bool StepFast();
-  bool StepLegacy();
-  void RunHandlerLegacy(const LegacyEvent& ev);
-  // Runs one delivery exactly as the legacy delivery lambda did.
+  TimerId ScheduleCallback(NodeId owner, SimTime when, InlineFn fn);
+  // Runs one message delivery: joins its prologue, then the node's handler.
   void RunDelivery(NodeId to, NodeId from, int tag,
                    std::shared_ptr<const Bytes> payload);
 
@@ -253,21 +207,9 @@ class Simulation {
   // in RunUntil/RunUntilTrue would look at a cancelled event's time and
   // Step() could silently run an event far beyond the caller's deadline.
   void PruneCancelledTop();
-  bool QueueEmpty() const {
-    return scale_kernel_ ? heap_.Empty() : legacy_queue_.empty();
-  }
-  SimTime QueueTopTime() const {
-    return scale_kernel_ ? heap_.Top().time : legacy_queue_.top().time;
-  }
 
   SimTime BusyUntil(NodeId owner) const {
-    if (scale_kernel_) {
-      return static_cast<size_t>(owner) < busy_dense_.size()
-                 ? busy_dense_[owner]
-                 : 0;
-    }
-    auto it = busy_map_.find(owner);
-    return it == busy_map_.end() ? 0 : it->second;
+    return static_cast<size_t>(owner) < busy_.size() ? busy_[owner] : 0;
   }
   void SetBusyUntil(NodeId owner, SimTime until);
   void NotePushed(size_t depth) {
@@ -276,7 +218,6 @@ class Simulation {
     }
   }
 
-  const bool scale_kernel_;
   CostModel cost_;
   Rng rng_;
   SimTime now_ = 0;
@@ -285,17 +226,10 @@ class Simulation {
   uint64_t peak_queue_depth_ = 0;
   SimTime handler_cpu_ = 0;  // CPU charged by the currently running handler
 
-  // Scale kernel state.
   EventPool pool_;
   EventHeap heap_;
-  std::vector<SimNode*> nodes_dense_;
-  std::vector<SimTime> busy_dense_;
-
-  // Legacy kernel state.
-  std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, LegacyEventOrder>
-      legacy_queue_;
-  std::map<NodeId, SimNode*> nodes_map_;
-  std::map<NodeId, SimTime> busy_map_;
+  std::vector<SimNode*> nodes_;   // indexed by NodeId
+  std::vector<SimTime> busy_;     // per-node CPU busy-until, by NodeId
 
   // Submits the prologue job for a freshly scheduled buffer (at most once
   // per buffer); joins + publishes + retires it before the first delivery of

@@ -1,68 +1,16 @@
 #include "src/util/hotpath.h"
 
-#include <atomic>
-
 namespace bftbase {
 namespace hotpath {
 
-namespace {
-std::atomic<bool> g_caches_enabled{true};
-std::atomic<bool> g_crypto_kernel_enabled{true};
-std::atomic<bool> g_scale_kernel_enabled{true};
-}  // namespace
-
 void MergeCounters(const Counters& delta) {
   Counters& c = internal::g_counters;
-  c.sha256_invocations += delta.sha256_invocations;
-  c.sha256_blocks += delta.sha256_blocks;
-  c.bytes_hashed += delta.bytes_hashed;
-  c.sha256_oneshot += delta.sha256_oneshot;
-  c.sha256_ni_blocks += delta.sha256_ni_blocks;
-  c.sha256_multi_blocks += delta.sha256_multi_blocks;
-  c.hmac_lane_batches += delta.hmac_lane_batches;
-  c.tree_nodes_rehashed += delta.tree_nodes_rehashed;
-  c.tree_nodes_preserved += delta.tree_nodes_preserved;
-  c.encode_allocs += delta.encode_allocs;
-  c.encode_reuses += delta.encode_reuses;
-  c.digest_memo_hits += delta.digest_memo_hits;
-  c.digest_memo_misses += delta.digest_memo_misses;
-  c.event_pool_allocs += delta.event_pool_allocs;
-  c.event_pool_reuses += delta.event_pool_reuses;
-  c.events_pruned += delta.events_pruned;
-  c.events_requeued += delta.events_requeued;
-  c.pool_jobs += delta.pool_jobs;
-  c.pool_verify_jobs += delta.pool_verify_jobs;
-  c.pool_mac_shard_jobs += delta.pool_mac_shard_jobs;
-  c.pool_digest_shard_jobs += delta.pool_digest_shard_jobs;
-  c.verify_memo_hits += delta.verify_memo_hits;
-  c.verify_memo_misses += delta.verify_memo_misses;
+  for (const CounterField& field : kCounterFields) {
+    c.*field.member += delta.*field.member;
+  }
 }
 
 void ResetCounters() { internal::g_counters = Counters{}; }
-
-bool caches_enabled() {
-  return g_caches_enabled.load(std::memory_order_relaxed);
-}
-
-void SetCachesEnabled(bool enabled) {
-  g_caches_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool crypto_kernel_enabled() {
-  return g_crypto_kernel_enabled.load(std::memory_order_relaxed);
-}
-
-void SetCryptoKernelEnabled(bool enabled) {
-  g_crypto_kernel_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool scale_kernel_enabled() {
-  return g_scale_kernel_enabled.load(std::memory_order_relaxed);
-}
-
-void SetScaleKernelEnabled(bool enabled) {
-  g_scale_kernel_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 }  // namespace hotpath
 }  // namespace bftbase

@@ -1,4 +1,4 @@
-// Process-wide hot-path instrumentation and optimization switches.
+// Process-wide hot-path instrumentation.
 //
 // The zero-copy fabric and the crypto caches optimize *real* CPU work (SHA-256
 // compressions, allocations, payload memcpy) without touching the simulated
@@ -6,15 +6,11 @@
 // live below the sim layer because crypto and the codec cannot see a
 // MetricsRegistry; SyncHotPathCounters (src/sim/metrics.h) copies them into a
 // registry so benches can snapshot/diff them per phase.
-//
-// SetCachesEnabled(false) turns off every result cache (digest memo, HMAC
-// midstates, session-key reuse) while keeping behaviour byte-identical; the
-// wall-clock bench uses it to measure honest before/after numbers in one
-// binary.
 #ifndef SRC_UTIL_HOTPATH_H_
 #define SRC_UTIL_HOTPATH_H_
 
 #include <cstdint>
+#include <iterator>
 
 namespace bftbase {
 namespace hotpath {
@@ -25,8 +21,8 @@ struct Counters {
   uint64_t sha256_blocks = 0;       // 64-byte compression rounds
   uint64_t bytes_hashed = 0;        // bytes fed through Update()
   // Crypto kernel (src/crypto/sha256_multi.cc). These are per-path splits of
-  // sha256_blocks/invocations above, which keep counting the same logical
-  // work whichever implementation runs.
+  // sha256_blocks/invocations above, which count the same logical work
+  // whichever unit compresses the blocks.
   uint64_t sha256_oneshot = 0;      // single-compression fast-path hashes
   uint64_t sha256_ni_blocks = 0;    // blocks compressed by the SHA-NI unit
   uint64_t sha256_multi_blocks = 0; // blocks compressed in interleaved lanes
@@ -42,7 +38,7 @@ struct Counters {
   // Delivered-envelope digest memo (src/sim/digest_memo.cc).
   uint64_t digest_memo_hits = 0;
   uint64_t digest_memo_misses = 0;
-  // Event kernel (src/sim/simulation.cc, scale kernel only).
+  // Event kernel (src/sim/simulation.cc).
   uint64_t event_pool_allocs = 0;   // pool misses: a fresh slot was created
   uint64_t event_pool_reuses = 0;   // pool hits: a slot came off the free list
   uint64_t events_pruned = 0;       // cancelled timers discarded before firing
@@ -61,6 +57,42 @@ struct Counters {
   uint64_t verify_memo_misses = 0;
 };
 
+// The one list of counters, in declaration order. MergeCounters and
+// SyncHotPathCounters (which publishes each as the "hot.<name>" gauge) both
+// walk it; the static_assert below fails when a field is added to Counters
+// without an entry here.
+struct CounterField {
+  const char* name;
+  uint64_t Counters::*member;
+};
+inline constexpr CounterField kCounterFields[] = {
+    {"sha256_invocations", &Counters::sha256_invocations},
+    {"sha256_blocks", &Counters::sha256_blocks},
+    {"bytes_hashed", &Counters::bytes_hashed},
+    {"sha256_oneshot", &Counters::sha256_oneshot},
+    {"sha256_ni_blocks", &Counters::sha256_ni_blocks},
+    {"sha256_multi_blocks", &Counters::sha256_multi_blocks},
+    {"hmac_lane_batches", &Counters::hmac_lane_batches},
+    {"tree_nodes_rehashed", &Counters::tree_nodes_rehashed},
+    {"tree_nodes_preserved", &Counters::tree_nodes_preserved},
+    {"encode_allocs", &Counters::encode_allocs},
+    {"encode_reuses", &Counters::encode_reuses},
+    {"digest_memo_hits", &Counters::digest_memo_hits},
+    {"digest_memo_misses", &Counters::digest_memo_misses},
+    {"event_pool_allocs", &Counters::event_pool_allocs},
+    {"event_pool_reuses", &Counters::event_pool_reuses},
+    {"events_pruned", &Counters::events_pruned},
+    {"events_requeued", &Counters::events_requeued},
+    {"pool_jobs", &Counters::pool_jobs},
+    {"pool_verify_jobs", &Counters::pool_verify_jobs},
+    {"pool_mac_shard_jobs", &Counters::pool_mac_shard_jobs},
+    {"pool_digest_shard_jobs", &Counters::pool_digest_shard_jobs},
+    {"verify_memo_hits", &Counters::verify_memo_hits},
+    {"verify_memo_misses", &Counters::verify_memo_misses},
+};
+static_assert(std::size(kCounterFields) * sizeof(uint64_t) == sizeof(Counters),
+              "every hotpath::Counters field needs a kCounterFields entry");
+
 // Per-thread counter shard. The main (simulation) thread's shard is the
 // canonical total; worker-pool jobs run against a zeroed shard and their
 // delta is merged into the joining thread via MergeCounters at the join
@@ -74,36 +106,6 @@ inline Counters& counters() { return internal::g_counters; }
 // Adds every field of `delta` into the calling thread's shard.
 void MergeCounters(const Counters& delta);
 void ResetCounters();
-
-// The switches below are process-global and may be *read* from worker-pool
-// jobs while set only on the main thread between runs; they are atomics with
-// relaxed ordering so those reads are race-free under TSan.
-//
-// Result caches on/off (default on). Disabling reproduces the pre-cache
-// hashing profile exactly; outputs are identical either way. Also gates the
-// pipeline prologue: verify jobs publish through the delivery memos, so with
-// caches off no prologue jobs are submitted.
-bool caches_enabled();
-void SetCachesEnabled(bool enabled);
-
-// Crypto kernel on/off (default on). When on, SHA-256 work routes through
-// src/crypto/sha256_multi.cc: SHA-NI (when the CPU has it) or interleaved
-// multi-lane compression for independent streams, single-compression
-// one-shot digests for short inputs, midstate-resumed HMAC finalization,
-// and digest preservation across partition-tree grows. Outputs are
-// byte-identical to the scalar streaming path and the simulated cost model
-// is untouched, so one binary measures an honest before/after.
-bool crypto_kernel_enabled();
-void SetCryptoKernelEnabled(bool enabled);
-
-// Scale-out event kernel on/off (default on). Sampled by Simulation at
-// construction: when off, the simulation uses the legacy event path (heap of
-// std::function events that are copied on pop and requeue, std::map node and
-// busy tables, string-keyed metric updates per message) so one binary can
-// measure an honest before/after. Event order, RNG draws and EventTrace
-// digests are byte-identical in both modes; only real CPU work differs.
-bool scale_kernel_enabled();
-void SetScaleKernelEnabled(bool enabled);
 
 }  // namespace hotpath
 }  // namespace bftbase

@@ -1,13 +1,16 @@
-// Determinism witness for the scale-out event kernel (DESIGN.md §10).
+// Determinism witness for the event kernel and the crypto hot path
+// (DESIGN.md §10, §11).
 //
-// The kernel overhaul (pooled move-only events, 4-ary heap, generation-based
-// cancellation, dense node tables) must be invisible to every experiment:
-// same seed => byte-identical EventTrace digest, whichever kernel runs. This
-// suite replays the chaos-smoke seed set and the wall-clock bench configs
-// under both kernels and requires digest equality, and additionally pins
-// digests captured from the pre-overhaul kernel (commit 70d3242) so a drift
-// introduced by *both* kernels at once — where cross-checking alone would
-// still pass — fails against the recorded history.
+// Optimizations of how events are scheduled or how bytes are hashed must be
+// invisible to every experiment: same seed => byte-identical EventTrace
+// digest. This suite pins the digests and event counts of chaos schedules
+// (faults, crash/restart, recovery) and of the wall-clock bench configs
+// (fault-free). The pins were recorded while the replaced implementations
+// still ran next to the current ones and agreed with them: the
+// pre-overhaul event kernel (commit 70d3242 onward) and scalar SHA-256, both
+// last runnable at commit fb72bea. A pin that moves means observable event
+// order changed — legitimate only for a deliberate protocol change, never
+// for a kernel or crypto change.
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -18,25 +21,10 @@
 
 #include "src/base/kv_adapter.h"
 #include "src/base/service_group.h"
-#include "src/util/hotpath.h"
 #include "src/workload/chaos.h"
 
 namespace bftbase {
 namespace {
-
-// Simulation samples the kernel switch at construction, so flipping it
-// around a run is race-free; restore so later tests see the default.
-class ScopedKernel {
- public:
-  explicit ScopedKernel(bool enable)
-      : prev_(hotpath::scale_kernel_enabled()) {
-    hotpath::SetScaleKernelEnabled(enable);
-  }
-  ~ScopedKernel() { hotpath::SetScaleKernelEnabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 struct TraceResult {
   bool ok = false;
@@ -92,39 +80,10 @@ TraceResult RunWallclock(int f, int clients, int requests_per_client,
   return r;
 }
 
-// Every chaos-smoke seed (the set bench_chaos --smoke replays), both
-// kernels: schedules, verdicts and trace digests must agree exactly.
-TEST(KernelWitness, ChaosSmokeSeedsIdenticalAcrossKernels) {
-  for (uint64_t seed = 1; seed <= 28; ++seed) {
-    ChaosOptions options;
-    options.seed = seed;
-    ChaosRunResult fast;
-    {
-      ScopedKernel kernel(true);
-      fast = RunChaos(options);
-    }
-    ChaosRunResult legacy;
-    {
-      ScopedKernel kernel(false);
-      legacy = RunChaos(options);
-    }
-    EXPECT_EQ(fast.trace_digest.Hex(), legacy.trace_digest.Hex())
-        << "seed " << seed;
-    EXPECT_EQ(fast.trace_events, legacy.trace_events) << "seed " << seed;
-    EXPECT_EQ(fast.schedule_digest.Hex(), legacy.schedule_digest.Hex())
-        << "seed " << seed;
-    EXPECT_EQ(fast.completed, legacy.completed) << "seed " << seed;
-    EXPECT_EQ(fast.verdict.linearizable, legacy.verdict.linearizable)
-        << "seed " << seed;
-    EXPECT_FALSE(fast.Failed()) << "seed " << seed;
-  }
-}
-
-// Pinned history: digests under both kernels for the chaos seed-1 schedule.
-// If these fail, something changed observable event order — legitimate only
-// for a deliberate protocol change, never for a kernel or crypto change.
+// Pinned chaos schedules: seed 1 since the kernel overhaul; seeds 9 and 17
+// since the crypto kernel, whose off/on runs agreed on them at fb72bea.
 //
-// Pin history:
+// Seed 1 pin history:
 //   70d3242  176d678d1243 / 2663 events  (pre event-kernel overhaul)
 //   02b0a3b  20082fd2dcc5 / 2966 events  — the Byzantine client-view fixes
 //     (f+1 view attestations, fallback vote preservation, eager retransmit
@@ -134,19 +93,27 @@ TEST(KernelWitness, ChaosSmokeSeedsIdenticalAcrossKernels) {
 //     crash/restart and proactive recovery now reboot through the real
 //     restart-from-disk path (checkpoint page load + WAL-tail replay), and
 //     replicas persist prepared certificates, so the post-fault message
-//     interleaving legitimately shifted. The event count is unchanged and
-//     both kernels agree on the new digest; the fault-free wall-clock pins
-//     below are untouched, which isolates the shift to the recovery path.
-TEST(KernelWitness, ChaosSeed1MatchesPin) {
-  ChaosOptions options;
-  options.seed = 1;
-  for (bool scale : {true, false}) {
-    ScopedKernel kernel(scale);
+//     interleaving legitimately shifted. The event count is unchanged; the
+//     fault-free wall-clock pins below are untouched, which isolates the
+//     shift to the recovery path.
+TEST(KernelWitness, ChaosSeedsMatchPins) {
+  struct Pin {
+    uint64_t seed;
+    const char* digest;
+    uint64_t events;
+  };
+  const Pin pins[] = {
+      {1, "310c19ab264e", 2966},
+      {9, "b251bc75286e", 2823},
+      {17, "349a9d6dc471", 2945},
+  };
+  for (const Pin& pin : pins) {
+    ChaosOptions options;
+    options.seed = pin.seed;
     ChaosRunResult r = RunChaos(options);
-    EXPECT_EQ(r.trace_digest.Hex(), "310c19ab264e")
-        << (scale ? "scale" : "legacy") << " kernel";
-    EXPECT_EQ(r.trace_events, 2966u)
-        << (scale ? "scale" : "legacy") << " kernel";
+    EXPECT_EQ(r.trace_digest.Hex(), pin.digest) << "seed " << pin.seed;
+    EXPECT_EQ(r.trace_events, pin.events) << "seed " << pin.seed;
+    EXPECT_FALSE(r.Failed()) << "seed " << pin.seed;
   }
 }
 
@@ -174,69 +141,12 @@ TEST(KernelWitness, WallclockConfigsMatchPreOverhaulPins) {
       {2, 16, 5, 7002, "eaf5e0052527", 5173},
   };
   for (const Pin& pin : pins) {
-    for (bool scale : {true, false}) {
-      ScopedKernel kernel(scale);
-      TraceResult r = RunWallclock(pin.f, pin.clients, pin.requests_per_client,
-                                   pin.seed);
-      ASSERT_TRUE(r.ok) << "seed " << pin.seed;
-      EXPECT_EQ(r.digest, pin.digest)
-          << "seed " << pin.seed << " " << (scale ? "scale" : "legacy");
-      EXPECT_EQ(r.events, pin.events)
-          << "seed " << pin.seed << " " << (scale ? "scale" : "legacy");
-    }
+    TraceResult r =
+        RunWallclock(pin.f, pin.clients, pin.requests_per_client, pin.seed);
+    ASSERT_TRUE(r.ok) << "seed " << pin.seed;
+    EXPECT_EQ(r.digest, pin.digest) << "seed " << pin.seed;
+    EXPECT_EQ(r.events, pin.events) << "seed " << pin.seed;
   }
-}
-
-// The crypto hot-path kernel (multi-lane SHA-256, one-shot digests,
-// incremental tree rehash) replaces how bytes get hashed, never what gets
-// hashed or what the cost model charges: same seed => byte-identical trace
-// with the kernel on or off, under faults and fault-free alike.
-class ScopedCryptoKernel {
- public:
-  explicit ScopedCryptoKernel(bool on)
-      : prev_(hotpath::crypto_kernel_enabled()) {
-    hotpath::SetCryptoKernelEnabled(on);
-  }
-  ~ScopedCryptoKernel() { hotpath::SetCryptoKernelEnabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-TEST(KernelWitness, CryptoKernelInvisibleInTraces) {
-  for (uint64_t seed : {1, 9, 17}) {
-    ChaosOptions options;
-    options.seed = seed;
-    ChaosRunResult on;
-    {
-      ScopedCryptoKernel crypto(true);
-      on = RunChaos(options);
-    }
-    ChaosRunResult off;
-    {
-      ScopedCryptoKernel crypto(false);
-      off = RunChaos(options);
-    }
-    EXPECT_EQ(on.trace_digest.Hex(), off.trace_digest.Hex())
-        << "seed " << seed;
-    EXPECT_EQ(on.trace_events, off.trace_events) << "seed " << seed;
-    EXPECT_EQ(on.verdict.linearizable, off.verdict.linearizable)
-        << "seed " << seed;
-  }
-  TraceResult on;
-  {
-    ScopedCryptoKernel crypto(true);
-    on = RunWallclock(1, 1, 40, 7001);
-  }
-  TraceResult off;
-  {
-    ScopedCryptoKernel crypto(false);
-    off = RunWallclock(1, 1, 40, 7001);
-  }
-  ASSERT_TRUE(on.ok);
-  ASSERT_TRUE(off.ok);
-  EXPECT_EQ(on.digest, off.digest);
-  EXPECT_EQ(on.events, off.events);
 }
 
 }  // namespace

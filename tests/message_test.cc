@@ -325,17 +325,5 @@ TEST(DeliveryDigestMemo, StaleAddressDoesNotServeOldDigest) {
   EXPECT_FALSE(memo.Lookup(second).has_value());
 }
 
-TEST(DeliveryDigestMemo, DisabledHotPathCachesAlwaysMiss) {
-  // With hotpath caches off (the bench's "before" profile) the memo must be
-  // inert: Store is a no-op and Lookup always misses.
-  DeliveryDigestMemo memo;
-  auto buf = std::make_shared<const Bytes>(ToBytes("buf"));
-  hotpath::SetCachesEnabled(false);
-  memo.Store(buf, Digest::Of(ToBytes("d")));
-  EXPECT_FALSE(memo.Lookup(buf).has_value());
-  hotpath::SetCachesEnabled(true);
-  EXPECT_EQ(memo.size(), 0u);
-}
-
 }  // namespace
 }  // namespace bftbase

@@ -13,28 +13,6 @@
 namespace bftbase {
 namespace {
 
-// Runs a test body under both the scale-out and the legacy kernel (the
-// switch is sampled when the Simulation is constructed inside the body).
-class ScopedKernel {
- public:
-  explicit ScopedKernel(bool enable)
-      : prev_(hotpath::scale_kernel_enabled()) {
-    hotpath::SetScaleKernelEnabled(enable);
-  }
-  ~ScopedKernel() { hotpath::SetScaleKernelEnabled(prev_); }
-
- private:
-  bool prev_;
-};
-
-void ForBothKernels(const std::function<void(bool scale)>& body) {
-  for (bool scale : {true, false}) {
-    ScopedKernel kernel(scale);
-    SCOPED_TRACE(scale ? "scale kernel" : "legacy kernel");
-    body(scale);
-  }
-}
-
 class RecordingNode : public SimNode {
  public:
   void OnMessage(NodeId from, const Bytes& payload) override {
@@ -320,12 +298,9 @@ TEST(Network, MulticastSharesOneCopyAcrossRecipients) {
     ASSERT_EQ(nodes[i].messages.size(), 1u) << i;
     EXPECT_EQ(ToString(nodes[i].messages[0].second), "shared payload");
   }
-  // One materialization of the shared buffer for n recipients; the old
-  // copy-per-recipient fabric (the "eager" counters) would have made four.
+  // One materialization of the shared buffer for n recipients.
   EXPECT_EQ(sim.network().payload_copies(), 1u);
   EXPECT_EQ(sim.network().bytes_copied(), payload.size());
-  EXPECT_EQ(sim.network().eager_copies(), 4u);
-  EXPECT_EQ(sim.network().eager_copy_bytes(), 4u * payload.size());
   EXPECT_EQ(sim.metrics().Total("hot.payload_copies"), 1u);
 }
 
@@ -552,165 +527,144 @@ TEST(Simulation, CancellingFiredTimersStaysBounded) {
   // leaked an entry per request. With generation-checked pool slots, a stale
   // cancel is an O(1) no-op and the only bookkeeping is the pool itself,
   // whose size is bounded by the maximum number of *concurrent* events.
-  ForBothKernels([](bool) {
-    Simulation sim(1);
-    int fired = 0;
-    for (int i = 0; i < 10000; ++i) {
-      TimerId id = sim.After(Simulation::kNoOwner, 1, [&] { ++fired; });
-      sim.RunUntilIdle();
-      sim.Cancel(id);  // timer already fired: must not grow anything
-      sim.Cancel(id);  // repeated cancels are idempotent
-    }
-    EXPECT_EQ(fired, 10000);
-    // One timer in flight at a time => a handful of pool slots, not 10000.
-    EXPECT_LE(sim.event_pool_slots(), 4u);
-    EXPECT_EQ(sim.event_pool_live(), 0u);
-    // Garbage ids (never issued) are also O(1) no-ops.
-    sim.Cancel(0);
-    sim.Cancel(~TimerId{0});
-    EXPECT_LE(sim.event_pool_slots(), 4u);
-  });
+  Simulation sim(1);
+  int fired = 0;
+  for (int i = 0; i < 10000; ++i) {
+    TimerId id = sim.After(Simulation::kNoOwner, 1, [&] { ++fired; });
+    sim.RunUntilIdle();
+    sim.Cancel(id);  // timer already fired: must not grow anything
+    sim.Cancel(id);  // repeated cancels are idempotent
+  }
+  EXPECT_EQ(fired, 10000);
+  // One timer in flight at a time => a handful of pool slots, not 10000.
+  EXPECT_LE(sim.event_pool_slots(), 4u);
+  EXPECT_EQ(sim.event_pool_live(), 0u);
+  // Garbage ids (never issued) are also O(1) no-ops.
+  sim.Cancel(0);
+  sim.Cancel(~TimerId{0});
+  EXPECT_LE(sim.event_pool_slots(), 4u);
 }
 
 TEST(Simulation, CancelledPendingTimersRecycleSlots) {
-  ForBothKernels([](bool) {
-    Simulation sim(1);
-    const hotpath::Counters before = hotpath::counters();
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      TimerId id = sim.After(Simulation::kNoOwner, 10, [&] { ++fired; });
-      sim.Cancel(id);
-      sim.RunUntilIdle();  // prunes the cancelled head, recycling its slot
-    }
-    EXPECT_EQ(fired, 0);
-    EXPECT_LE(sim.event_pool_slots(), 4u);
-    const hotpath::Counters& after = hotpath::counters();
-    EXPECT_GE(after.events_pruned - before.events_pruned, 1000u);
-    EXPECT_GE(after.event_pool_reuses - before.event_pool_reuses, 900u);
-  });
+  Simulation sim(1);
+  const hotpath::Counters before = hotpath::counters();
+  int fired = 0;
+  for (int i = 0; i < 1000; ++i) {
+    TimerId id = sim.After(Simulation::kNoOwner, 10, [&] { ++fired; });
+    sim.Cancel(id);
+    sim.RunUntilIdle();  // prunes the cancelled head, recycling its slot
+  }
+  EXPECT_EQ(fired, 0);
+  EXPECT_LE(sim.event_pool_slots(), 4u);
+  const hotpath::Counters& after = hotpath::counters();
+  EXPECT_GE(after.events_pruned - before.events_pruned, 1000u);
+  EXPECT_GE(after.event_pool_reuses - before.event_pool_reuses, 900u);
 }
 
 TEST(Simulation, EventPoolRecyclesSlotsUnderSteadyTraffic) {
-  ForBothKernels([](bool scale) {
-    Simulation sim(1);
-    RecordingNode receiver;
-    sim.AddNode(2, &receiver);
-    const hotpath::Counters before = hotpath::counters();
-    for (int i = 0; i < 500; ++i) {
-      sim.After(1, i * 10, [&] { sim.network().Send(1, 2, ToBytes("m")); });
-      sim.RunUntilIdle();
-    }
-    EXPECT_EQ(receiver.messages.size(), 500u);
-    if (scale) {
-      // Steady-state traffic runs out of recycled slots: the pool stays a
-      // few slots deep instead of growing one slot per event.
-      EXPECT_LE(sim.event_pool_slots(), 8u);
-      const hotpath::Counters& after = hotpath::counters();
-      EXPECT_GT(after.event_pool_reuses - before.event_pool_reuses, 400u);
-    }
-    EXPECT_EQ(sim.event_pool_live(), 0u);
-  });
+  Simulation sim(1);
+  RecordingNode receiver;
+  sim.AddNode(2, &receiver);
+  const hotpath::Counters before = hotpath::counters();
+  for (int i = 0; i < 500; ++i) {
+    sim.After(1, i * 10, [&] { sim.network().Send(1, 2, ToBytes("m")); });
+    sim.RunUntilIdle();
+  }
+  EXPECT_EQ(receiver.messages.size(), 500u);
+  // Steady-state traffic runs out of recycled slots: the pool stays a few
+  // slots deep instead of growing one slot per event.
+  EXPECT_LE(sim.event_pool_slots(), 8u);
+  const hotpath::Counters& after = hotpath::counters();
+  EXPECT_GT(after.event_pool_reuses - before.event_pool_reuses, 400u);
+  EXPECT_EQ(sim.event_pool_live(), 0u);
 }
 
 TEST(Simulation, BusyNodeDeferralMovesNotCopies) {
-  ForBothKernels([](bool scale) {
-    Simulation sim(1);
-    // The receiver observes the refcount of the in-flight delivery buffer:
-    // under the scale kernel the payload is moved pool-slot -> handler, so
-    // the only reference is current_delivery_ itself. (The legacy kernel's
-    // event copies keep extra references — the behavior the counter-measured
-    // move-only requeue replaced.)
-    class CountingNode : public SimNode {
-     public:
-      CountingNode(Simulation* sim) : sim_(sim) {}
-      void OnMessage(NodeId, const Bytes&) override {
-        use_counts.push_back(sim_->current_delivery().use_count());
-        sim_->ChargeCpu(5000);  // make this node busy for the next arrival
-      }
-      std::vector<long> use_counts;
-
-     private:
-      Simulation* sim_;
-    };
-    CountingNode receiver(&sim);
-    sim.AddNode(2, &receiver);
-    const hotpath::Counters before = hotpath::counters();
-    sim.After(1, 0, [&] {
-      sim.network().Send(1, 2, ToBytes("first"));
-      sim.network().Send(1, 2, ToBytes("second"));  // arrives while busy
-    });
-    sim.RunUntilIdle();
-    ASSERT_EQ(receiver.use_counts.size(), 2u);
-    const hotpath::Counters& after = hotpath::counters();
-    // The second delivery found node 2 busy and was deferred behind it.
-    EXPECT_GE(after.events_requeued - before.events_requeued, 1u);
-    if (scale) {
-      EXPECT_EQ(receiver.use_counts[0], 1);
-      EXPECT_EQ(receiver.use_counts[1], 1);  // requeue did not copy
+  Simulation sim(1);
+  // The receiver observes the refcount of the in-flight delivery buffer: the
+  // payload is moved pool-slot -> handler, so the only reference is
+  // current_delivery_ itself, even after a deferral behind a busy node.
+  class CountingNode : public SimNode {
+   public:
+    CountingNode(Simulation* sim) : sim_(sim) {}
+    void OnMessage(NodeId, const Bytes&) override {
+      use_counts.push_back(sim_->current_delivery().use_count());
+      sim_->ChargeCpu(5000);  // make this node busy for the next arrival
     }
+    std::vector<long> use_counts;
+
+   private:
+    Simulation* sim_;
+  };
+  CountingNode receiver(&sim);
+  sim.AddNode(2, &receiver);
+  const hotpath::Counters before = hotpath::counters();
+  sim.After(1, 0, [&] {
+    sim.network().Send(1, 2, ToBytes("first"));
+    sim.network().Send(1, 2, ToBytes("second"));  // arrives while busy
   });
+  sim.RunUntilIdle();
+  ASSERT_EQ(receiver.use_counts.size(), 2u);
+  const hotpath::Counters& after = hotpath::counters();
+  // The second delivery found node 2 busy and was deferred behind it.
+  EXPECT_GE(after.events_requeued - before.events_requeued, 1u);
+  EXPECT_EQ(receiver.use_counts[0], 1);
+  EXPECT_EQ(receiver.use_counts[1], 1);  // requeue did not copy
 }
 
 TEST(Simulation, RemoveNodeClearsBusyHorizon) {
   // A node that crashes mid-handler and is later re-added under the same id
   // must not inherit the dead incarnation's busy-until time.
-  ForBothKernels([](bool) {
-    Simulation sim(1);
-    RecordingNode node;
-    sim.AddNode(5, &node);
-    std::vector<SimTime> run_times;
-    sim.After(5, 100, [&] {
-      run_times.push_back(sim.Now());
-      sim.ChargeCpu(50000);  // busy until 50100
-    });
-    sim.After(Simulation::kNoOwner, 200, [&] {
-      sim.RemoveNode(5);  // crash: discard the in-progress incarnation
-      sim.AddNode(5, &node);
-    });
-    sim.After(5, 300, [&] { run_times.push_back(sim.Now()); });
-    sim.RunUntilIdle();
-    ASSERT_EQ(run_times.size(), 2u);
-    EXPECT_EQ(run_times[0], 100);
-    EXPECT_EQ(run_times[1], 300);  // not deferred to 50100
+  Simulation sim(1);
+  RecordingNode node;
+  sim.AddNode(5, &node);
+  std::vector<SimTime> run_times;
+  sim.After(5, 100, [&] {
+    run_times.push_back(sim.Now());
+    sim.ChargeCpu(50000);  // busy until 50100
   });
+  sim.After(Simulation::kNoOwner, 200, [&] {
+    sim.RemoveNode(5);  // crash: discard the in-progress incarnation
+    sim.AddNode(5, &node);
+  });
+  sim.After(5, 300, [&] { run_times.push_back(sim.Now()); });
+  sim.RunUntilIdle();
+  ASSERT_EQ(run_times.size(), 2u);
+  EXPECT_EQ(run_times[0], 100);
+  EXPECT_EQ(run_times[1], 300);  // not deferred to 50100
 }
 
-TEST(Simulation, KernelsProduceIdenticalTraces) {
-  // Cross-kernel determinism on a workload that exercises every scheduler
-  // path: sends, multicasts, drops, CPU serialization (deferrals), timers
-  // and cancellations. The full-size witness is tests/kernel_witness_test.cc.
-  auto run = [](bool scale) {
-    ScopedKernel kernel(scale);
-    Simulation sim(42);
-    sim.trace().Enable();
-    RecordingNode nodes[4];
-    for (int i = 0; i < 4; ++i) {
-      sim.AddNode(i, &nodes[i]);
-    }
-    sim.network().SetDropProbability(0.2);
-    std::vector<TimerId> timers;
-    for (int i = 0; i < 50; ++i) {
-      sim.After(i % 4, i * 7, [&sim, i] {
-        sim.ChargeCpu(100 * (i % 3));
-        sim.network().Send(i % 4, (i + 1) % 4, ToBytes("ping"));
-        if (i % 5 == 0) {
-          sim.network().Multicast(i % 4, 0, 4, ToBytes("all"), i % 4);
-        }
-      });
-      timers.push_back(
-          sim.After(Simulation::kNoOwner, i * 11 + 1000, [] {}));
-    }
-    for (size_t i = 0; i < timers.size(); i += 2) {
-      sim.Cancel(timers[i]);
-    }
-    sim.RunUntilIdle();
-    return std::make_pair(sim.trace().digest().Hex(),
-                          sim.events_processed());
-  };
-  auto fast = run(true);
-  auto legacy = run(false);
-  EXPECT_EQ(fast.first, legacy.first);
-  EXPECT_EQ(fast.second, legacy.second);
+TEST(Simulation, SchedulerTraceMatchesPin) {
+  // Event order on a workload that exercises every scheduler path: sends,
+  // multicasts, drops, CPU serialization (deferrals), timers and
+  // cancellations. The pin was recorded when the pooled kernel and the
+  // std::priority_queue kernel it replaced still agreed on it (commit
+  // fb72bea); a kernel change that moves it changed observable order. The
+  // full-size witness is tests/kernel_witness_test.cc.
+  Simulation sim(42);
+  sim.trace().Enable();
+  RecordingNode nodes[4];
+  for (int i = 0; i < 4; ++i) {
+    sim.AddNode(i, &nodes[i]);
+  }
+  sim.network().SetDropProbability(0.2);
+  std::vector<TimerId> timers;
+  for (int i = 0; i < 50; ++i) {
+    sim.After(i % 4, i * 7, [&sim, i] {
+      sim.ChargeCpu(100 * (i % 3));
+      sim.network().Send(i % 4, (i + 1) % 4, ToBytes("ping"));
+      if (i % 5 == 0) {
+        sim.network().Multicast(i % 4, 0, 4, ToBytes("all"), i % 4);
+      }
+    });
+    timers.push_back(sim.After(Simulation::kNoOwner, i * 11 + 1000, [] {}));
+  }
+  for (size_t i = 0; i < timers.size(); i += 2) {
+    sim.Cancel(timers[i]);
+  }
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.trace().digest().Hex(), "9f6f920e8ba8");
+  EXPECT_EQ(sim.events_processed(), 142u);
 }
 
 TEST(Simulation, PeakQueueDepthTracksHighWaterMark) {
