@@ -15,6 +15,7 @@
 #include "src/basefs/basefs_group.h"
 #include "src/basefs/fs_session.h"
 #include "src/sim/storage.h"
+#include "tests/checkpoint_helpers.h"
 
 using namespace bftbase;
 
@@ -163,7 +164,7 @@ Digest ExpectedRoot(size_t objects) {
     RunDurableBatch(twin, seq, static_cast<uint32_t>(seq - 1), value,
                     /*log=*/false);
   }
-  return twin.TakeCheckpoint(objects);
+  return TakeCheckpointNow(sim, twin, objects);
 }
 
 struct DurableCell {
@@ -206,7 +207,7 @@ DurableCell RunDurableRecovery(size_t objects, uint64_t tail) {
     RunDurableBatch(svc, seq, static_cast<uint32_t>(seq - 1), value,
                     /*log=*/true);
     if (seq == cell.checkpoint_seq) {
-      svc.TakeCheckpoint(seq);  // persists pages, truncates the WAL
+      TakeCheckpointNow(sim, svc, seq);  // persists pages, truncates the WAL
     }
   }
 
@@ -222,7 +223,8 @@ DurableCell RunDurableRecovery(size_t objects, uint64_t tail) {
   cell.bytes_read = dev.bytes_read() - read_before;
   cell.load_us = info.load_time_us;
   cell.replay_us = info.replay_time_us;
-  cell.verified = svc.TakeCheckpoint(objects) == ExpectedRoot(objects);
+  cell.verified =
+      TakeCheckpointNow(sim, svc, objects) == ExpectedRoot(objects);
   return cell;
 }
 

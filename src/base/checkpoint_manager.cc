@@ -45,8 +45,8 @@ void CheckpointManager::OnModify(size_t object_index) {
   it->second.cow.emplace(leaf, adapter_->GetObj(object_index));
 }
 
-Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
-                                         const Bytes& protocol_state) {
+CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
+    SeqNum seq, const Bytes& protocol_state) {
   assert(seq > latest_seq_);
   // Account for array growth since the previous checkpoint.
   size_t new_leaf_count = adapter_->ObjectCount() + 1;
@@ -61,6 +61,9 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
 
   protocol_state_ = protocol_state;
   dirty_.insert(0);
+  const SimTime node_cost =
+      sim_->cost().DigestCost(tree_.branching() * Digest::kSize);
+  Taken taken;
 
   if (full_copy_) {
     // Ablation mode (bench E4): snapshot the entire abstract state.
@@ -70,23 +73,23 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
     for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
       Bytes value = leaf == 0 ? protocol_state_
                               : adapter_->GetObj(ObjectForLeaf(leaf));
-      ChargeDigest(value.size());
+      taken.digest_cpu += sim_->cost().DigestCost(value.size());
       tree_.SetLeaf(leaf, Digest::Of(value));
       full.cow.emplace(leaf, std::move(value));
     }
-    Digest root = tree_.Root();
-    sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *
-                    sim_->cost().DigestCost(tree_.branching() * Digest::kSize));
-    full.root = root;
+    taken.root = tree_.Root();
+    taken.digest_cpu +=
+        static_cast<SimTime>(tree_.TakeRecomputedNodes()) * node_cost;
+    full.root = taken.root;
     latest_seq_ = seq;
-    latest_root_ = root;
+    latest_root_ = taken.root;
     checkpoints_.emplace(seq, std::move(full));
     last_checkpoint_updates_.clear();
     for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
       last_checkpoint_updates_.push_back(leaf);
     }
     dirty_.clear();
-    return root;
+    return taken;
   }
 
   // Copy-on-write mode: only leaves touched since the previous checkpoint
@@ -101,7 +104,7 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
   for (size_t leaf : leaves) {
     values.push_back(leaf == 0 ? protocol_state_
                                : adapter_->GetObj(ObjectForLeaf(leaf)));
-    ChargeDigest(values.back().size());
+    taken.digest_cpu += sim_->cost().DigestCost(values.back().size());
     views.emplace_back(values.back().data(), values.back().size());
   }
   std::vector<std::array<uint8_t, Digest::kSize>> digests(leaves.size());
@@ -137,20 +140,20 @@ Digest CheckpointManager::TakeCheckpoint(SeqNum seq,
   for (size_t i = 0; i < count; ++i) {
     tree_.SetLeaf(leaves[i], Digest(digests[i]));
   }
-  Digest root = tree_.Root();
-  sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *
-                  sim_->cost().DigestCost(tree_.branching() * Digest::kSize));
+  taken.root = tree_.Root();
+  taken.digest_cpu +=
+      static_cast<SimTime>(tree_.TakeRecomputedNodes()) * node_cost;
 
   Checkpoint checkpoint;
   checkpoint.seq = seq;
-  checkpoint.root = root;
+  checkpoint.root = taken.root;
   checkpoint.leaf_count = leaf_count_;
   checkpoints_.emplace(seq, std::move(checkpoint));
   latest_seq_ = seq;
-  latest_root_ = root;
+  latest_root_ = taken.root;
   last_checkpoint_updates_.assign(dirty_.begin(), dirty_.end());
   dirty_.clear();
-  return root;
+  return taken;
 }
 
 void CheckpointManager::DiscardBefore(SeqNum seq) {

@@ -44,9 +44,15 @@ class CheckpointManager {
   static size_t LeafForObject(size_t object_index) { return object_index + 1; }
   static size_t ObjectForLeaf(size_t leaf_index) { return leaf_index - 1; }
 
-  // Takes a checkpoint at `seq` with the given protocol-state blob; returns
-  // the root digest (the agreed state digest for CHECKPOINT messages).
-  Digest TakeCheckpoint(SeqNum seq, const Bytes& protocol_state);
+  // Takes a checkpoint at `seq` with the given protocol-state blob. The root
+  // digest (the agreed state digest for CHECKPOINT messages) is computed
+  // now; the virtual CPU of the leaf digests and the tree rehash is returned
+  // instead of charged, for the caller to run on the replica's idle lane.
+  struct Taken {
+    Digest root;
+    SimTime digest_cpu = 0;
+  };
+  Taken TakeCheckpoint(SeqNum seq, const Bytes& protocol_state);
 
   // Discards checkpoints older than `seq` (the stable one).
   void DiscardBefore(SeqNum seq);

@@ -1,6 +1,7 @@
 #include "src/base/replica_service.h"
 
 #include <algorithm>
+#include <cassert>
 #include <set>
 
 #include "src/util/codec.h"
@@ -36,10 +37,11 @@ ReplicaService::ReplicaService(Simulation* sim, const Config& config,
     storage_ = options_.storage;
     wal_ = std::make_unique<WriteAheadLog>(storage_);
     // A finished state transfer must also land on disk: persist the fetched
-    // leaves PLUS every leaf dirtied since our last checkpoint (those were
-    // correctly not fetched when the live value already matched the target,
-    // but their durable pages are stale), then cut the WAL back to the
-    // installed sequence number.
+    // leaves PLUS every leaf whose page is stale — dirtied since our last
+    // checkpoint, or captured by a checkpoint still pending on the idle lane,
+    // whose commit the installed one supersedes. Those leaves were correctly
+    // not fetched when the live value already matched the target. Then cut
+    // the WAL back to the installed sequence number.
     state_transfer_.SetInstaller([this](SeqNum seq, const Digest& root,
                                         size_t leaf_count,
                                         const std::vector<ObjectUpdate>&
@@ -47,6 +49,11 @@ ReplicaService::ReplicaService(Simulation* sim, const Config& config,
       std::vector<size_t> stale = cm_.DirtyLeaves();
       cm_.InstallFetchedState(seq, root, leaf_count, updates);
       std::set<size_t> persist(stale.begin(), stale.end());
+      for (const DurableCheckpoint& pending : pending_checkpoints_) {
+        for (const auto& page : pending.pages) {
+          persist.insert(page.first);
+        }
+      }
       for (const ObjectUpdate& update : updates) {
         persist.insert(update.index);
       }
@@ -57,7 +64,7 @@ ReplicaService::ReplicaService(Simulation* sim, const Config& config,
           leaves.push_back(leaf);
         }
       }
-      PersistCheckpoint(seq, root, leaves);
+      CommitCheckpoint(CaptureCheckpoint(seq, root, leaves));
       wal_->TruncateThrough(seq);
     });
   }
@@ -118,19 +125,57 @@ bool ReplicaService::CheckNondet(BytesView nondet) {
   return delta <= options_.nondet_tolerance;
 }
 
-Digest ReplicaService::TakeCheckpoint(SeqNum seq) {
-  Digest root = cm_.TakeCheckpoint(seq, pending_protocol_state_);
+void ReplicaService::TakeCheckpoint(SeqNum seq, CheckpointDoneFn done) {
+  CheckpointManager::Taken taken =
+      cm_.TakeCheckpoint(seq, pending_protocol_state_);
+  // The pages and header are captured now: the objects (and the agreed
+  // timestamp) move on as later batches execute.
+  DurableCheckpoint durable;
+  durable.seq = seq;
+  if (storage_ != nullptr) {
+    durable = CaptureCheckpoint(seq, taken.root, cm_.last_checkpoint_updates());
+  }
+  // Copy-on-write froze this checkpoint's values, so its digest work can run
+  // in idle time; until it has, the root stays inside the replica.
+  pending_checkpoints_.push_back(std::move(durable));
+  state_transfer_.HoldServing();
+  sim_->RunWhenIdle(self_, taken.digest_cpu,
+                    [this, root = taken.root, done = std::move(done)] {
+                      CompleteCheckpoint(root, done);
+                    });
+}
+
+void ReplicaService::CompleteCheckpoint(const Digest& root,
+                                        const CheckpointDoneFn& done) {
+  // Lane jobs run FIFO, so this job's checkpoint is the oldest pending one.
+  assert(!pending_checkpoints_.empty());
+  DurableCheckpoint checkpoint = std::move(pending_checkpoints_.front());
+  pending_checkpoints_.pop_front();
   if (storage_ != nullptr) {
     // Persist order matters: commit the checkpoint pages first, THEN cut the
     // WAL. A crash between the two leaves both the checkpoint and the full
-    // log on disk; replay skips records with seq <= the header's. This local
-    // checkpoint is not yet provably stable, so the cut only drops batch
-    // records — prepared certificates survive until a stable proof at >=
-    // their seq is durable (see WriteAheadLog::TruncateThrough).
-    PersistCheckpoint(seq, root, cm_.last_checkpoint_updates());
+    // log on disk; replay skips records with seq <= the header's. A state
+    // transfer may already have installed (and persisted) a newer
+    // checkpoint, which this one must not overwrite. This local checkpoint
+    // is not yet provably stable, so the cut only drops batch records —
+    // prepared certificates survive until a stable proof at >= their seq is
+    // durable (see WriteAheadLog::TruncateThrough).
+    if (checkpoint.seq > durable_checkpoint_seq_) {
+      CommitCheckpoint(std::move(checkpoint));
+    }
     wal_->TruncateThrough(durable_checkpoint_seq_);
   }
-  return root;
+  const bool last_pending = pending_checkpoints_.empty();
+  done(root);
+  if (last_pending) {
+    state_transfer_.ReleaseServing();
+  }
+}
+
+void ReplicaService::DropPendingCheckpoints() {
+  sim_->DropIdleJobs(self_);
+  pending_checkpoints_.clear();
+  state_transfer_.DropHeldRequests();
 }
 
 void ReplicaService::DiscardCheckpointsBefore(SeqNum seq) {
@@ -161,19 +206,30 @@ void ReplicaService::SetStateSender(StateSenderFn fn) {
       });
 }
 
-void ReplicaService::PersistCheckpoint(SeqNum seq, const Digest& root,
-                                       const std::vector<size_t>& leaves) {
+ReplicaService::DurableCheckpoint ReplicaService::CaptureCheckpoint(
+    SeqNum seq, const Digest& root, const std::vector<size_t>& leaves) {
+  DurableCheckpoint checkpoint;
+  checkpoint.seq = seq;
+  checkpoint.pages.reserve(leaves.size());
   for (size_t leaf : leaves) {
-    storage_->StagePut(leaf, cm_.LeafValue(leaf));
+    checkpoint.pages.emplace_back(leaf, cm_.LeafValue(leaf));
   }
   Encoder header;
   header.PutU64(seq);
   header.PutFixed(root.view());
   header.PutU64(cm_.LeafCount());
   header.PutU64(last_agreed_timestamp_);
-  storage_->StageHeader(header.Take());
+  checkpoint.header = header.Take();
+  return checkpoint;
+}
+
+void ReplicaService::CommitCheckpoint(DurableCheckpoint checkpoint) {
+  for (auto& [leaf, value] : checkpoint.pages) {
+    storage_->StagePut(leaf, std::move(value));
+  }
+  storage_->StageHeader(std::move(checkpoint.header));
   storage_->CommitPages();
-  durable_checkpoint_seq_ = seq;
+  durable_checkpoint_seq_ = checkpoint.seq;
 }
 
 void ReplicaService::LogBatch(SeqNum seq, BytesView nondet,
@@ -225,6 +281,7 @@ void ReplicaService::OnCrash() {
   state_transfer_.Abort();
   state_transfer_.SetServing(true);
   state_transfer_.SetLocalSource(nullptr);
+  DropPendingCheckpoints();
   rebuilding_ = false;
   recovery_disk_.clear();
   pending_protocol_state_.clear();
@@ -394,6 +451,7 @@ void ReplicaService::RestartFromRecovery() {
   // anything else (Start() is a no-op while a transfer is active, so without
   // this the recovery's own discovery fetch would be silently ignored).
   state_transfer_.Abort();
+  DropPendingCheckpoints();
   rebuilding_ = true;
   state_transfer_.SetServing(false);
   if (storage_ != nullptr) {

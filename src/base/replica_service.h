@@ -11,6 +11,7 @@
 #ifndef SRC_BASE_REPLICA_SERVICE_H_
 #define SRC_BASE_REPLICA_SERVICE_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -53,7 +54,7 @@ class ReplicaService : public ServiceInterface {
                 bool tentative) override;
   Bytes ProposeNondet() override;
   bool CheckNondet(BytesView nondet) override;
-  Digest TakeCheckpoint(SeqNum seq) override;
+  void TakeCheckpoint(SeqNum seq, CheckpointDoneFn done) override;
   void DiscardCheckpointsBefore(SeqNum seq) override;
   void HandleStateMessage(NodeId from, BytesView payload) override;
   void StartStateTransfer(SeqNum seq, const Digest& digest) override;
@@ -91,10 +92,26 @@ class ReplicaService : public ServiceInterface {
   static std::optional<SimTime> DecodeNondet(BytesView nondet);
 
  private:
-  // Persists the durable checkpoint at (seq, root): stages the given leaves'
-  // checkpoint values plus the header and commits them atomically.
-  void PersistCheckpoint(SeqNum seq, const Digest& root,
-                         const std::vector<size_t>& leaves);
+  // A durable checkpoint ready to commit: the checkpoint values of the
+  // leaves whose pages are stale, plus the header, captured when the
+  // checkpoint is taken or installed.
+  struct DurableCheckpoint {
+    SeqNum seq = 0;
+    std::vector<std::pair<size_t, Bytes>> pages;
+    Bytes header;
+  };
+  DurableCheckpoint CaptureCheckpoint(SeqNum seq, const Digest& root,
+                                      const std::vector<size_t>& leaves);
+  // Stages the pages plus the header and commits them atomically.
+  void CommitCheckpoint(DurableCheckpoint checkpoint);
+  // Finishes the oldest pending checkpoint, whose digest work just ran on
+  // the idle lane: commits its pages (unless a newer checkpoint is already
+  // on disk), cuts the WAL, then reports the root.
+  void CompleteCheckpoint(const Digest& root, const CheckpointDoneFn& done);
+  // The process died or rebooted: the idle-lane jobs of pending checkpoints
+  // are dropped unrun, and so are the state-transfer requests they held
+  // back.
+  void DropPendingCheckpoints();
 
   Simulation* sim_;
   Config config_;
@@ -113,6 +130,10 @@ class ReplicaService : public ServiceInterface {
   // (stable adopted from the group before our pages caught up) or lead it
   // (local checkpoint taken, 2f+1 votes still outstanding).
   SeqNum durable_checkpoint_seq_ = 0;
+  // Checkpoints taken whose idle-lane job has not run yet, oldest first,
+  // each with its captured pages (none without storage); while any is
+  // pending, state-transfer answers are held.
+  std::deque<DurableCheckpoint> pending_checkpoints_;
 
   // Proactive-recovery "disk": the abstract state saved before the reboot.
   struct SavedLeaf {

@@ -32,6 +32,10 @@ ServiceGroup::ServiceGroup(Params params, AdapterFactory factory)
         sim_.get(), keys_.get(), params_.config, id, services_.back().get()));
   }
   clients_.resize(params_.config.max_clients);
+  // Each replica's cold FullResync charged one digest per leaf with no
+  // handler running; that work is done before the run starts and must not
+  // hold back the messages sent before the first event.
+  sim_->DiscardCpuOutsideEvents();
 }
 
 ServiceGroup::~ServiceGroup() = default;

@@ -64,6 +64,13 @@ void StateTransfer::HandleMessage(NodeId from, BytesView payload) {
   Decoder dec(payload);
   uint8_t sub = dec.GetU8();
   BytesView rest = payload.subspan(1);
+  if (serving_held_ &&
+      (sub == kFetchRoot || sub == kFetchMeta || sub == kFetchData)) {
+    if (held_requests_.size() < kMaxHeldRequests) {
+      held_requests_.emplace_back(from, Bytes(payload.begin(), payload.end()));
+    }
+    return;
+  }
   switch (sub) {
     case kFetchRoot:
       ServeFetchRoot(from);
@@ -89,6 +96,20 @@ void StateTransfer::HandleMessage(NodeId from, BytesView payload) {
 }
 
 // ------------------------------------------------------------------ server
+
+void StateTransfer::ReleaseServing() {
+  serving_held_ = false;
+  std::deque<std::pair<NodeId, Bytes>> held;
+  held.swap(held_requests_);
+  for (const auto& [from, payload] : held) {
+    HandleMessage(from, BytesView(payload.data(), payload.size()));
+  }
+}
+
+void StateTransfer::DropHeldRequests() {
+  serving_held_ = false;
+  held_requests_.clear();
+}
 
 void StateTransfer::ServeFetchRoot(NodeId from) {
   if (!serving_ || !send_) {

@@ -94,6 +94,15 @@ class StateTransfer {
   // replica's own state is mid-rebuild).
   void SetServing(bool serving) { serving_ = serving; }
 
+  // While held, Fetch* requests are queued (up to kMaxHeldRequests, the rest
+  // dropped for the fetcher to retry) instead of answered: the latest
+  // checkpoint is taken but its digest work has not run yet, so no answer
+  // about it may leave the replica. ReleaseServing answers the queued
+  // requests in arrival order; DropHeldRequests (a crash) discards them.
+  void HoldServing() { serving_held_ = true; }
+  void ReleaseServing();
+  void DropHeldRequests();
+
   // Byzantine fault hook: serve garbled partition values in DATA replies
   // (the state-transfer lying adversary). Fetchers verify every value
   // against its leaf digest, so poisoned values must be rejected and
@@ -155,6 +164,9 @@ class StateTransfer {
   InstallFn installer_;
 
   bool serving_ = true;
+  static constexpr size_t kMaxHeldRequests = 1024;
+  bool serving_held_ = false;
+  std::deque<std::pair<NodeId, Bytes>> held_requests_;
   bool poison_serving_ = false;
   uint64_t poisoned_values_served_ = 0;
   bool active_ = false;

@@ -12,6 +12,8 @@ namespace {
 constexpr const char kRequestsExecuted[] = "replica.requests_executed";
 constexpr const char kBatchesExecuted[] = "replica.batches_executed";
 constexpr const char kViewChangesStarted[] = "replica.view_changes_started";
+// Virtual µs from taking a checkpoint to sending its CHECKPOINT vote.
+constexpr const char kCheckpointVoteLag[] = "replica.checkpoint_vote_lag_us";
 }  // namespace
 
 uint64_t Replica::requests_executed() const {
@@ -845,13 +847,23 @@ void Replica::MaybeTakeCheckpoint() {
   Bytes reply_cache_blob = EncodeReplyCache();
   Digest reply_cache_digest = Digest::Of(reply_cache_blob);
   service_->SetProtocolState(std::move(reply_cache_blob));
-  Digest digest = service_->TakeCheckpoint(seq);
-  sim_->trace().Record(TraceEvent::kCheckpointTaken, sim_->Now(), id_, -1,
-                       seq, 0, digest.view());
-  if (observer_ != nullptr) {
-    observer_->OnCheckpointTaken(id_, seq, digest, reply_cache_digest);
-  }
-  BroadcastCheckpointVote(seq, digest);
+  // The service reports the digest once its digest work has run in idle
+  // time (DESIGN.md §12); the replica keeps executing meanwhile.
+  service_->TakeCheckpoint(
+      seq, [this, seq, reply_cache_digest, taken_at = sim_->Now(),
+            incarnation = incarnation_](const Digest& digest) {
+        if (incarnation != incarnation_ || crashed_) {
+          return;
+        }
+        sim_->metrics().Observe(kCheckpointVoteLag, sim_->Now() - taken_at,
+                                id_);
+        sim_->trace().Record(TraceEvent::kCheckpointTaken, sim_->Now(), id_,
+                             -1, seq, 0, digest.view());
+        if (observer_ != nullptr) {
+          observer_->OnCheckpointTaken(id_, seq, digest, reply_cache_digest);
+        }
+        BroadcastCheckpointVote(seq, digest);
+      });
 }
 
 void Replica::BroadcastCheckpointVote(SeqNum seq, const Digest& digest) {

@@ -1,10 +1,16 @@
 #include "src/sim/simulation.h"
 
+#include <algorithm>
+
 #include "src/sim/network.h"
 #include "src/util/hotpath.h"
 #include "src/util/log.h"
 
 namespace bftbase {
+
+namespace {
+constexpr const char kIdleLaneCpu[] = "sim.idle_lane_cpu_us";
+}  // namespace
 
 Simulation::Simulation(uint64_t seed, CostModel cost)
     : cost_(cost), rng_(seed) {
@@ -41,6 +47,14 @@ void Simulation::RemoveNode(NodeId id) {
   if (id >= 0 && static_cast<size_t>(id) < busy_.size()) {
     busy_[id] = 0;
   }
+  DropIdleJobs(id);
+}
+
+void Simulation::DropIdleJobs(NodeId owner) {
+  if (owner >= 0 && static_cast<size_t>(owner) < lanes_.size()) {
+    Cancel(lanes_[owner].wake);
+    lanes_[owner] = IdleLane();
+  }
 }
 
 TimerId Simulation::ScheduleCallback(NodeId owner, SimTime when, InlineFn fn) {
@@ -71,6 +85,63 @@ void Simulation::Cancel(TimerId id) {
 void Simulation::ChargeCpu(SimTime cpu_cost) {
   assert(cpu_cost >= 0);
   handler_cpu_ += cpu_cost;
+  // Foreground work preempts the node's running idle job for exactly its
+  // length. A job already due at this instant is not pushed back: its wake
+  // event simply waits behind this handler like any owner event.
+  if (static_cast<size_t>(current_owner_) < lanes_.size()) {
+    IdleLane& lane = lanes_[current_owner_];
+    if (!lane.jobs.empty() && lane.due > now_) {
+      lane.due += cpu_cost;
+    }
+  }
+}
+
+void Simulation::EnqueueIdleJob(NodeId owner, SimTime cpu, InlineFn fn) {
+  assert(owner >= 0 && cpu >= 0);
+  if (static_cast<size_t>(owner) >= lanes_.size()) {
+    lanes_.resize(owner + 1);
+  }
+  IdleLane& lane = lanes_[owner];
+  lane.jobs.push_back(IdleJob{cpu, std::move(fn)});
+  if (lane.jobs.size() == 1) {
+    // The lane runs once the node's foreground work so far is done: the
+    // handler queueing the job (if it is the owner's) and anything the node
+    // is already busy with.
+    const SimTime own = current_owner_ == owner ? handler_cpu_ : 0;
+    StartIdleHead(owner, std::max(now_ + own, BusyUntil(owner)));
+  }
+}
+
+void Simulation::StartIdleHead(NodeId owner, SimTime from) {
+  IdleLane& lane = lanes_[owner];
+  lane.due = from + lane.jobs.front().cpu;
+  lane.wake = ScheduleCallback(owner, lane.due,
+                               [this, owner] { OnIdleWake(owner); });
+}
+
+void Simulation::OnIdleWake(NodeId owner) {
+  IdleLane& lane = lanes_[owner];
+  lane.wake = 0;
+  if (lane.jobs.empty()) {
+    return;
+  }
+  if (now_ < lane.due) {
+    // Foreground work preempted the job since this wake was armed.
+    lane.wake = ScheduleCallback(owner, lane.due,
+                                 [this, owner] { OnIdleWake(owner); });
+    return;
+  }
+  IdleJob job = std::move(lane.jobs.front());
+  lane.jobs.pop_front();
+  metrics_.Inc(kIdleLaneCpu, owner, MetricsRegistry::kAny,
+               static_cast<uint64_t>(job.cpu));
+  // The next job starts now; the CPU `job.fn` charges preempts it like any
+  // other foreground work. `job.fn` may change this lane, so nothing here
+  // touches it afterwards.
+  if (!lane.jobs.empty()) {
+    StartIdleHead(owner, now_);
+  }
+  job.fn();
 }
 
 void Simulation::SetBusyUntil(NodeId owner, SimTime until) {
@@ -197,6 +268,7 @@ bool Simulation::Step() {
   pool_.Release(top.pool_index);
 
   handler_cpu_ = 0;
+  current_owner_ = owner;
   if (kind == PooledEvent::Kind::kDelivery) {
     RunDelivery(owner, from, tag, std::move(payload));
   } else {
@@ -205,6 +277,7 @@ bool Simulation::Step() {
   if (owner != kNoOwner && handler_cpu_ > 0) {
     SetBusyUntil(owner, now_ + handler_cpu_);
   }
+  current_owner_ = kNoOwner;
   handler_cpu_ = 0;
   ++events_processed_;
   if (step_observer_) {

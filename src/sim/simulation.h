@@ -12,6 +12,11 @@
 // that node are delayed behind it. Messages sent from within a handler leave
 // the node at its current finish time.
 //
+// Idle lane: RunWhenIdle() queues background work on a node. It behaves like
+// a low-priority thread on the node's one CPU: it runs only while the node
+// has no foreground work, and any foreground handler preempts it at once for
+// exactly the CPU that handler charges (DESIGN.md §10).
+//
 // Event kernel: events live in a pooled, move-only representation
 // (src/sim/event_queue.h) — deliveries are tagged structs, not capturing
 // lambdas; timers use small-buffer-optimized callables — scheduled by a
@@ -25,6 +30,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <limits>
@@ -83,9 +89,9 @@ class Simulation {
   // Registers a node under `id` (id >= 0). The node must outlive the
   // simulation run.
   void AddNode(NodeId id, SimNode* node);
-  // Unregisters `id` and clears its CPU-serialization state, so a node re-added
-  // under the same id (crash/restart cycles) does not inherit a stale busy-
-  // until horizon.
+  // Unregisters `id`, clears its CPU-serialization state and drops its
+  // pending idle-lane jobs, so a node re-added under the same id
+  // (crash/restart cycles) does not inherit a stale busy-until horizon.
   void RemoveNode(NodeId id);
   SimNode* GetNode(NodeId id) const {
     return id >= 0 && static_cast<size_t>(id) < nodes_.size() ? nodes_[id]
@@ -112,6 +118,31 @@ class Simulation {
   void ChargeCpu(SimTime cost);
   // CPU time consumed so far by the current handler (including charge).
   SimTime CurrentHandlerFinishTime() const { return now_ + handler_cpu_; }
+  // Forgets CPU charged outside any event. Such work (building a group, a
+  // test poking a service directly) belongs to no node's timeline; left in
+  // place it would delay every message sent before the next event. Call
+  // only between events.
+  void DiscardCpuOutsideEvents() { handler_cpu_ = 0; }
+
+  // Runs `fn` as an `owner` event once `owner` has had `cpu` µs of virtual
+  // time that no foreground handler used. Jobs run FIFO per node, in the
+  // same order on every run; foreground events never wait for them, and
+  // each foreground handler that overlaps the running job delays its
+  // completion by exactly the CPU it charges. The CPU a node ran on the
+  // lane is counted in the "sim.idle_lane_cpu_us" metric.
+  template <typename F>
+  void RunWhenIdle(NodeId owner, SimTime cpu, F&& fn) {
+    EnqueueIdleJob(owner, cpu, InlineFn(std::forward<F>(fn)));
+  }
+  // Drops `owner`'s idle-lane jobs, the running one included, unrun (the
+  // process they belonged to died).
+  void DropIdleJobs(NodeId owner);
+  // Jobs queued on `owner`'s idle lane, the running one included.
+  size_t idle_jobs(NodeId owner) const {
+    return static_cast<size_t>(owner) < lanes_.size()
+               ? lanes_[owner].jobs.size()
+               : 0;
+  }
 
   // Runs a single event. Returns false when the queue is empty.
   bool Step();
@@ -198,6 +229,25 @@ class Simulation {
   }
 
   TimerId ScheduleCallback(NodeId owner, SimTime when, InlineFn fn);
+
+  // Idle lane of one node. The head job runs whenever the node has no
+  // foreground work and finishes at `due` unless a foreground handler
+  // preempts it first (ChargeCpu then pushes `due` back). `wake` is an
+  // owner event at or before `due`; it re-arms itself until `due`.
+  struct IdleJob {
+    SimTime cpu = 0;
+    InlineFn fn;
+  };
+  struct IdleLane {
+    std::deque<IdleJob> jobs;
+    SimTime due = 0;
+    TimerId wake = 0;
+  };
+  void EnqueueIdleJob(NodeId owner, SimTime cpu, InlineFn fn);
+  // Starts the head job of `owner`'s lane running from `from`.
+  void StartIdleHead(NodeId owner, SimTime from);
+  void OnIdleWake(NodeId owner);
+
   // Runs one message delivery: joins its prologue, then the node's handler.
   void RunDelivery(NodeId to, NodeId from, int tag,
                    std::shared_ptr<const Bytes> payload);
@@ -225,11 +275,13 @@ class Simulation {
   uint64_t events_processed_ = 0;
   uint64_t peak_queue_depth_ = 0;
   SimTime handler_cpu_ = 0;  // CPU charged by the currently running handler
+  NodeId current_owner_ = kNoOwner;  // owner of the running handler
 
   EventPool pool_;
   EventHeap heap_;
   std::vector<SimNode*> nodes_;   // indexed by NodeId
   std::vector<SimTime> busy_;     // per-node CPU busy-until, by NodeId
+  std::deque<IdleLane> lanes_;    // per-node idle lane, by NodeId
 
   // Submits the prologue job for a freshly scheduled buffer (at most once
   // per buffer); joins + publishes + retires it before the first delivery of

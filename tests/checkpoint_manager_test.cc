@@ -38,11 +38,11 @@ TEST_F(CheckpointManagerTest, InitialStateIsCheckpointZero) {
 TEST_F(CheckpointManagerTest, RootChangesOnlyWhenStateChanges) {
   Digest root0 = cm_.latest_root();
   Set(3, "value");
-  Digest root1 = cm_.TakeCheckpoint(10, Bytes());
+  Digest root1 = cm_.TakeCheckpoint(10, Bytes()).root;
   EXPECT_NE(root0, root1);
   // A checkpoint with no modifications keeps the same tree content but is a
   // distinct checkpoint (root covers only state, so it stays equal).
-  Digest root2 = cm_.TakeCheckpoint(20, Bytes());
+  Digest root2 = cm_.TakeCheckpoint(20, Bytes()).root;
   EXPECT_EQ(root1, root2);
 }
 
@@ -57,13 +57,13 @@ TEST_F(CheckpointManagerTest, IdenticalHistoriesIdenticalRoots) {
   adapter2.Execute(KvAdapter::EncodeSet(1, ToBytes("a")), 5, Bytes(), false);
   adapter2.Execute(KvAdapter::EncodeSet(2, ToBytes("b")), 5, Bytes(), false);
 
-  EXPECT_EQ(cm_.TakeCheckpoint(10, ToBytes("ps")),
-            cm2.TakeCheckpoint(10, ToBytes("ps")));
+  EXPECT_EQ(cm_.TakeCheckpoint(10, ToBytes("ps")).root,
+            cm2.TakeCheckpoint(10, ToBytes("ps")).root);
 }
 
 TEST_F(CheckpointManagerTest, ProtocolStateAffectsRoot) {
-  Digest with_a = cm_.TakeCheckpoint(10, ToBytes("reply-cache-a"));
-  Digest with_b = cm_.TakeCheckpoint(20, ToBytes("reply-cache-b"));
+  Digest with_a = cm_.TakeCheckpoint(10, ToBytes("reply-cache-a")).root;
+  Digest with_b = cm_.TakeCheckpoint(20, ToBytes("reply-cache-b")).root;
   EXPECT_NE(with_a, with_b);
   EXPECT_EQ(ToString(cm_.LeafValue(0)), "reply-cache-b");
 }
@@ -128,7 +128,7 @@ TEST_F(CheckpointManagerTest, InstallFetchedStateReplacesEverything) {
                    false);
   adapter2.Execute(KvAdapter::EncodeSet(6, ToBytes("extra")), 5, Bytes(),
                    false);
-  Digest remote_root = cm2.TakeCheckpoint(30, ToBytes("remote-ps"));
+  Digest remote_root = cm2.TakeCheckpoint(30, ToBytes("remote-ps")).root;
 
   // Figure out which leaves differ and install them.
   std::vector<ObjectUpdate> updates;
@@ -158,7 +158,7 @@ TEST_F(CheckpointManagerTest, FullCopyModeSnapshotsEverything) {
   EXPECT_GE(full.CowBytes(), 1u);
   // And the roots agree with the COW manager given the same state.
   Set(1, "x");
-  EXPECT_EQ(cm_.TakeCheckpoint(10, Bytes()), full.latest_root());
+  EXPECT_EQ(cm_.TakeCheckpoint(10, Bytes()).root, full.latest_root());
 }
 
 // Eight-byte object values: in runs of ten equal values, or all distinct.

@@ -199,9 +199,12 @@ TEST(PipelineWitness, WallclockConfigsIdenticalAcrossThreadCounts) {
     const char* digest;  // must ALSO match the kernel-witness history pins
     uint64_t events;
   };
+  // Re-pinned with kernel_witness_test.cc (228d57578ed1 -> ed3034f33651,
+  // eaf5e0052527 -> 56dc9a9e2fbf): CPU charged while the group is built no
+  // longer delays the messages sent before the first event.
   const Pin pins[] = {
-      {1, 1, 40, 7001, "228d57578ed1", 2918},
-      {2, 16, 5, 7002, "eaf5e0052527", 5173},
+      {1, 1, 40, 7001, "ed3034f33651", 2918},
+      {2, 16, 5, 7002, "56dc9a9e2fbf", 5173},
   };
   for (const Pin& pin : pins) {
     CounterRows base_counters;

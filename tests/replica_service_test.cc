@@ -4,6 +4,7 @@
 
 #include "src/base/kv_adapter.h"
 #include "src/base/replica_service.h"
+#include "tests/checkpoint_helpers.h"
 
 namespace bftbase {
 namespace {
@@ -71,11 +72,11 @@ TEST_F(ReplicaServiceTest, AgreedTimestampsAreMonotonic) {
 
 TEST_F(ReplicaServiceTest, ProtocolStateTravelsThroughCheckpoints) {
   service_.SetProtocolState(ToBytes("reply-cache-blob"));
-  Digest with_blob = service_.TakeCheckpoint(10);
+  Digest with_blob = TakeCheckpointNow(sim_, service_, 10);
   EXPECT_EQ(ToString(service_.GetProtocolState()), "reply-cache-blob");
 
   service_.SetProtocolState(ToBytes("different"));
-  Digest with_other = service_.TakeCheckpoint(20);
+  Digest with_other = TakeCheckpointNow(sim_, service_, 20);
   EXPECT_NE(with_blob, with_other);
 }
 
@@ -83,7 +84,7 @@ TEST_F(ReplicaServiceTest, SaveAndRestartRebuildsFromLocalDisk) {
   service_.Execute(KvAdapter::EncodeSet(3, ToBytes("precious")), 100,
                    ReplicaService::EncodeNondet(1000), false);
   service_.SetProtocolState(ToBytes("ps"));
-  Digest root = service_.TakeCheckpoint(10);
+  Digest root = TakeCheckpointNow(sim_, service_, 10);
 
   size_t saved = service_.SaveForRecovery();
   EXPECT_GT(saved, 0u);
@@ -99,7 +100,7 @@ TEST_F(ReplicaServiceTest, SaveAndRestartRebuildsFromLocalDisk) {
   peer.Execute(KvAdapter::EncodeSet(3, ToBytes("precious")), 100,
                ReplicaService::EncodeNondet(1000), false);
   peer.SetProtocolState(ToBytes("ps"));
-  ASSERT_EQ(peer.TakeCheckpoint(10), root);
+  ASSERT_EQ(TakeCheckpointNow(peer_sim, peer, 10), root);
 
   // Route: our fetch messages -> peer's handler (executed inline); peer's
   // replies -> our handler.

@@ -634,6 +634,119 @@ TEST(Simulation, RemoveNodeClearsBusyHorizon) {
   EXPECT_EQ(run_times[1], 300);  // not deferred to 50100
 }
 
+// --- Idle lane (RunWhenIdle) -------------------------------------------------
+
+TEST(IdleLane, JobOnIdleNodeFinishesAfterItsCpu) {
+  Simulation sim(1);
+  sim.After(Simulation::kNoOwner, 500, [] {});
+  sim.RunUntilIdle();
+  SimTime finished = -1;
+  sim.RunWhenIdle(3, 700, [&] { finished = sim.Now(); });
+  EXPECT_EQ(sim.idle_jobs(3), 1u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(finished, 500 + 700);
+  EXPECT_EQ(sim.idle_jobs(3), 0u);
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_cpu_us", 3), 700u);
+}
+
+TEST(IdleLane, ForegroundCpuDelaysCompletionByExactlyItsLength) {
+  Simulation sim(1);
+  SimTime finished = -1;
+  sim.RunWhenIdle(3, 1000, [&] { finished = sim.Now(); });
+  // Two foreground handlers overlap the job; a third node's work and a
+  // zero-CPU handler on node 3 do not.
+  sim.After(3, 200, [&] { sim.ChargeCpu(150); });
+  sim.After(3, 600, [&] { sim.ChargeCpu(40); });
+  sim.After(3, 700, [] {});
+  sim.After(4, 300, [&] { sim.ChargeCpu(5000); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(finished, 1000 + 150 + 40);
+}
+
+TEST(IdleLane, JobQueuedInAHandlerStartsAfterThatHandlersCpu) {
+  Simulation sim(1);
+  SimTime finished = -1;
+  sim.After(3, 100, [&] {
+    sim.ChargeCpu(50);
+    sim.RunWhenIdle(3, 300, [&] { finished = sim.Now(); });
+    sim.ChargeCpu(25);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(finished, 100 + 50 + 25 + 300);
+}
+
+TEST(IdleLane, ForegroundTimesIdenticalWithAndWithoutAPendingJob) {
+  auto run = [](bool with_job) {
+    Simulation sim(7);
+    RecordingNode nodes[2];
+    sim.AddNode(0, &nodes[0]);
+    sim.AddNode(1, &nodes[1]);
+    std::vector<SimTime> times;
+    if (with_job) {
+      sim.RunWhenIdle(1, 2500, [] {});
+    }
+    for (int i = 0; i < 20; ++i) {
+      sim.After(i % 2, i * 90, [&sim, &times, i] {
+        times.push_back(sim.Now());
+        sim.ChargeCpu(60 * (i % 4));
+        sim.network().Send(i % 2, (i + 1) % 2, ToBytes("ping"));
+      });
+    }
+    sim.RunUntilIdle();
+    times.push_back(static_cast<SimTime>(nodes[0].messages.size()));
+    times.push_back(static_cast<SimTime>(nodes[1].messages.size()));
+    return times;
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+TEST(IdleLane, JobsRunFifo) {
+  Simulation sim(1);
+  std::vector<std::pair<int, SimTime>> done;
+  sim.RunWhenIdle(2, 400, [&] { done.emplace_back(1, sim.Now()); });
+  sim.RunWhenIdle(2, 100, [&] { done.emplace_back(2, sim.Now()); });
+  sim.RunUntilIdle();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0], std::make_pair(1, SimTime{400}));
+  EXPECT_EQ(done[1], std::make_pair(2, SimTime{500}));
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_cpu_us", 2), 500u);
+}
+
+TEST(IdleLane, RemoveNodeDropsPendingJobs) {
+  Simulation sim(1);
+  RecordingNode node;
+  sim.AddNode(5, &node);
+  int ran = 0;
+  sim.RunWhenIdle(5, 400, [&] { ++ran; });
+  sim.RunWhenIdle(5, 400, [&] { ++ran; });
+  sim.After(Simulation::kNoOwner, 100, [&] {
+    sim.RemoveNode(5);
+    sim.AddNode(5, &node);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sim.idle_jobs(5), 0u);
+  // The re-added node's lane starts empty and runs new jobs normally.
+  SimTime finished = -1;
+  sim.RunWhenIdle(5, 50, [&] { finished = sim.Now(); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(finished, 100 + 50);
+}
+
+TEST(IdleLane, DropIdleJobsClearsOnlyThatNode) {
+  Simulation sim(1);
+  int dropped_ran = 0;
+  SimTime other_finished = -1;
+  sim.RunWhenIdle(5, 400, [&] { ++dropped_ran; });
+  sim.RunWhenIdle(6, 400, [&] { other_finished = sim.Now(); });
+  sim.After(Simulation::kNoOwner, 100, [&] { sim.DropIdleJobs(5); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(dropped_ran, 0);
+  EXPECT_EQ(sim.idle_jobs(5), 0u);
+  EXPECT_EQ(other_finished, 400);
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_cpu_us", 5), 0u);
+}
+
 TEST(Simulation, SchedulerTraceMatchesPin) {
   // Event order on a workload that exercises every scheduler path: sends,
   // multicasts, drops, CPU serialization (deferrals), timers and

@@ -11,6 +11,7 @@
 #include "src/base/state_transfer.h"
 #include "src/bft/message.h"
 #include "src/sim/network.h"
+#include "tests/checkpoint_helpers.h"
 #include "src/sim/storage.h"
 #include "tests/audit_helpers.h"
 
@@ -83,7 +84,7 @@ class StateTransferHarness {
   Digest CheckpointAll(int first, int last, SeqNum seq) {
     Digest root;
     for (int i = first; i < last; ++i) {
-      root = nodes_[i]->cm.TakeCheckpoint(seq, ToBytes("ps"));
+      root = nodes_[i]->cm.TakeCheckpoint(seq, ToBytes("ps")).root;
     }
     return root;
   }
@@ -259,6 +260,74 @@ TEST(StateTransfer, FetchEverythingModeTransfersAllLeaves) {
   EXPECT_EQ(st.leaves_fetched(), kSlots + 1);
 }
 
+// A checkpoint's root leaves the replica only once its digest work has run
+// on the idle lane (DESIGN.md §12). A fetch that reaches the server between
+// take and completion is held, not answered, and is answered — and the
+// transfer finishes — once the lane job completes.
+TEST(StateTransfer, FetchBeforeCheckpointCompletesIsHeldThenAnswered) {
+  Simulation sim(21);
+  Config config;
+  KvAdapter server_adapter(&sim, 256);
+  ReplicaService server(&sim, config, 0, &server_adapter);
+  KvAdapter fetcher_adapter(&sim, 256);
+  ReplicaService fetcher(&sim, config, 1, &fetcher_adapter);
+  auto run_batch = [](ReplicaService& svc, uint32_t slot,
+                      const std::string& value) {
+    svc.Execute(KvAdapter::EncodeSet(slot, ToBytes(value)), 100,
+                ReplicaService::EncodeNondet(1000), false);
+  };
+  for (uint32_t slot = 0; slot < 8; ++slot) {
+    run_batch(server, slot, "shared");
+    run_batch(fetcher, slot, "shared");
+  }
+  ASSERT_EQ(TakeCheckpointNow(sim, server, 8),
+            TakeCheckpointNow(sim, fetcher, 8));
+
+  // The server runs ahead and takes checkpoint 16; its lane job is pending.
+  const std::string ahead(1024, 'a');
+  for (uint32_t slot = 100; slot < 140; ++slot) {
+    run_batch(server, slot, ahead);
+  }
+  const SimTime taken_at = sim.Now();
+  SimTime completed_at = -1;
+  server.TakeCheckpoint(16, [&](const Digest&) { completed_at = sim.Now(); });
+  ASSERT_EQ(sim.idle_jobs(0), 1u);
+  const Digest target = server.checkpoints().latest_root();
+
+  // Each message is a 100 us hop handled as an event of its receiver.
+  std::vector<SimTime> answered_at;
+  server.SetStateSender([&](NodeId, const Bytes& payload) {
+    answered_at.push_back(sim.Now());
+    sim.After(1, 100, [&fetcher, payload] {
+      fetcher.HandleStateMessage(0, payload);
+    });
+  });
+  fetcher.SetStateSender([&](NodeId, const Bytes& payload) {
+    sim.After(0, 100, [&server, payload] {
+      server.HandleStateMessage(1, payload);
+    });
+  });
+  bool done = false;
+  Digest installed;
+  fetcher.SetStateTransferDone([&](SeqNum seq, const Digest& root) {
+    done = seq == 16;
+    installed = root;
+  });
+  fetcher.StartStateTransfer(16, target);
+  ASSERT_TRUE(sim.RunUntilTrue([&] { return completed_at >= 0; }, kSecond));
+  // The FETCH-META reached the server (100 us after the take) before the
+  // checkpoint completed, so its answer left exactly at completion.
+  ASSERT_GT(completed_at, taken_at + 100);
+
+  ASSERT_TRUE(sim.RunUntilTrue([&] { return done; }, 10 * kSecond));
+  ASSERT_FALSE(answered_at.empty());
+  EXPECT_EQ(answered_at.front(), completed_at);
+  EXPECT_EQ(installed, target);
+  for (uint32_t slot = 100; slot < 140; ++slot) {
+    EXPECT_EQ(ToString(fetcher_adapter.GetObj(slot)), ahead);
+  }
+}
+
 // Regression (state transfer racing recovery): a replica that crashes while
 // a state transfer is in flight must come back from its last durable
 // checkpoint with the transfer aborted — never resuming a half-applied
@@ -282,7 +351,7 @@ TEST(StateTransfer, CrashMidTransferDoesNotResumeHalfApplied) {
     svc.LogBatch(seq, BytesView(nondet.data(), nondet.size()),
                  {ServiceInterface::ExecutedRequest{100, seq, op}});
   }
-  Digest durable_root = svc.TakeCheckpoint(8);
+  Digest durable_root = TakeCheckpointNow(sim, svc, 8);
 
   // A peer far ahead: same prefix plus five more slots at "new", seq 16.
   Simulation peer_sim(12);
@@ -297,7 +366,7 @@ TEST(StateTransfer, CrashMidTransferDoesNotResumeHalfApplied) {
     peer.Execute(KvAdapter::EncodeSet(slot, ToBytes("new")), 100,
                  ReplicaService::EncodeNondet(20000 + slot), false);
   }
-  Digest target_root = peer.TakeCheckpoint(16);
+  Digest target_root = TakeCheckpointNow(peer_sim, peer, 16);
 
   // Route fetches to the peer, but deliver only the first two replies — the
   // transfer stalls with part of the target state already applied.
@@ -331,7 +400,72 @@ TEST(StateTransfer, CrashMidTransferDoesNotResumeHalfApplied) {
   }
   // Re-checkpoint the live state (roots are seq-independent): the adapter
   // and protocol state hash back to exactly the durable root.
-  EXPECT_EQ(svc.TakeCheckpoint(9), durable_root);
+  EXPECT_EQ(TakeCheckpointNow(sim, svc, 9), durable_root);
+}
+
+// Regression (install racing a pending checkpoint): a transfer that installs
+// while a local checkpoint's digest work is still on the idle lane
+// supersedes that checkpoint's page commit. A leaf written before the
+// pending checkpoint whose live value already matches the target is neither
+// fetched nor dirty, so the installer must persist it from the pending
+// checkpoint's leaves, or the durable checkpoint fails its root check.
+TEST(StateTransfer, InstallOverPendingCheckpointKeepsDurableRootValid) {
+  Simulation sim(13);
+  StorageDevice dev(&sim, 0);
+  KvAdapter adapter(&sim, 32);
+  ReplicaService::Options options;
+  options.storage = &dev;
+  Config config;
+  ReplicaService svc(&sim, config, 0, &adapter, options);
+  Simulation peer_sim(14);
+  KvAdapter peer_adapter(&peer_sim, 32);
+  ReplicaService peer(&peer_sim, config, 1, &peer_adapter);
+  auto run_batch = [](ReplicaService& service, uint32_t slot,
+                      const std::string& value) {
+    service.Execute(KvAdapter::EncodeSet(slot, ToBytes(value)), 100,
+                    ReplicaService::EncodeNondet(1000), false);
+  };
+
+  // Durable checkpoint 8; then slot 5 is written and checkpoint 16 taken,
+  // its lane job (and so its page commit) still pending.
+  for (uint32_t slot = 0; slot < 5; ++slot) {
+    run_batch(svc, slot, "old");
+    run_batch(peer, slot, "old");
+  }
+  TakeCheckpointNow(sim, svc, 8);
+  run_batch(svc, 5, "mid");
+  bool completed = false;
+  svc.TakeCheckpoint(16, [&](const Digest&) { completed = true; });
+  ASSERT_EQ(sim.idle_jobs(0), 1u);
+
+  // The group's stable checkpoint 32 agrees on slot 5 and adds slots 6..9.
+  run_batch(peer, 5, "mid");
+  for (uint32_t slot = 6; slot < 10; ++slot) {
+    run_batch(peer, slot, "new");
+  }
+  Digest target_root = TakeCheckpointNow(peer_sim, peer, 32);
+  peer.SetStateSender([&](NodeId, const Bytes& payload) {
+    svc.HandleStateMessage(1, payload);
+  });
+  svc.SetStateSender([&](NodeId, const Bytes& payload) {
+    peer.HandleStateMessage(0, payload);
+  });
+  bool done = false;
+  svc.SetStateTransferDone([&](SeqNum, const Digest&) { done = true; });
+  svc.StartStateTransfer(32, target_root);
+  ASSERT_TRUE(done);
+  ASSERT_FALSE(completed);
+  EXPECT_EQ(svc.state_transfer().leaves_fetched(), 4u);  // slots 6..9 only
+
+  // Checkpoint 16's job finds 32 already on disk and skips its commit.
+  ASSERT_TRUE(sim.RunUntilTrue([&] { return completed; }, kSecond));
+
+  svc.OnCrash();
+  auto info = svc.RecoverFromStorage();
+  ASSERT_TRUE(info.ok);
+  EXPECT_EQ(info.checkpoint_seq, 32u);
+  EXPECT_EQ(info.checkpoint_root, target_root);
+  EXPECT_EQ(ToString(adapter.GetObj(5)), "mid");
 }
 
 // --- A lagging replica in a live group ---------------------------------------

@@ -9,6 +9,8 @@
 // bugs (volatile prepared certificates; P-set loss across view changes).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "src/util/codec.h"
 #include "src/workload/chaos.h"
 #include "tests/audit_helpers.h"
+#include "tests/checkpoint_helpers.h"
 
 namespace bftbase {
 namespace {
@@ -299,12 +302,12 @@ TEST_F(DurableRecoveryTest, ReplayRebuildsByteIdenticalState) {
   for (SeqNum seq = 1; seq <= 8; ++seq) {
     RunBatch(seq, static_cast<uint32_t>(seq % 5), "v" + std::to_string(seq));
   }
-  Digest checkpoint_root = service_.TakeCheckpoint(8);  // persists + truncates
-  ASSERT_EQ(twin_.TakeCheckpoint(8), checkpoint_root);
+  Digest checkpoint_root = TakeCheckpointNow(sim_, service_, 8);  // persists + truncates
+  ASSERT_EQ(TakeCheckpointNow(twin_sim_, twin_, 8), checkpoint_root);
   for (SeqNum seq = 9; seq <= 12; ++seq) {
     RunBatch(seq, static_cast<uint32_t>(seq % 7), "tail" + std::to_string(seq));
   }
-  Digest expected_root = twin_.TakeCheckpoint(12);
+  Digest expected_root = TakeCheckpointNow(twin_sim_, twin_, 12);
 
   service_.OnCrash();
   auto info = service_.RecoverFromStorage();
@@ -321,7 +324,7 @@ TEST_F(DurableRecoveryTest, ReplayRebuildsByteIdenticalState) {
 
   // The replayed state is byte-identical: same partition-tree root, same
   // concrete object contents.
-  EXPECT_EQ(service_.TakeCheckpoint(12), expected_root);
+  EXPECT_EQ(TakeCheckpointNow(sim_, service_, 12), expected_root);
   for (uint32_t slot = 0; slot < 32; ++slot) {
     EXPECT_EQ(ToString(adapter_.GetObj(slot)),
               ToString(twin_adapter_.GetObj(slot)))
@@ -333,21 +336,21 @@ TEST_F(DurableRecoveryTest, ReplayIsIdempotentOverDuplicateRecords) {
   for (SeqNum seq = 1; seq <= 8; ++seq) {
     RunBatch(seq, static_cast<uint32_t>(seq % 5), "v" + std::to_string(seq));
   }
-  service_.TakeCheckpoint(8);
-  twin_.TakeCheckpoint(8);
+  TakeCheckpointNow(sim_, service_, 8);
+  TakeCheckpointNow(twin_sim_, twin_, 8);
   // A stale batch record below the checkpoint, as a crash during the
   // truncate-at-checkpoint rewrite would leave behind.
   Bytes nondet = ReplicaService::EncodeNondet(5000);
   service_.LogBatch(5, BytesView(nondet.data(), nondet.size()), {});
   RunBatch(9, 3, "after");
-  Digest expected_root = twin_.TakeCheckpoint(9);
+  Digest expected_root = TakeCheckpointNow(twin_sim_, twin_, 9);
 
   service_.OnCrash();
   auto info = service_.RecoverFromStorage();
   ASSERT_TRUE(info.ok);
   EXPECT_EQ(info.duplicate_records, 1u);  // the stale record was skipped
   EXPECT_EQ(info.last_seq, 9u);
-  EXPECT_EQ(service_.TakeCheckpoint(9), expected_root);
+  EXPECT_EQ(TakeCheckpointNow(sim_, service_, 9), expected_root);
 }
 
 TEST_F(DurableRecoveryTest, TornFinalRecordRecoversToLastDurableBatch) {
@@ -372,14 +375,14 @@ TEST_F(DurableRecoveryTest, TornFinalRecordRecoversToLastDurableBatch) {
     ref.Execute(KvAdapter::EncodeSet(seq, ToBytes("v" + std::to_string(seq))),
                 100, nondet, false);
   }
-  EXPECT_EQ(service_.TakeCheckpoint(2), ref.TakeCheckpoint(2));
+  EXPECT_EQ(TakeCheckpointNow(sim_, service_, 2), TakeCheckpointNow(ref_sim, ref, 2));
 }
 
 TEST_F(DurableRecoveryTest, DuplicatedTailAppendRecoversCleanly) {
   for (SeqNum seq = 1; seq <= 3; ++seq) {
     RunBatch(seq, static_cast<uint32_t>(seq), "v" + std::to_string(seq));
   }
-  Digest expected_root = twin_.TakeCheckpoint(3);
+  Digest expected_root = TakeCheckpointNow(twin_sim_, twin_, 3);
   dev_.ArmDuplicateTailOnCrash();  // batch 3's record appears twice
   service_.OnCrash();
 
@@ -387,7 +390,7 @@ TEST_F(DurableRecoveryTest, DuplicatedTailAppendRecoversCleanly) {
   ASSERT_TRUE(info.ok);
   EXPECT_EQ(info.last_seq, 3u);
   ASSERT_EQ(info.replayed.size(), 3u);  // batch 3 executed exactly once
-  EXPECT_EQ(service_.TakeCheckpoint(3), expected_root);
+  EXPECT_EQ(TakeCheckpointNow(sim_, service_, 3), expected_root);
 }
 
 // Regression: a crash in the window between a LOCAL checkpoint (pages
@@ -399,7 +402,7 @@ TEST_F(DurableRecoveryTest, CrashBetweenLocalCheckpointAndStabilization) {
   for (SeqNum seq = 1; seq <= 4; ++seq) {
     RunBatch(seq, static_cast<uint32_t>(seq), "v" + std::to_string(seq));
   }
-  service_.TakeCheckpoint(4);
+  TakeCheckpointNow(sim_, service_, 4);
   service_.LogStableProof(4, ToBytes("proof4"));  // checkpoint 4 stabilized
   service_.DiscardCheckpointsBefore(4);
   for (SeqNum seq = 5; seq <= 8; ++seq) {
@@ -409,7 +412,7 @@ TEST_F(DurableRecoveryTest, CrashBetweenLocalCheckpointAndStabilization) {
   service_.LogPrepared(8, ToBytes("cert8"));
   // Local checkpoint at 8; the crash lands before its votes arrive, so no
   // stable proof at 8 ever reaches the disk.
-  service_.TakeCheckpoint(8);
+  TakeCheckpointNow(sim_, service_, 8);
 
   service_.OnCrash();
   auto info = service_.RecoverFromStorage();
@@ -634,6 +637,69 @@ TEST(DurableGroup, RestartKeepsCertsWhenLocalCheckpointOutrunsStability) {
   ASSERT_TRUE(group->sim().RunUntilTrue(
       [&] { return group->replica(2).proofed_stable_seq() > 16; },
       30 * kSecond));
+}
+
+// A checkpoint's pages, header and WAL cut are outputs of its idle-lane job
+// (DESIGN.md §12). A replica that crashes after executing the checkpoint
+// batch but before that job runs still has the previous checkpoint on disk
+// and an uncut log, and restarts from them to the group's stable root.
+TEST(DurableGroup, CrashBeforeCheckpointLaneJobKeepsPreviousCheckpoint) {
+  auto group = MakeDurableKvGroup(DurableParams(), /*slots=*/4096);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(i % 4, ToBytes("a"))).ok());
+  }
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return group->replica(2).stable_seq() >= 8; }, 30 * kSecond));
+  ASSERT_LT(group->replica(2).last_executed(), 16u);
+
+  // Closed-loop Sets until replica 2 has executed batch 16. The predicate is
+  // checked after every event, so the run stops right after the handler
+  // that executed it, with the checkpoint's lane job queued.
+  int completed = 0;
+  std::function<void()> issue = [&] {
+    group->client(0).Invoke(
+        KvAdapter::EncodeSet(static_cast<uint32_t>(completed % 4),
+                             ToBytes("b")),
+        /*read_only=*/false, [&](Status, Bytes) {
+          ++completed;
+          issue();
+        });
+  };
+  issue();
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return group->replica(2).last_executed() >= 16; }, 30 * kSecond));
+  EXPECT_EQ(group->sim().idle_jobs(2), 1u);  // checkpoint 16's digest work
+  group->replica(2).Crash();
+  EXPECT_EQ(group->sim().idle_jobs(2), 0u);  // dropped with the process
+
+  StorageDevice* dev = group->storage(2);
+  Bytes header = dev->ReadHeader();
+  Decoder dec(BytesView(header.data(), header.size()));
+  EXPECT_EQ(dec.GetU64(), 8u) << "the header must still name checkpoint 8";
+  Bytes log = dev->ReadLog();
+  std::set<SeqNum> batches;
+  for (const WriteAheadLog::Record& record :
+       WriteAheadLog::Decode(BytesView(log.data(), log.size())).records) {
+    if (record.type == WriteAheadLog::kBatch) {
+      batches.insert(record.seq);
+    }
+  }
+  for (SeqNum seq = 9; seq <= 16; ++seq) {
+    EXPECT_EQ(batches.count(seq), 1u) << "batch " << seq << " was cut";
+  }
+
+  group->replica(2).RestartFromStorage();
+  EXPECT_GE(group->replica(2).last_executed(), 16u);
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] {
+        const Replica& restarted = group->replica(2);
+        const Replica& peer = group->replica(0);
+        return peer.stable_seq() >= 24 &&
+               restarted.stable_seq() == peer.stable_seq() &&
+               restarted.last_executed() >= peer.stable_seq();
+      },
+      60 * kSecond));
+  EXPECT_EQ(group->replica(2).stable_digest(), group->replica(0).stable_digest());
 }
 
 // Regression (volatile state surviving restart): the reply cache must be
