@@ -10,9 +10,10 @@
 //
 // Each configuration runs once. SHA-256 invocations per request and payload
 // bytes copied per delivered message are deterministic per seed, so each is
-// gated against a ceiling pinned from commit fb72bea: a digest or MAC cache
-// that stops hitting, or a fabric that copies per recipient again, pushes a
-// figure over its ceiling.
+// gated against a ceiling pinned when PRE-PREPAREs began to carry request
+// digests instead of bodies (DESIGN.md §6): a digest or MAC cache that stops
+// hitting, a body hashed twice, or a fabric that copies per recipient again
+// pushes a figure over its ceiling.
 //
 // The worker-pool pair runs each configuration with the pool empty (every
 // pipeline job claimed synchronously at its join point) and with N worker
@@ -56,7 +57,7 @@ struct WallclockConfig {
   int requests_per_client = 400;
   size_t value_size = 1024;
   uint64_t seed = 7001;
-  // Ceilings pinned from commit fb72bea (the smoke or full request counts).
+  // Pinned ceilings (the smoke or full request counts).
   double max_sha_per_request = 0;
   double max_copied_per_delivered = 0;
 };
@@ -277,8 +278,8 @@ int main(int argc, char** argv) {
     standard.requests_per_client = smoke ? 40 : 600;
     standard.value_size = 1024;
     standard.seed = 7001;
-    standard.max_sha_per_request = smoke ? 217.6 : 194.98;
-    standard.max_copied_per_delivered = smoke ? 65.66 : 65.56;
+    standard.max_sha_per_request = smoke ? 204.6 : 181.98;
+    standard.max_copied_per_delivered = smoke ? 60.38 : 60.3;
     configs.push_back(standard);
 
     WallclockConfig scaled;
@@ -288,8 +289,8 @@ int main(int argc, char** argv) {
     scaled.requests_per_client = smoke ? 5 : 60;
     scaled.value_size = 1024;
     scaled.seed = 7002;
-    scaled.max_sha_per_request = smoke ? 227.14 : 205.74;
-    scaled.max_copied_per_delivered = smoke ? 53.19 : 54.24;
+    scaled.max_sha_per_request = smoke ? 204.98 : 180.52;
+    scaled.max_copied_per_delivered = smoke ? 44.13 : 44.81;
     configs.push_back(scaled);
   }
 

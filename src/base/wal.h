@@ -36,8 +36,10 @@ class WriteAheadLog {
   enum RecordType : uint8_t {
     kBatch = 1,        // seq = batch sequence number; payload = encoded batch
     kViewMark = 2,     // seq = installed view; empty payload
-    // A prepared certificate (signed pre-prepare + 2f signed prepares),
-    // persisted BEFORE the replica's COMMIT announces the promise. Without
+    // A prepared certificate (signed pre-prepare + 2f signed prepares + the
+    // batch's client envelopes, since the pre-prepare lists only their
+    // digests), persisted BEFORE the replica's COMMIT announces the promise,
+    // so a restart needs no peer for a body it promised. Without
     // it a crash forgets the promise, and two overlapping crashes can erase
     // a committed batch's certificate from every view-change quorum — the
     // next NEW-VIEW then re-proposes a different batch at the same sequence

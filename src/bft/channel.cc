@@ -180,8 +180,7 @@ Result<WireMessage> Channel::ParseUnverified(BytesView wire) {
   if (!dec.AtEnd()) {
     return InvalidArgument("malformed envelope");
   }
-  if (type_raw < static_cast<uint8_t>(MsgType::kRequest) ||
-      type_raw > static_cast<uint8_t>(MsgType::kState) ||
+  if (!IsMsgType(type_raw) ||
       kind_raw < static_cast<uint8_t>(AuthKind::kAuthenticator) ||
       kind_raw > static_cast<uint8_t>(AuthKind::kSigned)) {
     return InvalidArgument("malformed envelope header");
@@ -224,9 +223,7 @@ void Channel::InstallVerifyPrologue(Simulation* sim, const KeyTable* keys,
         const uint8_t kind_raw = dec.GetU8();
         BytesView body = dec.GetBytesView();
         BytesView auth = dec.GetBytesView();
-        if (!dec.AtEnd() ||
-            type_raw < static_cast<uint8_t>(MsgType::kRequest) ||
-            type_raw > static_cast<uint8_t>(MsgType::kState) ||
+        if (!dec.AtEnd() || !IsMsgType(type_raw) ||
             kind_raw < static_cast<uint8_t>(AuthKind::kAuthenticator) ||
             kind_raw > static_cast<uint8_t>(AuthKind::kSigned) ||
             sender < 0 || sender >= config.node_count()) {
@@ -295,8 +292,7 @@ Result<WireMessage> Channel::Open(BytesView wire) {
   if (!dec.AtEnd()) {
     return InvalidArgument("malformed envelope");
   }
-  if (type_raw < static_cast<uint8_t>(MsgType::kRequest) ||
-      type_raw > static_cast<uint8_t>(MsgType::kState)) {
+  if (!IsMsgType(type_raw)) {
     return InvalidArgument("unknown message type");
   }
   msg.type = static_cast<MsgType>(type_raw);

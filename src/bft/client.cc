@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <vector>
 
 #include "src/util/log.h"
 
@@ -30,7 +28,7 @@ void Client::Invoke(Bytes op, bool read_only, Callback callback) {
   p.callback = std::move(callback);
   p.start_time = sim_->Now();
   pending_ = std::move(p);
-  SendRequest(/*to_all=*/pending_->read_only);
+  SendRequest();
 }
 
 Result<Bytes> Client::InvokeSync(Bytes op, bool read_only, SimTime timeout) {
@@ -55,7 +53,7 @@ Result<Bytes> Client::InvokeSync(Bytes op, bool read_only, SimTime timeout) {
   return result;
 }
 
-void Client::SendRequest(bool to_all) {
+void Client::SendRequest() {
   Pending& p = *pending_;
   RequestMsg req;
   req.client = id_;
@@ -65,13 +63,12 @@ void Client::SendRequest(bool to_all) {
   Bytes payload = req.Encode();
   ++p.attempts;
 
-  // Requests carry an authenticator so every replica can verify them.
-  Bytes wire = channel_.SealAuthenticated(MsgType::kRequest, payload);
-  if (to_all || p.attempts > 1) {
-    channel_.MulticastReplicas(wire, /*include_self=*/false);
-  } else {
-    channel_.Send(config_.PrimaryOf(last_known_view_), std::move(wire));
-  }
+  // Every attempt goes to every replica (separate request transmission): the
+  // authenticator lets each one verify the body itself, and the primary's
+  // PRE-PREPARE then orders only its digest.
+  channel_.MulticastReplicas(
+      channel_.SealAuthenticated(MsgType::kRequest, payload),
+      /*include_self=*/false);
 
   // Exponential backoff on retransmission (the doubling stays capped at
   // <<6), plus deterministic per-client jitter of up to +25% from the second
@@ -111,14 +108,14 @@ void Client::OnResultGraceTimeout(uint64_t timestamp) {
   Pending& p = *pending_;
   p.result_grace_timer = 0;
   if (p.result_retransmit_sent || p.attempts > 1) {
-    return;  // some other path already multicast this request
+    return;  // a retransmission already went out
   }
   p.result_retransmit_sent = true;
   ++retries_;
   if (p.retry_timer != 0) {
     sim_->Cancel(p.retry_timer);
   }
-  SendRequest(/*to_all=*/true);
+  SendRequest();
 }
 
 void Client::OnRetryTimeout() {
@@ -138,7 +135,7 @@ void Client::OnRetryTimeout() {
     p.tentative_phase = false;
     p.tentative_votes.clear();
   }
-  SendRequest(/*to_all=*/true);
+  SendRequest();
 }
 
 void Client::OnMessage(NodeId /*from*/, const Bytes& wire) {
@@ -165,7 +162,6 @@ void Client::HandleReply(const ReplyMsg& reply) {
     return;
   }
   Pending& p = *pending_;
-  NoteReplicaView(reply.replica, reply.view);
 
   Digest digest = reply.ResultDigest();
   if (!reply.result_is_digest) {
@@ -203,7 +199,7 @@ void Client::HandleReply(const ReplyMsg& reply) {
           if (p.retry_timer != 0) {
             sim_->Cancel(p.retry_timer);
           }
-          SendRequest(/*to_all=*/true);
+          SendRequest();
         } else if (p.result_grace_timer == 0) {
           uint64_t timestamp = p.timestamp;
           p.result_grace_timer =
@@ -233,37 +229,6 @@ void Client::HandleReply(const ReplyMsg& reply) {
         return;
       }
     }
-  }
-}
-
-void Client::NoteReplicaView(NodeId replica, ViewNum view) {
-  auto [it, inserted] = replica_views_.try_emplace(replica, view);
-  if (!inserted) {
-    if (view <= it->second) {
-      return;  // replicas' views are monotone; ignore stale claims
-    }
-    it->second = view;
-  }
-  if (view <= last_known_view_) {
-    return;
-  }
-  // Adopt the highest view that f+1 distinct replicas attest to: sorted
-  // descending, that is the (f+1)-th largest claim. A single Byzantine
-  // replica advertising an inflated view can no longer misdirect every
-  // first-attempt unicast at a non-primary.
-  const size_t needed = static_cast<size_t>(config_.f + 1);
-  if (replica_views_.size() < needed) {
-    return;
-  }
-  std::vector<ViewNum> claims;
-  claims.reserve(replica_views_.size());
-  for (const auto& [id, v] : replica_views_) {
-    claims.push_back(v);
-  }
-  std::sort(claims.begin(), claims.end(), std::greater<ViewNum>());
-  ViewNum attested = claims[needed - 1];
-  if (attested > last_known_view_) {
-    last_known_view_ = attested;
   }
 }
 

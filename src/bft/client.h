@@ -83,14 +83,10 @@ class Client : public SimNode {
     SimTime start_time = 0;
   };
 
-  void SendRequest(bool to_all);
+  void SendRequest();
   void OnRetryTimeout();
   void OnResultGraceTimeout(uint64_t timestamp);
   void HandleReply(const ReplyMsg& reply);
-  // Records that `replica` claims to be in `view` and adopts the highest
-  // view vouched for by f+1 distinct replicas (PBFT's rule for clients
-  // learning the current view: fewer than f+1 claims may all be Byzantine).
-  void NoteReplicaView(NodeId replica, ViewNum view);
   void Complete(Status status, Bytes result);
 
   Simulation* sim_;
@@ -103,10 +99,6 @@ class Client : public SimNode {
   // across clients (no retry lockstep after a partition heals).
   Rng jitter_rng_;
   uint64_t next_timestamp_ = 1;
-  ViewNum last_known_view_ = 0;
-  // Highest view each replica has claimed in a reply; last_known_view_ only
-  // advances to a view at least f+1 of these attest to.
-  std::map<NodeId, ViewNum> replica_views_;
   std::optional<Pending> pending_;
   uint64_t operations_completed_ = 0;
   uint64_t retries_ = 0;

@@ -30,6 +30,12 @@ struct LogEntry {
   std::map<NodeId, Vote> prepare_pool;
   std::map<NodeId, Digest> commit_pool;
 
+  // Every request body the pre-prepare lists is held in the replica's store
+  // (a replica prepares only then).
+  bool has_bodies = false;
+  // Installed from a NEW-VIEW re-proposal or a durable prepared certificate:
+  // a quorum already vouched for the batch.
+  bool certified = false;
   bool prepared = false;
   bool committed = false;
   bool executed = false;

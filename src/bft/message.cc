@@ -6,8 +6,7 @@ namespace bftbase {
 
 namespace {
 
-// Caps that bound memory consumption when parsing hostile input.
-constexpr size_t kMaxBatch = 4096;
+// Cap that bounds memory consumption when parsing hostile proofs.
 constexpr size_t kMaxProofMessages = 1 << 14;
 
 Status Truncated(const char* what) {
@@ -36,6 +35,10 @@ const char* MsgTypeName(MsgType type) {
       return "NEW-VIEW";
     case MsgType::kState:
       return "STATE";
+    case MsgType::kFetch:
+      return "FETCH";
+    case MsgType::kFetchReply:
+      return "FETCH-REPLY";
   }
   return "UNKNOWN";
 }
@@ -75,15 +78,37 @@ Digest RequestMsg::ComputeDigest() const {
 
 // ------------------------------------------------------------- PrePrepare
 
+namespace {
+
+void PutDigests(Encoder& enc, const std::vector<Digest>& digests) {
+  enc.PutU32(static_cast<uint32_t>(digests.size()));
+  for (const Digest& d : digests) {
+    enc.PutFixed(d.view());
+  }
+}
+
+// Reads a count-prefixed digest list; false when the count exceeds
+// kMaxBatch or the bytes run out.
+bool GetDigests(Decoder& dec, std::vector<Digest>* digests) {
+  uint32_t count = dec.GetU32();
+  if (count > kMaxBatch) {
+    return false;
+  }
+  digests->reserve(count);
+  for (uint32_t i = 0; i < count && dec.ok(); ++i) {
+    digests->push_back(Digest::FromBytes(dec.GetFixed(Digest::kSize)));
+  }
+  return dec.ok();
+}
+
+}  // namespace
+
 Bytes PrePrepareMsg::Encode() const {
   Encoder enc;
   enc.PutU64(view);
   enc.PutU64(seq);
   enc.PutBytes(nondet);
-  enc.PutU32(static_cast<uint32_t>(requests.size()));
-  for (const Bytes& r : requests) {
-    enc.PutBytes(r);
-  }
+  PutDigests(enc, request_digests);
   return enc.Take();
 }
 
@@ -93,15 +118,7 @@ Result<PrePrepareMsg> PrePrepareMsg::Decode(BytesView data) {
   msg.view = dec.GetU64();
   msg.seq = dec.GetU64();
   msg.nondet = dec.GetBytes();
-  uint32_t count = dec.GetU32();
-  if (count > kMaxBatch) {
-    return InvalidArgument("PRE-PREPARE batch too large");
-  }
-  msg.requests.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    msg.requests.push_back(dec.GetBytes());
-  }
-  if (!dec.AtEnd()) {
+  if (!GetDigests(dec, &msg.request_digests) || !dec.AtEnd()) {
     return Truncated("PRE-PREPARE");
   }
   return msg;
@@ -110,11 +127,53 @@ Result<PrePrepareMsg> PrePrepareMsg::Decode(BytesView data) {
 Digest PrePrepareMsg::ComputeDigest() const {
   Digest::Builder builder;
   builder.Add(BytesView(nondet));
-  builder.Add(static_cast<uint64_t>(requests.size()));
-  for (const Bytes& r : requests) {
-    builder.Add(Digest::Of(r));
+  builder.Add(static_cast<uint64_t>(request_digests.size()));
+  for (const Digest& d : request_digests) {
+    builder.Add(d);
   }
   return builder.Build();
+}
+
+// ------------------------------------------------------------------ Fetch
+
+Bytes FetchMsg::Encode() const {
+  Encoder enc;
+  PutDigests(enc, request_digests);
+  return enc.Take();
+}
+
+Result<FetchMsg> FetchMsg::Decode(BytesView data) {
+  Decoder dec(data);
+  FetchMsg msg;
+  if (!GetDigests(dec, &msg.request_digests) || !dec.AtEnd()) {
+    return Truncated("FETCH");
+  }
+  return msg;
+}
+
+Bytes FetchReplyMsg::Encode() const {
+  Encoder enc;
+  enc.PutU32(static_cast<uint32_t>(request_wires.size()));
+  for (const Bytes& w : request_wires) {
+    enc.PutBytes(w);
+  }
+  return enc.Take();
+}
+
+Result<FetchReplyMsg> FetchReplyMsg::Decode(BytesView data) {
+  Decoder dec(data);
+  FetchReplyMsg msg;
+  uint32_t count = dec.GetU32();
+  if (count > kMaxBatch) {
+    return Truncated("FETCH-REPLY");
+  }
+  for (uint32_t i = 0; i < count && dec.ok(); ++i) {
+    msg.request_wires.push_back(dec.GetBytes());
+  }
+  if (!dec.AtEnd()) {
+    return Truncated("FETCH-REPLY");
+  }
+  return msg;
 }
 
 // ---------------------------------------------------------------- Prepare

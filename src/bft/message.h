@@ -7,8 +7,9 @@
 //
 // Message set (PBFT, Castro-Liskov OSDI'99, plus the BASE state-transfer
 // messages which are opaque to this layer):
-//   REQUEST      client -> replicas     operation to execute
+//   REQUEST      client -> replicas     operation to execute (multicast)
 //   PRE-PREPARE  primary -> backups     assigns a sequence number to a batch
+//                                       of request digests
 //   PREPARE      backup -> replicas     agreement round 1
 //   COMMIT       replica -> replicas    agreement round 2
 //   REPLY        replica -> client      operation result
@@ -16,6 +17,9 @@
 //   VIEW-CHANGE  replica -> replicas    primary suspected faulty
 //   NEW-VIEW     new primary -> backups installs the next view
 //   STATE        replica <-> replica    abstract state transfer (base layer)
+//   FETCH        replica -> replicas    request bodies a PRE-PREPARE listed
+//                                       that the sender does not hold
+//   FETCH-REPLY  replica -> replica     the clients' envelopes for them
 #ifndef SRC_BFT_MESSAGE_H_
 #define SRC_BFT_MESSAGE_H_
 
@@ -39,9 +43,20 @@ enum class MsgType : uint8_t {
   kViewChange = 7,
   kNewView = 8,
   kState = 9,
+  kFetch = 10,
+  kFetchReply = 11,
 };
 
 const char* MsgTypeName(MsgType type);
+// Whether `raw` names a MsgType (the envelope parsers' range check).
+inline bool IsMsgType(uint8_t raw) {
+  return raw >= static_cast<uint8_t>(MsgType::kRequest) &&
+         raw <= static_cast<uint8_t>(MsgType::kFetchReply);
+}
+
+// Cap on the requests one PRE-PREPARE lists and on the bodies one FETCH or
+// FETCH-REPLY carries, so hostile counts cannot drive allocation.
+inline constexpr size_t kMaxBatch = 4096;
 
 struct RequestMsg {
   NodeId client = 0;
@@ -61,14 +76,33 @@ struct PrePrepareMsg {
   // Agreed non-deterministic input for the batch (e.g. the operation
   // timestamp for the NFS wrapper), proposed by the primary.
   Bytes nondet;
-  // Encoded RequestMsgs batched under this sequence number.
-  std::vector<Bytes> requests;
+  // RequestMsg digests of the batch, in execution order. The bodies travel
+  // separately: clients multicast them, and a replica that lacks one FETCHes
+  // it (separate request transmission, DESIGN.md §6).
+  std::vector<Digest> request_digests;
 
   Bytes Encode() const;
   static Result<PrePrepareMsg> Decode(BytesView data);
-  // The batch digest d in (v, n, d): covers nondet and all requests (not the
-  // view/seq, which identify the slot, not the content).
+  // The batch digest d in (v, n, d): covers nondet and the request digests
+  // (not the view/seq, which identify the slot, not the content).
   Digest ComputeDigest() const;
+};
+
+// Asks a peer for the client envelopes of request bodies the sender lacks.
+struct FetchMsg {
+  std::vector<Digest> request_digests;
+
+  Bytes Encode() const;
+  static Result<FetchMsg> Decode(BytesView data);
+};
+
+// The answer to a FETCH: the clients' original authenticated REQUEST
+// envelopes the answering replica holds.
+struct FetchReplyMsg {
+  std::vector<Bytes> request_wires;
+
+  Bytes Encode() const;
+  static Result<FetchReplyMsg> Decode(BytesView data);
 };
 
 struct PrepareMsg {

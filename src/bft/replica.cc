@@ -14,6 +14,33 @@ constexpr const char kBatchesExecuted[] = "replica.batches_executed";
 constexpr const char kViewChangesStarted[] = "replica.view_changes_started";
 // Virtual µs from taking a checkpoint to sending its CHECKPOINT vote.
 constexpr const char kCheckpointVoteLag[] = "replica.checkpoint_vote_lag_us";
+constexpr const char kFetchesSent[] = "replica.fetches_sent";
+
+// The buffer `wire` was delivered in, shared instead of copied; a copy when
+// `wire` is not the delivery being handled (e.g. a replayed stash).
+std::shared_ptr<const Bytes> ShareDelivered(Simulation* sim,
+                                            const Bytes& wire) {
+  const std::shared_ptr<const Bytes>& delivery = sim->current_delivery();
+  if (delivery != nullptr && delivery->data() == wire.data()) {
+    return delivery;
+  }
+  return std::make_shared<const Bytes>(wire);
+}
+
+// The body of a client's REQUEST envelope, parsed without authenticating
+// it; an error unless the envelope's sender is the client the body names.
+Result<RequestMsg> ParseRequestEnvelope(BytesView wire) {
+  auto envelope = Channel::ParseUnverified(wire);
+  if (!envelope.ok()) {
+    return envelope.status();
+  }
+  auto request = RequestMsg::Decode(envelope->payload);
+  if (request.ok() && (envelope->type != MsgType::kRequest ||
+                       request->client != envelope->sender)) {
+    return InvalidArgument("not a client's own REQUEST");
+  }
+  return request;
+}
 }  // namespace
 
 uint64_t Replica::requests_executed() const {
@@ -80,6 +107,7 @@ void Replica::OnNullRequestTimer() {
     entry.digest = pp.ComputeDigest();
     entry.pre_prepare = std::move(pp);
     entry.pre_prepare_wire = wire;
+    entry.has_bodies = true;
     channel_.MulticastReplicas(wire, /*include_self=*/false);
   }
   // Re-broadcast our newest unstabilized checkpoint vote. Checkpoint
@@ -98,6 +126,8 @@ void Replica::OnNullRequestTimer() {
         break;
       }
     }
+    // Likewise a FETCH or its answer may have been lost: ask everyone again.
+    FetchMissingBodies(/*to_all=*/true);
   }
   ArmNullRequestTimer();
 }
@@ -153,6 +183,12 @@ void Replica::OnMessage(NodeId /*from*/, const Bytes& wire) {
         service_->HandleStateMessage(msg.sender, msg.payload);
       }
       break;
+    case MsgType::kFetch:
+      HandleFetch(msg);
+      break;
+    case MsgType::kFetchReply:
+      HandleFetchReply(msg);
+      break;
     case MsgType::kReply:
       break;  // replicas do not process replies
   }
@@ -201,34 +237,272 @@ void Replica::HandleRequest(const WireMessage& msg, const Bytes& wire) {
     return;
   }
 
+  // The one digest of this body at this replica: it keys the store, and the
+  // PRE-PREPARE that orders the request lists it.
   Digest digest = request->ComputeDigest();
-  if (pending_requests_.find(digest) == pending_requests_.end()) {
-    PendingRequest pending;
-    pending.request = *request;
-    pending.client_wire = wire;
-    pending.received_at = sim_->Now();
-    pending_requests_.emplace(digest, std::move(pending));
+  const bool held = requests_.count(digest) > 0;
+  auto pending = pending_.find(request->client);
+  const bool retransmission =
+      pending != pending_.end() && pending->second == digest;
+  if (!AdmitRequest(digest, *request, wire)) {
+    return;
   }
-
-  if (IsPrimary() && !in_view_change_) {
+  if (!held) {
+    OnBodyStored();
+  }
+  if (in_view_change_) {
+    return;
+  }
+  if (IsPrimary()) {
     MaybeSendPrePrepare();
-  } else if (!in_view_change_) {
-    // Backup: relay the client's envelope to the primary (the client's own
-    // authenticator makes it verifiable there) and start suspecting the
-    // primary if it fails to order the request. A running timer is left
-    // alone (PBFT's liveness rule): restarting it on every retransmission
-    // would let client retries postpone suspicion of a dead primary.
+    return;
+  }
+  // Backup. A second copy from the client is a retransmission, so the
+  // primary may have missed the first: relay it (the client's own
+  // authenticator makes it verifiable there). And start suspecting the
+  // primary if it fails to order the request. A running timer is left alone
+  // (PBFT's liveness rule): restarting it on every retransmission would let
+  // client retries postpone suspicion of a dead primary.
+  if (retransmission) {
     channel_.Send(config_.PrimaryOf(view_), wire);
-    if (view_change_timer_ == 0) {
-      ArmViewChangeTimer();
+  }
+  if (view_change_deadline_ == 0) {
+    ArmViewChangeTimer();
+  }
+}
+
+bool Replica::AdmitRequest(const Digest& digest, const RequestMsg& request,
+                           const Bytes& wire) {
+  auto pending = pending_.find(request.client);
+  if (pending != pending_.end()) {
+    if (pending->second == digest) {
+      return true;
     }
+    if (request.timestamp <= requests_.at(pending->second).timestamp) {
+      return false;
+    }
+    // The client moved on, so its older request executed somewhere.
+    ReleasePending(request.client, request.timestamp - 1);
+  }
+  if (requests_.count(digest) == 0) {
+    StoreBody(digest, request, ShareDelivered(sim_, wire));
+  }
+  pending_[request.client] = digest;
+  return true;
+}
+
+void Replica::StoreBody(const Digest& digest, const RequestMsg& request,
+                        std::shared_ptr<const Bytes> wire) {
+  StoredRequest& body = requests_[digest];
+  body.client = request.client;
+  body.timestamp = request.timestamp;
+  body.client_wire = std::move(wire);
+  body.received_at = sim_->Now();
+}
+
+void Replica::ReleasePending(NodeId client, uint64_t timestamp) {
+  auto pending = pending_.find(client);
+  if (pending == pending_.end()) {
+    return;
+  }
+  auto body = requests_.find(pending->second);
+  if (body->second.timestamp > timestamp) {
+    return;
+  }
+  if (body->second.batch_seq == 0) {
+    requests_.erase(body);
+  }
+  pending_.erase(pending);
+}
+
+bool Replica::MarkListed(SeqNum seq, const LogEntry& entry) {
+  bool all_held = true;
+  for (const Digest& d : entry.pre_prepare->request_digests) {
+    auto it = requests_.find(d);
+    if (it == requests_.end()) {
+      all_held = false;
+      continue;
+    }
+    it->second.batch_seq = std::max(it->second.batch_seq, seq);
+    it->second.batch_view = entry.view;
+  }
+  return all_held;
+}
+
+void Replica::OnBodyStored() {
+  std::vector<SeqNum> ready;
+  for (auto it = log_.entries().upper_bound(last_executed_);
+       it != log_.entries().end(); ++it) {
+    LogEntry& entry = it->second;
+    if (entry.pre_prepare.has_value() && !entry.has_bodies &&
+        MarkListed(it->first, entry)) {
+      entry.has_bodies = true;
+      ready.push_back(it->first);
+    }
+  }
+  // An entry of an older view waits for the NEW-VIEW to re-propose it.
+  for (SeqNum seq : ready) {
+    LogEntry& entry = log_.Get(seq);
+    if (in_view_change_ || entry.view != view_) {
+      continue;
+    }
+    SendPrepare(entry);
+    TryPrepared(seq);
+  }
+}
+
+bool Replica::Certified(const LogEntry& entry) const {
+  return entry.certified ||
+         entry.MatchingPrepares() >=
+             static_cast<size_t>(config_.prepared_quorum());
+}
+
+void Replica::FetchMissingBodies(bool to_all) {
+  FetchMsg fetch;
+  for (auto it = log_.entries().upper_bound(last_executed_);
+       it != log_.entries().end(); ++it) {
+    const LogEntry& entry = it->second;
+    if (!entry.pre_prepare.has_value() || entry.has_bodies) {
+      continue;
+    }
+    for (const Digest& d : entry.pre_prepare->request_digests) {
+      if (requests_.count(d) == 0) {
+        fetch.request_digests.push_back(d);
+        to_all = to_all || Certified(entry);
+      }
+    }
+  }
+  std::sort(fetch.request_digests.begin(), fetch.request_digests.end());
+  fetch.request_digests.erase(std::unique(fetch.request_digests.begin(),
+                                          fetch.request_digests.end()),
+                              fetch.request_digests.end());
+  if (fetch.request_digests.empty()) {
+    return;
+  }
+  if (fetch.request_digests.size() > kMaxBatch) {
+    fetch.request_digests.resize(kMaxBatch);
+  }
+  sim_->metrics().Inc(kFetchesSent, id_);
+  const NodeId primary = config_.PrimaryOf(view_);
+  if (to_all || primary == id_) {
+    channel_.MulticastReplicas(
+        channel_.SealAuthenticated(MsgType::kFetch, fetch.Encode()),
+        /*include_self=*/false);
+  } else {
+    channel_.Send(primary,
+                  channel_.SealMac(MsgType::kFetch, fetch.Encode(), primary));
+  }
+}
+
+void Replica::HandleFetch(const WireMessage& msg) {
+  auto fetch = FetchMsg::Decode(msg.payload);
+  if (!fetch.ok() || !config_.IsReplica(msg.sender) || msg.sender == id_) {
+    return;
+  }
+  // Each body at most once, however often a faulty peer lists it.
+  std::vector<Digest>& wanted = fetch->request_digests;
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  FetchReplyMsg reply;
+  for (const Digest& d : wanted) {
+    auto it = requests_.find(d);
+    if (it != requests_.end()) {
+      reply.request_wires.push_back(*it->second.client_wire);
+    }
+  }
+  if (!reply.request_wires.empty()) {
+    channel_.Send(msg.sender, channel_.SealMac(MsgType::kFetchReply,
+                                               reply.Encode(), msg.sender));
+  }
+}
+
+void Replica::HandleFetchReply(const WireMessage& msg) {
+  auto reply = FetchReplyMsg::Decode(msg.payload);
+  if (!reply.ok() || !config_.IsReplica(msg.sender)) {
+    return;
+  }
+  bool stored = false;
+  for (const Bytes& wire : reply->request_wires) {
+    auto request = ParseRequestEnvelope(wire);
+    if (!request.ok() || !config_.IsClient(request->client)) {
+      continue;
+    }
+    Digest digest = request->ComputeDigest();
+    if (requests_.count(digest) > 0) {
+      continue;
+    }
+    // Only bodies the unexecuted log waits for are taken. A batch a quorum
+    // vouched for needs only the digest to match; one this replica has yet
+    // to prepare needs the client's authenticator, or a faulty primary could
+    // order a body no client sent.
+    bool wanted = false;
+    bool certified = false;
+    for (auto it = log_.entries().upper_bound(last_executed_);
+         it != log_.entries().end(); ++it) {
+      const LogEntry& entry = it->second;
+      if (!entry.pre_prepare.has_value() || entry.has_bodies) {
+        continue;
+      }
+      const auto& listed = entry.pre_prepare->request_digests;
+      if (std::find(listed.begin(), listed.end(), digest) != listed.end()) {
+        wanted = true;
+        certified = certified || Certified(entry);
+      }
+    }
+    if (!wanted) {
+      continue;
+    }
+    if (!certified) {
+      auto opened = channel_.Open(wire);
+      if (!opened.ok() || opened->type != MsgType::kRequest ||
+          opened->sender != request->client) {
+        continue;
+      }
+    }
+    StoreBody(digest, *request, std::make_shared<const Bytes>(wire));
+    stored = true;
+  }
+  if (stored) {
+    OnBodyStored();
+  }
+}
+
+void Replica::ReleaseBodiesThrough(SeqNum seq) {
+  for (auto it = requests_.begin(); it != requests_.end();) {
+    StoredRequest& body = it->second;
+    if (body.batch_seq == 0 || body.batch_seq > seq) {
+      ++it;
+      continue;
+    }
+    auto pending = pending_.find(body.client);
+    if (pending != pending_.end() && pending->second == it->first) {
+      // Still unexecuted here: its batch was dropped by a view change, so it
+      // stays pending for the next primary to order.
+      body.batch_seq = 0;
+      ++it;
+      continue;
+    }
+    it = requests_.erase(it);
   }
 }
 
 void Replica::MaybeSendPrePrepare() {
-  while (!pending_requests_.empty() && InWindow(next_seq_) &&
+  while (InWindow(next_seq_) &&
          next_seq_ <= last_executed_ +
                           static_cast<SeqNum>(config_.max_in_flight_batches)) {
+    // Proposable: pending requests no batch of this view lists yet, smallest
+    // digest first.
+    std::vector<Digest> proposable;
+    for (const auto& [client, digest] : pending_) {
+      const StoredRequest& body = requests_.at(digest);
+      if (body.batch_seq == 0 || body.batch_view != view_) {
+        proposable.push_back(digest);
+      }
+    }
+    if (proposable.empty()) {
+      return;
+    }
+    std::sort(proposable.begin(), proposable.end());
     const int batch_cap =
         config_.adaptive_batching ? adaptive_batch_cap_ : config_.max_batch;
     // Adaptive hold: when an earlier batch is already in flight and the
@@ -239,7 +513,7 @@ void Replica::MaybeSendPrePrepare() {
     if (config_.adaptive_batching && !batch_hold_elapsed_ &&
         adaptive_hold_us_ > 0 &&
         next_seq_ > last_executed_ + 1 &&
-        pending_requests_.size() < static_cast<size_t>(batch_cap)) {
+        proposable.size() < static_cast<size_t>(batch_cap)) {
       ArmBatchHoldTimer();
       return;
     }
@@ -252,16 +526,12 @@ void Replica::MaybeSendPrePrepare() {
     pp.view = view_;
     pp.seq = next_seq_;
     pp.nondet = service_->ProposeNondet();
-    // Batch up to the cap's worth of pending requests. The batch embeds the
-    // clients' original authenticated envelopes so backups can verify them.
-    std::vector<Digest> batched;
-    for (const auto& [digest, pending] : pending_requests_) {
-      pp.requests.push_back(pending.client_wire);
-      batched.push_back(digest);
-      if (pp.requests.size() >= static_cast<size_t>(batch_cap)) {
-        break;
-      }
-    }
+    // Batch up to the cap's worth of pending requests, by digest only: every
+    // replica got the bodies from the clients.
+    const size_t batched =
+        std::min(proposable.size(), static_cast<size_t>(batch_cap));
+    pp.request_digests.assign(proposable.begin(),
+                              proposable.begin() + batched);
     ++next_seq_;
 
     Bytes payload = pp.Encode();
@@ -272,6 +542,7 @@ void Replica::MaybeSendPrePrepare() {
     entry.pre_prepare_wire = wire;
     entry.view = view_;
     entry.digest = pp.ComputeDigest();
+    entry.has_bodies = MarkListed(pp.seq, entry);
 
     if (equivocate_) {
       // Byzantine primary: send a conflicting batch (different nondet) to a
@@ -307,14 +578,9 @@ void Replica::MaybeSendPrePrepare() {
       channel_.MulticastReplicas(wire, /*include_self=*/false);
     }
 
-    // Batched requests leave the pending set; clients retransmit if a view
-    // change drops them.
-    for (const Digest& d : batched) {
-      pending_requests_.erase(d);
-    }
     if (config_.adaptive_batching) {
-      AdaptBatch(static_cast<int>(batched.size()),
-                 static_cast<int>(pending_requests_.size()));
+      AdaptBatch(static_cast<int>(batched),
+                 static_cast<int>(proposable.size() - batched));
     }
     TryPrepared(pp.seq);
   }
@@ -404,19 +670,6 @@ void Replica::HandlePrePrepare(const WireMessage& msg, const Bytes& wire) {
     return;  // already accepted one for this (view, seq)
   }
 
-  // Validate the batched client envelopes (authenticators included) and the
-  // proposed non-deterministic input.
-  for (const Bytes& req_wire : pp->requests) {
-    auto req_env = channel_.Open(req_wire);
-    if (!req_env.ok() || req_env->type != MsgType::kRequest) {
-      return;
-    }
-    auto request = RequestMsg::Decode(req_env->payload);
-    if (!request.ok() || request->client != req_env->sender ||
-        !config_.IsClient(request->client)) {
-      return;
-    }
-  }
   if (!service_->CheckNondet(pp->nondet)) {
     LOG_WARN << "replica " << id_ << ": rejecting nondet proposal at seq "
              << pp->seq;
@@ -427,6 +680,7 @@ void Replica::HandlePrePrepare(const WireMessage& msg, const Bytes& wire) {
   entry.pre_prepare_wire = wire;  // kept for view-change proofs
   entry.view = entry.pre_prepare->view;
   entry.digest = digest;
+  entry.has_bodies = MarkListed(entry.pre_prepare->seq, entry);
   sim_->trace().Record(TraceEvent::kPrePrepareAccepted, sim_->Now(), id_,
                        msg.sender, entry.view, entry.pre_prepare->seq,
                        digest.view());
@@ -435,18 +689,31 @@ void Replica::HandlePrePrepare(const WireMessage& msg, const Bytes& wire) {
                                     digest);
   }
 
-  // Send PREPARE (signed, so it can serve in prepared proofs).
+  // PREPARE only once every listed body is here, authenticated by its
+  // client; until then ask the primary for the missing ones.
+  if (entry.has_bodies) {
+    SendPrepare(entry);
+  } else {
+    FetchMissingBodies(/*to_all=*/false);
+  }
+  ArmViewChangeTimer();
+  TryPrepared(entry.pre_prepare->seq);
+}
+
+void Replica::SendPrepare(LogEntry& entry) {
+  if (config_.PrimaryOf(entry.view) == id_ ||
+      entry.prepare_pool.count(id_) > 0) {
+    return;
+  }
+  // Signed, so it can serve in prepared proofs.
   PrepareMsg prepare;
   prepare.view = entry.view;
   prepare.seq = entry.pre_prepare->seq;
-  prepare.digest = digest;
+  prepare.digest = entry.digest;
   prepare.replica = id_;
   Bytes prepare_wire = channel_.SealSigned(MsgType::kPrepare, prepare.Encode());
-  entry.prepare_pool[id_] = LogEntry::Vote{digest, prepare_wire};
+  entry.prepare_pool[id_] = LogEntry::Vote{entry.digest, prepare_wire};
   channel_.MulticastReplicas(prepare_wire, /*include_self=*/false);
-
-  ArmViewChangeTimer();
-  TryPrepared(entry.pre_prepare->seq);
 }
 
 void Replica::HandlePrepare(const WireMessage& msg, const Bytes& wire) {
@@ -475,6 +742,14 @@ void Replica::HandlePrepare(const WireMessage& msg, const Bytes& wire) {
   LogEntry& entry = log_.Get(prepare->seq);
   // Keep the raw envelope for prepared proofs.
   entry.prepare_pool[msg.sender] = LogEntry::Vote{prepare->digest, wire};
+  if (entry.pre_prepare.has_value() && !entry.has_bodies &&
+      entry.MatchingPrepares() ==
+          static_cast<size_t>(config_.prepared_quorum())) {
+    // The batch just became certified, so its missing bodies may now come
+    // from anyone on their digest alone (e.g. envelopes whose MACs predate
+    // this replica's key refresh).
+    FetchMissingBodies(/*to_all=*/true);
+  }
   TryPrepared(prepare->seq);
 }
 
@@ -502,7 +777,7 @@ void Replica::HandleCommit(const WireMessage& msg, const Bytes& wire) {
 
 void Replica::TryPrepared(SeqNum seq) {
   LogEntry& entry = log_.Get(seq);
-  if (entry.prepared || !entry.pre_prepare.has_value()) {
+  if (entry.prepared || !entry.pre_prepare.has_value() || !entry.has_bodies) {
     return;
   }
   // prepared(m, v, n, i): the primary's pre-prepare stands in for its
@@ -557,6 +832,8 @@ void Replica::RecordPreparedCert(SeqNum seq, const LogEntry& entry,
   // overlapping crash-restarts can erase a committed batch's certificate
   // from every view-change quorum — the next NEW-VIEW would re-propose a
   // different batch at this sequence number.
+  // The record also carries the batch's client envelopes, so a restart
+  // never needs a peer for a body it promised.
   if (persist && service_->HasDurableStorage()) {
     Encoder enc;
     enc.PutBytes(BytesView(cert.pre_prepare_wire.data(),
@@ -564,6 +841,18 @@ void Replica::RecordPreparedCert(SeqNum seq, const LogEntry& entry,
     enc.PutU32(static_cast<uint32_t>(cert.prepare_wires.size()));
     for (const Bytes& wire : cert.prepare_wires) {
       enc.PutBytes(BytesView(wire.data(), wire.size()));
+    }
+    // (An already executed batch may have none left; it needs none.)
+    std::vector<const Bytes*> envelopes;
+    for (const Digest& d : entry.pre_prepare->request_digests) {
+      auto body = requests_.find(d);
+      if (body != requests_.end()) {
+        envelopes.push_back(body->second.client_wire.get());
+      }
+    }
+    enc.PutU32(static_cast<uint32_t>(envelopes.size()));
+    for (const Bytes* wire : envelopes) {
+      enc.PutBytes(*wire);
     }
     Bytes blob = enc.Take();
     service_->LogPrepared(seq, BytesView(blob.data(), blob.size()));
@@ -606,24 +895,28 @@ void Replica::ExecuteBatch(SeqNum seq, LogEntry& entry) {
   const bool durable = service_->HasDurableStorage();
   std::vector<ServiceInterface::ExecutedRequest> executed_requests;
   struct PendingReply {
+    Digest digest;
     RequestMsg request;
     Bytes result;
   };
   std::vector<PendingReply> replies;
-  for (const Bytes& req_wire : pp.requests) {
-    // Envelopes were authenticated when the pre-prepare was accepted.
-    auto req_env = Channel::ParseUnverified(req_wire);
-    if (!req_env.ok()) {
+  for (const Digest& d : pp.request_digests) {
+    // Prepared implies every body is held, and bodies outlive their batch
+    // until the stable checkpoint passes it. The envelope was authenticated
+    // (or matched a certified digest) when it was stored.
+    auto body = requests_.find(d);
+    assert(body != requests_.end());
+    if (body == requests_.end()) {
       continue;
     }
-    auto request = RequestMsg::Decode(req_env->payload);
-    if (!request.ok()) {
-      continue;  // validated at accept time; cannot happen for correct nodes
-    }
-    auto ts_it = last_executed_timestamp_.find(request->client);
+    auto ts_it = last_executed_timestamp_.find(body->second.client);
     if (ts_it != last_executed_timestamp_.end() &&
-        request->timestamp <= ts_it->second) {
+        body->second.timestamp <= ts_it->second) {
       continue;  // duplicate slipped into a batch; execute-once semantics
+    }
+    auto request = ParseRequestEnvelope(*body->second.client_wire);
+    if (!request.ok()) {
+      continue;  // validated when stored; cannot happen
     }
     Bytes result = service_->Execute(request->op, request->client, pp.nondet,
                                      /*tentative=*/false);
@@ -633,7 +926,7 @@ void Replica::ExecuteBatch(SeqNum seq, LogEntry& entry) {
           request->client, request->timestamp, request->op});
     }
     sim_->metrics().Inc(kRequestsExecuted, id_);
-    replies.push_back(PendingReply{std::move(*request), std::move(result)});
+    replies.push_back(PendingReply{d, std::move(*request), std::move(result)});
   }
   if (durable) {
     // Every agreed batch is logged — including null/empty ones — so the
@@ -644,20 +937,15 @@ void Replica::ExecuteBatch(SeqNum seq, LogEntry& entry) {
     service_->LogBatch(seq, BytesView(pp.nondet.data(), pp.nondet.size()),
                        executed_requests);
   }
-  for (PendingReply& pending : replies) {
-    SendReply(pending.request, std::move(pending.result), /*tentative=*/false);
-    // Hot path: backups usually have no pending entry for this request (only
-    // the primary queued it), so skip re-hashing the request just to erase
-    // nothing.
-    if (!pending_requests_.empty()) {
-      auto pending_it = pending_requests_.find(pending.request.ComputeDigest());
-      if (pending_it != pending_requests_.end()) {
-        if (config_.primary_quality_monitor && !IsPrimary()) {
-          NotePrimaryLatency(sim_->Now() - pending_it->second.received_at);
-        }
-        pending_requests_.erase(pending_it);
-      }
+  for (PendingReply& reply : replies) {
+    SendReply(reply.request, std::move(reply.result), /*tentative=*/false);
+    auto pending = pending_.find(reply.request.client);
+    if (pending != pending_.end() && pending->second == reply.digest &&
+        config_.primary_quality_monitor && !IsPrimary()) {
+      NotePrimaryLatency(sim_->Now() -
+                         requests_.at(reply.digest).received_at);
     }
+    ReleasePending(reply.request.client, reply.request.timestamp);
   }
   entry.executed = true;
   last_executed_ = seq;
@@ -670,7 +958,7 @@ void Replica::ExecuteBatch(SeqNum seq, LogEntry& entry) {
   }
 
   // Progress was made; restart the fault timer (or disarm it if idle).
-  if (pending_requests_.empty()) {
+  if (pending_.empty()) {
     DisarmViewChangeTimer();
   } else {
     ArmViewChangeTimer();
@@ -954,6 +1242,7 @@ void Replica::AdoptStableCheckpoint(SeqNum seq, const Digest& digest,
     }
   }
   log_.TruncateBelow(seq);
+  ReleaseBodiesThrough(seq);
   prepared_certs_.erase(prepared_certs_.begin(),
                         prepared_certs_.upper_bound(seq));
   checkpoint_votes_.erase(checkpoint_votes_.begin(),
@@ -1013,12 +1302,12 @@ void Replica::OnStateTransferDone(SeqNum seq, const Digest& digest) {
     DecodeReplyCache(service_->GetProtocolState());
     // The group answered these requests while we were behind; waiting on
     // them would only run the view-change timer against a working primary.
-    std::erase_if(pending_requests_, [this](const auto& item) {
-      auto ts_it = last_executed_timestamp_.find(item.second.request.client);
-      return ts_it != last_executed_timestamp_.end() &&
-             item.second.request.timestamp <= ts_it->second;
-    });
-    if (pending_requests_.empty()) {
+    // (A replica waiting for a NEW-VIEW keeps its timer: it is what
+    // cascades to the next view if that NEW-VIEW never comes.)
+    for (const auto& [client, timestamp] : last_executed_timestamp_) {
+      ReleasePending(client, timestamp);
+    }
+    if (pending_.empty() && !in_view_change_) {
       DisarmViewChangeTimer();
     }
     log_.TruncateBelow(seq);
@@ -1119,7 +1408,8 @@ void Replica::FinishProactiveRecovery(SeqNum seq, const Digest& digest) {
   DecodeReplyCache(service_->GetProtocolState());
   log_.Clear();
   prepared_certs_.clear();
-  pending_requests_.clear();
+  requests_.clear();
+  pending_.clear();
   if (seq > 0 && seq % config_.checkpoint_interval == 0) {
     BroadcastCheckpointVote(seq, digest);
   }
@@ -1148,6 +1438,10 @@ void Replica::Crash() {
                std::min(config_.max_batch, config_.adaptive_batch_max));
   adaptive_hold_us_ = 0;
   DisarmViewChangeTimer();
+  if (view_change_wake_ != 0) {
+    sim_->Cancel(view_change_wake_);
+    view_change_wake_ = 0;
+  }
   // All volatile protocol state dies with the process.
   view_ = 0;
   next_seq_ = 1;
@@ -1159,7 +1453,8 @@ void Replica::Crash() {
   stable_proof_.clear();
   log_.Clear();
   prepared_certs_.clear();
-  pending_requests_.clear();
+  requests_.clear();
+  pending_.clear();
   reply_cache_.clear();
   last_executed_timestamp_.clear();
   checkpoint_votes_.clear();
@@ -1251,17 +1546,40 @@ void Replica::RestartFromStorage() {
     if (!pp.ok() || pp->seq != seq) {
       continue;
     }
+    std::vector<Bytes> prepare_wires;
+    for (uint32_t i = 0; i < count && dec.ok(); ++i) {
+      prepare_wires.push_back(dec.GetBytes());
+    }
+    // The batch's bodies come back from the record itself, so a restart
+    // needs no peer for them.
+    std::map<Digest, std::pair<RequestMsg, Bytes>> bodies;
+    uint32_t envelope_count = dec.GetU32();
+    for (uint32_t i = 0; i < envelope_count && dec.ok(); ++i) {
+      Bytes wire = dec.GetBytes();
+      auto request = ParseRequestEnvelope(wire);
+      if (request.ok()) {
+        Digest digest = request->ComputeDigest();
+        bodies[digest] = {std::move(*request), std::move(wire)};
+      }
+    }
+    if (!dec.AtEnd()) {
+      continue;
+    }
+    for (const Digest& d : pp->request_digests) {
+      auto body = bodies.find(d);
+      if (body != bodies.end() && requests_.count(d) == 0) {
+        StoreBody(d, body->second.first,
+                  std::make_shared<const Bytes>(std::move(body->second.second)));
+      }
+    }
     LogEntry& entry = log_.Get(seq);
     entry.view = pp->view;
     entry.digest = pp->ComputeDigest();
     entry.pre_prepare_wire = pp_wire;
     entry.pre_prepare = std::move(*pp);
+    entry.certified = true;
     entry.prepare_pool.clear();
-    for (uint32_t i = 0; i < count && dec.ok(); ++i) {
-      Bytes p_wire = dec.GetBytes();
-      if (!dec.ok()) {
-        break;
-      }
+    for (const Bytes& p_wire : prepare_wires) {
       auto p_env = Channel::ParseUnverified(p_wire);
       if (!p_env.ok()) {
         continue;
@@ -1273,7 +1591,8 @@ void Replica::RestartFromStorage() {
       entry.prepare_pool[prepare->replica] =
           LogEntry::Vote{prepare->digest, p_wire};
     }
-    entry.prepared = true;
+    entry.has_bodies = MarkListed(seq, entry);
+    entry.prepared = entry.has_bodies;
     entry.committed = seq <= last_executed_;
     entry.executed = seq <= last_executed_;
     // Re-install into the retained certificate set without re-appending to

@@ -9,6 +9,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 
@@ -84,6 +85,10 @@ class Replica : public SimNode {
   bool has_prepared_cert(SeqNum seq) const {
     return prepared_certs_.count(seq) > 0;
   }
+  // Clients with a request pending here, and request bodies held (pending
+  // or listed by a batch above the stable checkpoint).
+  size_t pending_request_count() const { return pending_.size(); }
+  size_t stored_request_count() const { return requests_.size(); }
   // Provable stable checkpoint (may lag stable_seq() after a restart whose
   // local checkpoint never gathered 2f+1 votes).
   SeqNum proofed_stable_seq() const { return proofed_stable_seq_; }
@@ -128,7 +133,8 @@ class Replica : public SimNode {
   // --- Normal-case protocol -------------------------------------------------
   // Handlers receive both the parsed message and the raw wire envelope; the
   // wire is retained where it may serve in a transferable proof (pre-prepare,
-  // prepare, checkpoint) or be re-embedded (client requests in batches).
+  // prepare, checkpoint) or be passed on (client requests, relayed to the
+  // primary or served to a peer's FETCH).
   void HandleRequest(const WireMessage& msg, const Bytes& wire);
   void MaybeSendPrePrepare();
   // --- Adaptive batching (config_.adaptive_batching) ------------------------
@@ -144,6 +150,8 @@ class Replica : public SimNode {
   TimerId batch_hold_timer_ = 0;
   bool batch_hold_elapsed_ = false;  // set by the timer: propose now
   void HandlePrePrepare(const WireMessage& msg, const Bytes& wire);
+  // Multicasts this backup's PREPARE for `entry` unless it already sent one.
+  void SendPrepare(LogEntry& entry);
   void HandlePrepare(const WireMessage& msg, const Bytes& wire);
   void HandleCommit(const WireMessage& msg, const Bytes& wire);
   void TryPrepared(SeqNum seq);
@@ -186,8 +194,13 @@ class Replica : public SimNode {
   void OnStateTransferDone(SeqNum seq, const Digest& digest);
 
   // --- View changes (replica_view_change.cc) ---------------------------------
+  // The view-change timer is a deadline plus one pending wake. Re-arming
+  // moves the deadline; the wake re-checks it when it fires and is replaced
+  // only by an earlier deadline, so re-arms leave no cancelled events.
   void ArmViewChangeTimer();
-  void DisarmViewChangeTimer();
+  void SetViewChangeDeadline(SimTime deadline);
+  void DisarmViewChangeTimer() { view_change_deadline_ = 0; }
+  void OnViewChangeWake();
   void OnViewChangeTimeout();
   void StartViewChange(ViewNum target_view);
   // Whether this replica is catching up (catching_up_) and the group keeps
@@ -261,16 +274,55 @@ class Replica : public SimNode {
   void RecordPreparedCert(SeqNum seq, const LogEntry& entry,
                           bool persist = true);
 
-  // Pending client requests (primary batches them; backups use them to
-  // detect a faulty primary). Keyed by request digest for dedup.
-  struct PendingRequest {
-    RequestMsg request;
-    // The client's original authenticated envelope: embedded in pre-prepare
-    // batches so backups can verify the client's authenticator themselves.
-    Bytes client_wire;
-    SimTime received_at = 0;
+  // --- Separate request transmission (DESIGN.md §6) --------------------------
+  // Clients multicast every request and PRE-PREPAREs list digests. A replica
+  // authenticates and digests each body once, on receipt, and keeps it here
+  // until its batch reaches the stable checkpoint.
+  struct StoredRequest {
+    NodeId client = 0;
+    uint64_t timestamp = 0;
+    // The client's authenticated envelope, sharing the buffer it was
+    // delivered in when it can: relayed to the primary, served to a peer's
+    // FETCH, persisted with the prepared certificate, and parsed again (not
+    // hashed again) at execution.
+    std::shared_ptr<const Bytes> client_wire;
+    SimTime received_at = 0;  // first arrival, for the quality monitor
+    // Highest sequence number of a logged batch that lists this request
+    // (0: none yet) and the view of the batch that last listed it.
+    SeqNum batch_seq = 0;
+    ViewNum batch_view = 0;
   };
-  std::map<Digest, PendingRequest> pending_requests_;
+  std::map<Digest, StoredRequest> requests_;
+  // Each client's newest unexecuted request held here (at most one per
+  // client): what the primary batches, and what keeps a backup's
+  // view-change timer running.
+  std::map<NodeId, Digest> pending_;
+  // Makes a client's copy its pending request, storing the body if it is
+  // new. False when the client already has a newer or an equal-timestamp
+  // request pending (the first body under a timestamp wins).
+  bool AdmitRequest(const Digest& digest, const RequestMsg& request,
+                    const Bytes& wire);
+  void StoreBody(const Digest& digest, const RequestMsg& request,
+                 std::shared_ptr<const Bytes> wire);
+  // Drops `client`'s pending request once execution reached `timestamp`;
+  // frees its body unless a batch lists it.
+  void ReleasePending(NodeId client, uint64_t timestamp);
+  // Records that the batch at `seq` lists every body it names that is held
+  // here; returns whether all of them are.
+  bool MarkListed(SeqNum seq, const LogEntry& entry);
+  // A body just arrived: completes the unexecuted entries waiting for it.
+  void OnBodyStored();
+  // Whether a quorum already vouches for the entry's batch (NEW-VIEW
+  // re-proposal, durable certificate, or 2f matching prepares); then a
+  // fetched body needs only to match its digest, not the client's MAC.
+  bool Certified(const LogEntry& entry) const;
+  // Sends one FETCH for every body the unexecuted log lacks: to the primary,
+  // or to every replica when `to_all` or a certified batch needs one.
+  void FetchMissingBodies(bool to_all);
+  void HandleFetch(const WireMessage& msg);
+  void HandleFetchReply(const WireMessage& msg);
+  // Frees the bodies whose batches the stable checkpoint at `seq` covers.
+  void ReleaseBodiesThrough(SeqNum seq);
 
   // Per-client dedup + retransmission cache.
   std::map<NodeId, CachedReply> reply_cache_;
@@ -285,7 +337,9 @@ class Replica : public SimNode {
 
   // View-change state.
   bool in_view_change_ = false;
-  TimerId view_change_timer_ = 0;
+  SimTime view_change_deadline_ = 0;  // 0 = disarmed
+  TimerId view_change_wake_ = 0;
+  SimTime view_change_wake_at_ = 0;
   SimTime view_change_timeout_ = 0;  // current (doubles on cascade)
   // target view -> sender -> validated message + wire.
   struct ViewChangeVote {
@@ -338,8 +392,8 @@ class Replica : public SimNode {
   SimTime proposal_delay_ = 0;
 
   // --- Primary quality monitor (config_.primary_quality_monitor) -----------
-  // Backups sample the request-to-commit latency of requests they relayed to
-  // the primary (now - received_at at execution time) and start a proactive
+  // Backups sample the request-to-commit latency of the requests pending
+  // here (now - received_at at execution time) and start a proactive
   // view change when the per-view median crawls. Samples reset on every view
   // transition; at most one monitor-triggered view change per view.
   void NotePrimaryLatency(SimTime sample);

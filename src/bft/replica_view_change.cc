@@ -12,20 +12,36 @@ namespace bftbase {
 // ------------------------------------------------------------------ timers
 
 void Replica::ArmViewChangeTimer() {
-  DisarmViewChangeTimer();
-  view_change_timer_ =
-      sim_->After(id_, view_change_timeout_, [this] { OnViewChangeTimeout(); });
+  SetViewChangeDeadline(sim_->Now() + view_change_timeout_);
 }
 
-void Replica::DisarmViewChangeTimer() {
-  if (view_change_timer_ != 0) {
-    sim_->Cancel(view_change_timer_);
-    view_change_timer_ = 0;
+void Replica::SetViewChangeDeadline(SimTime deadline) {
+  view_change_deadline_ = deadline;
+  if (view_change_wake_ != 0) {
+    if (view_change_wake_at_ <= deadline) {
+      return;  // the pending wake re-checks the deadline when it fires
+    }
+    sim_->Cancel(view_change_wake_);
   }
+  view_change_wake_at_ = deadline;
+  view_change_wake_ = sim_->After(id_, deadline - sim_->Now(),
+                                  [this] { OnViewChangeWake(); });
+}
+
+void Replica::OnViewChangeWake() {
+  view_change_wake_ = 0;
+  if (view_change_deadline_ == 0) {
+    return;  // disarmed since
+  }
+  if (sim_->Now() < view_change_deadline_) {
+    SetViewChangeDeadline(view_change_deadline_);  // moved later since
+    return;
+  }
+  view_change_deadline_ = 0;
+  OnViewChangeTimeout();
 }
 
 void Replica::OnViewChangeTimeout() {
-  view_change_timer_ = 0;
   if (recovering_) {
     return;
   }
@@ -43,9 +59,9 @@ void Replica::OnViewChangeTimeout() {
     // Progress is sampled once per expiry, and the live primary of an idle
     // group commits only a null request per null_request_interval (at worst
     // two intervals apart), so the next sample must not come sooner.
-    view_change_timer_ = sim_->After(
-        id_, std::max(view_change_timeout_, 2 * config_.null_request_interval),
-        [this] { OnViewChangeTimeout(); });
+    SetViewChangeDeadline(
+        sim_->Now() +
+        std::max(view_change_timeout_, 2 * config_.null_request_interval));
     return;
   }
   // No progress: move to the next view. If we are already waiting for a
@@ -139,8 +155,7 @@ void Replica::StartViewChange(ViewNum target_view) {
       std::min(view_change_timeout_ * 2,
                config_.view_change_timeout_cap *
                    config_.EffectiveViewChangeTimeout());
-  view_change_timer_ =
-      sim_->After(id_, view_change_timeout_, [this] { OnViewChangeTimeout(); });
+  ArmViewChangeTimer();
 
   MaybeSendNewView(target_view);
 }
@@ -319,7 +334,7 @@ Result<Replica::NewViewPlan> Replica::ComputeNewViewPlan(
     auto it = chosen.find(seq);
     if (it != chosen.end()) {
       pp.nondet = it->second.second.nondet;
-      pp.requests = it->second.second.requests;
+      pp.request_digests = it->second.second.request_digests;
     }
     // else: null request (empty batch) to fill the gap.
     plan.pre_prepares[seq] = std::move(pp);
@@ -500,19 +515,15 @@ void Replica::EnterNewView(ViewNum target_view, const NewViewPlan& plan,
     entry.pre_prepare = std::move(*pp);
     entry.pre_prepare_wire = pp_wire;
     entry.executed = seq <= last_executed_;
-
-    if (!is_primary) {
-      PrepareMsg prepare;
-      prepare.view = target_view;
-      prepare.seq = seq;
-      prepare.digest = entry.digest;
-      prepare.replica = id_;
-      Bytes prepare_wire =
-          channel_.SealSigned(MsgType::kPrepare, prepare.Encode());
-      entry.prepare_pool[id_] = LogEntry::Vote{entry.digest, prepare_wire};
-      channel_.MulticastReplicas(prepare_wire, /*include_self=*/false);
+    // Each re-proposal carries a prepared certificate (or is null), so a
+    // missing body is fetched from everyone and taken on its digest.
+    entry.certified = true;
+    entry.has_bodies = MarkListed(seq, entry) || entry.executed;
+    if (entry.has_bodies) {
+      SendPrepare(entry);
     }
   }
+  FetchMissingBodies(/*to_all=*/true);
 
   SeqNum max_assigned = plan.stable_seq;
   if (!plan.pre_prepares.empty()) {
@@ -539,7 +550,7 @@ void Replica::EnterNewView(ViewNum target_view, const NewViewPlan& plan,
   if (is_primary) {
     MaybeSendPrePrepare();
   }
-  if (!pending_requests_.empty()) {
+  if (!pending_.empty()) {
     ArmViewChangeTimer();
   }
 }

@@ -103,11 +103,18 @@ TraceResult RunWallclock(int f, int clients, int requests_per_client,
 //     replica's cold FullResync) no longer delays the messages sent before
 //     the first event, so every client's first request departs at t=0
 //     instead of ~23 ms late; the wall-clock pins moved for the same reason.
-//   current  3dbd441813ef / 2966 events (seeds 9 and 17 below) — checkpoint
-//     digest work runs on each replica's idle lane, so CHECKPOINT votes,
-//     page commits and WAL cuts happen when that work completes rather than
-//     inside the executing handler. Event counts are unchanged, and the
-//     fault-free wall-clock pins (no checkpoint in their runs) did not move.
+//   3dbd441813ef / 2966 events (seed 9: 835596cba47f / 2823, seed 17:
+//     ef459a2fbc23 / 2945) — checkpoint digest work runs on each replica's
+//     idle lane, so CHECKPOINT votes, page commits and WAL cuts happen when
+//     that work completes rather than inside the executing handler. Event
+//     counts are unchanged, and the fault-free wall-clock pins (no
+//     checkpoint in their runs) did not move.
+//   current  15ead6bbf8f9 / 3176 events (seeds 9 and 17 below) — separate
+//     request transmission (DESIGN.md §6): clients multicast every request,
+//     PRE-PREPAREs list digests, backups FETCH bodies they lack and the
+//     view-change timer moves a deadline. More messages (n copies of each
+//     request) and smaller pre-prepares change every interleaving; the
+//     wall-clock pins moved for the same reason.
 TEST(KernelWitness, ChaosSeedsMatchPins) {
   struct Pin {
     uint64_t seed;
@@ -115,9 +122,9 @@ TEST(KernelWitness, ChaosSeedsMatchPins) {
     uint64_t events;
   };
   const Pin pins[] = {
-      {1, "3dbd441813ef", 2966},
-      {9, "835596cba47f", 2823},
-      {17, "ef459a2fbc23", 2945},
+      {1, "15ead6bbf8f9", 3176},
+      {9, "ab7c9d2ad85d", 3033},
+      {17, "1e423e23d88b", 3155},
   };
   for (const Pin& pin : pins) {
     ChaosOptions options;
@@ -153,9 +160,13 @@ TEST(KernelWitness, WallclockConfigsMatchPreOverhaulPins) {
   //     longer delays the messages sent before the first event: the first
   //     requests depart at t=0 instead of behind every replica's cold
   //     FullResync. Event counts are unchanged.
+  //   9b35a6966869 / 6326 events (f1_1client: c6c2ea0f45e1 / 3158) —
+  //     separate request transmission (DESIGN.md §6): each request now
+  //     reaches every replica from the client (n deliveries instead of
+  //     one), and the pre-prepare carries digests, not bodies.
   const Pin pins[] = {
-      {1, 1, 40, 7001, "ed3034f33651", 2918},
-      {2, 16, 5, 7002, "56dc9a9e2fbf", 5173},
+      {1, 1, 40, 7001, "c6c2ea0f45e1", 3158},
+      {2, 16, 5, 7002, "9b35a6966869", 6326},
   };
   for (const Pin& pin : pins) {
     TraceResult r =

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/bft/channel.h"
 #include "src/bft/message.h"
@@ -33,12 +35,13 @@ TEST(Message, PrePrepareRoundTripAndDigest) {
   msg.view = 3;
   msg.seq = 17;
   msg.nondet = ToBytes("ts");
-  msg.requests = {ToBytes("req1"), ToBytes("req2")};
+  msg.request_digests = {Digest::Of(ToBytes("req1")),
+                         Digest::Of(ToBytes("req2"))};
   auto decoded = PrePrepareMsg::Decode(msg.Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->view, 3u);
   EXPECT_EQ(decoded->seq, 17u);
-  EXPECT_EQ(decoded->requests.size(), 2u);
+  EXPECT_EQ(decoded->request_digests, msg.request_digests);
   EXPECT_EQ(decoded->ComputeDigest(), msg.ComputeDigest());
 
   // The digest covers content, not the slot.
@@ -47,6 +50,89 @@ TEST(Message, PrePrepareRoundTripAndDigest) {
   EXPECT_EQ(other.ComputeDigest(), msg.ComputeDigest());
   other.nondet = ToBytes("different");
   EXPECT_NE(other.ComputeDigest(), msg.ComputeDigest());
+}
+
+// Every strict prefix of a valid encoding fails to decode, and so does the
+// encoding with trailing garbage.
+template <typename Msg>
+void ExpectTruncationsRejected(const Bytes& wire) {
+  for (size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(Msg::Decode(BytesView(wire.data(), len)).ok())
+        << "prefix of " << len << " bytes decoded";
+  }
+  Bytes longer = wire;
+  longer.push_back(0);
+  EXPECT_FALSE(Msg::Decode(longer).ok());
+}
+
+// Overwrites the little-endian u32 count at `offset`.
+Bytes WithCount(Bytes wire, size_t offset, uint32_t count) {
+  for (int i = 0; i < 4; ++i) {
+    wire[offset + i] = static_cast<uint8_t>(count >> (8 * i));
+  }
+  return wire;
+}
+
+TEST(Message, DigestOnlyPrePrepareIsCanonicalAndBounded) {
+  PrePrepareMsg msg;
+  msg.view = 2;
+  msg.seq = 9;
+  msg.nondet = ToBytes("clock");
+  for (int i = 0; i < 3; ++i) {
+    msg.request_digests.push_back(Digest::Of(ToBytes(std::to_string(i))));
+  }
+  const Bytes wire = msg.Encode();
+  // Bodies travel separately: the batch costs one digest per request.
+  EXPECT_EQ(wire.size(), 8 + 8 + 4 + msg.nondet.size() + 4 + 3 * Digest::kSize);
+  auto decoded = PrePrepareMsg::Decode(wire);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->Encode(), wire);
+  EXPECT_EQ(decoded->ComputeDigest(), msg.ComputeDigest());
+  // The batch digest covers exactly the listed digests and their order.
+  PrePrepareMsg reordered = msg;
+  std::swap(reordered.request_digests[0], reordered.request_digests[1]);
+  EXPECT_NE(reordered.ComputeDigest(), msg.ComputeDigest());
+
+  ExpectTruncationsRejected<PrePrepareMsg>(wire);
+  const size_t count_at = 8 + 8 + 4 + msg.nondet.size();
+  EXPECT_FALSE(PrePrepareMsg::Decode(WithCount(wire, count_at, 4)).ok());
+  EXPECT_FALSE(
+      PrePrepareMsg::Decode(WithCount(wire, count_at, kMaxBatch + 1)).ok());
+  EXPECT_FALSE(PrePrepareMsg::Decode(WithCount(wire, count_at, 0xffffffff)).ok());
+}
+
+TEST(Message, FetchAndReplyAreCanonicalAndBounded) {
+  FetchMsg fetch;
+  fetch.request_digests = {Digest::Of(ToBytes("a")), Digest::Of(ToBytes("b"))};
+  const Bytes fetch_wire = fetch.Encode();
+  auto decoded_fetch = FetchMsg::Decode(fetch_wire);
+  ASSERT_TRUE(decoded_fetch.ok());
+  EXPECT_EQ(decoded_fetch->request_digests, fetch.request_digests);
+  EXPECT_EQ(decoded_fetch->Encode(), fetch_wire);
+  ExpectTruncationsRejected<FetchMsg>(fetch_wire);
+  EXPECT_FALSE(FetchMsg::Decode(WithCount(fetch_wire, 0, 3)).ok());
+  EXPECT_FALSE(FetchMsg::Decode(WithCount(fetch_wire, 0, kMaxBatch + 1)).ok());
+
+  FetchReplyMsg reply;
+  reply.request_wires = {ToBytes("envelope one"), Bytes(), ToBytes("two")};
+  const Bytes reply_wire = reply.Encode();
+  auto decoded_reply = FetchReplyMsg::Decode(reply_wire);
+  ASSERT_TRUE(decoded_reply.ok());
+  EXPECT_EQ(decoded_reply->request_wires, reply.request_wires);
+  EXPECT_EQ(decoded_reply->Encode(), reply_wire);
+  ExpectTruncationsRejected<FetchReplyMsg>(reply_wire);
+  EXPECT_FALSE(FetchReplyMsg::Decode(WithCount(reply_wire, 0, 4)).ok());
+  EXPECT_FALSE(
+      FetchReplyMsg::Decode(WithCount(reply_wire, 0, kMaxBatch + 1)).ok());
+  // An inflated inner length must not be trusted either.
+  EXPECT_FALSE(
+      FetchReplyMsg::Decode(WithCount(reply_wire, 4, 0x7fffffff)).ok());
+
+  // Empty lists are valid and canonical.
+  EXPECT_EQ(FetchMsg::Decode(FetchMsg().Encode())->Encode(),
+            FetchMsg().Encode());
+  EXPECT_EQ(FetchReplyMsg::Decode(FetchReplyMsg().Encode())->Encode(),
+            FetchReplyMsg().Encode());
 }
 
 TEST(Message, PrepareCommitRoundTrip) {

@@ -201,10 +201,13 @@ TEST(PipelineWitness, WallclockConfigsIdenticalAcrossThreadCounts) {
   };
   // Re-pinned with kernel_witness_test.cc (228d57578ed1 -> ed3034f33651,
   // eaf5e0052527 -> 56dc9a9e2fbf): CPU charged while the group is built no
-  // longer delays the messages sent before the first event.
+  // longer delays the messages sent before the first event. Again
+  // (ed3034f33651 -> c6c2ea0f45e1, 56dc9a9e2fbf -> 9b35a6966869) for
+  // separate request transmission: clients multicast every request and
+  // pre-prepares carry digests.
   const Pin pins[] = {
-      {1, 1, 40, 7001, "ed3034f33651", 2918},
-      {2, 16, 5, 7002, "56dc9a9e2fbf", 5173},
+      {1, 1, 40, 7001, "c6c2ea0f45e1", 3158},
+      {2, 16, 5, 7002, "9b35a6966869", 6326},
   };
   for (const Pin& pin : pins) {
     CounterRows base_counters;

@@ -187,10 +187,11 @@ TEST(ProtocolEdge, ReplayedStaleRepliesCannotCompleteNewOperation) {
 }
 
 // A single Byzantine replica advertises a wildly inflated view in a reply.
-// The client must not adopt a view fewer than f+1 distinct replicas attest
-// to. The regression: the client used to believe the first higher view it
+// The original regression: the client believed the first higher view it
 // saw, then unicast its next request at PrimaryOf(inflated view) — the very
-// replica that lied — and had to burn a full retransmission timeout.
+// replica that lied — and had to burn a full retransmission timeout. Clients
+// now multicast every attempt and track no view, so this stays as an
+// end-to-end check that a liar's view claim costs no timer-driven retry.
 TEST(ProtocolEdge, ClientIgnoresViewInflationWithoutQuorumOfAttestations) {
   ServiceGroup::Params params;
   params.config.f = 1;
@@ -245,10 +246,9 @@ TEST(ProtocolEdge, ClientIgnoresViewInflationWithoutQuorumOfAttestations) {
 // The active variant of the view-inflation regression: the true primary is
 // dead, a real view change is in flight, and the liar races it with two
 // CONFLICTING inflated view claims — one pointing at the dead replica, one
-// at the liar itself. The client must adopt only the view that f+1 distinct
-// replicas attest to (the honestly installed one), because adopting either
-// single-attestation claim would aim the next request at a black hole and
-// burn a full retransmission timeout.
+// at the liar itself. Adopting either single-attestation claim used to aim
+// the next request at a black hole and burn a full retransmission timeout.
+// With every attempt multicast it stays as an end-to-end check.
 TEST(ProtocolEdge, ClientAdoptsQuorumAttestedViewDespiteConflictingClaims) {
   ServiceGroup::Params params;
   params.config.f = 1;
@@ -303,15 +303,17 @@ TEST(ProtocolEdge, ClientAdoptsQuorumAttestedViewDespiteConflictingClaims) {
   EXPECT_EQ(group->replica(1).view(), 1u);
   EXPECT_EQ(group->replica(2).view(), 1u);
 
-  // op3 goes straight to the primary of the quorum-attested view (replica
-  // 1): no further retransmissions beyond the ones op2 needed, completion
-  // well inside one retry timeout.
-  const uint64_t retries_before = group->client(0).retries();
+  // op3 reaches the primary of the installed view (replica 1): no
+  // timer-driven retransmission beyond the ones op2 needed, completion well
+  // inside one retry timeout. (Replica 3 is op3's designated replier and,
+  // missing the client's copy, answers only after fetching the body, so the
+  // client may retransmit once eagerly on a digest quorum.)
+  const uint64_t timeout_retries_before = group->client(0).timeout_retries();
   auto r = group->Invoke(KvAdapter::EncodeGet(2), /*read_only=*/false,
                          30 * kSecond);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(ToString(*r), "w");
-  EXPECT_EQ(group->client(0).retries(), retries_before)
+  EXPECT_EQ(group->client(0).timeout_retries(), timeout_retries_before)
       << "client burned a retransmission aiming at a liar-claimed primary";
   EXPECT_LT(group->client(0).last_latency(),
             group->config().client_retry_timeout);
@@ -379,12 +381,13 @@ TEST(ProtocolEdge, DigestQuorumWithoutResultRetransmitsEagerly) {
   auto group = MakeGroup(std::move(params));
   const NodeId client_id = group->config().ClientId(0);
 
+  // Attempts are counted at replica 0: each one is multicast.
   int client_requests_seen = 0;
   group->sim().network().SetInterceptor(
       [&](NodeId from, NodeId to, Bytes& wire) {
         if (from == client_id &&
             WireType(wire) == static_cast<uint8_t>(MsgType::kRequest)) {
-          ++client_requests_seen;
+          client_requests_seen += to == 0 ? 1 : 0;
           return true;
         }
         if (to != client_id || client_requests_seen > 1 ||
@@ -461,6 +464,69 @@ TEST(ProtocolEdge, RetransmissionsDoNotPostponeSuspicion) {
                                         group->sim().Now() + 60 * kSecond));
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(group->replica(1).view(), 1u);
+}
+
+// A replica waiting for a NEW-VIEW keeps its view-change timer across a
+// state transfer: that timer is what cascades it to the next view if the
+// NEW-VIEW never comes. Replica 3 misses all agreement traffic (and client
+// 0's requests), so the one request it holds never executes there and it
+// starts a view change alone. It then adopts the group's stable checkpoint
+// and fetches it, which retires that request. Finishing the transfer with
+// nothing pending used to disarm the timer too, leaving the replica in that
+// view change for good (found by FaultSweep's message_loss scenario).
+TEST(ProtocolEdge, StateTransferKeepsTheNewViewTimer) {
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.config.checkpoint_interval = 8;
+  params.config.log_window = 16;
+  params.config.null_request_interval = 0;
+  params.seed = 9009;
+  auto group = MakeGroup(std::move(params));
+  const NodeId client_id = group->config().ClientId(0);
+  group->sim().network().SetInterceptor(
+      [&](NodeId from, NodeId to, Bytes& wire) {
+        const uint8_t type = WireType(wire);
+        return !(to == 3 &&
+                 (from == client_id ||
+                  type == static_cast<uint8_t>(MsgType::kPrePrepare) ||
+                  type == static_cast<uint8_t>(MsgType::kPrepare) ||
+                  type == static_cast<uint8_t>(MsgType::kCommit)));
+      });
+
+  // Seq 1: a request every replica holds; the group executes it, replica 3
+  // cannot, and suspects the primary alone.
+  const NodeId other_client = group->config().ClientId(1);
+  RequestMsg request;
+  request.client = other_client;
+  request.timestamp = 1;
+  request.op = KvAdapter::EncodeSet(9, ToBytes("first"));
+  Channel forge(&group->sim(), &group->keys(), group->config(), other_client);
+  Bytes wire = forge.SealAuthenticated(MsgType::kRequest, request.Encode());
+  for (NodeId r = 0; r < 4; ++r) {
+    group->sim().network().Send(other_client, r, wire);
+  }
+  Replica& lagging = group->replica(3);
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return lagging.in_view_change(); }, group->sim().Now() + kSecond));
+  ASSERT_EQ(lagging.view(), 1u);
+
+  // The group reaches checkpoint 8; replica 3 adopts it and fetches it.
+  for (uint32_t i = 0; group->replica(0).last_executed() < 8; ++i) {
+    ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(i, ToBytes("v"))).ok());
+  }
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return lagging.last_executed() >= 8; },
+      group->sim().Now() + kSecond));
+  ASSERT_TRUE(lagging.in_view_change());
+  EXPECT_EQ(lagging.pending_request_count(), 0u);
+
+  // No NEW-VIEW for view 1 will come: the timer must cascade to view 2.
+  const uint64_t started = lagging.view_changes_started();
+  group->sim().RunUntil(group->sim().Now() +
+                        2 * lagging.current_view_change_timeout());
+  EXPECT_GT(lagging.view_changes_started(), started)
+      << "replica 3 stayed in its view change with no timer";
+  EXPECT_GE(lagging.view(), 2u);
 }
 
 }  // namespace

@@ -233,7 +233,9 @@ TEST(GeoQualityMonitor, GenuinelySlowPrimaryStillDeposedOnWan) {
 // pins). If this digest moves, the static batching path was touched.
 // History: 228d57578ed1 -> ed3034f33651 when CPU charged while the group is
 // built stopped delaying the messages sent before the first event (the
-// kernel-witness pin moved with it).
+// kernel-witness pin moved with it); ed3034f33651 / 2918 -> c6c2ea0f45e1 /
+// 3158 with separate request transmission (clients multicast every request,
+// pre-prepares carry digests), again with the kernel-witness pin.
 TEST(AdaptiveBatching, KillSwitchKeepsSeedTraceByteIdentical) {
   ServiceGroup::Params params;
   params.config.f = 1;
@@ -266,25 +268,27 @@ TEST(AdaptiveBatching, KillSwitchKeepsSeedTraceByteIdentical) {
   issue();
   ASSERT_TRUE(group.sim().RunUntilTrue([&] { return completed == 40; },
                                        40 * kSecond));
-  EXPECT_EQ(group.sim().trace().digest().Hex(), "ed3034f33651");
-  EXPECT_EQ(group.sim().trace().event_count(), 2918u);
+  EXPECT_EQ(group.sim().trace().digest().Hex(), "c6c2ea0f45e1");
+  EXPECT_EQ(group.sim().trace().event_count(), 3158u);
 }
 
 // Behavior with the switch on: a bursty closed-loop load that backlogs the
 // static cap-8 pipeline gets coalesced into fewer, larger batches, and
-// every request still completes.
+// every request still completes. (Since PRE-PREPAREs carry digests, 32
+// clients no longer backlog the static pipeline: both policies took 18
+// batches. 64 do.)
 TEST(AdaptiveBatching, CoalescesBurstsIntoFewerBatches) {
   auto run = [](bool adaptive, uint64_t* batches) {
     ServiceGroup::Params params;
     params.config.f = 1;
-    params.config.max_clients = 32;
+    params.config.max_clients = 64;
     params.config.adaptive_batching = adaptive;
     params.seed = 6405;
     auto group = std::make_unique<ServiceGroup>(
         std::move(params), [](Simulation* sim, NodeId) {
           return std::make_unique<KvAdapter>(sim, kKvSlots);
         });
-    ASSERT_TRUE(RunClosedLoop(*group, /*clients=*/32, /*per_client=*/4));
+    ASSERT_TRUE(RunClosedLoop(*group, /*clients=*/64, /*per_client=*/4));
     *batches = TotalBatches(*group);
   };
   uint64_t static_batches = 0;
@@ -293,7 +297,7 @@ TEST(AdaptiveBatching, CoalescesBurstsIntoFewerBatches) {
   run(/*adaptive=*/true, &adaptive_batches);
   ASSERT_GT(static_batches, 0u);
   EXPECT_LT(adaptive_batches, static_batches)
-      << "adaptive batching never widened the cap under a 32-client burst";
+      << "adaptive batching never widened the cap under a 64-client burst";
 }
 
 }  // namespace
