@@ -177,7 +177,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  WorkerPool::Global().SetThreads(WorkerPool::ThreadsFromEnv(0));
 
   PrintHeader(
       "E17: active Byzantine adversary (compromised primary, 120 ops each)");
@@ -243,7 +242,7 @@ int main(int argc, char** argv) {
       only_strategy < 0
           ? "mixed"
           : AdversaryStrategyName(static_cast<AdversaryStrategy>(only_strategy));
-  EmitBenchMetadata(json, WorkerPool::Global().threads(), adversary_meta);
+  EmitBenchMetadata(json, adversary_meta);
   json.EndObject();
   if (!json.WriteFile(json_path)) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -258,11 +258,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Honour BASE_THREADS so CI (notably the tsan preset) can run the whole
-  // chaos sweep with the crypto pipeline on worker threads; results are
-  // thread-count independent (tests/pipeline_witness_test.cc).
-  WorkerPool::Global().SetThreads(WorkerPool::ThreadsFromEnv(0));
-
   if (repro != nullptr) {
     return RunRepro(repro);
   }

@@ -4,14 +4,14 @@
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/service_group.h"
 #include "src/crypto/sha256_multi.h"
-#include "src/util/workerpool.h"
 
 // --- JSON emission ----------------------------------------------------------
 // Minimal writer for the BENCH_*.json artifacts (machine-readable companions
@@ -242,19 +242,18 @@ class JsonWriter {
 };
 
 // Every BENCH_*.json carries a "metadata" block identifying the machine
-// conditions the numbers were taken under: worker-pool size, host core
-// count, and whether the SHA-NI kernel was available. Benches that run an
-// active adversary additionally record which strategy set was driven
-// (`adversary`: a strategy name, "mixed", or "none"); benches that stand up
-// sharded deployments record the largest shard count swept (`shards`).
-inline void EmitBenchMetadata(JsonWriter& json, int threads,
+// conditions the numbers were taken under: host core count and whether the
+// SHA-NI kernel was available. Benches that run an active adversary
+// additionally record which strategy set was driven (`adversary`: a strategy
+// name, "mixed", or "none"); benches that stand up sharded deployments
+// record the largest shard count swept (`shards`).
+inline void EmitBenchMetadata(JsonWriter& json,
                               const char* adversary = nullptr,
                               int shards = 0) {
   json.Key("metadata");
   json.BeginObject();
-  json.Field("threads", threads);
   json.Field("hardware_concurrency",
-             static_cast<uint64_t>(std::thread::hardware_concurrency()));
+             static_cast<uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
   json.Field("sha_ni", sha256_multi::HasShaNi());
   if (adversary != nullptr) {
     json.Field("adversary", adversary);

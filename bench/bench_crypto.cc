@@ -19,17 +19,15 @@
 // the cost model's node visits: grows that keep the depth re-digest only
 // genuinely stale paths.
 //
-// Usage: bench_crypto [--smoke] [--json PATH] [--threads N]
+// Usage: bench_crypto [--smoke] [--json PATH]
 //   --smoke    shrink iteration counts (ctest's bench_crypto_smoke, which
 //              also runs under the asan-ubsan preset)
 //   --json     artifact path (default: BENCH_crypto.json)
-//   --threads  worker-pool size (default: BASE_THREADS, else 0)
 //
 // Exits nonzero if any section's checksum moves off its pin or the
 // incremental rehash fails to cut real tree hashing.
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -111,19 +109,13 @@ SectionResult RunSection(const std::string& name, uint64_t iters, bool smoke,
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_crypto.json";
-  int pool_threads = WorkerPool::ThreadsFromEnv(0);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      pool_threads = std::atoi(argv[++i]);
     }
   }
-  // Sized pool => PairMacs authenticator batches shard across workers, so
-  // the MAC sections measure the sharded path too.
-  WorkerPool::Global().SetThreads(pool_threads > 0 ? pool_threads : 0);
 
   PrintHeader(smoke ? "Crypto kernel (smoke config)"
                     : "Crypto kernel: multi-lane SHA-256 hot paths");
@@ -297,7 +289,7 @@ int main(int argc, char** argv) {
     json.EndObject();
   }
   json.EndArray();
-  EmitBenchMetadata(json, WorkerPool::Global().threads());
+  EmitBenchMetadata(json);
   json.EndObject();
   if (!json.WriteFile(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());

@@ -161,7 +161,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  WorkerPool::Global().SetThreads(WorkerPool::ThreadsFromEnv(0));
 
   const std::vector<std::string> presets =
       smoke ? std::vector<std::string>{"lan", "3-region"}
@@ -280,7 +279,7 @@ int main(int argc, char** argv) {
     json.BeginObject();
     json.Field("bench", "geo");
     json.Field("smoke", smoke);
-    EmitBenchMetadata(json, WorkerPool::Global().threads());
+    EmitBenchMetadata(json);
     json.Field("requests_per_client", requests_per_client);
     json.Field("adaptive_gate_met", gate_met);
     json.Field("adaptive_gate_detail", gate_detail);

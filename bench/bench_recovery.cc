@@ -280,7 +280,7 @@ bool DurableRecoverySweep(bool smoke, const std::string& json_path) {
   }
   json.EndArray();
   json.Field("all_verified", all_ok);
-  EmitBenchMetadata(json, WorkerPool::Global().threads());
+  EmitBenchMetadata(json);
   json.EndObject();
   table.Print();
   std::printf("recovery = durable checkpoint page load + WAL-tail replay; "

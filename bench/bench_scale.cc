@@ -24,16 +24,14 @@
 // per sub-op). Gated: S = 4 must deliver ≥ 3x the S = 1 aggregate
 // simulated-time throughput at the same client count.
 //
-// Usage: bench_scale [--smoke] [--json PATH] [--threads N]
+// Usage: bench_scale [--smoke] [--json PATH]
 //   --smoke    shrink request counts and the sweep grid (CI's ctest target)
 //   --json     where to write the JSON artifact (default: BENCH_scale.json)
-//   --threads  worker-pool size (default: BASE_THREADS, else 0)
 //
 // Exits nonzero if any run fails to complete, the flood's event count moves
 // off its pin, or the sharded sweep misses its scaling floor (≥3.0x full,
 // ≥2.0x smoke).
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -370,17 +368,13 @@ std::string FormatImbalance(double v) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_scale.json";
-  int pool_threads = WorkerPool::ThreadsFromEnv(0);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      pool_threads = std::atoi(argv[++i]);
     }
   }
-  WorkerPool::Global().SetThreads(pool_threads > 0 ? pool_threads : 0);
 
   PrintHeader(smoke ? "Event-kernel scale bench (smoke config)"
                     : "Event-kernel scale bench: harness cost, group-size "
@@ -585,8 +579,7 @@ int main(int argc, char** argv) {
   json.Field("ratio_met", shard_ratio_met);
   json.EndObject();
 
-  EmitBenchMetadata(json, WorkerPool::Global().threads(), nullptr,
-                    shard_counts.back());
+  EmitBenchMetadata(json, nullptr, shard_counts.back());
   json.EndObject();
 
   std::printf("\n");

@@ -156,8 +156,7 @@ int main(int argc, char** argv) {
     }
   }
   json.EndArray();
-  EmitBenchMetadata(json, WorkerPool::Global().threads(), nullptr,
-                    /*shards=*/2);
+  EmitBenchMetadata(json, nullptr, /*shards=*/2);
   json.EndObject();
 
   table.Print();

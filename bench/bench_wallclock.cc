@@ -10,27 +10,20 @@
 //
 // Each configuration runs once. SHA-256 invocations per request and payload
 // bytes copied per delivered message are deterministic per seed, so each is
-// gated against a ceiling pinned when PRE-PREPAREs began to carry request
-// digests instead of bodies (DESIGN.md §6): a digest or MAC cache that stops
-// hitting, a body hashed twice, or a fabric that copies per recipient again
-// pushes a figure over its ceiling.
+// gated against a pinned ceiling. The bytes-copied ceilings date from when
+// PRE-PREPAREs began to carry request digests instead of bodies (DESIGN.md
+// §6), the SHA-256 ceilings from when the receivers of one multicast buffer
+// began to share its signature verdict (DESIGN.md §8). A digest or MAC cache
+// that stops hitting, a body hashed twice, or a fabric that copies per
+// recipient again pushes a figure over its ceiling.
 //
-// The worker-pool pair runs each configuration with the pool empty (every
-// pipeline job claimed synchronously at its join point) and with N worker
-// threads (--threads, default 4), and requires byte-identical EventTrace
-// digests — the pool may only change wall-clock time, never behaviour.
-//
-// Usage: bench_wallclock [--smoke] [--json PATH] [--threads N]
+// Usage: bench_wallclock [--smoke] [--json PATH]
 //   --smoke    shrink the request counts (CI's bench-smoke ctest target)
 //   --json     where to write the JSON artifact (default: BENCH_core.json)
-//   --threads  worker-pool size for the "pool on" runs (default: the
-//              BASE_THREADS environment variable, else 4)
 //
-// Exits nonzero if a run does not complete, a counter ceiling is exceeded,
-// or the worker-pool pair fails its gates, so perf plumbing cannot silently
-// rot.
+// Exits nonzero if a run does not complete or a counter ceiling is
+// exceeded, so perf plumbing cannot silently rot.
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -42,7 +35,6 @@
 #include "src/base/service_group.h"
 #include "src/sim/network.h"
 #include "src/util/hotpath.h"
-#include "src/util/workerpool.h"
 
 using namespace bftbase;
 
@@ -76,11 +68,6 @@ struct RunStats {
   uint64_t encode_reuses = 0;
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
-  uint64_t pool_jobs = 0;
-  uint64_t pool_verify_jobs = 0;
-  uint64_t pool_mac_shard_jobs = 0;
-  uint64_t pool_digest_shard_jobs = 0;
-  uint64_t verify_memo_hits = 0;
   // Network accounting (per-simulation, so no snapshot needed).
   uint64_t messages_delivered = 0;
   uint64_t bytes_delivered = 0;
@@ -105,20 +92,9 @@ struct RunStats {
                ? static_cast<double>(bytes_copied) / messages_delivered
                : 0;
   }
-
-  // Set when the run traced (worker-pool pair): the EventTrace digest that
-  // must be identical at any thread count.
-  std::string trace_digest;
-  uint64_t trace_events = 0;
 };
 
-struct RunOptions {
-  bool trace = false;
-  int threads = 0;  // worker-pool size for this run (0 = synchronous joins)
-};
-
-RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
-  WorkerPool::Global().SetThreads(opt.threads);
+RunStats RunOnce(const WallclockConfig& cfg) {
   const hotpath::Counters before = hotpath::counters();
 
   ServiceGroup::Params params;
@@ -130,9 +106,6 @@ RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
   ServiceGroup group(std::move(params), [](Simulation* sim, NodeId) {
     return std::make_unique<KvAdapter>(sim, kKvSlots);
   });
-  if (opt.trace) {
-    group.EnableTrace();
-  }
 
   const uint64_t total =
       static_cast<uint64_t>(cfg.clients) * cfg.requests_per_client;
@@ -165,16 +138,8 @@ RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
       static_cast<SimTime>(total) * kSecond);
   auto stop = std::chrono::steady_clock::now();
 
-  // Leave the pool empty (queued prologue jobs survive the shrink and are
-  // claimed at their joins when the group tears down).
-  WorkerPool::Global().SetThreads(0);
-
   RunStats s;
   s.ok = finished;
-  if (opt.trace) {
-    s.trace_digest = group.sim().trace().digest().Hex();
-    s.trace_events = group.sim().trace().event_count();
-  }
   s.wall_sec = std::chrono::duration<double>(stop - start).count();
   s.requests = completed;
   s.sim_events = group.sim().events_processed();
@@ -187,13 +152,6 @@ RunStats RunOnce(const WallclockConfig& cfg, const RunOptions& opt) {
   s.encode_reuses = after.encode_reuses - before.encode_reuses;
   s.memo_hits = after.digest_memo_hits - before.digest_memo_hits;
   s.memo_misses = after.digest_memo_misses - before.digest_memo_misses;
-  s.pool_jobs = after.pool_jobs - before.pool_jobs;
-  s.pool_verify_jobs = after.pool_verify_jobs - before.pool_verify_jobs;
-  s.pool_mac_shard_jobs =
-      after.pool_mac_shard_jobs - before.pool_mac_shard_jobs;
-  s.pool_digest_shard_jobs =
-      after.pool_digest_shard_jobs - before.pool_digest_shard_jobs;
-  s.verify_memo_hits = after.verify_memo_hits - before.verify_memo_hits;
   const Network& net = group.sim().network();
   s.messages_delivered = net.messages_delivered();
   s.bytes_delivered = net.bytes_delivered();
@@ -225,16 +183,10 @@ void EmitRunJson(JsonWriter& json, const RunStats& s) {
   json.Field("encode_reuses", s.encode_reuses);
   json.Field("digest_memo_hits", s.memo_hits);
   json.Field("digest_memo_misses", s.memo_misses);
-  json.Field("pool_jobs", s.pool_jobs);
-  json.Field("pool_verify_jobs", s.pool_verify_jobs);
-  json.Field("pool_mac_shard_jobs", s.pool_mac_shard_jobs);
-  json.Field("pool_digest_shard_jobs", s.pool_digest_shard_jobs);
-  json.Field("verify_memo_hits", s.verify_memo_hits);
   json.EndObject();
 }
 
-void AddRow(Table& table, const std::string& config, const std::string& label,
-            const RunStats& s) {
+void AddRow(Table& table, const std::string& config, const RunStats& s) {
   char reqs[64];
   std::snprintf(reqs, sizeof(reqs), "%.0f", s.RequestsPerSec());
   char evs[64];
@@ -246,7 +198,7 @@ void AddRow(Table& table, const std::string& config, const std::string& label,
                 s.BytesHashedPerRequest() / 1024.0);
   char copied[64];
   std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
-  table.AddRow({config, label, reqs, evs, sha, hashed, copied,
+  table.AddRow({config, reqs, evs, sha, hashed, copied,
                 FormatCount(s.memo_hits)});
 }
 
@@ -255,18 +207,12 @@ void AddRow(Table& table, const std::string& config, const std::string& label,
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_core.json";
-  int pool_threads = WorkerPool::ThreadsFromEnv(4);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      pool_threads = std::atoi(argv[++i]);
     }
-  }
-  if (pool_threads < 0) {
-    pool_threads = 0;
   }
 
   std::vector<WallclockConfig> configs;
@@ -278,7 +224,7 @@ int main(int argc, char** argv) {
     standard.requests_per_client = smoke ? 40 : 600;
     standard.value_size = 1024;
     standard.seed = 7001;
-    standard.max_sha_per_request = smoke ? 204.6 : 181.98;
+    standard.max_sha_per_request = smoke ? 196.6 : 173.98;
     standard.max_copied_per_delivered = smoke ? 60.38 : 60.3;
     configs.push_back(standard);
 
@@ -289,7 +235,7 @@ int main(int argc, char** argv) {
     scaled.requests_per_client = smoke ? 5 : 60;
     scaled.value_size = 1024;
     scaled.seed = 7002;
-    scaled.max_sha_per_request = smoke ? 204.98 : 180.52;
+    scaled.max_sha_per_request = smoke ? 201.3 : 177.01;
     scaled.max_copied_per_delivered = smoke ? 44.13 : 44.81;
     configs.push_back(scaled);
   }
@@ -297,7 +243,7 @@ int main(int argc, char** argv) {
   PrintHeader(smoke
                   ? "Wall-clock hot path (smoke config)"
                   : "Wall-clock hot path: zero-copy fabric + digest caches");
-  Table table({"config", "run", "req/s", "sim ev/s", "SHA/req",
+  Table table({"config", "req/s", "sim ev/s", "SHA/req",
                "kB hashed/req", "B copied/msg", "memo hits"});
 
   JsonWriter json;
@@ -310,9 +256,9 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   bool thresholds_met = true;
   for (const WallclockConfig& cfg : configs) {
-    RunStats s = RunOnce(cfg, RunOptions{});
+    RunStats s = RunOnce(cfg);
     all_ok = all_ok && s.ok;
-    AddRow(table, cfg.name, "gated", s);
+    AddRow(table, cfg.name, s);
 
     const bool met = s.ShaPerRequest() <= cfg.max_sha_per_request &&
                      s.CopiedPerDelivered() <= cfg.max_copied_per_delivered;
@@ -350,90 +296,11 @@ int main(int argc, char** argv) {
   }
 
   json.EndArray();
-
-  // Worker-pool pipeline, like-for-like: pool empty (every verify/MAC/digest
-  // job runs synchronously at its join point) then `pool_threads` workers
-  // racing the event loop to the same joins. The pool may only move work off
-  // the critical path — the same-seed EventTrace digests must be
-  // byte-identical — so the wall-clock ratio is the honest measure of what
-  // the pipeline overlaps.
-  std::string pool_on_label = "pool on(" + std::to_string(pool_threads) + ")";
-  // The wall-clock floor only means something where the workers can actually
-  // run in parallel with the event loop: there must be workers, and more
-  // hardware threads than workers. Otherwise the pair still runs (and the
-  // determinism gate still applies) but the timing gate is waived. The JSON
-  // metadata records hardware_concurrency so readers can tell which case a
-  // given artifact measured.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool hw_can_parallelize =
-      pool_threads > 0 && hw > static_cast<unsigned>(pool_threads);
-  json.Key("worker_pool");
-  json.BeginObject();
-  json.Field("threads", pool_threads);
-  json.Field("timing_gated", hw_can_parallelize);
-  json.Key("configs");
-  json.BeginArray();
-  bool pool_met_all = true;
-  std::vector<std::string> pool_summaries;
-  for (const WallclockConfig& cfg : configs) {
-    RunStats pool_off = RunOnce(cfg, RunOptions{.trace = true});
-    RunStats pool_on = RunOnce(
-        cfg, RunOptions{.trace = true, .threads = pool_threads});
-    all_ok = all_ok && pool_off.ok && pool_on.ok;
-    AddRow(table, cfg.name, "pool off", pool_off);
-    AddRow(table, cfg.name, pool_on_label, pool_on);
-    double pool_speedup = pool_off.wall_sec > 0 && pool_on.wall_sec > 0
-                              ? pool_off.wall_sec / pool_on.wall_sec
-                              : 0;
-    bool pool_traces_match =
-        pool_off.trace_digest == pool_on.trace_digest &&
-        pool_off.trace_events == pool_on.trace_events;
-    // Determinism always gates; smoke runs (short, often sanitized) and
-    // hosts without enough hardware threads skip the timing floor. Full runs
-    // on real multicore hardware require the pipeline to actually overlap.
-    bool pool_met = pool_traces_match &&
-                    (smoke || !hw_can_parallelize || pool_speedup >= 1.5);
-    pool_met_all = pool_met_all && pool_met;
-    char line[200];
-    std::snprintf(
-        line, sizeof(line),
-        "worker pool (config %s, %d threads, %u hw): %.2fx wall speedup%s, "
-        "traces %s",
-        cfg.name.c_str(), pool_threads, hw, pool_speedup,
-        hw_can_parallelize  ? ""
-        : pool_threads == 0 ? " (timing gate waived: no workers)"
-                            : " (timing gate waived: too few cores)",
-        pool_traces_match ? "identical" : "DIVERGED");
-    pool_summaries.push_back(line);
-
-    json.BeginObject();
-    json.Field("name", cfg.name);
-    json.Key("before");  // pool empty == synchronous joins
-    EmitRunJson(json, pool_off);
-    json.Key("after");
-    EmitRunJson(json, pool_on);
-    json.Key("improvement");
-    json.BeginObject();
-    json.Field("wall_speedup", pool_speedup);
-    json.Field("trace_digest_before", pool_off.trace_digest);
-    json.Field("trace_digest_after", pool_on.trace_digest);
-    json.Field("traces_match", pool_traces_match);
-    json.Field("thresholds_met", pool_met);
-    json.EndObject();
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  thresholds_met = thresholds_met && pool_met_all;
-
-  EmitBenchMetadata(json, pool_threads);
+  EmitBenchMetadata(json);
   json.EndObject();
 
   table.Print();
   std::printf("\n");
-  for (const std::string& line : pool_summaries) {
-    std::printf("%s\n", line.c_str());
-  }
 
   if (!json.WriteFile(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());
@@ -446,9 +313,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!thresholds_met) {
-    std::printf(
-        "FAILED: hot-path thresholds not met (see 'gates' and "
-        "'worker_pool' in JSON)\n");
+    std::printf("FAILED: hot-path thresholds not met (see 'gates' in JSON)\n");
     return 1;
   }
   return 0;

@@ -1,14 +1,11 @@
 #include "src/base/checkpoint_manager.h"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <vector>
 
 #include "src/crypto/sha256_multi.h"
-#include "src/util/hotpath.h"
 #include "src/util/log.h"
-#include "src/util/workerpool.h"
 
 namespace bftbase {
 
@@ -108,35 +105,10 @@ CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
     views.emplace_back(values.back().data(), values.back().size());
   }
   std::vector<std::array<uint8_t, Digest::kSize>> digests(leaves.size());
-  // Epilogue sharding: DigestMany processes inputs in independent groups of
-  // kMaxLanes in order, so splitting the leaf range at lane-multiple
-  // boundaries produces byte-identical digests AND identical logical-work
-  // counters per chunk. Chunks run as worker-pool jobs (inline at the join
-  // when the pool has no threads); `values`/`views`/`digests` outlive the
-  // joins below, and the merge order is the fixed leaf order regardless of
-  // which worker finished first.
-  constexpr size_t kChunk = 8 * sha256_multi::kMaxLanes;
   const size_t count = leaves.size();
-  if (count > kChunk) {
-    std::vector<WorkerPool::JobRef> jobs;
-    jobs.reserve(count / kChunk + 1);
-    for (size_t off = 0; off < count; off += kChunk) {
-      const size_t len = std::min(kChunk, count - off);
-      const BytesView* in = views.data() + off;
-      uint8_t(*out)[Digest::kSize] =
-          reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data() + off);
-      ++hotpath::counters().pool_digest_shard_jobs;
-      jobs.push_back(WorkerPool::Global().Submit(
-          [in, out, len] { sha256_multi::DigestMany(in, out, len); }));
-    }
-    for (const WorkerPool::JobRef& job : jobs) {
-      WorkerPool::Global().Join(job);
-    }
-  } else {
-    sha256_multi::DigestMany(
-        views.data(),
-        reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data()), count);
-  }
+  sha256_multi::DigestMany(
+      views.data(), reinterpret_cast<uint8_t(*)[Digest::kSize]>(digests.data()),
+      count);
   for (size_t i = 0; i < count; ++i) {
     tree_.SetLeaf(leaves[i], Digest(digests[i]));
   }

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "src/bft/channel.h"
-
 namespace bftbase {
 
 ServiceGroup::ServiceGroup(Params params, AdapterFactory factory)
@@ -11,10 +9,6 @@ ServiceGroup::ServiceGroup(Params params, AdapterFactory factory)
   sim_ = std::make_unique<Simulation>(params_.seed, params_.cost);
   keys_ = std::make_unique<KeyTable>(0x42ULL ^ params_.seed,
                                      params_.config.node_count());
-  // Every delivery in this group gets a worker-pool verify prologue, joined
-  // deterministically before its handler runs (no-op while the pool has no
-  // threads beyond running the same work at the join point).
-  Channel::InstallVerifyPrologue(sim_.get(), keys_.get(), params_.config);
   const int n = params_.config.n();
   adapters_.reserve(n);
   services_.reserve(n);

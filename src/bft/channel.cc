@@ -4,12 +4,9 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "src/util/codec.h"
-#include "src/util/hotpath.h"
 #include "src/util/log.h"
-#include "src/util/workerpool.h"
 
 namespace bftbase {
 
@@ -30,64 +27,6 @@ Digest EnvelopeDigest(MsgType type, NodeId sender, BytesView payload) {
   Digest payload_digest = Digest::Of(payload);
   std::memcpy(buf + 16, payload_digest.view().data(), Digest::kSize);
   return Digest::Of(BytesView(buf, sizeof(buf)));
-}
-
-// Everything a prologue verify job needs, captured on the simulation thread
-// at submit time. The shared buffer pins the views; the HmacKey snapshots
-// are value copies, so the job never touches the KeyTable's mutable caches.
-// Results are written by the job and read only after the join.
-struct VerifyJobData {
-  std::shared_ptr<const Bytes> buffer;
-  MsgType type = MsgType::kRequest;
-  NodeId sender = 0;
-  AuthKind kind = AuthKind::kSingleMac;
-  BytesView payload;  // into *buffer
-  Authenticator auth;       // kAuthenticator: decoded MAC vector
-  Mac single_mac{};         // kSingleMac: the wire MAC
-  Bytes signature;          // kSigned: the wire signature bytes
-  struct Lane {
-    int receiver = DeliveryVerdict::kAnyReceiver;
-    uint64_t marker = 0;
-    bool have_key = false;  // false => verdict is false without crypto
-    HmacKey key;
-  };
-  std::vector<Lane> lanes;
-  // Results:
-  Digest digest;
-  std::vector<DeliveryVerdict> verdicts;
-};
-
-// The pure worker-side half: digest the envelope once, then settle one
-// verdict per lane. Counter bumps match what the synchronous Open() path
-// would count for the same work, so totals stay identical at any thread
-// count.
-void RunVerifyJob(VerifyJobData& d) {
-  d.digest = EnvelopeDigest(d.type, d.sender, d.payload);
-  d.verdicts.reserve(d.lanes.size());
-  for (const VerifyJobData::Lane& lane : d.lanes) {
-    DeliveryVerdict v;
-    v.receiver = lane.receiver;
-    v.key_marker = lane.marker;
-    switch (d.kind) {
-      case AuthKind::kAuthenticator:
-        v.valid = lane.have_key &&
-                  d.auth.VerifyWith(lane.key, lane.receiver, d.digest.view());
-        break;
-      case AuthKind::kSingleMac: {
-        Mac expected = lane.key.MacOf(d.digest.view());
-        v.valid = ConstantTimeEqual(BytesView(expected.data(), kMacSize),
-                                    BytesView(d.single_mac.data(), kMacSize));
-        break;
-      }
-      case AuthKind::kSigned: {
-        auto expected = lane.key.Hmac(d.digest.view());
-        v.valid = ConstantTimeEqual(
-            BytesView(expected.data(), expected.size()), d.signature);
-        break;
-      }
-    }
-    d.verdicts.push_back(v);
-  }
 }
 
 }  // namespace
@@ -190,97 +129,6 @@ Result<WireMessage> Channel::ParseUnverified(BytesView wire) {
   return msg;
 }
 
-namespace {
-
-// Adds one MAC-verdict lane for `receiver`. The key snapshot (and any
-// session-cache fill it triggers) happens here, on the simulation thread —
-// exactly the cache traffic the synchronous verify would have produced.
-void AddMacLane(VerifyJobData& data, const KeyTable* keys, NodeId sender,
-                int receiver) {
-  VerifyJobData::Lane lane;
-  lane.receiver = receiver;
-  lane.marker = keys->PairEpochMarker(sender, receiver);
-  lane.have_key = data.kind != AuthKind::kAuthenticator ||
-                  static_cast<size_t>(receiver) < data.auth.size();
-  if (lane.have_key) {
-    lane.key = keys->PairKeySnapshot(sender, receiver, nullptr);
-  }
-  data.lanes.push_back(std::move(lane));
-}
-
-}  // namespace
-
-void Channel::InstallVerifyPrologue(Simulation* sim, const KeyTable* keys,
-                                    const Config& config) {
-  sim->SetDeliveryPrologue(
-      [sim, keys, config](const std::shared_ptr<const Bytes>& payload,
-                          NodeId to) -> Simulation::DeliveryPrologue {
-        // Cheap, copy-free envelope parse. Anything malformed falls through
-        // to the synchronous Open(), which reproduces the exact error.
-        Decoder dec{BytesView(*payload)};
-        const uint8_t type_raw = dec.GetU8();
-        const NodeId sender = static_cast<NodeId>(dec.GetU32());
-        const uint8_t kind_raw = dec.GetU8();
-        BytesView body = dec.GetBytesView();
-        BytesView auth = dec.GetBytesView();
-        if (!dec.AtEnd() || !IsMsgType(type_raw) ||
-            kind_raw < static_cast<uint8_t>(AuthKind::kAuthenticator) ||
-            kind_raw > static_cast<uint8_t>(AuthKind::kSigned) ||
-            sender < 0 || sender >= config.node_count()) {
-          return {};
-        }
-        auto data = std::make_shared<VerifyJobData>();
-        data->buffer = payload;
-        data->type = static_cast<MsgType>(type_raw);
-        data->sender = sender;
-        data->kind = static_cast<AuthKind>(kind_raw);
-        data->payload = body;
-        switch (data->kind) {
-          case AuthKind::kAuthenticator: {
-            data->auth = Authenticator::Decode(auth);
-            // One lane per replica: a multicast fans this same buffer out to
-            // all of them. A non-replica receiver (defensive; authenticators
-            // are replica-addressed) gets an out-of-range lane.
-            const int n = config.n();
-            for (int r = 0; r < n; ++r) {
-              AddMacLane(*data, keys, sender, r);
-            }
-            if (to >= n) {
-              AddMacLane(*data, keys, sender, to);
-            }
-            break;
-          }
-          case AuthKind::kSingleMac: {
-            if (auth.size() != kMacSize) {
-              return {};  // sync path reports "bad MAC size"
-            }
-            std::memcpy(data->single_mac.data(), auth.data(), kMacSize);
-            AddMacLane(*data, keys, sender, to);
-            break;
-          }
-          case AuthKind::kSigned: {
-            // One transferable signature: the same bytes verify (or fail)
-            // identically for every receiver, so a single any-receiver lane
-            // covers the whole fan-out. Signing keys never rotate: marker 0.
-            data->signature.assign(auth.begin(), auth.end());
-            VerifyJobData::Lane lane;
-            lane.have_key = true;
-            lane.key = keys->SigningKeySnapshot(sender);
-            data->lanes.push_back(std::move(lane));
-            break;
-          }
-        }
-        ++hotpath::counters().pool_verify_jobs;
-        Simulation::DeliveryPrologue p;
-        p.job = WorkerPool::Global().Submit([data] { RunVerifyJob(*data); });
-        p.publish = [sim, data] {
-          sim->digest_memo().Store(data->buffer, data->digest);
-          sim->verify_memo().Store(data->buffer, std::move(data->verdicts));
-        };
-        return p;
-      });
-}
-
 Result<WireMessage> Channel::Open(BytesView wire) {
   Decoder dec(wire);
   WireMessage msg;
@@ -307,8 +155,8 @@ Result<WireMessage> Channel::Open(BytesView wire) {
 
   // Simulated digest cost is charged unconditionally (the protocol's cost
   // model is unchanged); the memo below only skips *real* SHA-256 work when
-  // this exact delivered buffer was already digested by an earlier receiver
-  // of the same multicast. Keyed by buffer identity, so any envelope whose
+  // this exact delivered buffer was already opened by an earlier receiver of
+  // the same multicast. Keyed by buffer identity, so any envelope whose
   // bytes differ (fault hooks, re-encodes, stashed copies) recomputes.
   sim_->ChargeCpu(sim_->cost().DigestCost(msg.payload.size()));
   Digest digest;
@@ -316,38 +164,10 @@ Result<WireMessage> Channel::Open(BytesView wire) {
   const bool cacheable = delivery != nullptr &&
                          delivery->data() == wire.data() &&
                          delivery->size() == wire.size();
-
-  // Pipeline prologue fast path: a verify job published a verdict for this
-  // exact buffer and receiver at the join point. It is honored only while
-  // the pairwise key-epoch marker it was computed under still holds — a key
-  // refresh between schedule and delivery falls back to the synchronous
-  // check below. Simulated charges are identical on both paths; only real
-  // SHA-256 work is skipped.
-  std::optional<DeliveryVerdict> verdict =
-      cacheable ? sim_->verify_memo().Lookup(delivery, self_) : std::nullopt;
-  if (verdict.has_value()) {
-    const uint64_t marker = msg.auth == AuthKind::kSigned
-                                ? 0
-                                : keys_->PairEpochMarker(msg.sender, self_);
-    if (verdict->key_marker != marker) {
-      verdict.reset();
-    }
-  }
-  if (verdict.has_value()) {
-    sim_->ChargeCpu(sim_->cost().MacCost(Digest::kSize));
-    if (msg.auth == AuthKind::kSingleMac && auth.size() != kMacSize) {
-      return PermissionDenied("bad MAC size");
-    }
-    if (!verdict->valid) {
-      return PermissionDenied("authentication failed");
-    }
-    return msg;
-  }
-
-  std::optional<Digest> memo =
+  std::optional<DeliveryDigestMemo::Hit> memo =
       cacheable ? sim_->digest_memo().Lookup(delivery) : std::nullopt;
   if (memo.has_value()) {
-    digest = *memo;
+    digest = memo->digest;
   } else {
     digest = EnvelopeDigest(msg.type, msg.sender, msg.payload);
     if (cacheable) {
@@ -374,9 +194,19 @@ Result<WireMessage> Channel::Open(BytesView wire) {
     }
     case AuthKind::kSigned: {
       sim_->ChargeCpu(sim_->cost().MacCost(Digest::kSize));
+      // Signing keys never rotate, so a signature verifies (or fails) alike
+      // at every receiver: the first receiver of a buffer checks it and the
+      // memo hands its verdict to the rest.
+      if (memo.has_value() && memo->signature_valid.has_value()) {
+        valid = *memo->signature_valid;
+        break;
+      }
       auto expected = keys_->Sign(msg.sender, digest.view());
       valid = ConstantTimeEqual(BytesView(expected.data(), expected.size()),
                                 auth);
+      if (cacheable) {
+        sim_->digest_memo().Store(delivery, digest, valid);
+      }
       break;
     }
   }

@@ -86,18 +86,6 @@ class Channel {
   // signature (models a replica whose authentication is broken).
   void CorruptOutgoingAuth(bool enabled) { corrupt_outgoing_ = enabled; }
 
-  // Installs the worker-pool pipeline prologue on `sim` (ServiceGroup calls
-  // this once per simulation): every scheduled delivery buffer gets a verify
-  // job that computes the envelope digest and per-receiver authentication
-  // verdicts ahead of time, published into the sim's delivery memos at the
-  // deterministic join point before the first receiving handler runs. Open()
-  // consumes the verdicts when the buffer identity and key-epoch marker
-  // still match, and falls back to the synchronous path otherwise, so
-  // results are identical whether or not a prologue ran. `keys` and the sim
-  // must outlive the sim's event processing.
-  static void InstallVerifyPrologue(Simulation* sim, const KeyTable* keys,
-                                    const Config& config);
-
  private:
   Bytes Seal(MsgType type, BytesView payload, AuthKind kind, NodeId to);
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "src/crypto/sha256_multi.h"
 #include "src/util/hotpath.h"
-#include "src/util/workerpool.h"
 
 namespace bftbase {
 
@@ -16,17 +14,14 @@ namespace {
 constexpr size_t kBlockSize = 64;
 
 // One authenticator lane batch: up to kMaxLanes MACs finalized from exported
-// ipad/opad midstates. Self-contained (no KeyTable access) so it can run as
-// a worker-pool epilogue job; the counter bumps are exactly what the
-// sequential batch loop counts, so totals are identical whether this runs
-// inline or is merged back at a join point.
+// ipad/opad midstates.
 struct MacLaneBatch {
   uint32_t inner[sha256_multi::kMaxLanes][8];
   uint32_t outer[sha256_multi::kMaxLanes][8];
   uint8_t message[sha256_multi::kOneShotMax];
   size_t message_len = 0;
   size_t lanes = 0;
-  Mac* out = nullptr;  // caller-owned; caller joins before reading
+  Mac* out = nullptr;
 };
 
 void RunMacLaneBatch(const MacLaneBatch& b) {
@@ -225,19 +220,8 @@ void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
     return;
   }
   constexpr size_t kLanes = sha256_multi::kMaxLanes;
-  // Key lookups (and any session-cache fills) stay on this thread; only the
-  // pure lane finalization is batch work. With more than one batch the
-  // batches run as worker-pool epilogue jobs — sharded whether or not the
-  // pool has threads, so counters and cache traffic are byte-identical at
-  // any thread count; the pool merely decides where each batch executes.
-  const int batches = (n + static_cast<int>(kLanes) - 1) / kLanes;
-  std::vector<WorkerPool::JobRef> jobs;
-  MacLaneBatch inline_batch;
+  MacLaneBatch b;
   for (int base = 0; base < n; base += static_cast<int>(kLanes)) {
-    const bool shard = batches >= 2;
-    std::shared_ptr<MacLaneBatch> owned =
-        shard ? std::make_shared<MacLaneBatch>() : nullptr;
-    MacLaneBatch& b = shard ? *owned : inline_batch;
     b.lanes = std::min(kLanes, static_cast<size_t>(n - base));
     for (size_t l = 0; l < b.lanes; ++l) {
       PairKey(sender, base + static_cast<int>(l))
@@ -246,16 +230,7 @@ void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
     std::memcpy(b.message, message.data(), message.size());
     b.message_len = message.size();
     b.out = out + base;
-    if (shard) {
-      ++hotpath::counters().pool_mac_shard_jobs;
-      jobs.push_back(
-          WorkerPool::Global().Submit([owned] { RunMacLaneBatch(*owned); }));
-    } else {
-      RunMacLaneBatch(b);
-    }
-  }
-  for (const WorkerPool::JobRef& job : jobs) {
-    WorkerPool::Global().Join(job);
+    RunMacLaneBatch(b);
   }
 }
 
@@ -270,23 +245,6 @@ const HmacKey& KeyTable::SigningHmacKey(int node) const {
 std::array<uint8_t, Sha256::kDigestSize> KeyTable::Sign(
     int node, BytesView message) const {
   return SigningHmacKey(node).Hmac(message);
-}
-
-HmacKey KeyTable::PairKeySnapshot(int a, int b, uint64_t* marker) const {
-  if (marker != nullptr) {
-    *marker = PairEpochMarker(a, b);
-  }
-  return PairKey(a, b);
-}
-
-HmacKey KeyTable::SigningKeySnapshot(int node) const {
-  return SigningHmacKey(node);
-}
-
-uint64_t KeyTable::PairEpochMarker(int a, int b) const {
-  int lo = std::min(a, b);
-  int hi = std::max(a, b);
-  return std::max(epochs_[lo], epochs_[hi]);
 }
 
 void KeyTable::RefreshKeysFor(int node) { ++epochs_[node]; }
@@ -305,16 +263,6 @@ bool Authenticator::Verify(const KeyTable& keys, int sender, int receiver,
     return false;
   }
   Mac expected = keys.PairMac(sender, receiver, message);
-  return ConstantTimeEqual(BytesView(expected.data(), kMacSize),
-                           BytesView(macs_[receiver].data(), kMacSize));
-}
-
-bool Authenticator::VerifyWith(const HmacKey& key, int receiver,
-                               BytesView message) const {
-  if (receiver < 0 || static_cast<size_t>(receiver) >= macs_.size()) {
-    return false;
-  }
-  Mac expected = key.MacOf(message);
   return ConstantTimeEqual(BytesView(expected.data(), kMacSize),
                            BytesView(macs_[receiver].data(), kMacSize));
 }

@@ -10,11 +10,9 @@
 //
 // The pool is a process-global freelist, bounded so adversarial benches with
 // huge payloads cannot make it hoard memory. It is mutex-protected: the
-// worker-pool pipeline keeps all *deterministic* acquire/release traffic on
-// the simulation thread (job closures are dropped at the join point), but a
-// stray release from a worker — a job outliving its simulation, a test
-// exercising the pool directly — must degrade to a lock, never a corrupted
-// freelist.
+// simulation uses it from one thread, but being process-global it must
+// survive any caller that acquires or releases from another thread — a
+// lock, never a corrupted freelist.
 #ifndef SRC_UTIL_BUFPOOL_H_
 #define SRC_UTIL_BUFPOOL_H_
 

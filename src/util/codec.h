@@ -94,19 +94,6 @@ class Decoder {
     return out;
   }
 
-  // Length-prefixed byte string as a view into the decoder's buffer — no
-  // copy. Only valid while the underlying buffer lives; the worker-pool
-  // prologue uses it to parse envelopes whose shared buffer it pins.
-  BytesView GetBytesView() {
-    uint32_t n = GetU32();
-    if (!Require(n)) {
-      return {};
-    }
-    BytesView out = data_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
-
   std::string GetString() {
     Bytes b = GetBytes();
     return std::string(b.begin(), b.end());

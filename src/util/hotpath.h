@@ -44,23 +44,17 @@ struct Counters {
   uint64_t events_pruned = 0;       // cancelled timers discarded before firing
   uint64_t events_requeued = 0;     // deliveries/timers deferred behind a busy
                                     // node's CPU (moved, never copied)
-  // Worker pool pipeline (src/util/workerpool.cc and its submit sites).
-  // These count *submissions*, which happen at deterministic main-thread
-  // program points, so they are identical at any thread count — telemetry
-  // that depends on scheduling luck lives in WorkerPool's own stats instead.
-  uint64_t pool_jobs = 0;            // jobs submitted to the worker pool
-  uint64_t pool_verify_jobs = 0;     // prologue: delivery digest+verify jobs
-  uint64_t pool_mac_shard_jobs = 0;  // epilogue: authenticator lane batches
-  uint64_t pool_digest_shard_jobs = 0;  // epilogue: checkpoint leaf chunks
-  // Prologue verify memo (src/sim/digest_memo.cc).
+  // Always 0: nothing bumps these. Their one reader is perfbench
+  // (pool.jobs_per_op, channel.verify_memo_hit_frac); they go when the
+  // benchmark drops those metrics.
+  uint64_t pool_jobs = 0;
   uint64_t verify_memo_hits = 0;
   uint64_t verify_memo_misses = 0;
 };
 
-// The one list of counters, in declaration order. MergeCounters and
-// SyncHotPathCounters (which publishes each as the "hot.<name>" gauge) both
-// walk it; the static_assert below fails when a field is added to Counters
-// without an entry here.
+// The one list of counters, in declaration order. SyncHotPathCounters walks
+// it to publish each as the "hot.<name>" gauge; the static_assert below
+// fails when a field is added to Counters without an entry here.
 struct CounterField {
   const char* name;
   uint64_t Counters::*member;
@@ -84,28 +78,22 @@ inline constexpr CounterField kCounterFields[] = {
     {"events_pruned", &Counters::events_pruned},
     {"events_requeued", &Counters::events_requeued},
     {"pool_jobs", &Counters::pool_jobs},
-    {"pool_verify_jobs", &Counters::pool_verify_jobs},
-    {"pool_mac_shard_jobs", &Counters::pool_mac_shard_jobs},
-    {"pool_digest_shard_jobs", &Counters::pool_digest_shard_jobs},
     {"verify_memo_hits", &Counters::verify_memo_hits},
     {"verify_memo_misses", &Counters::verify_memo_misses},
 };
 static_assert(std::size(kCounterFields) * sizeof(uint64_t) == sizeof(Counters),
               "every hotpath::Counters field needs a kCounterFields entry");
 
-// Per-thread counter shard. The main (simulation) thread's shard is the
-// canonical total; worker-pool jobs run against a zeroed shard and their
-// delta is merged into the joining thread via MergeCounters at the join
-// point, so totals land at deterministic program points whatever the thread
-// count. Inline thread_local so per-event bumps on the kernel fast path
-// still compile to a direct TLS increment instead of a function call.
+// Per-thread counters. The simulation is single-threaded, but the buffer
+// pool is process-global and its concurrency test bumps the encode counters
+// from 8 threads at once; thread-local counters keep those bumps race-free.
+// Inline thread_local so per-event bumps on the kernel fast path still
+// compile to a direct TLS increment instead of a function call.
 namespace internal {
 inline thread_local Counters g_counters;
 }  // namespace internal
 inline Counters& counters() { return internal::g_counters; }
-// Adds every field of `delta` into the calling thread's shard.
-void MergeCounters(const Counters& delta);
-void ResetCounters();
+inline void ResetCounters() { internal::g_counters = Counters{}; }
 
 }  // namespace hotpath
 }  // namespace bftbase

@@ -1,129 +1,19 @@
-// Deterministic worker pool for the crypto/verification pipeline.
-//
-// The simulation itself stays single-threaded: replica logic, the event
-// queue, RNG draws and every piece of handler-visible state run on the main
-// thread only. What the pool parallelizes is *pure* byte crunching — envelope
-// digests, MAC verification, authenticator lanes, checkpoint leaf digests —
-// packaged as jobs whose inputs are copied or pinned at submit time and whose
-// outputs become visible only at an explicit Join() on the main thread.
-//
-// Determinism contract (DESIGN.md §13):
-//   * Submit() always enqueues; it never publishes results. Jobs are pure
-//     functions of their captured inputs.
-//   * Join() is the only way results are observed. Whoever joins first runs
-//     the job inline if no worker has claimed it yet — so with 0 threads the
-//     pool degrades to synchronous execution at the join point and nothing
-//     can deadlock, while with N threads the same joins simply find the work
-//     already done.
-//   * hotpath counters bumped inside a job land in the worker's thread-local
-//     shard, are captured as a per-job delta, and are merged into the joining
-//     thread's counters at Join() — the same totals, at the same deterministic
-//     program points, whatever the thread count.
-//   * Join() also drops the job's closure (and thus its captured shared
-//     buffers) on the joining thread, so buffer-pool recycling never happens
-//     from a worker.
-//
-// Scheduling telemetry that genuinely depends on the thread count (how many
-// jobs a worker got to before the join) lives in the pool's own stats, never
-// in hotpath::Counters, so hot.* counter parity across thread counts holds.
+// Leftover of the retired worker pool (DESIGN.md §13). Its one reader is
+// perfbench, which prints WorkerPool::Global().threads() as its pool_threads
+// metadata; this stub goes when the benchmark drops that field. Nothing in
+// the library starts a thread.
 #ifndef SRC_UTIL_WORKERPOOL_H_
 #define SRC_UTIL_WORKERPOOL_H_
-
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "src/util/hotpath.h"
 
 namespace bftbase {
 
 class WorkerPool {
  public:
-  using JobFn = std::function<void()>;
-
-  class Job {
-   public:
-    Job() = default;
-    Job(const Job&) = delete;
-    Job& operator=(const Job&) = delete;
-
-   private:
-    friend class WorkerPool;
-    enum State : int { kPending = 0, kClaimed = 1, kDone = 2 };
-    JobFn fn_;
-    hotpath::Counters delta_;  // counters bumped while running on a worker
-    std::atomic<int> state_{kPending};
-    bool joined_ = false;  // joining-thread bookkeeping; guarded by Join()
-  };
-  using JobRef = std::shared_ptr<Job>;
-
-  // The process-global pool the pipeline stages use. Starts with 0 threads
-  // (fully synchronous); benches and tests size it via SetThreads().
-  static WorkerPool& Global();
-
-  explicit WorkerPool(int threads = 0);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  // Resizes the pool. Blocks until the old workers have exited; jobs still
-  // queued stay queued and will be run by the new workers or claimed at
-  // Join(). Safe to call only from the main thread between joins.
-  void SetThreads(int threads);
-  int threads() const { return static_cast<int>(workers_.size()); }
-
-  // Enqueues a job. Never runs it inline and never blocks.
-  JobRef Submit(JobFn fn);
-
-  // Ensures the job has run and its effects are visible to the caller:
-  // claims and runs it inline if no worker picked it up, otherwise waits for
-  // the worker, then merges the job's counter delta into the calling thread's
-  // shard and releases the closure's captures on the calling thread.
-  // Idempotent; a null ref is a no-op.
-  void Join(const JobRef& job);
-
-  // Parses a thread count from `arg` (e.g. a --threads value); falls back to
-  // the BASE_THREADS environment variable, then to `fallback`. Negative or
-  // unparsable values yield `fallback`.
-  static int ThreadsFromEnv(int fallback);
-
-  // --- Scheduling telemetry (thread-count dependent; NOT hotpath counters).
-  uint64_t jobs_run_by_worker() const {
-    return jobs_run_by_worker_.load(std::memory_order_relaxed);
+  static WorkerPool& Global() {
+    static WorkerPool pool;
+    return pool;
   }
-  uint64_t jobs_run_at_join() const {
-    return jobs_run_at_join_.load(std::memory_order_relaxed);
-  }
-  uint64_t joins_waited() const {
-    return joins_waited_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void WorkerLoop();
-  void StopWorkers();
-
-  // Pops up to `max` queued jobs; blocks (spin, then sleep) until at least
-  // one is available or the pool is stopping. Returns the number popped.
-  size_t PopJobs(JobRef* out, size_t max);
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // workers sleep here when spin expires
-  std::deque<JobRef> queue_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<size_t> pending_{0};  // queue size mirror for spinning workers
-  std::atomic<int> sleepers_{0};    // workers blocked in work_cv_
-
-  std::atomic<uint64_t> jobs_run_by_worker_{0};
-  std::atomic<uint64_t> jobs_run_at_join_{0};
-  std::atomic<uint64_t> joins_waited_{0};
+  int threads() const { return 0; }
 };
 
 }  // namespace bftbase

@@ -334,10 +334,61 @@ TEST_F(ChannelTest, DigestMemoServesSharedMulticastBuffer) {
   EXPECT_GE(after.digest_memo_misses - before.digest_memo_misses, 1u);
 }
 
-TEST_F(ChannelTest, DigestMemoDoesNotCacheAuthValidity) {
+TEST_F(ChannelTest, SignedMulticastChecksSignatureOnce) {
+  // A signature verifies alike at every receiver (signing keys never
+  // rotate), so the first receiver of the shared buffer pays for the
+  // envelope digest (2 SHA-256 calls) and the signature check (2 more), and
+  // the other two reuse both from the memo.
+  Channel carol(&sim_, &keys_, config_, 2);
+  Channel dave(&sim_, &keys_, config_, 3);
+  OpeningNode bob_node(&bob_);
+  OpeningNode carol_node(&carol);
+  OpeningNode dave_node(&dave);
+  sim_.AddNode(1, &bob_node);
+  sim_.AddNode(2, &carol_node);
+  sim_.AddNode(3, &dave_node);
+  Bytes wire = alice_.SealSigned(MsgType::kPrePrepare, ToBytes("ordered"));
+  const hotpath::Counters before = hotpath::counters();
+  sim_.After(0, 0, [&] { sim_.network().Multicast(0, 1, 4, wire); });
+  sim_.RunUntilIdle();
+  const hotpath::Counters& after = hotpath::counters();
+  for (const OpeningNode* node : {&bob_node, &carol_node, &dave_node}) {
+    ASSERT_EQ(node->oks.size(), 1u);
+    EXPECT_TRUE(node->oks[0]);
+  }
+  EXPECT_EQ(after.sha256_invocations - before.sha256_invocations, 4u);
+  EXPECT_EQ(after.digest_memo_hits - before.digest_memo_hits, 2u);
+}
+
+TEST_F(ChannelTest, CorruptSignatureRejectedByEveryReceiver) {
+  // The first receiver's failed check is cached like a passed one: the two
+  // receivers served the cached verdict must reject too.
+  Channel carol(&sim_, &keys_, config_, 2);
+  Channel dave(&sim_, &keys_, config_, 3);
+  OpeningNode bob_node(&bob_);
+  OpeningNode carol_node(&carol);
+  OpeningNode dave_node(&dave);
+  sim_.AddNode(1, &bob_node);
+  sim_.AddNode(2, &carol_node);
+  sim_.AddNode(3, &dave_node);
+  alice_.CorruptOutgoingAuth(true);
+  Bytes wire = alice_.SealSigned(MsgType::kPrePrepare, ToBytes("forged"));
+  const hotpath::Counters before = hotpath::counters();
+  sim_.After(0, 0, [&] { sim_.network().Multicast(0, 1, 4, wire); });
+  sim_.RunUntilIdle();
+  for (const OpeningNode* node : {&bob_node, &carol_node, &dave_node}) {
+    ASSERT_EQ(node->oks.size(), 1u);
+    EXPECT_FALSE(node->oks[0]);
+  }
+  EXPECT_EQ(hotpath::counters().digest_memo_hits - before.digest_memo_hits,
+            2u);
+}
+
+TEST_F(ChannelTest, DigestMemoDoesNotCacheMacValidity) {
   // A MAC addressed to bob rides one shared multicast buffer to bob and
   // carol. Carol's Open sees a digest-memo hit for the shared buffer but
-  // must still reject: the memo caches digests, never verification results.
+  // must still reject: the memo caches digests and signature verdicts,
+  // never MAC verdicts.
   Channel carol(&sim_, &keys_, config_, 2);
   OpeningNode bob_node(&bob_);
   OpeningNode carol_node(&carol);

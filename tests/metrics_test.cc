@@ -107,29 +107,25 @@ TEST(MetricsRegistry, SyncHotPathCountersMirrorsGlobals) {
   hotpath::ResetCounters();
 }
 
-TEST(HotPathCounters, MergeAndSyncCoverEveryCounter) {
-  // MergeCounters and SyncHotPathCounters both walk hotpath::kCounterFields
-  // (whose static_assert covers every Counters field): a distinct value per
-  // field must be merged into the shard and mirrored under "hot.<name>".
+TEST(HotPathCounters, SyncCoversEveryCounter) {
+  // SyncHotPathCounters walks hotpath::kCounterFields (whose static_assert
+  // covers every Counters field): a distinct value per field must be
+  // mirrored under "hot.<name>".
   hotpath::ResetCounters();
-  hotpath::Counters delta;
   uint64_t value = 1;
   for (const hotpath::CounterField& field : hotpath::kCounterFields) {
-    delta.*field.member = value++;
+    hotpath::counters().*field.member = value++;
   }
-  hotpath::MergeCounters(delta);
-  hotpath::MergeCounters(delta);
   MetricsRegistry metrics;
   SyncHotPathCounters(metrics);
   value = 1;
   for (const hotpath::CounterField& field : hotpath::kCounterFields) {
-    EXPECT_EQ(hotpath::counters().*field.member, 2 * value) << field.name;
-    EXPECT_EQ(metrics.Get(std::string("hot.") + field.name), 2 * value)
+    EXPECT_EQ(metrics.Get(std::string("hot.") + field.name), value)
         << field.name;
     ++value;
   }
   EXPECT_EQ(metrics.Get("hot.verify_memo_misses"),
-            2 * std::size(hotpath::kCounterFields));
+            std::size(hotpath::kCounterFields));
   hotpath::ResetCounters();
 }
 

@@ -793,10 +793,9 @@ TEST(Simulation, PeakQueueDepthTracksHighWaterMark) {
   EXPECT_EQ(sim.queued_events(), 0u);
 }
 
-// Regression: the buffer pool is process-global, and the worker-pool pipeline
-// can (in degenerate shutdown orders) release a pooled buffer from a worker
-// thread. The freelist must tolerate concurrent Acquire/Release without
-// corruption or losing its size bound.
+// The buffer pool is process-global and guarded by a lock, so any thread
+// may acquire or release a pooled buffer. The freelist must tolerate
+// concurrent Acquire/Release without corruption or losing its size bound.
 TEST(BufferPool, SurvivesConcurrentAcquireRelease) {
   BufferPool::Clear();
   constexpr int kThreads = 8;
