@@ -4,9 +4,11 @@
 // running the closed-loop KV workload twice per cell: once with the static
 // batching the seed repo ships (max_batch = 8) and once with the adaptive
 // batching controller (config.adaptive_batching). Reports aggregate
-// committed throughput on the simulated clock, client retransmissions and
-// view changes, and per-region commit-latency percentiles (p50/p99/p999,
-// nearest-rank over per-client samples grouped by the client's region).
+// committed throughput on the simulated clock, client retransmissions,
+// reply waits (operations whose f+1 votes arrived before a full result,
+// with their mean wait) and view changes, and per-region commit-latency
+// percentiles (p50/p99/p999, nearest-rank over per-client samples grouped
+// by the client's region).
 //
 // Self-checks (full run; --smoke is lenient on margins, strict on
 // completion):
@@ -50,6 +52,10 @@ struct CellResult {
   SimTime elapsed_us = 0;
   uint64_t retries = 0;
   uint64_t timeout_retries = 0;
+  // Operations whose f+1 votes arrived before a full result, and the
+  // virtual time they then waited for it.
+  uint64_t result_waits = 0;
+  SimTime result_wait_us = 0;
   uint64_t view_changes = 0;
   LatencySummary overall;
   std::vector<LatencySummary> per_region;
@@ -57,6 +63,11 @@ struct CellResult {
   double Throughput() const {
     return elapsed_us > 0
                ? static_cast<double>(committed) * kSecond / elapsed_us
+               : 0;
+  }
+  SimTime MeanResultWait() const {
+    return result_waits > 0
+               ? result_wait_us / static_cast<SimTime>(result_waits)
                : 0;
   }
 };
@@ -120,6 +131,8 @@ CellResult RunCell(const Topology& topo, int clients, int requests_per_client,
     r.committed += static_cast<int>(latencies[i].size());
     r.retries += group.client(i).retries();
     r.timeout_retries += group.client(i).timeout_retries();
+    r.result_waits += group.client(i).result_waits();
+    r.result_wait_us += group.client(i).result_wait_time();
   }
   for (int rep = 0; rep < group.replica_count(); ++rep) {
     r.view_changes += group.replica(rep).view_changes_started();
@@ -172,7 +185,8 @@ int main(int argc, char** argv) {
 
   PrintHeader(smoke ? "E19: geo sweep (smoke)" : "E19: geo sweep");
   Table table({"topology", "clients", "batching", "ops/sim-s", "p50 ms",
-               "p99 ms", "p999 ms", "retries", "view chg"});
+               "p99 ms", "p999 ms", "retries", "reply waits",
+               "wait ms (mean)", "view chg"});
   std::vector<Cell> cells;
   bool all_completed = true;
   bool timers_clean = true;
@@ -201,6 +215,8 @@ int main(int argc, char** argv) {
                       FormatMs(cell.result.overall.p99),
                       FormatMs(cell.result.overall.p999),
                       FormatCount(cell.result.retries),
+                      FormatCount(cell.result.result_waits),
+                      FormatMs(cell.result.MeanResultWait()),
                       FormatCount(cell.result.view_changes)});
         all_completed = all_completed && cell.result.completed;
         timers_clean = timers_clean && cell.result.view_changes == 0 &&
@@ -296,6 +312,9 @@ int main(int argc, char** argv) {
       json.Field("sim_ops_per_sec", cell.result.Throughput());
       json.Field("client_retries", cell.result.retries);
       json.Field("timeout_retries", cell.result.timeout_retries);
+      json.Field("result_waits", cell.result.result_waits);
+      json.Field("result_wait_us",
+                 static_cast<int64_t>(cell.result.result_wait_us));
       json.Field("view_changes", cell.result.view_changes);
       json.Field("p50_us", cell.result.overall.p50);
       json.Field("p99_us", cell.result.overall.p99);

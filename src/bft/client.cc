@@ -192,6 +192,9 @@ void Client::HandleReply(const ReplyMsg& reply) {
       // f+1 digest replies, and firing instantly would multicast on nearly
       // every request. LAN deployments (rtt 0) keep the instant path, so
       // seed-era traces are byte-identical.
+      if (p.quorum_without_result_at < 0) {
+        p.quorum_without_result_at = sim_->Now();
+      }
       if (!p.result_retransmit_sent) {
         if (config_.network_rtt_us == 0) {
           p.result_retransmit_sent = true;
@@ -243,6 +246,10 @@ void Client::Complete(Status status, Bytes result) {
   }
   ++operations_completed_;
   last_latency_ = sim_->Now() - p.start_time;
+  if (p.quorum_without_result_at >= 0) {
+    ++result_waits_;
+    result_wait_time_ += sim_->Now() - p.quorum_without_result_at;
+  }
   p.callback(std::move(status), std::move(result));
 }
 

@@ -54,6 +54,11 @@ class Client : public SimNode {
   uint64_t timeout_retries() const { return timeout_retries_; }
   // Virtual-time latency of the most recently completed operation.
   SimTime last_latency() const { return last_latency_; }
+  // Completed operations whose vote quorum formed before a matching full
+  // result had arrived, and the virtual time they then waited for it (the
+  // designated-replier wait, which no replica phase shows).
+  uint64_t result_waits() const { return result_waits_; }
+  SimTime result_wait_time() const { return result_wait_time_; }
 
  private:
   struct Pending {
@@ -81,6 +86,8 @@ class Client : public SimNode {
     // from a faulty replier at digest-quorum time. 0 = not armed.
     TimerId result_grace_timer = 0;
     SimTime start_time = 0;
+    // When a vote quorum first formed without its full result; -1 = never.
+    SimTime quorum_without_result_at = -1;
   };
 
   void SendRequest();
@@ -104,6 +111,8 @@ class Client : public SimNode {
   uint64_t retries_ = 0;
   uint64_t timeout_retries_ = 0;
   SimTime last_latency_ = 0;
+  uint64_t result_waits_ = 0;
+  SimTime result_wait_time_ = 0;
 };
 
 }  // namespace bftbase

@@ -96,7 +96,8 @@ struct Config {
   SimTime null_request_interval = 1 * kSecond;
 
   // When true, only the designated replier sends the full result to the
-  // client; others send a result digest (PBFT's reply optimization).
+  // client; others send a result digest (PBFT's reply optimization). A
+  // result no longer than a digest goes in full from every replica either way.
   bool digest_replies = true;
   // When true, read-only requests are executed tentatively without ordering
   // (client needs 2f+1 matching replies instead of f+1).

@@ -249,6 +249,11 @@ Result<ReplyMsg> ReplyMsg::Decode(BytesView data) {
   if (!dec.AtEnd()) {
     return Truncated("REPLY");
   }
+  // Digest::FromBytes maps any other length to the zero digest, which the
+  // client would tally as a vote.
+  if (msg.result_is_digest && msg.result.size() != Digest::kSize) {
+    return InvalidArgument("REPLY digest of wrong size");
+  }
   return msg;
 }
 

@@ -133,8 +133,8 @@ struct ReplyMsg {
   // Tentative replies come from the read-only optimization; the client needs
   // a larger quorum (2f+1) for them.
   bool tentative = false;
-  // With the digest-reply optimization only the designated replier sends the
-  // full result; the others send its digest.
+  // With the digest-reply optimization only the designated replier sends a
+  // result longer than a digest in full; the others send its digest.
   bool result_is_digest = false;
   Bytes result;
 

@@ -1033,7 +1033,10 @@ void Replica::SendReply(const RequestMsg& request, Bytes result,
   reply.tentative = tentative;
 
   // Designated-replier optimization: only one replica sends the full result.
-  bool send_full = !config_.digest_replies ||
+  // A result no longer than its digest goes in full from every replica: the
+  // reply is then no larger than the digest reply it replaces, and the
+  // client need not wait for one (possibly remote) designated replier.
+  bool send_full = !config_.digest_replies || result.size() <= Digest::kSize ||
                    static_cast<NodeId>(request.timestamp %
                                        static_cast<uint64_t>(config_.n())) ==
                        id_;

@@ -164,9 +164,14 @@ TEST(KernelWitness, WallclockConfigsMatchPreOverhaulPins) {
   //     separate request transmission (DESIGN.md §6): each request now
   //     reaches every replica from the client (n deliveries instead of
   //     one), and the pre-prepare carries digests, not bodies.
+  //   7ae9098e7b2b / 6324 events (f1_1client: 036d39d1ab72 / 3158) —
+  //     every replica returns a result no longer than a digest in full
+  //     (DESIGN.md §6): each Set's "OK" reply is a full reply from all n
+  //     replicas, so no client waits for (or eagerly retransmits to reach)
+  //     the designated replier.
   const Pin pins[] = {
-      {1, 1, 40, 7001, "c6c2ea0f45e1", 3158},
-      {2, 16, 5, 7002, "9b35a6966869", 6326},
+      {1, 1, 40, 7001, "036d39d1ab72", 3158},
+      {2, 16, 5, 7002, "7ae9098e7b2b", 6324},
   };
   for (const Pin& pin : pins) {
     TraceResult r =

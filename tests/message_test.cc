@@ -220,6 +220,16 @@ TEST(Message, MalformedInputsRejected) {
   Bytes wire = msg.Encode();
   wire.push_back(0);
   EXPECT_FALSE(RequestMsg::Decode(wire).ok());
+  // A digest reply must carry exactly one digest: any other length used to
+  // decode as the zero digest and count as a vote for it.
+  ReplyMsg reply;
+  reply.result_is_digest = true;
+  for (size_t size : {size_t{0}, Digest::kSize - 1, Digest::kSize + 1}) {
+    reply.result = Bytes(size, 0x11);
+    EXPECT_FALSE(ReplyMsg::Decode(reply.Encode()).ok()) << size;
+  }
+  reply.result = Bytes(Digest::kSize, 0x11);
+  EXPECT_TRUE(ReplyMsg::Decode(reply.Encode()).ok());
 }
 
 class ChannelTest : public ::testing::Test {

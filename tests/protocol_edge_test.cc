@@ -1,11 +1,13 @@
 // Protocol edge-case regressions: the log-window high watermark under lost
 // checkpoint votes, client retransmission against the reply cache, the
-// stale-timestamp guard on replayed replies, and the view-change timer under
-// client retransmissions.
+// stale-timestamp guard on replayed replies, which replies carry the full
+// result, and the view-change timer under client retransmissions.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/base/kv_adapter.h"
@@ -13,6 +15,7 @@
 #include "src/bft/channel.h"
 #include "src/bft/message.h"
 #include "src/sim/network.h"
+#include "src/sim/topology.h"
 #include "tests/audit_helpers.h"
 
 namespace bftbase {
@@ -325,7 +328,8 @@ TEST(ProtocolEdge, ClientAdoptsQuorumAttestedViewDespiteConflictingClaims) {
 // matching bytes), so the fallback must keep them. Here the client only ever
 // sees the designated replier's TENTATIVE full result and DEFINITIVE digest
 // replies — completion is possible only if the fallback preserved the full
-// result learned during the tentative phase.
+// result learned during the tentative phase. The value is longer than a
+// digest: shorter results travel in full from every replica.
 TEST(ProtocolEdge, ReadOnlyFallbackKeepsVotesAndFullResults) {
   ServiceGroup::Params params;
   params.config.f = 1;
@@ -334,7 +338,8 @@ TEST(ProtocolEdge, ReadOnlyFallbackKeepsVotesAndFullResults) {
   const NodeId client_id = group->config().ClientId(0);
 
   // Seed the slot with an ordered write before any interference.
-  ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(5, ToBytes("kept"))).ok());
+  const Bytes kept(64, 'k');
+  ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(5, kept)).ok());
 
   group->sim().network().SetInterceptor(
       [&](NodeId, NodeId to, Bytes& wire) {
@@ -359,7 +364,7 @@ TEST(ProtocolEdge, ReadOnlyFallbackKeepsVotesAndFullResults) {
   auto r = group->Invoke(KvAdapter::EncodeGet(5), /*read_only=*/true,
                          /*timeout=*/30 * kSecond);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(ToString(*r), "kept");
+  EXPECT_EQ(*r, kept);
   // Exactly the fallback retransmission, and the operation finished within
   // the fallback round itself — no second backoff was needed.
   EXPECT_EQ(group->client(0).retries(), 1u);
@@ -373,13 +378,17 @@ TEST(ProtocolEdge, ReadOnlyFallbackKeepsVotesAndFullResults) {
 // replier is faulty — modeled on the wire by dropping full-result replies
 // until the client retransmits). Replicas answer retransmissions from the
 // reply cache with full results, so the client retransmits eagerly ONCE
-// instead of idling until the backoff timer fires.
+// instead of idling until the backoff timer fires. The operation is an
+// ordered read of a value longer than a digest: shorter results travel in
+// full from every replica.
 TEST(ProtocolEdge, DigestQuorumWithoutResultRetransmitsEagerly) {
   ServiceGroup::Params params;
   params.config.f = 1;
   params.seed = 9006;
   auto group = MakeGroup(std::move(params));
   const NodeId client_id = group->config().ClientId(0);
+  const Bytes value(64, 'f');
+  ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(2, value)).ok());
 
   // Attempts are counted at replica 0: each one is multicast.
   int client_requests_seen = 0;
@@ -402,13 +411,116 @@ TEST(ProtocolEdge, DigestQuorumWithoutResultRetransmitsEagerly) {
         return !(reply.ok() && !reply->result_is_digest);
       });
 
-  auto r = group->Invoke(KvAdapter::EncodeSet(2, ToBytes("fast")));
+  auto r = group->Invoke(KvAdapter::EncodeGet(2));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, value);
   // The retransmission was the eager one (digest quorum without a result),
   // not the backoff timer: one retry, completion well under the timeout.
   EXPECT_EQ(group->client(0).retries(), 1u);
   EXPECT_LT(group->client(0).last_latency(),
             group->config().client_retry_timeout);
+  // The client counts the wait between its vote quorum and the result.
+  EXPECT_EQ(group->client(0).result_waits(), 1u);
+  EXPECT_GT(group->client(0).result_wait_time(), 0);
+}
+
+// A result no longer than a digest travels in full from every replica, so
+// the client completes on its first f+1 matching replies and never waits for
+// the designated replier. Here that replier (replica 1: the first operation
+// carries timestamp 1) answers 50 ms late; on a digest quorum without its
+// full result the client would retransmit eagerly.
+TEST(ProtocolEdge, SmallResultDoesNotWaitForSlowDesignatedReplier) {
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.seed = 9010;
+  auto group = MakeGroup(std::move(params));
+  const NodeId client_id = group->config().ClientId(0);
+  group->sim().network().SetPairDelay(/*from=*/1, client_id,
+                                      50 * kMillisecond);
+
+  auto r = group->Invoke(KvAdapter::EncodeSet(1, ToBytes("v")));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(ToString(*r), "OK");
+  EXPECT_EQ(group->client(0).retries(), 0u);
+  EXPECT_EQ(group->client(0).result_waits(), 0u);
+  EXPECT_LT(group->client(0).last_latency(), 50 * kMillisecond);
+}
+
+// The same rule on 3-region: a client in the primary's region (region 0,
+// with replicas 0 and 3) writes, and the operation's designated replier
+// (replica 1) sits a region away. The two local replicas commit after one
+// round trip to region 1 (~100 ms) and their full "OK" replies complete the
+// operation; the remote full result would land only at ~200 ms.
+TEST(ProtocolEdge, SmallResultCompletesOnNearestQuorumAcrossRegions) {
+  Topology topo;
+  ASSERT_TRUE(TopologyFromName("3-region", &topo));
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.config.network_rtt_us = topo.MaxRttUs();
+  params.seed = 9011;
+  auto group = MakeGroup(std::move(params));
+  ApplyTopology(group->sim().network(), topo, group->config().node_count());
+  const int client = 2;
+  ASSERT_EQ(topo.RegionOf(group->config().ClientId(client)), topo.RegionOf(0));
+  ASSERT_NE(topo.RegionOf(1), topo.RegionOf(0));
+
+  auto r = group->client(client).InvokeSync(
+      KvAdapter::EncodeSet(1, ToBytes("v")), /*read_only=*/false);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(group->client(client).retries(), 0u);
+  EXPECT_GE(group->client(client).last_latency(), 100 * kMillisecond);
+  EXPECT_LT(group->client(client).last_latency(), 130 * kMillisecond);
+}
+
+// Reply shape: which replies travel in full. A Set's 2-byte "OK" comes in
+// full from all n replicas; a Get of a 64-byte value comes in full from the
+// designated replier only and as a digest from the other n-1. Only each
+// replica's first reply counts: a retransmission is answered in full from
+// the reply cache.
+TEST(ProtocolEdge, OnlyResultsLongerThanADigestTravelAsDigests) {
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.seed = 9012;
+  auto group = MakeGroup(std::move(params));
+  const NodeId client_id = group->config().ClientId(0);
+  const int n = group->config().n();
+
+  std::map<NodeId, bool> first_is_digest;  // replica -> its first reply
+  group->sim().network().SetInterceptor(
+      [&](NodeId from, NodeId to, Bytes& wire) {
+        if (to != client_id ||
+            WireType(wire) != static_cast<uint8_t>(MsgType::kReply)) {
+          return true;
+        }
+        auto parsed = Channel::ParseUnverified(wire);
+        if (parsed.ok()) {
+          auto reply = ReplyMsg::Decode(parsed->payload);
+          if (reply.ok()) {
+            first_is_digest.emplace(from, reply->result_is_digest);
+          }
+        }
+        return true;
+      });
+  // Runs one operation, lets the replies that trail its quorum land, and
+  // returns {full, digest} first-reply counts.
+  auto run = [&](Bytes op, Bytes expected) {
+    first_is_digest.clear();
+    auto r = group->Invoke(std::move(op));
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.ok() && *r == expected);
+    group->sim().RunUntil(group->sim().Now() + 100 * kMillisecond);
+    int digests = 0;
+    for (const auto& [replica, is_digest] : first_is_digest) {
+      digests += is_digest ? 1 : 0;
+    }
+    return std::make_pair(static_cast<int>(first_is_digest.size()) - digests,
+                          digests);
+  };
+
+  const Bytes value(64, 'g');
+  EXPECT_EQ(run(KvAdapter::EncodeSet(3, value), ToBytes("OK")),
+            std::make_pair(n, 0));
+  EXPECT_EQ(run(KvAdapter::EncodeGet(3), value), std::make_pair(1, n - 1));
 }
 
 // PBFT's liveness rule (OSDI '99 §4.5.2): a backup starts its view-change

@@ -58,9 +58,12 @@ std::unique_ptr<ServiceGroup> MakeGeoGroup(const std::string& preset,
 }
 
 // Closed-loop KV writes: `clients` clients each issue `per_client` requests
-// back to back. Returns true when every request completed in bounded
-// virtual time.
-bool RunClosedLoop(ServiceGroup& group, int clients, int per_client) {
+// back to back. With `ordered_gets` they are ordered reads of the slots an
+// earlier write run with the same counts filled, whose 256-byte results
+// (longer than a digest) come in full from the designated replier only.
+// Returns true when every request completed in bounded virtual time.
+bool RunClosedLoop(ServiceGroup& group, int clients, int per_client,
+                   bool ordered_gets = false) {
   const uint64_t total = static_cast<uint64_t>(clients) * per_client;
   uint64_t completed = 0;
   Bytes value(256, 0x5a);
@@ -73,7 +76,8 @@ bool RunClosedLoop(ServiceGroup& group, int clients, int per_client) {
       }
       ++issued[i];
       uint32_t slot = static_cast<uint32_t>(i * 997 + issued[i]) % kKvSlots;
-      group.client(i).Invoke(KvAdapter::EncodeSet(slot, value),
+      group.client(i).Invoke(ordered_gets ? KvAdapter::EncodeGet(slot)
+                                          : KvAdapter::EncodeSet(slot, value),
                              /*read_only=*/false, [&, i](Status, Bytes) {
                                ++completed;
                                issue[i]();
@@ -141,25 +145,33 @@ TEST(GeoTimeouts, EffectiveValuesScaleWithDeploymentRtt) {
 
 // --- Client retransmission on a WAN (the first misfire) ---------------------
 
-// Same healthy 3-region group, same workload, both timeout regimes. With the
-// seed's static 300 ms retry timeout the client retransmits on (nearly)
-// every request because a cross-region commit takes longer than that to
-// land; with the RTT-derived timeout the stream is retransmit-free. If this
+// Same healthy 3-region group, both timeout regimes. With the seed's static
+// 300 ms retry timeout the client retransmits because a cross-region commit
+// plus the designated replier's full result takes longer than that to land;
+// with the RTT-derived timeout the stream is retransmit-free. The control
+// reads values longer than a digest: writes return "OK", which every replica
+// sends in full, so they commit in 100-265 ms and no longer misfire. If this
 // control half ever stops retransmitting, the regression has lost its
 // teeth — the fixed half is the actual contract.
 TEST(GeoRetransmission, RttDerivedRetryIsQuietWhereLanConstantStorms) {
-  auto run = [](bool rtt_aware) {
+  auto run = [](bool rtt_aware, bool ordered_gets) {
     ServiceGroup::Params params;
     params.config.f = 1;
     params.seed = 6401;
     auto group = MakeGeoGroup("3-region", std::move(params), rtt_aware);
     EXPECT_TRUE(RunClosedLoop(*group, /*clients=*/1, /*per_client=*/8));
-    return TotalRetries(*group, 1);
+    if (!ordered_gets) {
+      return TotalRetries(*group, 1);
+    }
+    const uint64_t write_retries = TotalRetries(*group, 1);
+    EXPECT_TRUE(RunClosedLoop(*group, /*clients=*/1, /*per_client=*/8,
+                              /*ordered_gets=*/true));
+    return TotalRetries(*group, 1) - write_retries;
   };
-  EXPECT_GT(run(/*rtt_aware=*/false), 0u)
+  EXPECT_GT(run(/*rtt_aware=*/false, /*ordered_gets=*/true), 0u)
       << "static 300ms retry no longer misfires on 3-region — recalibrate "
          "the control";
-  EXPECT_EQ(run(/*rtt_aware=*/true), 0u)
+  EXPECT_EQ(run(/*rtt_aware=*/true, /*ordered_gets=*/false), 0u)
       << "RTT-derived retry timeout retransmitted on a healthy WAN";
 }
 
@@ -235,7 +247,9 @@ TEST(GeoQualityMonitor, GenuinelySlowPrimaryStillDeposedOnWan) {
 // built stopped delaying the messages sent before the first event (the
 // kernel-witness pin moved with it); ed3034f33651 / 2918 -> c6c2ea0f45e1 /
 // 3158 with separate request transmission (clients multicast every request,
-// pre-prepares carry digests), again with the kernel-witness pin.
+// pre-prepares carry digests), again with the kernel-witness pin;
+// c6c2ea0f45e1 -> 036d39d1ab72 / 3158 when every replica began returning a
+// result no longer than a digest (each Set's "OK") in full.
 TEST(AdaptiveBatching, KillSwitchKeepsSeedTraceByteIdentical) {
   ServiceGroup::Params params;
   params.config.f = 1;
@@ -268,7 +282,7 @@ TEST(AdaptiveBatching, KillSwitchKeepsSeedTraceByteIdentical) {
   issue();
   ASSERT_TRUE(group.sim().RunUntilTrue([&] { return completed == 40; },
                                        40 * kSecond));
-  EXPECT_EQ(group.sim().trace().digest().Hex(), "c6c2ea0f45e1");
+  EXPECT_EQ(group.sim().trace().digest().Hex(), "036d39d1ab72");
   EXPECT_EQ(group.sim().trace().event_count(), 3158u);
 }
 
