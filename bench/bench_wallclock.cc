@@ -6,7 +6,9 @@
 // drives a closed-loop KV workload through the full
 // send→authenticate→deliver→verify path and reports wall-clock requests/sec,
 // sim-events/sec, SHA-256 work per request and payload bytes copied per
-// delivered message.
+// delivered message, plus the primary's high-watermark stalls (how often
+// and for how much virtual time it held proposable requests because its
+// next sequence number was past stable + log_window; reported, not gated).
 //
 // Each configuration runs once. SHA-256 invocations per request and payload
 // bytes copied per delivered message are deterministic per seed, so each is
@@ -74,6 +76,9 @@ struct RunStats {
   uint64_t bytes_delivered = 0;
   uint64_t payload_copies = 0;
   uint64_t bytes_copied = 0;
+  // Primary high-watermark stalls (virtual time): how many, and how long.
+  uint64_t watermark_stalls = 0;
+  SimTime watermark_stall_us = 0;
 
   double RequestsPerSec() const {
     return wall_sec > 0 ? requests / wall_sec : 0;
@@ -158,6 +163,10 @@ RunStats RunOnce(const WallclockConfig& cfg) {
   s.bytes_delivered = net.bytes_delivered();
   s.payload_copies = net.payload_copies();
   s.bytes_copied = net.bytes_copied();
+  const auto stalls =
+      group.sim().metrics().Histogram("replica.watermark_stall_us");
+  s.watermark_stalls = stalls.count;
+  s.watermark_stall_us = stalls.sum;
   return s;
 }
 
@@ -184,6 +193,8 @@ void EmitRunJson(JsonWriter& json, const RunStats& s) {
   json.Field("encode_reuses", s.encode_reuses);
   json.Field("digest_memo_hits", s.memo_hits);
   json.Field("digest_memo_misses", s.memo_misses);
+  json.Field("watermark_stalls", s.watermark_stalls);
+  json.Field("watermark_stall_us", static_cast<int64_t>(s.watermark_stall_us));
   json.EndObject();
 }
 
@@ -200,7 +211,8 @@ void AddRow(Table& table, const std::string& config, const RunStats& s) {
   char copied[64];
   std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
   table.AddRow({config, reqs, evs, sha, hashed, copied,
-                FormatCount(s.memo_hits)});
+                FormatCount(s.memo_hits), FormatCount(s.watermark_stalls),
+                FormatMs(s.watermark_stall_us)});
 }
 
 }  // namespace
@@ -245,7 +257,8 @@ int main(int argc, char** argv) {
                   ? "Wall-clock hot path (smoke config)"
                   : "Wall-clock hot path: zero-copy fabric + digest caches");
   Table table({"config", "req/s", "sim ev/s", "SHA/req",
-               "kB hashed/req", "B copied/msg", "memo hits"});
+               "kB hashed/req", "B copied/msg", "memo hits", "hw stalls",
+               "stall ms"});
 
   JsonWriter json;
   json.BeginObject();

@@ -31,9 +31,10 @@ struct Config {
 
   // Maximum number of requests the primary folds into one pre-prepare.
   int max_batch = 8;
-  // Maximum number of unexecuted batches the primary keeps in flight;
-  // requests arriving while the pipeline is full are batched together
-  // (PBFT's request batching).
+  // The primary's pipeline depth on a LAN: the most unexecuted batches it
+  // keeps in flight; requests arriving while the pipeline is full are
+  // batched together (PBFT's request batching). A WAN deployment ignores it
+  // (EffectivePipelineDepth).
   int max_in_flight_batches = 2;
 
   // --- Adaptive batching (kill switch) --------------------------------------
@@ -123,6 +124,17 @@ struct Config {
       return primary_latency_threshold;
     }
     return EffectiveViewChangeTimeout() / 2 + network_rtt_us;
+  }
+
+  // Primary pipeline depth (unexecuted batches in flight). A LAN keeps
+  // max_in_flight_batches: its replicas are CPU-bound, and the window is
+  // what makes requests wait to be batched; a deeper one splits them into
+  // more, smaller batches. On a WAN a round takes an RTT, and a fixed
+  // window would cap throughput at window x max_batch per round, so only
+  // the high watermark (log_window, which InWindow enforces) bounds it.
+  SeqNum EffectivePipelineDepth() const {
+    return network_rtt_us > 0 ? log_window
+                              : static_cast<SeqNum>(max_in_flight_batches);
   }
 
   int n() const { return 3 * f + 1; }

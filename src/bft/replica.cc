@@ -15,6 +15,10 @@ constexpr const char kViewChangesStarted[] = "replica.view_changes_started";
 // Virtual µs from taking a checkpoint to sending its CHECKPOINT vote.
 constexpr const char kCheckpointVoteLag[] = "replica.checkpoint_vote_lag_us";
 constexpr const char kFetchesSent[] = "replica.fetches_sent";
+// Virtual µs a primary held proposable requests with its next sequence
+// number past the high watermark: from the first refused proposal to the
+// next PRE-PREPARE.
+constexpr const char kWatermarkStall[] = "replica.watermark_stall_us";
 
 // The buffer `wire` was delivered in, shared instead of copied; a copy when
 // `wire` is not the delivery being handled (e.g. a replayed stash).
@@ -487,9 +491,7 @@ void Replica::ReleaseBodiesThrough(SeqNum seq) {
 }
 
 void Replica::MaybeSendPrePrepare() {
-  while (InWindow(next_seq_) &&
-         next_seq_ <= last_executed_ +
-                          static_cast<SeqNum>(config_.max_in_flight_batches)) {
+  while (next_seq_ <= last_executed_ + config_.EffectivePipelineDepth()) {
     // Proposable: pending requests no batch of this view lists yet, smallest
     // digest first.
     std::vector<Digest> proposable;
@@ -500,6 +502,13 @@ void Replica::MaybeSendPrePrepare() {
       }
     }
     if (proposable.empty()) {
+      return;
+    }
+    if (!InWindow(next_seq_)) {
+      if (next_seq_ > stable_seq_ + config_.log_window &&
+          watermark_stall_since_ < 0) {
+        watermark_stall_since_ = sim_->Now();
+      }
       return;
     }
     std::sort(proposable.begin(), proposable.end());
@@ -521,6 +530,11 @@ void Replica::MaybeSendPrePrepare() {
     if (batch_hold_timer_ != 0) {
       sim_->Cancel(batch_hold_timer_);
       batch_hold_timer_ = 0;
+    }
+    if (watermark_stall_since_ >= 0) {
+      sim_->metrics().Observe(kWatermarkStall,
+                              sim_->Now() - watermark_stall_since_, id_);
+      watermark_stall_since_ = -1;
     }
     PrePrepareMsg pp;
     pp.view = view_;
@@ -1440,6 +1454,7 @@ void Replica::Crash() {
       std::max(config_.adaptive_batch_min,
                std::min(config_.max_batch, config_.adaptive_batch_max));
   adaptive_hold_us_ = 0;
+  watermark_stall_since_ = -1;
   DisarmViewChangeTimer();
   if (view_change_wake_ != 0) {
     sim_->Cancel(view_change_wake_);

@@ -137,6 +137,10 @@ class Replica : public SimNode {
   // primary or served to a peer's FETCH).
   void HandleRequest(const WireMessage& msg, const Bytes& wire);
   void MaybeSendPrePrepare();
+  // When the primary first refused a proposal because its next sequence
+  // number was past the high watermark (-1: not stalled); the next
+  // PRE-PREPARE observes the stall in "replica.watermark_stall_us".
+  SimTime watermark_stall_since_ = -1;
   // --- Adaptive batching (config_.adaptive_batching) ------------------------
   // Controller state lives only on the primary path and is consulted only
   // when the kill switch is on; with it off the static max_batch path runs

@@ -487,6 +487,7 @@ void Replica::EnterNewView(ViewNum target_view, const NewViewPlan& plan,
   DisarmViewChangeTimer();
   primary_latency_samples_.clear();
   quality_view_change_fired_ = false;
+  watermark_stall_since_ = -1;  // a stall ends with the view it began in
   view_change_votes_.erase(view_change_votes_.begin(),
                            view_change_votes_.upper_bound(target_view));
 

@@ -15,9 +15,13 @@
 // timeouts from the deployment RTT instead. These tests run real service
 // groups on the presets and check: the fixed constants are quiet on a
 // healthy WAN, the old constants demonstrably were not, and a genuinely
-// slow primary is still deposed. The adaptive-batching kill switch gets its
-// byte-identical-trace witness and a burst-coalescing behavior check here
-// too.
+// slow primary is still deposed. The primary's pipeline depth is derived
+// the same way (Config::EffectivePipelineDepth): on a WAN only the high
+// watermark bounds it, and the suite pins the throughput, the tail and a
+// view change that carries more than two prepared batches. The
+// adaptive-batching kill switch gets its byte-identical-trace witness and a
+// burst-coalescing behavior check here too.
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -30,6 +34,7 @@
 #include "src/base/service_group.h"
 #include "src/bft/config.h"
 #include "src/sim/topology.h"
+#include "src/util/percentile.h"
 
 namespace bftbase {
 namespace {
@@ -61,13 +66,16 @@ std::unique_ptr<ServiceGroup> MakeGeoGroup(const std::string& preset,
 // back to back. With `ordered_gets` they are ordered reads of the slots an
 // earlier write run with the same counts filled, whose 256-byte results
 // (longer than a digest) come in full from the designated replier only.
+// `latencies`, when given, receives every request's commit latency.
 // Returns true when every request completed in bounded virtual time.
 bool RunClosedLoop(ServiceGroup& group, int clients, int per_client,
-                   bool ordered_gets = false) {
+                   bool ordered_gets = false,
+                   std::vector<int64_t>* latencies = nullptr) {
   const uint64_t total = static_cast<uint64_t>(clients) * per_client;
   uint64_t completed = 0;
   Bytes value(256, 0x5a);
   std::vector<int> issued(clients, 0);
+  std::vector<SimTime> invoked_at(clients, 0);
   std::vector<std::function<void()>> issue(clients);
   for (int i = 0; i < clients; ++i) {
     issue[i] = [&, i] {
@@ -75,11 +83,16 @@ bool RunClosedLoop(ServiceGroup& group, int clients, int per_client,
         return;
       }
       ++issued[i];
+      invoked_at[i] = group.sim().Now();
       uint32_t slot = static_cast<uint32_t>(i * 997 + issued[i]) % kKvSlots;
       group.client(i).Invoke(ordered_gets ? KvAdapter::EncodeGet(slot)
                                           : KvAdapter::EncodeSet(slot, value),
                              /*read_only=*/false, [&, i](Status, Bytes) {
                                ++completed;
+                               if (latencies != nullptr) {
+                                 latencies->push_back(group.sim().Now() -
+                                                      invoked_at[i]);
+                               }
                                issue[i]();
                              });
     };
@@ -95,6 +108,14 @@ uint64_t TotalRetries(ServiceGroup& group, int clients) {
   uint64_t retries = 0;
   for (int i = 0; i < clients; ++i) {
     retries += group.client(i).retries();
+  }
+  return retries;
+}
+
+uint64_t TotalTimeoutRetries(ServiceGroup& group, int clients) {
+  uint64_t retries = 0;
+  for (int i = 0; i < clients; ++i) {
+    retries += group.client(i).timeout_retries();
   }
   return retries;
 }
@@ -124,6 +145,8 @@ TEST(GeoTimeouts, EffectiveValuesScaleWithDeploymentRtt) {
   EXPECT_EQ(config.EffectiveClientRetryTimeout(), 300 * kMillisecond);
   EXPECT_EQ(config.EffectiveViewChangeTimeout(), 500 * kMillisecond);
   EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 250 * kMillisecond);
+  // The LAN pipeline keeps its window of max_in_flight_batches.
+  EXPECT_EQ(config.EffectivePipelineDepth(), 2u);
 
   Topology topo;
   ASSERT_TRUE(TopologyFromName("3-region", &topo));
@@ -131,12 +154,15 @@ TEST(GeoTimeouts, EffectiveValuesScaleWithDeploymentRtt) {
   EXPECT_EQ(config.EffectiveClientRetryTimeout(), 492 * kMillisecond);
   EXPECT_EQ(config.EffectiveViewChangeTimeout(), 656 * kMillisecond);
   EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 492 * kMillisecond);
+  // On a WAN only the high watermark bounds the pipeline.
+  EXPECT_EQ(config.EffectivePipelineDepth(), config.log_window);
 
   ASSERT_TRUE(TopologyFromName("5-region-wan", &topo));
   config.network_rtt_us = topo.MaxRttUs();  // 325 ms
   EXPECT_EQ(config.EffectiveClientRetryTimeout(), 975 * kMillisecond);
   EXPECT_EQ(config.EffectiveViewChangeTimeout(), 1300 * kMillisecond);
   EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 975 * kMillisecond);
+  EXPECT_EQ(config.EffectivePipelineDepth(), config.log_window);
 
   // An explicit threshold always wins over the derived one.
   config.primary_latency_threshold = 123 * kMillisecond;
@@ -235,6 +261,155 @@ TEST(GeoQualityMonitor, GenuinelySlowPrimaryStillDeposedOnWan) {
   ASSERT_TRUE(RunClosedLoop(*group, /*clients=*/1, /*per_client=*/12));
   EXPECT_GE(group->replica(1).view(), 1u)
       << "a primary holding every proposal 1.6s was never deposed";
+}
+
+// --- The primary's pipeline on a WAN ----------------------------------------
+
+// 64 closed-loop clients saturate a 3-region group. A fixed window of two
+// batches of at most 8 per ~200 ms round would cap it near 107 ops/sim-s,
+// queue requests behind the window until their tails pass the 492 ms retry
+// timeout, and retransmit. Bounded by the high watermark alone, the
+// pipeline carries the load at propagation latency.
+TEST(GeoPipeline, SaturatedWanPipelineIsBoundedByTheWatermarkNotAWindow) {
+  constexpr int kClients = 64;
+  constexpr int kPerClient = 20;
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.config.max_clients = kClients;
+  params.seed = 6406;
+  auto group = MakeGeoGroup("3-region", std::move(params), /*rtt_aware=*/true);
+  std::vector<int64_t> latencies;
+  const SimTime start = group->sim().Now();
+  ASSERT_TRUE(RunClosedLoop(*group, kClients, kPerClient,
+                            /*ordered_gets=*/false, &latencies));
+  const SimTime elapsed = group->sim().Now() - start;
+  ASSERT_EQ(latencies.size(), static_cast<size_t>(kClients * kPerClient));
+  const double ops_per_sim_s =
+      static_cast<double>(latencies.size()) * kSecond / elapsed;
+  const LatencySummary lat = SummarizeLatencies(std::move(latencies));
+  EXPECT_GE(ops_per_sim_s, 200.0);
+  EXPECT_EQ(TotalTimeoutRetries(*group, kClients), 0u);
+  EXPECT_LE(lat.p99, 2 * lat.p50)
+      << "p50 " << lat.p50 << " us, p99 " << lat.p99 << " us";
+}
+
+// Crash the 3-region primary while it has more than two batches
+// unexecuted — a state a two-batch window never reaches — and while a
+// backup holds more than two prepared certificates above its last executed
+// batch, so the view change must carry all of them. Every append must then
+// complete once, with its result, and the live replicas must agree on the
+// stable checkpoint.
+TEST(GeoPipeline, ViewChangeCarriesMoreThanTwoPreparedWanBatches) {
+  constexpr int kClients = 32;
+  constexpr int kPerClient = 12;
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.config.max_clients = kClients;
+  params.config.checkpoint_interval = 16;
+  params.config.log_window = 64;
+  params.seed = 6407;
+  auto group = MakeGeoGroup("3-region", std::move(params), /*rtt_aware=*/true);
+
+  // Client i appends the tokens 'A'+k, k = 0..kPerClient-1, to its own slot.
+  uint64_t completed = 0;
+  uint64_t wrong_results = 0;
+  std::vector<int> issued(kClients, 0);
+  std::vector<std::function<void()>> issue(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    issue[i] = [&, i] {
+      if (issued[i] >= kPerClient) {
+        return;
+      }
+      const Bytes token{static_cast<uint8_t>('A' + issued[i])};
+      ++issued[i];
+      group->client(i).Invoke(
+          KvAdapter::EncodeAppend(static_cast<uint32_t>(i), token),
+          /*read_only=*/false, [&, i](Status status, Bytes result) {
+            ++completed;
+            if (!status.ok() || ToString(result) != "OK") {
+              ++wrong_results;
+            }
+            issue[i]();
+          });
+    };
+  }
+  for (int i = 0; i < kClients; ++i) {
+    issue[i]();
+  }
+
+  Replica& primary = group->replica(0);
+  auto unexecuted_at_primary = [&] {
+    int count = 0;
+    for (const auto& [seq, entry] : primary.log().entries()) {
+      count += seq > primary.last_executed() && entry.pre_prepare.has_value();
+    }
+    return count;
+  };
+  auto most_prepared_above_executed = [&] {
+    int most = 0;
+    for (int r = 1; r < group->replica_count(); ++r) {
+      const Replica& backup = group->replica(r);
+      int count = 0;
+      for (SeqNum seq = backup.last_executed() + 1;
+           seq <= backup.last_executed() + group->config().log_window; ++seq) {
+        count += backup.has_prepared_cert(seq);
+      }
+      most = std::max(most, count);
+    }
+    return most;
+  };
+  // Mid-stream: a third of the appends done and checkpoints taken.
+  const uint64_t total = static_cast<uint64_t>(kClients) * kPerClient;
+  ASSERT_TRUE(group->sim().RunUntilTrue([&] { return completed >= total / 3; },
+                                        group->sim().Now() + 30 * kSecond));
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] {
+        return unexecuted_at_primary() > 2 &&
+               most_prepared_above_executed() > 2;
+      },
+      group->sim().Now() + 10 * kSecond))
+      << "the primary never had more than two batches unexecuted with more "
+         "than two prepared at a backup";
+  ASSERT_LT(completed, total);
+  primary.Crash();
+
+  ASSERT_TRUE(group->sim().RunUntilTrue([&] { return completed == total; },
+                                        group->sim().Now() + 120 * kSecond));
+  EXPECT_EQ(wrong_results, 0u);
+  EXPECT_GE(group->replica(1).view(), 1u);
+
+  // Exactly once: every live replica's slot holds each token once, in order.
+  std::string expected;
+  for (int k = 0; k < kPerClient; ++k) {
+    expected.push_back(static_cast<char>('A' + k));
+  }
+  for (int r = 1; r < group->replica_count(); ++r) {
+    for (int i = 0; i < kClients; ++i) {
+      EXPECT_EQ(ToString(group->adapter(r)->GetObj(static_cast<uint32_t>(i))),
+                expected)
+          << "replica " << r << ", client " << i;
+    }
+  }
+
+  // The live replicas reach one stable checkpoint past the view change and
+  // agree on its root.
+  const SeqNum past = group->replica(1).last_executed();
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] {
+        const SeqNum stable = group->replica(1).stable_seq();
+        for (int r = 1; r < group->replica_count(); ++r) {
+          if (stable < past || group->replica(r).stable_seq() != stable) {
+            return false;
+          }
+        }
+        return true;
+      },
+      group->sim().Now() + 120 * kSecond));
+  for (int r = 2; r < group->replica_count(); ++r) {
+    EXPECT_EQ(group->replica(r).stable_digest(),
+              group->replica(1).stable_digest())
+        << "replica " << r;
+  }
 }
 
 // --- Adaptive batching ------------------------------------------------------
