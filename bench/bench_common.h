@@ -264,6 +264,63 @@ inline void EmitBenchMetadata(JsonWriter& json,
   json.EndObject();
 }
 
+// --- Checkpoint figures -----------------------------------------------------
+// What a run's checkpoints cost, in virtual time: the primary's
+// high-watermark stalls ("replica.watermark_stall_us": stretches in which it
+// held proposable requests with its next sequence number past stable +
+// log_window), the checkpoint digest CPU the replicas ran on their idle
+// lanes and the share of it paced into foreground handlers
+// ("sim.idle_lane_cpu_us", "sim.idle_lane_forced_us"; DESIGN.md §10, §12),
+// and the slowest take-to-vote lag ("replica.checkpoint_vote_lag_us").
+struct CheckpointFigures {
+  uint64_t watermark_stalls = 0;
+  SimTime watermark_stall_us = 0;
+  uint64_t lane_idle_us = 0;
+  uint64_t lane_forced_us = 0;
+  SimTime max_vote_lag_us = 0;
+
+  static CheckpointFigures Read(const MetricsRegistry& metrics) {
+    CheckpointFigures figures;
+    const auto stalls = metrics.Histogram("replica.watermark_stall_us");
+    figures.watermark_stalls = stalls.count;
+    figures.watermark_stall_us = stalls.sum;
+    figures.lane_idle_us = metrics.Total("sim.idle_lane_cpu_us");
+    figures.lane_forced_us = metrics.Total("sim.idle_lane_forced_us");
+    figures.max_vote_lag_us =
+        metrics.Histogram("replica.checkpoint_vote_lag_us").max;
+    return figures;
+  }
+  double LaneUsPerOp(uint64_t ops) const {
+    return ops > 0 ? static_cast<double>(lane_idle_us + lane_forced_us) / ops
+                   : 0;
+  }
+  double ForcedShare() const {
+    const uint64_t lane = lane_idle_us + lane_forced_us;
+    return lane > 0 ? static_cast<double>(lane_forced_us) / lane : 0;
+  }
+
+  static std::vector<std::string> Columns() {
+    return {"hw stalls", "stall ms", "lane us/op", "forced", "max lag ms"};
+  }
+  // Appends one cell per Columns() entry.
+  void AppendCells(std::vector<std::string>* row, uint64_t ops) const {
+    char lane[64];
+    std::snprintf(lane, sizeof(lane), "%.1f", LaneUsPerOp(ops));
+    row->insert(row->end(),
+                {FormatCount(watermark_stalls), FormatMs(watermark_stall_us),
+                 lane, FormatPercent(ForcedShare()),
+                 FormatMs(max_vote_lag_us)});
+  }
+  void EmitJsonFields(JsonWriter& json, uint64_t ops) const {
+    json.Field("watermark_stalls", watermark_stalls);
+    json.Field("watermark_stall_us", static_cast<int64_t>(watermark_stall_us));
+    json.Field("lane_cpu_us_per_op", LaneUsPerOp(ops));
+    json.Field("lane_forced_share", ForcedShare());
+    json.Field("max_checkpoint_vote_lag_us",
+               static_cast<int64_t>(max_vote_lag_us));
+  }
+};
+
 }  // namespace bftbase
 
 #endif  // BENCH_BENCH_COMMON_H_

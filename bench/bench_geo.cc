@@ -6,11 +6,11 @@
 // batching controller (config.adaptive_batching). Reports aggregate
 // committed throughput on the simulated clock, client retransmissions,
 // reply waits (operations whose f+1 votes arrived before a full result,
-// with their mean wait), high-watermark stalls (how often and how long the
-// primary held proposable requests with its next sequence number past
-// stable + log_window) and view changes, and per-region commit-latency
-// percentiles (p50/p99/p999, nearest-rank over per-client samples grouped
-// by the client's region).
+// with their mean wait), checkpoint figures (CheckpointFigures in
+// bench_common.h: high-watermark stalls, checkpoint digest CPU per op and
+// its paced share, the slowest take-to-vote lag) and view changes, and
+// per-region commit-latency percentiles (p50/p99/p999, nearest-rank over
+// per-client samples grouped by the client's region).
 //
 // Self-checks (full run; --smoke is lenient on the tail gate, strict on
 // completion and timers):
@@ -59,9 +59,7 @@ struct CellResult {
   uint64_t result_waits = 0;
   SimTime result_wait_us = 0;
   uint64_t view_changes = 0;
-  // Primary high-watermark stalls: how many, and their total virtual time.
-  uint64_t watermark_stalls = 0;
-  SimTime watermark_stall_us = 0;
+  CheckpointFigures checkpoints;
   LatencySummary overall;
   std::vector<LatencySummary> per_region;
 
@@ -142,10 +140,7 @@ CellResult RunCell(const Topology& topo, int clients, int requests_per_client,
   for (int rep = 0; rep < group.replica_count(); ++rep) {
     r.view_changes += group.replica(rep).view_changes_started();
   }
-  const auto stalls =
-      group.sim().metrics().Histogram("replica.watermark_stall_us");
-  r.watermark_stalls = stalls.count;
-  r.watermark_stall_us = stalls.sum;
+  r.checkpoints = CheckpointFigures::Read(group.sim().metrics());
   std::vector<std::vector<int64_t>> by_region(topo.regions);
   std::vector<int64_t> all;
   for (int i = 0; i < clients; ++i) {
@@ -193,9 +188,14 @@ int main(int argc, char** argv) {
   const int saturating = client_counts.back();
 
   PrintHeader(smoke ? "E19: geo sweep (smoke)" : "E19: geo sweep");
-  Table table({"topology", "clients", "batching", "ops/sim-s", "p50 ms",
-               "p99 ms", "p999 ms", "retries", "reply waits",
-               "wait ms (mean)", "hw stalls", "stall ms", "view chg"});
+  std::vector<std::string> columns = {
+      "topology", "clients", "batching", "ops/sim-s", "p50 ms", "p99 ms",
+      "p999 ms", "retries", "reply waits", "wait ms (mean)"};
+  for (const std::string& column : CheckpointFigures::Columns()) {
+    columns.push_back(column);
+  }
+  columns.push_back("view chg");
+  Table table(std::move(columns));
   std::vector<Cell> cells;
   bool all_completed = true;
   bool timers_clean = true;
@@ -218,17 +218,17 @@ int main(int argc, char** argv) {
                               cell_seed);
         char tput[64];
         std::snprintf(tput, sizeof(tput), "%.0f", cell.result.Throughput());
-        table.AddRow({name, FormatCount(clients),
-                      adaptive ? "adaptive" : "static", tput,
-                      FormatMs(cell.result.overall.p50),
-                      FormatMs(cell.result.overall.p99),
-                      FormatMs(cell.result.overall.p999),
-                      FormatCount(cell.result.retries),
-                      FormatCount(cell.result.result_waits),
-                      FormatMs(cell.result.MeanResultWait()),
-                      FormatCount(cell.result.watermark_stalls),
-                      FormatMs(cell.result.watermark_stall_us),
-                      FormatCount(cell.result.view_changes)});
+        std::vector<std::string> row = {
+            name, FormatCount(clients), adaptive ? "adaptive" : "static",
+            tput, FormatMs(cell.result.overall.p50),
+            FormatMs(cell.result.overall.p99),
+            FormatMs(cell.result.overall.p999),
+            FormatCount(cell.result.retries),
+            FormatCount(cell.result.result_waits),
+            FormatMs(cell.result.MeanResultWait())};
+        cell.result.checkpoints.AppendCells(&row, cell.result.committed);
+        row.push_back(FormatCount(cell.result.view_changes));
+        table.AddRow(std::move(row));
         all_completed = all_completed && cell.result.completed;
         timers_clean = timers_clean && cell.result.view_changes == 0 &&
                        ((name == "lan" && clients != client_counts.front()) ||
@@ -311,9 +311,7 @@ int main(int argc, char** argv) {
       json.Field("result_waits", cell.result.result_waits);
       json.Field("result_wait_us",
                  static_cast<int64_t>(cell.result.result_wait_us));
-      json.Field("watermark_stalls", cell.result.watermark_stalls);
-      json.Field("watermark_stall_us",
-                 static_cast<int64_t>(cell.result.watermark_stall_us));
+      cell.result.checkpoints.EmitJsonFields(json, cell.result.committed);
       json.Field("view_changes", cell.result.view_changes);
       json.Field("p50_us", cell.result.overall.p50);
       json.Field("p99_us", cell.result.overall.p99);

@@ -6,9 +6,10 @@
 // drives a closed-loop KV workload through the full
 // send→authenticate→deliver→verify path and reports wall-clock requests/sec,
 // sim-events/sec, SHA-256 work per request and payload bytes copied per
-// delivered message, plus the primary's high-watermark stalls (how often
-// and for how much virtual time it held proposable requests because its
-// next sequence number was past stable + log_window; reported, not gated).
+// delivered message, plus the run's checkpoint figures (CheckpointFigures in
+// bench_common.h: the primary's high-watermark stalls, checkpoint digest
+// CPU per request and its paced share, the slowest take-to-vote lag; all
+// virtual time, reported, not gated).
 //
 // Each configuration runs once. SHA-256 invocations per request and payload
 // bytes copied per delivered message are deterministic per seed, so each is
@@ -76,9 +77,7 @@ struct RunStats {
   uint64_t bytes_delivered = 0;
   uint64_t payload_copies = 0;
   uint64_t bytes_copied = 0;
-  // Primary high-watermark stalls (virtual time): how many, and how long.
-  uint64_t watermark_stalls = 0;
-  SimTime watermark_stall_us = 0;
+  CheckpointFigures checkpoints;
 
   double RequestsPerSec() const {
     return wall_sec > 0 ? requests / wall_sec : 0;
@@ -163,10 +162,7 @@ RunStats RunOnce(const WallclockConfig& cfg) {
   s.bytes_delivered = net.bytes_delivered();
   s.payload_copies = net.payload_copies();
   s.bytes_copied = net.bytes_copied();
-  const auto stalls =
-      group.sim().metrics().Histogram("replica.watermark_stall_us");
-  s.watermark_stalls = stalls.count;
-  s.watermark_stall_us = stalls.sum;
+  s.checkpoints = CheckpointFigures::Read(group.sim().metrics());
   return s;
 }
 
@@ -193,8 +189,7 @@ void EmitRunJson(JsonWriter& json, const RunStats& s) {
   json.Field("encode_reuses", s.encode_reuses);
   json.Field("digest_memo_hits", s.memo_hits);
   json.Field("digest_memo_misses", s.memo_misses);
-  json.Field("watermark_stalls", s.watermark_stalls);
-  json.Field("watermark_stall_us", static_cast<int64_t>(s.watermark_stall_us));
+  s.checkpoints.EmitJsonFields(json, s.requests);
   json.EndObject();
 }
 
@@ -210,9 +205,11 @@ void AddRow(Table& table, const std::string& config, const RunStats& s) {
                 s.BytesHashedPerRequest() / 1024.0);
   char copied[64];
   std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
-  table.AddRow({config, reqs, evs, sha, hashed, copied,
-                FormatCount(s.memo_hits), FormatCount(s.watermark_stalls),
-                FormatMs(s.watermark_stall_us)});
+  std::vector<std::string> row = {config, reqs,   evs,
+                                  sha,    hashed, copied,
+                                  FormatCount(s.memo_hits)};
+  s.checkpoints.AppendCells(&row, s.requests);
+  table.AddRow(std::move(row));
 }
 
 }  // namespace
@@ -256,9 +253,14 @@ int main(int argc, char** argv) {
   PrintHeader(smoke
                   ? "Wall-clock hot path (smoke config)"
                   : "Wall-clock hot path: zero-copy fabric + digest caches");
-  Table table({"config", "req/s", "sim ev/s", "SHA/req",
-               "kB hashed/req", "B copied/msg", "memo hits", "hw stalls",
-               "stall ms"});
+  std::vector<std::string> columns = {"config",        "req/s",
+                                      "sim ev/s",      "SHA/req",
+                                      "kB hashed/req", "B copied/msg",
+                                      "memo hits"};
+  for (const std::string& column : CheckpointFigures::Columns()) {
+    columns.push_back(column);
+  }
+  Table table(std::move(columns));
 
   JsonWriter json;
   json.BeginObject();

@@ -135,6 +135,7 @@ void ReplicaService::TakeCheckpoint(SeqNum seq, CheckpointDoneFn done) {
   if (storage_ != nullptr) {
     durable = CaptureCheckpoint(seq, taken.root, cm_.last_checkpoint_updates());
   }
+  durable.digest_cpu = taken.digest_cpu;
   // Copy-on-write froze this checkpoint's values, so its digest work can run
   // in idle time; until it has, the root stays inside the replica.
   pending_checkpoints_.push_back(std::move(durable));
@@ -143,6 +144,27 @@ void ReplicaService::TakeCheckpoint(SeqNum seq, CheckpointDoneFn done) {
                     [this, root = taken.root, done = std::move(done)] {
                       CompleteCheckpoint(root, done);
                     });
+}
+
+void ReplicaService::PaceCheckpoints(SeqNum executed, SeqNum stable_seq) {
+  // Only the oldest pending checkpoint's job is running: the lane is FIFO
+  // and these are its only jobs. The others start when it completes.
+  if (pending_checkpoints_.empty()) {
+    return;
+  }
+  const DurableCheckpoint& oldest = pending_checkpoints_.front();
+  if (oldest.seq <= stable_seq || executed <= oldest.seq) {
+    return;
+  }
+  const SeqNum deadline = config_.CheckpointVoteDeadline();
+  const SeqNum batches = std::min(executed - oldest.seq, deadline);
+  const SimTime owed = static_cast<SimTime>(
+      (static_cast<SeqNum>(oldest.digest_cpu) * batches + deadline - 1) /
+      deadline);
+  const SimTime had = oldest.digest_cpu - sim_->IdleCpuLeft(self_);
+  if (owed > had) {
+    sim_->ForceIdleCpu(self_, owed - had);
+  }
 }
 
 void ReplicaService::CompleteCheckpoint(const Digest& root,

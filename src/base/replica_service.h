@@ -55,6 +55,7 @@ class ReplicaService : public ServiceInterface {
   Bytes ProposeNondet() override;
   bool CheckNondet(BytesView nondet) override;
   void TakeCheckpoint(SeqNum seq, CheckpointDoneFn done) override;
+  void PaceCheckpoints(SeqNum executed, SeqNum stable_seq) override;
   void DiscardCheckpointsBefore(SeqNum seq) override;
   void HandleStateMessage(NodeId from, BytesView payload) override;
   void StartStateTransfer(SeqNum seq, const Digest& digest) override;
@@ -99,6 +100,7 @@ class ReplicaService : public ServiceInterface {
     SeqNum seq = 0;
     std::vector<std::pair<size_t, Bytes>> pages;
     Bytes header;
+    SimTime digest_cpu = 0;  // a pending checkpoint's lane job, in full
   };
   DurableCheckpoint CaptureCheckpoint(SeqNum seq, const Digest& root,
                                       const std::vector<size_t>& leaves);

@@ -136,6 +136,18 @@ struct Config {
     return network_rtt_us > 0 ? log_window
                               : static_cast<SeqNum>(max_in_flight_batches);
   }
+  // Batches a replica executes past checkpoint S before its CHECKPOINT vote
+  // for S must have left: D = log_window - checkpoint_interval - pipeline
+  // depth, at least 1. With S - k stable, the primary's pipeline reaches
+  // the high watermark (S - k + log_window) only once it has executed
+  // S + D + 1, so votes sent by then keep it from stalling there. The
+  // replica paces each checkpoint's digest work to this deadline
+  // (ServiceInterface::TakeCheckpoint): 126 for k = 128, L = 256 on a LAN,
+  // 1 on a WAN, whose pipeline is the whole window.
+  SeqNum CheckpointVoteDeadline() const {
+    const SeqNum reserved = checkpoint_interval + EffectivePipelineDepth();
+    return log_window > reserved ? log_window - reserved : 1;
+  }
 
   int n() const { return 3 * f + 1; }
   int quorum() const { return 2 * f + 1; }  // 2f+1

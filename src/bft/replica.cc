@@ -961,6 +961,10 @@ void Replica::ExecuteBatch(SeqNum seq, LogEntry& entry) {
     }
     ReleasePending(reply.request.client, reply.request.timestamp);
   }
+  // Checkpoint digest work this batch owes runs once its replies have left,
+  // so that the vote for checkpoint S leaves before S +
+  // CheckpointVoteDeadline() + 1 executes (DESIGN.md §12).
+  service_->PaceCheckpoints(seq, stable_seq_);
   entry.executed = true;
   last_executed_ = seq;
   catching_up_ = false;

@@ -40,12 +40,25 @@ class ServiceInterface {
   // Takes a checkpoint after executing sequence number `seq`. The digest of
   // the service state (for BASE: the state-partition tree root over the
   // abstract state) is fixed now, but `done(digest)` runs only after the
-  // checkpoint's digest work has run in the replica's idle time
-  // (Simulation::RunWhenIdle) and the checkpoint is durable; nothing derived
-  // from the digest may leave the replica before that. A crash or recovery
-  // restart in between drops the call.
+  // checkpoint's digest work has run and the checkpoint is durable; nothing
+  // derived from the digest may leave the replica before that. The work runs
+  // in the replica's idle time (Simulation::RunWhenIdle), paced by
+  // PaceCheckpoints so that, unless the checkpoint is already stable,
+  // `done` runs before the replica executes seq + D + 1
+  // (D = Config::CheckpointVoteDeadline()). A crash or recovery restart in
+  // between drops the call.
   using CheckpointDoneFn = std::function<void(const Digest&)>;
   virtual void TakeCheckpoint(SeqNum seq, CheckpointDoneFn done) = 0;
+
+  // Called in the handler that executed batch `executed`, after its replies
+  // were sent; `stable_seq` is the replica's stable checkpoint. A pending
+  // checkpoint S < executed above `stable_seq` must have had at least
+  // min(executed - S, D) / D of its digest work by now; the shortfall is
+  // charged to this handler.
+  virtual void PaceCheckpoints(SeqNum executed, SeqNum stable_seq) {
+    (void)executed;
+    (void)stable_seq;
+  }
 
   // The checkpoint at `seq` became stable; older checkpoints can go.
   virtual void DiscardCheckpointsBefore(SeqNum seq) = 0;

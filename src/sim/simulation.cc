@@ -10,6 +10,7 @@ namespace bftbase {
 
 namespace {
 constexpr const char kIdleLaneCpu[] = "sim.idle_lane_cpu_us";
+constexpr const char kIdleLaneForced[] = "sim.idle_lane_forced_us";
 }  // namespace
 
 Simulation::Simulation(uint64_t seed, CostModel cost)
@@ -100,6 +101,36 @@ void Simulation::EnqueueIdleJob(NodeId owner, SimTime cpu, InlineFn fn) {
     const SimTime own = current_owner_ == owner ? handler_cpu_ : 0;
     StartIdleHead(owner, std::max(now_ + own, BusyUntil(owner)));
   }
+}
+
+SimTime Simulation::IdleCpuLeft(NodeId owner) const {
+  if (owner < 0 || static_cast<size_t>(owner) >= lanes_.size() ||
+      lanes_[owner].jobs.empty()) {
+    return 0;
+  }
+  // The job runs once the node is free: after the current handler if it is
+  // the owner's, otherwise after whatever the node is busy with.
+  const SimTime free_at =
+      std::max(owner == current_owner_ ? now_ + handler_cpu_ : now_,
+               BusyUntil(owner));
+  return std::max<SimTime>(0, lanes_[owner].due - free_at);
+}
+
+SimTime Simulation::ForceIdleCpu(NodeId owner, SimTime cpu) {
+  if (owner != current_owner_) {
+    return 0;
+  }
+  const SimTime moved = std::min(cpu, IdleCpuLeft(owner));
+  if (moved <= 0) {
+    return 0;
+  }
+  // `due` stays put: the handler now ends `moved` later and the job needs
+  // `moved` less after it.
+  handler_cpu_ += moved;
+  lanes_[owner].jobs.front().cpu -= moved;
+  metrics_.Inc(kIdleLaneForced, owner, MetricsRegistry::kAny,
+               static_cast<uint64_t>(moved));
+  return moved;
 }
 
 void Simulation::StartIdleHead(NodeId owner, SimTime from) {

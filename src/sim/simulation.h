@@ -15,7 +15,8 @@
 // Idle lane: RunWhenIdle() queues background work on a node. It behaves like
 // a low-priority thread on the node's one CPU: it runs only while the node
 // has no foreground work, and any foreground handler preempts it at once for
-// exactly the CPU that handler charges (DESIGN.md §10).
+// exactly the CPU that handler charges. A handler with a deadline to meet
+// can take over part of the running job with ForceIdleCpu (DESIGN.md §10).
 //
 // Event kernel: events live in a pooled, move-only representation
 // (src/sim/event_queue.h) — deliveries are tagged structs, not capturing
@@ -125,12 +126,21 @@ class Simulation {
   // time that no foreground handler used. Jobs run FIFO per node, in the
   // same order on every run; foreground events never wait for them, and
   // each foreground handler that overlaps the running job delays its
-  // completion by exactly the CPU it charges. The CPU a node ran on the
-  // lane is counted in the "sim.idle_lane_cpu_us" metric.
+  // completion by exactly the CPU it charges. When a job completes, the CPU
+  // it ran in idle time is counted in the "sim.idle_lane_cpu_us" metric.
   template <typename F>
   void RunWhenIdle(NodeId owner, SimTime cpu, F&& fn) {
     EnqueueIdleJob(owner, cpu, InlineFn(std::forward<F>(fn)));
   }
+  // CPU `owner`'s running (head) idle job still needs; 0 with none.
+  SimTime IdleCpuLeft(NodeId owner) const;
+  // Moves up to `cpu` µs of `owner`'s running idle job into the current
+  // handler, which must be `owner`'s (otherwise nothing moves), and returns
+  // the amount moved. The handler grows by that amount and the job shrinks
+  // by it, so the job still completes when it would have: at the handler's
+  // end once nothing is left. The moved CPU is counted, as it moves, in
+  // "sim.idle_lane_forced_us", not in "sim.idle_lane_cpu_us".
+  SimTime ForceIdleCpu(NodeId owner, SimTime cpu);
   // Drops `owner`'s idle-lane jobs, the running one included, unrun (the
   // process they belonged to died).
   void DropIdleJobs(NodeId owner);
@@ -210,7 +220,7 @@ class Simulation {
   // preempts it first (ChargeCpu then pushes `due` back). `wake` is an
   // owner event at or before `due`; it re-arms itself until `due`.
   struct IdleJob {
-    SimTime cpu = 0;
+    SimTime cpu = 0;  // left for the lane: ForceIdleCpu takes some over
     InlineFn fn;
   };
   struct IdleLane {

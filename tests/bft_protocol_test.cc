@@ -357,14 +357,15 @@ TEST(BftProtocol, ReExecutionAfterViewChangeKeepsCheckpointsAligned) {
 
 // --- Checkpoint timing ------------------------------------------------------
 
-// Closed-loop 1 KiB Sets from `clients` clients over a 4096-slot store;
-// returns every request's latency in completion order.
+// Closed-loop Sets of `value_size` bytes from `clients` clients over a
+// 4096-slot store; returns every request's latency in completion order.
 std::vector<SimTime> RunClosedLoopSets(ServiceGroup& group, int clients,
-                                       int per_client) {
+                                       int per_client,
+                                       size_t value_size = 1024) {
   std::vector<SimTime> latencies;
   std::vector<int> issued(clients, 0);
   std::vector<std::function<void()>> issue(clients);
-  const Bytes value(1024, 0x5c);
+  const Bytes value(value_size, 0x5c);
   for (int c = 0; c < clients; ++c) {
     issue[c] = [&, c] {
       if (issued[c] >= per_client) {
@@ -428,6 +429,110 @@ TEST(CheckpointTiming, CheckpointDigestsDoNotStallTheGroup) {
   for (int i = 0; i < group->replica_count(); ++i) {
     EXPECT_GE(group->replica(i).stable_seq(), 256u) << "replica " << i;
   }
+  std::sort(latencies.begin(), latencies.end());
+  const SimTime median = latencies[latencies.size() / 2];
+  EXPECT_LT(latencies.back(), 2 * median)
+      << "max " << latencies.back() << " us, median " << median << " us";
+}
+
+// Counts CHECKPOINT votes that leave after their replica executed batch
+// S + CheckpointVoteDeadline() + 1, forwarding every callback to the
+// group's invariant auditor (a replica has one observer).
+class VoteDeadlineObserver : public ProtocolObserver {
+ public:
+  explicit VoteDeadlineObserver(ServiceGroup& group)
+      : group_(group), inner_(group.auditor()) {
+    for (int i = 0; i < group.replica_count(); ++i) {
+      group.replica(i).SetObserver(this);
+    }
+  }
+  ~VoteDeadlineObserver() override {
+    for (int i = 0; i < group_.replica_count(); ++i) {
+      group_.replica(i).SetObserver(inner_);
+    }
+  }
+  int votes() const { return votes_; }
+  int late() const { return late_; }
+
+  void OnCheckpointTaken(NodeId replica, SeqNum seq, const Digest& digest,
+                         const Digest& reply_cache_digest) override {
+    ++votes_;
+    if (group_.replica(replica).last_executed() >
+        seq + group_.config().CheckpointVoteDeadline()) {
+      ++late_;
+    }
+    inner_->OnCheckpointTaken(replica, seq, digest, reply_cache_digest);
+  }
+  void OnPrePrepareAccepted(NodeId replica, ViewNum view, SeqNum seq,
+                            const Digest& digest) override {
+    inner_->OnPrePrepareAccepted(replica, view, seq, digest);
+  }
+  void OnPrepared(NodeId replica, ViewNum view, SeqNum seq,
+                  const Digest& digest) override {
+    inner_->OnPrepared(replica, view, seq, digest);
+  }
+  void OnCommitted(NodeId replica, ViewNum view, SeqNum seq,
+                   const Digest& digest) override {
+    inner_->OnCommitted(replica, view, seq, digest);
+  }
+  void OnExecuted(NodeId replica, SeqNum seq, const Digest& digest) override {
+    inner_->OnExecuted(replica, seq, digest);
+  }
+  void OnCheckpointStable(NodeId replica, SeqNum seq,
+                          const Digest& digest) override {
+    inner_->OnCheckpointStable(replica, seq, digest);
+  }
+  void OnViewChangeStart(NodeId replica, ViewNum view) override {
+    inner_->OnViewChangeStart(replica, view);
+  }
+  void OnNewView(NodeId replica, ViewNum view) override {
+    inner_->OnNewView(replica, view);
+  }
+  void OnRecoveryStart(NodeId replica) override {
+    inner_->OnRecoveryStart(replica);
+  }
+  void OnRecoveryDone(NodeId replica, SeqNum seq) override {
+    inner_->OnRecoveryDone(replica, seq);
+  }
+  void OnStateTransferStart(NodeId replica, SeqNum seq) override {
+    inner_->OnStateTransferStart(replica, seq);
+  }
+  void OnStateTransferDone(NodeId replica, SeqNum seq) override {
+    inner_->OnStateTransferDone(replica, seq);
+  }
+
+ private:
+  ServiceGroup& group_;
+  ProtocolObserver* inner_;
+  int votes_ = 0;
+  int late_ = 0;
+};
+
+// Each replica paces a checkpoint's digest work so that its CHECKPOINT vote
+// for S leaves before it executes S + D + 1 (D = CheckpointVoteDeadline(),
+// 126 here), the point after which the primary's pipeline can reach the high
+// watermark without checkpoint S stable. Left to idle time alone, a vote on
+// these CPU-bound replicas waited about one checkpoint interval, and the
+// primary stalled at the watermark with every client's request waiting
+// (5 stalls, 4.06 ms in total; max latency 2.29x the median). 1.5 KiB Sets:
+// with 1 KiB ones the lane keeps up here.
+TEST(CheckpointTiming, VotesBeatTheHighWatermark) {
+  constexpr int kClients = 16;
+  constexpr size_t kValueSize = 1536;
+  auto group = MakeKvGroup(LanParams(kClients), /*slots=*/4096);
+  ASSERT_EQ(group->config().CheckpointVoteDeadline(), 126u);
+  VoteDeadlineObserver votes(*group);
+  RunClosedLoopSets(*group, kClients, 1, kValueSize);
+  std::vector<SimTime> latencies =
+      RunClosedLoopSets(*group, kClients, 200, kValueSize);
+  ASSERT_EQ(latencies.size(), static_cast<size_t>(kClients) * 200);
+  group->sim().RunUntil(group->sim().Now() + kSecond);
+
+  EXPECT_GE(votes.votes(), 16);
+  EXPECT_EQ(votes.late(), 0) << "of " << votes.votes() << " votes";
+  const MetricsRegistry::HistogramSnapshot stalls =
+      group->sim().metrics().Histogram("replica.watermark_stall_us");
+  EXPECT_LT(stalls.sum, 500) << stalls.count << " stalls";
   std::sort(latencies.begin(), latencies.end());
   const SimTime median = latencies[latencies.size() / 2];
   EXPECT_LT(latencies.back(), 2 * median)

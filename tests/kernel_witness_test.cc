@@ -32,18 +32,21 @@ struct TraceResult {
   bool ok = false;
   std::string digest;
   uint64_t events = 0;
+  uint64_t forced_us = 0;  // checkpoint digest CPU paced into handlers
 };
 
 constexpr uint32_t kKvSlots = 4096;
 
 // The bench_wallclock closed-loop KV workload, verbatim (same group
-// parameters, slot schedule and value bytes), with the trace enabled.
+// parameters, slot schedule and value bytes), with the trace enabled. The
+// checkpoint interval and log window default to bench_wallclock's.
 TraceResult RunWallclock(int f, int clients, int requests_per_client,
-                         uint64_t seed) {
+                         uint64_t seed, SeqNum checkpoint_interval = 128,
+                         SeqNum log_window = 256) {
   ServiceGroup::Params params;
   params.config.f = f;
-  params.config.checkpoint_interval = 128;
-  params.config.log_window = 256;
+  params.config.checkpoint_interval = checkpoint_interval;
+  params.config.log_window = log_window;
   params.config.max_clients = clients < 16 ? 16 : clients;
   params.seed = seed;
   ServiceGroup group(std::move(params), [](Simulation* sim, NodeId) {
@@ -79,6 +82,7 @@ TraceResult RunWallclock(int f, int clients, int requests_per_client,
                                   static_cast<SimTime>(total) * kSecond);
   r.digest = group.sim().trace().digest().Hex();
   r.events = group.sim().trace().event_count();
+  r.forced_us = group.sim().metrics().Total("sim.idle_lane_forced_us");
   return r;
 }
 
@@ -180,6 +184,26 @@ TEST(KernelWitness, WallclockConfigsMatchPreOverhaulPins) {
     EXPECT_EQ(r.digest, pin.digest) << "seed " << pin.seed;
     EXPECT_EQ(r.events, pin.events) << "seed " << pin.seed;
   }
+}
+
+// Witness of checkpoint pacing (DESIGN.md §12), which none of the pins above
+// reaches: their replicas finish every checkpoint digest in idle time. Here
+// a checkpoint every 8 batches with a window of 16 gives a vote deadline of
+// 6 batches, and 16 clients keep the replicas busy enough that each
+// executed batch charges the digest work its checkpoint is behind on.
+//
+// Pin history:
+//   2edb80bccf6c / 10443 events — first pinned with the pacing itself
+//     (DESIGN.md §12). The code before it forced nothing here and read
+//     a98210177db9 / 10380.
+TEST(KernelWitness, PacedCheckpointDigestsMatchPin) {
+  TraceResult r = RunWallclock(/*f=*/1, /*clients=*/16,
+                               /*requests_per_client=*/20, /*seed=*/7003,
+                               /*checkpoint_interval=*/8, /*log_window=*/16);
+  ASSERT_TRUE(r.ok);
+  EXPECT_GT(r.forced_us, 0u);
+  EXPECT_EQ(r.digest, "2edb80bccf6c");
+  EXPECT_EQ(r.events, 10443u);
 }
 
 }  // namespace

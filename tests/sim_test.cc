@@ -747,6 +747,102 @@ TEST(IdleLane, DropIdleJobsClearsOnlyThatNode) {
   EXPECT_EQ(sim.metrics().Get("sim.idle_lane_cpu_us", 5), 0u);
 }
 
+// --- Idle lane: ForceIdleCpu ------------------------------------------------
+
+TEST(IdleLane, ForcedCpuLengthensTheHandlerAndShortensTheJob) {
+  Simulation sim(1);
+  SimTime finished = -1;
+  SimTime deferred_ran = -1;
+  SimTime left_before = -1;
+  SimTime left_after = -1;
+  SimTime moved = -1;
+  sim.RunWhenIdle(3, 1000, [&] { finished = sim.Now(); });
+  sim.After(3, 200, [&] {
+    sim.ChargeCpu(100);
+    left_before = sim.IdleCpuLeft(3);
+    moved = sim.ForceIdleCpu(3, 300);
+    left_after = sim.IdleCpuLeft(3);
+    EXPECT_EQ(sim.CurrentHandlerFinishTime(), 200 + 100 + 300);
+  });
+  // A foreground event of the same node waits for the longer handler.
+  sim.After(3, 250, [&] { deferred_ran = sim.Now(); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(moved, 300);
+  EXPECT_EQ(left_before, 1000 - 200);
+  EXPECT_EQ(left_after, 1000 - 200 - 300);
+  EXPECT_EQ(deferred_ran, 600);
+  // 200 µs idle, 300 forced, the last 500 after the handler: the job ends
+  // where it would have ended unforced (1000 + the 100 µs charge).
+  EXPECT_EQ(finished, 1100);
+}
+
+TEST(IdleLane, ForcingMoreThanRemainsFinishesTheJobAtTheHandlersEnd) {
+  Simulation sim(1);
+  std::vector<SimTime> finished;
+  SimTime second = -1;
+  sim.RunWhenIdle(3, 500, [&] { finished.push_back(sim.Now()); });
+  sim.After(3, 100, [&] {
+    sim.ChargeCpu(50);
+    EXPECT_EQ(sim.ForceIdleCpu(3, 10000), 400);
+    EXPECT_EQ(sim.IdleCpuLeft(3), 0);
+    second = sim.ForceIdleCpu(3, 10000);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(second, 0);
+  ASSERT_EQ(finished.size(), 1u);
+  EXPECT_EQ(finished[0], 100 + 50 + 400);
+  EXPECT_EQ(sim.idle_jobs(3), 0u);
+}
+
+TEST(IdleLane, ForceWithoutAJobIsANoOp) {
+  Simulation sim(1);
+  SimTime moved = -1;
+  SimTime ran = -1;
+  sim.After(3, 100, [&] {
+    sim.ChargeCpu(40);
+    moved = sim.ForceIdleCpu(3, 500);
+    EXPECT_EQ(sim.CurrentHandlerFinishTime(), 140);
+  });
+  sim.After(3, 120, [&] { ran = sim.Now(); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(moved, 0);
+  EXPECT_EQ(ran, 140);
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_forced_us", 3), 0u);
+  // Outside any handler nothing moves either.
+  sim.RunWhenIdle(3, 100, [] {});
+  EXPECT_EQ(sim.ForceIdleCpu(3, 50), 0);
+  EXPECT_EQ(sim.IdleCpuLeft(3), 100);
+}
+
+TEST(IdleLane, ForceTouchesOnlyTheHandlersNode) {
+  Simulation sim(1);
+  SimTime finished3 = -1;
+  SimTime finished4 = -1;
+  sim.RunWhenIdle(3, 1000, [&] { finished3 = sim.Now(); });
+  sim.RunWhenIdle(4, 1000, [&] { finished4 = sim.Now(); });
+  SimTime moved_other = -1;
+  sim.After(3, 200, [&] {
+    moved_other = sim.ForceIdleCpu(4, 300);
+    EXPECT_EQ(sim.ForceIdleCpu(3, 300), 300);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(moved_other, 0);
+  EXPECT_EQ(finished3, 1000);
+  EXPECT_EQ(finished4, 1000);
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_forced_us", 4), 0u);
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_cpu_us", 4), 1000u);
+}
+
+TEST(IdleLane, ForcedCpuHasItsOwnCounter) {
+  Simulation sim(1);
+  sim.RunWhenIdle(3, 1000, [] {});
+  sim.RunWhenIdle(3, 200, [] {});
+  sim.After(3, 100, [&] { sim.ForceIdleCpu(3, 300); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_forced_us", 3), 300u);
+  EXPECT_EQ(sim.metrics().Get("sim.idle_lane_cpu_us", 3), 1000u - 300u + 200u);
+}
+
 TEST(Simulation, SchedulerTraceMatchesPin) {
   // Event order on a workload that exercises every scheduler path: sends,
   // multicasts, drops, CPU serialization (deferrals), timers and

@@ -147,6 +147,12 @@ TEST(GeoTimeouts, EffectiveValuesScaleWithDeploymentRtt) {
   EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 250 * kMillisecond);
   // The LAN pipeline keeps its window of max_in_flight_batches.
   EXPECT_EQ(config.EffectivePipelineDepth(), 2u);
+  // A checkpoint vote is due D = L - k - depth batches after its checkpoint.
+  EXPECT_EQ(config.CheckpointVoteDeadline(), 126u);  // 256 - 128 - 2
+  Config small;
+  small.checkpoint_interval = 8;
+  small.log_window = 16;
+  EXPECT_EQ(small.CheckpointVoteDeadline(), 6u);  // 16 - 8 - 2
 
   Topology topo;
   ASSERT_TRUE(TopologyFromName("3-region", &topo));
@@ -154,8 +160,10 @@ TEST(GeoTimeouts, EffectiveValuesScaleWithDeploymentRtt) {
   EXPECT_EQ(config.EffectiveClientRetryTimeout(), 492 * kMillisecond);
   EXPECT_EQ(config.EffectiveViewChangeTimeout(), 656 * kMillisecond);
   EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 492 * kMillisecond);
-  // On a WAN only the high watermark bounds the pipeline.
+  // On a WAN only the high watermark bounds the pipeline, so a vote is due
+  // the batch after its checkpoint.
   EXPECT_EQ(config.EffectivePipelineDepth(), config.log_window);
+  EXPECT_EQ(config.CheckpointVoteDeadline(), 1u);
 
   ASSERT_TRUE(TopologyFromName("5-region-wan", &topo));
   config.network_rtt_us = topo.MaxRttUs();  // 325 ms
@@ -163,6 +171,7 @@ TEST(GeoTimeouts, EffectiveValuesScaleWithDeploymentRtt) {
   EXPECT_EQ(config.EffectiveViewChangeTimeout(), 1300 * kMillisecond);
   EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 975 * kMillisecond);
   EXPECT_EQ(config.EffectivePipelineDepth(), config.log_window);
+  EXPECT_EQ(config.CheckpointVoteDeadline(), 1u);
 
   // An explicit threshold always wins over the derived one.
   config.primary_latency_threshold = 123 * kMillisecond;
