@@ -13,11 +13,6 @@
 #include "src/base/service_group.h"
 #include "src/crypto/sha256_multi.h"
 
-// --- JSON emission ----------------------------------------------------------
-// Minimal writer for the BENCH_*.json artifacts (machine-readable companions
-// to the printed tables; see bench_wallclock). Supports what those files
-// need: nested objects/arrays, string keys, numbers, strings, booleans.
-
 namespace bftbase {
 
 inline ServiceGroup::Params StandardParams(uint64_t seed) {
@@ -108,6 +103,10 @@ inline std::string FormatMb(uint64_t bytes) {
   return buf;
 }
 
+// --- JSON emission ----------------------------------------------------------
+// Minimal writer for the BENCH_*.json artifacts (machine-readable companions
+// to the printed tables; see bench_wallclock). Supports what those files
+// need: nested objects/arrays, string keys, numbers, strings, booleans.
 class JsonWriter {
  public:
   JsonWriter() { stack_.push_back(State::kTop); }
@@ -245,11 +244,9 @@ class JsonWriter {
 // conditions the numbers were taken under: host core count and whether the
 // SHA-NI kernel was available. Benches that run an active adversary
 // additionally record which strategy set was driven (`adversary`: a strategy
-// name, "mixed", or "none"); benches that stand up sharded deployments
-// record the largest shard count swept (`shards`).
+// name, "mixed", or "none").
 inline void EmitBenchMetadata(JsonWriter& json,
-                              const char* adversary = nullptr,
-                              int shards = 0) {
+                              const char* adversary = nullptr) {
   json.Key("metadata");
   json.BeginObject();
   json.Field("hardware_concurrency",
@@ -257,9 +254,6 @@ inline void EmitBenchMetadata(JsonWriter& json,
   json.Field("sha_ni", sha256_multi::HasShaNi());
   if (adversary != nullptr) {
     json.Field("adversary", adversary);
-  }
-  if (shards > 0) {
-    json.Field("shards", shards);
   }
   json.EndObject();
 }

@@ -1,6 +1,6 @@
 // Large-group scale benchmark for the event kernel (BENCH_scale.json).
 //
-// Three parts. First, the harness-cost figure: an f=1-group, single-client
+// Two parts. First, the harness-cost figure: an f=1-group, single-client
 // message/timer flood — full Network fabric (multicast, fault checks, cost
 // model, CPU serialization, retransmission-style timer arm/cancel churn) with
 // protocol-free handlers — reported as sim events per wall-clock second. The
@@ -15,22 +15,12 @@
 // event-pool reuse rate. This is the scaling surface the paper's testbed
 // could not reach (their experiments stop at n = 4).
 //
-// Third, the sharded scale-OUT sweep: S independent f=1 BASE groups behind
-// the key→shard router (src/shard/), driven by the closed-loop zipfian keyed
-// KV workload, over shards ∈ {1, 2, 4, 8} × router clients. Reported per
-// cell: aggregate committed ops/sec on the SIMULATED clock (the scaling
-// claim is about the replicated system, not the host), per-shard balance
-// under the zipfian skew, and router overhead (trampoline + harness events
-// per sub-op). Gated: S = 4 must deliver ≥ 3x the S = 1 aggregate
-// simulated-time throughput at the same client count.
-//
 // Usage: bench_scale [--smoke] [--json PATH]
 //   --smoke    shrink request counts and the sweep grid (CI's ctest target)
 //   --json     where to write the JSON artifact (default: BENCH_scale.json)
 //
-// Exits nonzero if any run fails to complete, the flood's event count moves
-// off its pin, or the sharded sweep misses its scaling floor (≥3.0x full,
-// ≥2.0x smoke).
+// Exits nonzero if any run fails to complete or the flood's event count moves
+// off its pin.
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -41,8 +31,6 @@
 #include "bench/bench_common.h"
 #include "src/base/kv_adapter.h"
 #include "src/base/service_group.h"
-#include "src/shard/keyed_workload.h"
-#include "src/shard/shard_router.h"
 #include "src/sim/network.h"
 #include "src/util/hotpath.h"
 
@@ -290,79 +278,6 @@ std::string FormatRate(double v) {
   return buf;
 }
 
-// --- Sharded keyed sweep (Part 3) ----------------------------------------
-
-struct ShardCell {
-  int shards = 1;
-  int clients = 1;
-  uint64_t seed = 0;
-  int ops_per_client = 0;
-  double wall_sec = 0;
-  uint64_t sim_events = 0;
-  uint64_t subops = 0;
-  KeyedWorkloadResult result;
-
-  // Router + harness events per protocol sub-op: each sub-op costs one
-  // trampoline event in the owning shard's queue, and each logical op adds
-  // a think-time timer and a timeout timer. Everything else is protocol.
-  uint64_t RouterOverheadEvents() const {
-    return subops + 2 * result.logical_ops;
-  }
-  double RouterOverheadFraction() const {
-    return sim_events > 0
-               ? static_cast<double>(RouterOverheadEvents()) / sim_events
-               : 0;
-  }
-};
-
-ShardCell RunShardCell(int shards, int clients, int ops_per_client,
-                       uint64_t seed) {
-  ShardCell cell;
-  cell.shards = shards;
-  cell.clients = clients;
-  cell.seed = seed;
-  cell.ops_per_client = ops_per_client;
-
-  ShardedDeployment::Params params;
-  params.shards = shards;
-  params.clients = clients;
-  params.seed = seed;
-  params.keys = kKvSlots;
-  ShardedDeployment dep(params);
-
-  KeyedWorkloadOptions opts;
-  opts.seed = seed;
-  opts.clients = clients;
-  opts.ops_per_client = ops_per_client;
-  // Saturating closed loop; the exhaustive checker cannot handle thousands
-  // of ops on one zipfian-hot key, so the sweep relies on the keyed history
-  // digest (pinned by tests/shard_test.cc) instead.
-  opts.op_gap = 0;
-  opts.check_linearizability = false;
-
-  auto start = std::chrono::steady_clock::now();
-  cell.result = RunKeyedWorkload(dep, opts);
-  auto stop = std::chrono::steady_clock::now();
-  cell.wall_sec = std::chrono::duration<double>(stop - start).count();
-  cell.sim_events = dep.TotalEventsProcessed();
-  for (int c = 0; c < clients; ++c) {
-    cell.subops += dep.client(c).subops();
-  }
-  return cell;
-}
-
-std::string FormatOps(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.0f", v);
-  return buf;
-}
-
-std::string FormatImbalance(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -377,8 +292,8 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader(smoke ? "Event-kernel scale bench (smoke config)"
-                    : "Event-kernel scale bench: harness cost, group-size "
-                      "and shard sweeps");
+                    : "Event-kernel scale bench: harness cost and "
+                      "group-size sweep");
 
   JsonWriter json;
   json.BeginObject();
@@ -476,120 +391,11 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
 
-  // --- Part 3: sharded keyed scale-out sweep -------------------------------
-  // The scaling gate needs the S = 1 group saturated (queueing at the
-  // primary): with too few closed-loop clients each shard is latency-bound
-  // and splitting the load shows no queueing win. The full gate cell runs
-  // 256 clients (64 per shard at S = 4); the smoke keeps 64 to stay cheap
-  // under sanitizers, with a correspondingly lenient floor.
-  const std::vector<int> shard_counts =
-      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  const std::vector<int> shard_clients =
-      smoke ? std::vector<int>{64} : std::vector<int>{16, 64, 256};
-  const int gate_clients = shard_clients.back();
-  // Comparable total work per cell: the per-client quota shrinks as the
-  // router client count grows. Large enough that the bounded ~1 ms start
-  // ramp is noise against the steady state.
-  const int shard_budget = smoke ? 512 : 2048;
-
-  Table shard_table({"shards", "clients", "sim ops/s", "imbalance",
-                     "committed", "timeouts", "subops", "router ovh",
-                     "wall sec"});
-  json.Key("shard_sweep");
-  json.BeginArray();
-  double gate_s1 = 0, gate_s4 = 0;
-  uint64_t shard_cell_index = 0;
-  for (int shards : shard_counts) {
-    for (int clients : shard_clients) {
-      const int ops = std::max(2, shard_budget / clients);
-      ShardCell cell =
-          RunShardCell(shards, clients, ops, 7300 + shard_cell_index);
-      ++shard_cell_index;
-      all_ok = all_ok && cell.result.completed;
-      const double sim_ops = cell.result.SimOpsPerSec();
-      if (clients == gate_clients && shards == 1) {
-        gate_s1 = sim_ops;
-      }
-      if (clients == gate_clients && shards == 4) {
-        gate_s4 = sim_ops;
-      }
-      char wall[32];
-      std::snprintf(wall, sizeof(wall), "%.2f", cell.wall_sec);
-      shard_table.AddRow(
-          {FormatCount(static_cast<uint64_t>(shards)),
-           FormatCount(static_cast<uint64_t>(clients)), FormatOps(sim_ops),
-           FormatImbalance(cell.result.ShardImbalance()),
-           FormatCount(static_cast<uint64_t>(cell.result.committed)),
-           FormatCount(static_cast<uint64_t>(cell.result.timeouts)),
-           FormatCount(cell.subops),
-           FormatPercent(cell.RouterOverheadFraction()), wall});
-      json.BeginObject();
-      json.Key("params");
-      json.BeginObject();
-      json.Field("shards", shards);
-      json.Field("clients", clients);
-      json.Field("ops_per_client", cell.ops_per_client);
-      json.Field("seed", cell.seed);
-      json.Field("keys", static_cast<uint64_t>(kKvSlots));
-      json.Field("distribution", "zipfian");
-      json.Field("zipf_theta", 0.99);
-      json.EndObject();
-      json.Key("run");
-      json.BeginObject();
-      json.Field("completed", cell.result.completed);
-      json.Field("committed", cell.result.committed);
-      json.Field("timeouts", cell.result.timeouts);
-      json.Field("rejected", cell.result.rejected);
-      json.Field("logical_ops", cell.result.logical_ops);
-      json.Field("subops", cell.subops);
-      json.Field("multigets", cell.result.multigets);
-      json.Field("cross_shard_reads", cell.result.cross_shard_reads);
-      json.Field("sim_elapsed_us",
-                 static_cast<uint64_t>(cell.result.elapsed_us));
-      json.Field("aggregate_sim_ops_per_sec", sim_ops);
-      json.Field("shard_imbalance", cell.result.ShardImbalance());
-      json.Key("per_shard_committed");
-      json.BeginArray();
-      for (uint64_t c : cell.result.per_shard_committed) {
-        json.Value(c);
-      }
-      json.EndArray();
-      json.Field("router_overhead_events", cell.RouterOverheadEvents());
-      json.Field("router_overhead_event_fraction",
-                 cell.RouterOverheadFraction());
-      json.Field("sim_events", cell.sim_events);
-      json.Field("wall_sec", cell.wall_sec);
-      json.Field("history_digest", cell.result.history_digest.Hex(32));
-      json.EndObject();
-      json.EndObject();
-    }
-  }
-  json.EndArray();
-
-  const double shard_ratio = gate_s1 > 0 ? gate_s4 / gate_s1 : 0;
-  const double shard_floor = smoke ? 2.0 : 3.0;
-  const bool shard_ratio_met = shard_ratio >= shard_floor;
-  json.Key("shard_scaling");
-  json.BeginObject();
-  json.Field("gate_clients", gate_clients);
-  json.Field("s1_sim_ops_per_sec", gate_s1);
-  json.Field("s4_sim_ops_per_sec", gate_s4);
-  json.Field("ratio", shard_ratio);
-  json.Field("ratio_floor", shard_floor);
-  json.Field("ratio_met", shard_ratio_met);
-  json.EndObject();
-
-  EmitBenchMetadata(json, nullptr, shard_counts.back());
+  EmitBenchMetadata(json);
   json.EndObject();
 
   std::printf("\n");
   sweep_table.Print();
-  std::printf("\n");
-  shard_table.Print();
-  std::printf(
-      "sharded aggregate sim ops/s at %d clients: S=4 is %.2fx S=1 "
-      "(floor %.2fx)\n",
-      gate_clients, shard_ratio, shard_floor);
 
   if (!json.WriteFile(json_path)) {
     std::printf("FAILED to write %s\n", json_path.c_str());
@@ -605,12 +411,6 @@ int main(int argc, char** argv) {
     std::printf("FAILED: flood ran %llu events, pinned %llu\n",
                 static_cast<unsigned long long>(flood.sim_events),
                 static_cast<unsigned long long>(flood_pinned_events));
-    return 1;
-  }
-  if (!shard_ratio_met) {
-    std::printf("FAILED: sharded S=4/S=1 sim-throughput ratio %.2fx below "
-                "%.2fx\n",
-                shard_ratio, shard_floor);
     return 1;
   }
   return 0;

@@ -30,15 +30,6 @@ Bytes KvAdapter::EncodeAppend(uint32_t slot, BytesView value) {
   return enc.Take();
 }
 
-Bytes KvAdapter::EncodeCas(uint32_t slot, BytesView expected, BytesView value) {
-  Encoder enc;
-  enc.PutU8(kCas);
-  enc.PutU32(slot);
-  enc.PutBytes(expected);
-  enc.PutBytes(value);
-  return enc.Take();
-}
-
 Bytes KvAdapter::Execute(BytesView op, NodeId /*client*/, BytesView /*nondet*/,
                          bool tentative) {
   sim_->ChargeCpu(execute_cost_us_);
@@ -72,19 +63,6 @@ Bytes KvAdapter::Execute(BytesView op, NodeId /*client*/, BytesView /*nondet*/,
       }
       NotifyModify(slot);
       Append(slots_[slot], value);
-      return ToBytes("OK");
-    }
-    case kCas: {
-      Bytes expected = dec.GetBytes();
-      Bytes value = dec.GetBytes();
-      if (!dec.AtEnd() || tentative) {
-        return ToBytes(tentative ? "ERR read-only" : "ERR bad-op");
-      }
-      if (slots_[slot] != expected) {
-        return ToBytes("MISMATCH");
-      }
-      NotifyModify(slot);
-      slots_[slot] = std::move(value);
       return ToBytes("OK");
     }
     default:

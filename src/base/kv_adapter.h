@@ -6,7 +6,6 @@
 //   SET <slot> <value>    -> "OK"
 //   GET <slot>            -> value
 //   APPEND <slot> <value> -> "OK"   (exercises read-modify-write)
-//   CAS <slot> <old> <new>-> "OK" / "MISMATCH"
 //
 // There is no concrete/abstract distinction to hide here (the concrete state
 // IS the abstract state), which is exactly why it is the right smoke-test
@@ -38,7 +37,6 @@ class KvAdapter : public ServiceAdapter {
   static Bytes EncodeSet(uint32_t slot, BytesView value);
   static Bytes EncodeGet(uint32_t slot);
   static Bytes EncodeAppend(uint32_t slot, BytesView value);
-  static Bytes EncodeCas(uint32_t slot, BytesView expected, BytesView value);
 
   // Test hooks: silently corrupts a slot's concrete value (models a software
   // bug / malicious tampering below the wrapper).
@@ -46,7 +44,7 @@ class KvAdapter : public ServiceAdapter {
   uint64_t executions() const { return executions_; }
 
  private:
-  enum OpCode : uint8_t { kSet = 1, kGet = 2, kAppend = 3, kCas = 4 };
+  enum OpCode : uint8_t { kSet = 1, kGet = 2, kAppend = 3 };
 
   Simulation* sim_;
   SimTime execute_cost_us_;

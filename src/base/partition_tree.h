@@ -33,8 +33,8 @@ class PartitionTree {
   Digest Leaf(size_t index) const;
 
   // Root digest; recomputes dirty interior nodes. The number of interior
-  // hashes performed is returned through RecomputedNodes() since the last
-  // call, so callers can charge the cost model.
+  // hashes performed is returned through TakeRecomputedNodes() since the
+  // last call, so callers can charge the cost model.
   Digest Root();
 
   // Digest of interior/leaf node `index` at `level` (level 0 = root). Leaves

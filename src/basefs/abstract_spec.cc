@@ -117,12 +117,6 @@ Fattr DecodeFattrFrom(XdrReader& reader) {
   return attr;
 }
 
-Bytes EncodeFattr(const Fattr& attr) {
-  XdrWriter writer;
-  EncodeFattrTo(writer, attr);
-  return writer.Take();
-}
-
 // ------------------------------------------------------------------- calls
 
 Bytes NfsCall::Encode() const {

@@ -122,7 +122,6 @@ struct AbstractFsObject {
 };
 
 // Abstract fattr helpers shared by wrapper and protocol encoding.
-Bytes EncodeFattr(const Fattr& attr);
 void EncodeFattrTo(class XdrWriter& writer, const Fattr& attr);
 Fattr DecodeFattrFrom(class XdrReader& reader);
 

@@ -626,13 +626,6 @@ size_t FsConformanceWrapper::free_entries() const {
   return count;
 }
 
-Oid FsConformanceWrapper::OidAt(uint32_t index) const {
-  if (index >= rep_.size() || !rep_[index].in_use) {
-    return 0;
-  }
-  return MakeOid(index, rep_[index].gen);
-}
-
 Bytes FsConformanceWrapper::ConcreteHandleOf(Oid oid) const {
   uint32_t index = OidIndex(oid);
   if (index >= rep_.size() || !rep_[index].in_use ||

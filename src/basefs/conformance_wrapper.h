@@ -60,8 +60,6 @@ class FsConformanceWrapper : public ServiceAdapter {
   // --- Introspection ----------------------------------------------------------
   FileSystem* wrapped_fs() { return fs_.get(); }
   size_t free_entries() const;
-  // Oid currently stored at an array index (0 if free); test helper.
-  Oid OidAt(uint32_t index) const;
   // Resolves an oid to the concrete file handle (empty if dead); test hook
   // for corruption experiments.
   Bytes ConcreteHandleOf(Oid oid) const;

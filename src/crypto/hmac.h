@@ -95,7 +95,6 @@ class KeyTable {
   // Refreshes all keys involving `node` (called when the node recovers).
   void RefreshKeysFor(int node);
 
-  uint64_t EpochOf(int node) const { return epochs_[node]; }
   int node_count() const { return static_cast<int>(epochs_.size()); }
 
  private:

@@ -45,7 +45,6 @@ class ObjectDb {
 
   // Creates an object of class `klass`; returns its internal id.
   DbId Create(const std::string& klass);
-  bool Exists(DbId id) const { return objects_.count(id) > 0; }
   Status Delete(DbId id);
 
   Status SetScalar(DbId id, const std::string& field, int64_t value);

@@ -163,14 +163,10 @@ class Simulation {
   // Total events processed (telemetry for tests/benches).
   uint64_t events_processed() const { return events_processed_; }
 
-  // Virtual time of the next runnable event, or kNoPendingEvent when the
-  // queue is empty. Cancelled timers at the head are pruned first so the
-  // answer always refers to an event that will actually run — the shard
-  // coordinator (src/shard) merges several simulations onto one global
-  // timeline by repeatedly stepping whichever has the smallest value here.
+  // A deadline no event reaches: RunUntilTrue(pred, kNoPendingEvent) runs
+  // until pred() holds or the queue empties.
   static constexpr SimTime kNoPendingEvent =
       std::numeric_limits<SimTime>::max();
-  SimTime NextEventTime();
 
   // --- Kernel telemetry (tests and bench_scale) ----------------------------
   // High-water mark of the scheduler queue.
@@ -238,10 +234,14 @@ class Simulation {
                    std::shared_ptr<const Bytes> payload);
 
   // Pops cancelled timers off the head of the queue so that the head always
-  // refers to an event that will actually run; without this, deadline checks
-  // in RunUntil/RunUntilTrue would look at a cancelled event's time and
-  // Step() could silently run an event far beyond the caller's deadline.
+  // refers to an event that will actually run.
   void PruneCancelledTop();
+  // Virtual time of the next event that will run, or kNoPendingEvent when
+  // the queue is empty: the deadline check of RunUntil/RunUntilTrue. It
+  // prunes cancelled timers at the head first; without that, the check
+  // would read a cancelled timer's time and the Step() after it could run
+  // an event far beyond the caller's deadline.
+  SimTime NextEventTime();
 
   SimTime BusyUntil(NodeId owner) const {
     return static_cast<size_t>(owner) < busy_.size() ? busy_[owner] : 0;

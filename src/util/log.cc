@@ -7,7 +7,6 @@ namespace bftbase {
 namespace {
 
 LogLevel g_level = LogLevel::kWarning;
-LogSink g_sink;  // empty => default stderr sink
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -31,13 +30,7 @@ void SetLogLevel(LogLevel level) { g_level = level; }
 
 LogLevel GetLogLevel() { return g_level; }
 
-void SetLogSink(LogSink sink) { g_sink = std::move(sink); }
-
 void EmitLogRecord(LogLevel level, const std::string& message) {
-  if (g_sink) {
-    g_sink(level, message);
-    return;
-  }
   std::fprintf(stderr, "[%s] %s\n", LevelTag(level), message.c_str());
 }
 

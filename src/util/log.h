@@ -1,12 +1,10 @@
 // Minimal leveled logger.
 //
-// Protocol code logs through LOG(level) << ...; the sink is swappable so that
-// tests can capture output and the simulation can prefix entries with virtual
-// time. Logging defaults to kWarning to keep benchmark runs quiet.
+// Protocol code logs through LOG(level) << ...; records go to stderr.
+// Logging defaults to kWarning to keep benchmark runs quiet.
 #ifndef SRC_UTIL_LOG_H_
 #define SRC_UTIL_LOG_H_
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -18,12 +16,7 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
-// Replaces the output sink (default writes to stderr). Passing nullptr
-// restores the default sink.
-using LogSink = std::function<void(LogLevel, const std::string&)>;
-void SetLogSink(LogSink sink);
-
-// Internal: emits one formatted record.
+// Internal: writes one formatted record to stderr.
 void EmitLogRecord(LogLevel level, const std::string& message);
 
 class LogMessage {

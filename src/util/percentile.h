@@ -1,10 +1,9 @@
 // Shared nearest-rank percentile over latency samples.
 //
 // One definition for every layer that reports a latency distribution (the
-// fault injector's p50/p99, the adversary liveness verdict, the micro-op
-// suite, the keyed workload and the geo bench) — three independent
-// hand-rolled versions previously disagreed on the edge cases this header
-// pins down:
+// liveness verdicts of the fault injector and the chaos harness, the
+// micro-op suite and the geo bench) — three independent hand-rolled
+// versions previously disagreed on the edge cases this header pins down:
 //
 //   - q is a fraction in [0, 1]; q <= 0 returns the minimum sample and
 //     q >= 1 the maximum (nearest-rank is total on the closed interval).

@@ -18,11 +18,9 @@
 #define SRC_WORKLOAD_ADVERSARY_H_
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/base/service_group.h"
-#include "src/util/percentile.h"
 #include "src/workload/fault_injector.h"
 
 namespace bftbase {
@@ -70,14 +68,6 @@ void ArmViewChangeSpam(ServiceGroup& group, const FaultEvent& event);
 // poisoned partition values to fetchers (StateTransfer::SetPoisonServing) —
 // the digest-verified fetch path must reject them and rotate sources.
 void ArmCheckpointLie(ServiceGroup& group, const FaultEvent& event);
-
-// Percentile over a latency sample set; `pct` is a fraction in [0, 1].
-// Forwards to the shared nearest-rank helper (src/util/percentile.h) — the
-// single implementation every reporting layer uses, with the pct=0/100,
-// single-sample and FP-rounding edge cases pinned there.
-inline SimTime LatencyPercentile(std::vector<SimTime> samples, double pct) {
-  return Percentile(std::move(samples), pct);
-}
 
 // Inputs for the liveness verdict: all successful commit completion times
 // (ascending) plus each client's last successful completion (0 = none).

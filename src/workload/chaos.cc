@@ -10,6 +10,7 @@
 #include "src/sim/topology.h"
 #include "src/util/log.h"
 #include "src/workload/adversary.h"
+#include "src/util/percentile.h"
 #include "src/util/rng.h"
 #include "src/util/xdr.h"
 
@@ -855,9 +856,10 @@ ChaosRunResult RunChaosSchedule(const ChaosOptions& options,
       }
     }
     std::sort(inputs.ok_completions.begin(), inputs.ok_completions.end());
-    result.liveness.p50_latency_us = LatencyPercentile(ok_latencies, 0.50);
-    result.liveness.p99_latency_us = LatencyPercentile(ok_latencies, 0.99);
-    result.liveness.p999_latency_us = LatencyPercentile(ok_latencies, 0.999);
+    const LatencySummary latency = SummarizeLatencies(std::move(ok_latencies));
+    result.liveness.p50_latency_us = latency.p50;
+    result.liveness.p99_latency_us = latency.p99;
+    result.liveness.p999_latency_us = latency.p999;
     // History times and event times are both relative to the workload start,
     // so the judge runs with scenario_start = 0.
     JudgeLiveness(schedule, 0, inputs, options.liveness_bound,

@@ -6,6 +6,7 @@
 #include "src/basefs/conformance_wrapper.h"
 #include "src/sim/network.h"
 #include "src/util/log.h"
+#include "src/util/percentile.h"
 #include "src/util/rng.h"
 #include "src/workload/adversary.h"
 
@@ -494,9 +495,10 @@ FaultScenarioResult RunFaultScenario(ServiceGroup& group, FsSession& fs,
   result.view_changes -= view_changes_before;
   result.recoveries -= recoveries_before;
 
-  result.liveness.p50_latency_us = LatencyPercentile(ok_latencies, 0.50);
-  result.liveness.p99_latency_us = LatencyPercentile(ok_latencies, 0.99);
-  result.liveness.p999_latency_us = LatencyPercentile(ok_latencies, 0.999);
+  const LatencySummary latency = SummarizeLatencies(std::move(ok_latencies));
+  result.liveness.p50_latency_us = latency.p50;
+  result.liveness.p99_latency_us = latency.p99;
+  result.liveness.p999_latency_us = latency.p999;
   if (config.judge_liveness) {
     LivenessInputs inputs;
     inputs.ok_completions = std::move(ok_completions);

@@ -140,19 +140,6 @@ TEST(AdversaryRepro, DefaultOptionsOmitAdversaryKeysAndStillParse) {
 
 // --- Liveness judge ---------------------------------------------------------
 
-TEST(LivenessJudge, PercentileNearestRank) {
-  EXPECT_EQ(LatencyPercentile({}, 0.99), 0);
-  EXPECT_EQ(LatencyPercentile({7}, 0.50), 7);
-  EXPECT_EQ(LatencyPercentile({7}, 0.99), 7);
-  std::vector<SimTime> ten;
-  for (SimTime v = 10; v <= 100; v += 10) {
-    ten.push_back(v);
-  }
-  EXPECT_EQ(LatencyPercentile(ten, 0.50), 50);
-  EXPECT_EQ(LatencyPercentile(ten, 0.90), 90);
-  EXPECT_EQ(LatencyPercentile(ten, 0.99), 100);
-}
-
 TEST(LivenessJudge, VerdictsPerWindowAndPerClient) {
   // One attack window: [1s, 3s].
   std::vector<FaultEvent> schedule = {

@@ -65,6 +65,24 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
   EXPECT_EQ(count, 2);
 }
 
+TEST(Simulation, DeadlineChecksSkipCancelledHeadTimers) {
+  // A cancelled timer at the head of the queue must not count as the next
+  // event: if the deadline check read its time, the Step() that prunes it
+  // would then run the live event far past the deadline.
+  Simulation sim(1);
+  int fired = 0;
+  TimerId cancelled = sim.After(Simulation::kNoOwner, 100, [&] { ++fired; });
+  sim.After(Simulation::kNoOwner, 900, [&] { ++fired; });
+  sim.Cancel(cancelled);
+  sim.RunUntil(500);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.Now(), 500);
+  EXPECT_FALSE(sim.RunUntilTrue([&] { return fired > 0; }, 800));
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(sim.RunUntilTrue([&] { return fired > 0; }, 1000));
+  EXPECT_EQ(sim.Now(), 900);
+}
+
 TEST(Simulation, ChargeCpuSerializesNode) {
   Simulation sim(1);
   std::vector<SimTime> run_times;

@@ -246,6 +246,7 @@ TEST(Percentile, NearestRankRoundsUpBetweenSamples) {
   std::vector<int64_t> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   EXPECT_EQ(Percentile(v, 0.50), 5);   // ceil(5.0)  = rank 5
   EXPECT_EQ(Percentile(v, 0.51), 6);   // ceil(5.1)  = rank 6
+  EXPECT_EQ(Percentile(v, 0.90), 9);   // ceil(9.0)  = rank 9
   EXPECT_EQ(Percentile(v, 0.99), 10);  // ceil(9.9)  = rank 10
 }
 
