@@ -74,6 +74,10 @@ void PrintRun(uint64_t seed, const ChaosRunResult& result) {
     std::printf("  first violation: %s\n",
                 result.first_invariant_violation.c_str());
   }
+  if (!result.topology_mismatch.empty()) {
+    std::printf("  ended off its topology: %s\n",
+                result.topology_mismatch.c_str());
+  }
   if (result.liveness.judged) {
     std::printf("  liveness: %s (worst recovery %s ms, p50 %s ms, "
                 "p99 %s ms)\n",

@@ -9,6 +9,14 @@
 
 namespace bftbase {
 
+namespace {
+
+// Acceptable divergence between a proposed timestamp and the local clock
+// when validating non-deterministic input.
+constexpr SimTime kNondetTolerance = 500 * kMillisecond;
+
+}  // namespace
+
 ReplicaService::ReplicaService(Simulation* sim, const Config& config,
                                NodeId self, ServiceAdapter* adapter,
                                Options options)
@@ -122,7 +130,7 @@ bool ReplicaService::CheckNondet(BytesView nondet) {
   }
   SimTime now = sim_->Now();
   SimTime delta = *t > now ? *t - now : now - *t;
-  return delta <= options_.nondet_tolerance;
+  return delta <= kNondetTolerance;
 }
 
 void ReplicaService::TakeCheckpoint(SeqNum seq, CheckpointDoneFn done) {

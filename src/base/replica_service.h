@@ -32,9 +32,6 @@ class ReplicaService : public ServiceInterface {
   struct Options {
     // E4 ablation: disable copy-on-write checkpoints.
     bool full_copy_checkpoints = false;
-    // Acceptable divergence between a proposed timestamp and the local
-    // clock when validating non-deterministic input.
-    SimTime nondet_tolerance = 500 * kMillisecond;
     StateTransfer::Options state_transfer;
     // Durable mode: a simulated storage device (owned by the caller, must
     // outlive the service). When set, executed batches are written to a WAL,

@@ -10,6 +10,11 @@ namespace bftbase {
 
 namespace {
 
+// Leaves requested per FETCH-DATA message.
+constexpr size_t kDataBatch = 32;
+// Retransmission interval for unanswered fetches.
+constexpr SimTime kRetryInterval = 200 * kMillisecond;
+
 // Must mirror PartitionTree::ComputeNode exactly: interior digest covers
 // (level, index, children...).
 Digest InteriorDigest(int level, size_t index,
@@ -165,7 +170,7 @@ void StateTransfer::ServeFetchData(NodeId from, BytesView payload) {
   Decoder dec(payload);
   SeqNum seq = dec.GetU64();
   uint32_t count = dec.GetU32();
-  if (seq != cm_->latest_seq() || count > 4 * options_.data_batch) {
+  if (seq != cm_->latest_seq() || count > 4 * kDataBatch) {
     return;
   }
   Encoder enc;
@@ -235,8 +240,7 @@ void StateTransfer::Start(SeqNum target_seq, const Digest& target_root) {
     BeginDescent();
   }
 
-  retry_timer_ = sim_->After(self_, options_.retry_interval,
-                             [this] { OnRetryTimer(); });
+  retry_timer_ = sim_->After(self_, kRetryInterval, [this] { OnRetryTimer(); });
 }
 
 void StateTransfer::Abort() {
@@ -425,12 +429,12 @@ void StateTransfer::ConsiderLeaf(size_t leaf, const Digest& expected) {
 }
 
 void StateTransfer::FlushDataRequests(bool force) {
-  while (data_queue_.size() >= options_.data_batch ||
+  while (data_queue_.size() >= kDataBatch ||
          (force && !data_queue_.empty())) {
     Encoder enc;
     enc.PutU8(kFetchData);
     enc.PutU64(target_seq_);
-    size_t batch = std::min(options_.data_batch, data_queue_.size());
+    size_t batch = std::min(kDataBatch, data_queue_.size());
     enc.PutU32(static_cast<uint32_t>(batch));
     for (size_t i = 0; i < batch; ++i) {
       size_t leaf = data_queue_.front();
@@ -451,7 +455,7 @@ void StateTransfer::HandleData(NodeId /*from*/, BytesView payload) {
   Decoder dec(payload);
   SeqNum seq = dec.GetU64();
   uint32_t count = dec.GetU32();
-  if (seq != target_seq_ || count > 4 * options_.data_batch) {
+  if (seq != target_seq_ || count > 4 * kDataBatch) {
     return;
   }
   for (uint32_t i = 0; i < count && dec.ok(); ++i) {
@@ -549,8 +553,7 @@ void StateTransfer::OnRetryTimer() {
     }
     FlushDataRequests(/*force=*/true);
   }
-  retry_timer_ = sim_->After(self_, options_.retry_interval,
-                             [this] { OnRetryTimer(); });
+  retry_timer_ = sim_->After(self_, kRetryInterval, [this] { OnRetryTimer(); });
 }
 
 }  // namespace bftbase

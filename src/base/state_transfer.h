@@ -41,10 +41,6 @@ namespace bftbase {
 class StateTransfer {
  public:
   struct Options {
-    // Leaves requested per FETCH-DATA message.
-    size_t data_batch = 32;
-    // Retransmission interval for unanswered fetches.
-    SimTime retry_interval = 200 * kMillisecond;
     // Ablation (bench E5): disable the hierarchical optimization and fetch
     // every leaf regardless of whether the local copy already matches.
     bool fetch_everything = false;

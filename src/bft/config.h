@@ -38,18 +38,15 @@ struct Config {
   int max_in_flight_batches = 2;
 
   // --- Adaptive batching (kill switch) --------------------------------------
-  // When true the primary adapts its batch cap within
-  // [adaptive_batch_min, adaptive_batch_max] from observed queue depth
-  // (backlog fills the cap -> double it; batches at half the cap -> shrink
-  // it) and adds a short batching hold — only while an earlier batch is
-  // already in flight — that grows up to adaptive_batch_hold_max while
-  // batches stay small and collapses as soon as a backlog appears. Off by
-  // default: the static max_batch path is byte-for-byte untouched, which
-  // the pinned fault-free trace digests witness (tests/topology_test.cc).
+  // When true the primary adapts its batch cap within [1, 64] from observed
+  // queue depth (backlog fills the cap -> double it; batches at half the cap
+  // -> shrink it) and adds a short batching hold — only while an earlier
+  // batch is already in flight — that grows up to 2 ms while batches stay
+  // small and collapses as soon as a backlog appears (the bounds are
+  // constants in replica.cc). Off by default: the static max_batch path is
+  // byte-for-byte untouched, which the pinned fault-free trace digests
+  // witness (tests/topology_test.cc).
   bool adaptive_batching = false;
-  int adaptive_batch_min = 1;
-  int adaptive_batch_max = 64;
-  SimTime adaptive_batch_hold_max = 2 * kMillisecond;
 
   // View-change timeout: a backup that has accepted a request but not
   // executed it within this time suspects the primary.
@@ -79,15 +76,10 @@ struct Config {
   // Primary quality monitor (Aardvark-style): backups track the median
   // request-to-commit latency of requests they have relayed to the primary
   // and proactively start a view change when the primary is technically
-  // live but crawling. Off by default — it changes view-change behavior
-  // and therefore trace digests.
+  // live but crawling (median of 8 samples per view at or above
+  // EffectivePrimaryLatencyThreshold). Off by default — it changes
+  // view-change behavior and therefore trace digests.
   bool primary_quality_monitor = false;
-  // Median latency (over primary_latency_window samples) that triggers the
-  // proactive view change. 0 derives it from the effective view-change
-  // timeout and the deployment RTT (EffectivePrimaryLatencyThreshold).
-  SimTime primary_latency_threshold = 0;
-  // Number of latency samples per view the monitor needs before judging.
-  int primary_latency_window = 8;
 
   // When the primary has been idle this long it proposes a null request
   // (empty batch), so sequence numbers — and therefore checkpoints — keep
@@ -116,13 +108,10 @@ struct Config {
   SimTime EffectiveViewChangeTimeout() const {
     return std::max(view_change_timeout, 4 * network_rtt_us);
   }
-  // Primary-quality threshold (an explicit setting wins): half the effective
-  // view-change timeout plus one RTT, so a remote-but-healthy primary's
-  // unavoidable propagation delay is not counted against it.
+  // Primary-quality threshold: half the effective view-change timeout plus
+  // one RTT, so a remote-but-healthy primary's unavoidable propagation delay
+  // is not counted against it.
   SimTime EffectivePrimaryLatencyThreshold() const {
-    if (primary_latency_threshold > 0) {
-      return primary_latency_threshold;
-    }
     return EffectiveViewChangeTimeout() / 2 + network_rtt_us;
   }
 

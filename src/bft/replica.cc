@@ -19,6 +19,16 @@ constexpr const char kFetchesSent[] = "replica.fetches_sent";
 // number past the high watermark: from the first refused proposal to the
 // next PRE-PREPARE.
 constexpr const char kWatermarkStall[] = "replica.watermark_stall_us";
+constexpr const char kQualityViewChanges[] = "replica.quality_view_changes";
+
+// Adaptive batching (Config::adaptive_batching): the batch cap stays within
+// [kAdaptiveBatchMin, kAdaptiveBatchMax] and the batching hold grows up to
+// kAdaptiveBatchHoldMax.
+constexpr int kAdaptiveBatchMin = 1;
+constexpr int kAdaptiveBatchMax = 64;
+constexpr SimTime kAdaptiveBatchHoldMax = 2 * kMillisecond;
+// Latency samples per view the primary quality monitor needs before judging.
+constexpr size_t kPrimaryLatencyWindow = 8;
 
 // The buffer `wire` was delivered in, shared instead of copied; a copy when
 // `wire` is not the delivery being handled (e.g. a replayed stash).
@@ -59,6 +69,10 @@ uint64_t Replica::view_changes_started() const {
   return sim_->metrics().Get(kViewChangesStarted, id_);
 }
 
+uint64_t Replica::quality_view_changes() const {
+  return sim_->metrics().Get(kQualityViewChanges, id_);
+}
+
 Replica::Replica(Simulation* sim, KeyTable* keys, const Config& config,
                  NodeId id, ServiceInterface* service)
     : sim_(sim),
@@ -70,8 +84,7 @@ Replica::Replica(Simulation* sim, KeyTable* keys, const Config& config,
       view_change_timeout_(config.EffectiveViewChangeTimeout()) {
   assert(config.IsReplica(id));
   adaptive_batch_cap_ =
-      std::max(config_.adaptive_batch_min,
-               std::min(config_.max_batch, config_.adaptive_batch_max));
+      std::clamp(config_.max_batch, kAdaptiveBatchMin, kAdaptiveBatchMax);
   sim_->AddNode(id_, this);
   service_->SetStateSender([this](NodeId to, const Bytes& payload) {
     channel_.Send(to, channel_.SealMac(MsgType::kState, payload, to));
@@ -620,19 +633,14 @@ void Replica::ArmBatchHoldTimer() {
 }
 
 void Replica::AdaptBatch(int batch_size, int backlog) {
-  const int min_cap = std::max(1, config_.adaptive_batch_min);
-  const int max_cap = std::max(min_cap, config_.adaptive_batch_max);
   if (backlog >= adaptive_batch_cap_) {
     // The queue refilled the cap before this batch even shipped: the cap is
     // the bottleneck, grow it.
-    adaptive_batch_cap_ = std::min(adaptive_batch_cap_ * 2, max_cap);
+    adaptive_batch_cap_ = std::min(adaptive_batch_cap_ * 2, kAdaptiveBatchMax);
   } else if (batch_size <= adaptive_batch_cap_ / 2) {
     // Batches are not close to filling the cap: shrink toward demand so a
     // later burst measurement is meaningful.
-    adaptive_batch_cap_ = std::max(adaptive_batch_cap_ / 2, min_cap);
-  }
-  if (adaptive_batch_cap_ > max_cap) {
-    adaptive_batch_cap_ = max_cap;
+    adaptive_batch_cap_ = std::max(adaptive_batch_cap_ / 2, kAdaptiveBatchMin);
   }
   if (batch_size >= adaptive_batch_cap_ || backlog > 0) {
     // Demand outruns the hold: stop delaying, throughput needs the slots.
@@ -641,7 +649,7 @@ void Replica::AdaptBatch(int batch_size, int backlog) {
     // Small batch while the pipeline is busy: coalescing would have helped,
     // lengthen the hold (bounded).
     adaptive_hold_us_ = std::min(std::max(2 * adaptive_hold_us_, SimTime{250}),
-                                 config_.adaptive_batch_hold_max);
+                                 kAdaptiveBatchHoldMax);
   }
 }
 
@@ -993,13 +1001,12 @@ void Replica::NotePrimaryLatency(SimTime sample) {
       crashed_) {
     return;
   }
-  const size_t window =
-      static_cast<size_t>(std::max(1, config_.primary_latency_window));
   primary_latency_samples_.push_back(sample);
-  if (primary_latency_samples_.size() > window) {
+  if (primary_latency_samples_.size() > kPrimaryLatencyWindow) {
     primary_latency_samples_.erase(primary_latency_samples_.begin());
   }
-  if (quality_view_change_fired_ || primary_latency_samples_.size() < window) {
+  if (quality_view_change_fired_ ||
+      primary_latency_samples_.size() < kPrimaryLatencyWindow) {
     return;
   }
   std::vector<SimTime> sorted = primary_latency_samples_;
@@ -1019,8 +1026,7 @@ void Replica::NotePrimaryLatency(SimTime sample) {
   // proactively; the f+1-movers join rule turns the per-backup verdicts
   // into a group decision.
   quality_view_change_fired_ = true;
-  ++quality_view_changes_;
-  sim_->metrics().Inc("replica.quality_view_changes", id_);
+  sim_->metrics().Inc(kQualityViewChanges, id_);
   LOG_INFO << "replica " << id_ << " primary quality monitor: median latency "
            << median << "us >= " << threshold << "us in view " << view_
            << ", deposing primary";
@@ -1455,8 +1461,7 @@ void Replica::Crash() {
   }
   batch_hold_elapsed_ = false;
   adaptive_batch_cap_ =
-      std::max(config_.adaptive_batch_min,
-               std::min(config_.max_batch, config_.adaptive_batch_max));
+      std::clamp(config_.max_batch, kAdaptiveBatchMin, kAdaptiveBatchMax);
   adaptive_hold_us_ = 0;
   watermark_stall_since_ = -1;
   DisarmViewChangeTimer();

@@ -121,7 +121,7 @@ class Replica : public SimNode {
   // 0 disables.
   void SetProposalDelay(SimTime delay) { proposal_delay_ = delay; }
   // Proactive view changes fired by the primary quality monitor.
-  uint64_t quality_view_changes() const { return quality_view_changes_; }
+  uint64_t quality_view_changes() const;
 
  private:
   // --- Null-request heartbeat -------------------------------------------------
@@ -403,7 +403,6 @@ class Replica : public SimNode {
   void NotePrimaryLatency(SimTime sample);
   std::vector<SimTime> primary_latency_samples_;
   bool quality_view_change_fired_ = false;
-  uint64_t quality_view_changes_ = 0;
 
   // Observation (not owned; may be null).
   ProtocolObserver* observer_ = nullptr;

@@ -84,7 +84,8 @@ class MetricsRegistry {
   void Set(std::string_view name, uint64_t value, int node = kAny,
            int tag = kAny);
 
-  // Histogram observation (count/sum/min/max plus power-of-two buckets).
+  // Histogram observation: folds `value` into the cell's count, sum, min
+  // and max.
   void Observe(std::string_view name, int64_t value, int node = kAny,
                int tag = kAny);
 

@@ -1,6 +1,7 @@
 #include "src/sim/network.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "src/util/bufpool.h"
@@ -84,14 +85,8 @@ bool Network::PassesFaultChecks(NodeId from, NodeId to) {
   if (drop_probability_ > 0.0 && sim_->rng().NextBool(drop_probability_)) {
     return false;
   }
-  if (!link_drop_.empty()) {
-    auto it = link_drop_.find(LinkKey(from, to));
-    if (it != link_drop_.end() && sim_->rng().NextBool(it->second)) {
-      return false;
-    }
-  }
   if (!pair_drop_.empty()) {
-    auto it = pair_drop_.find({from, to});  // directed: ordered key
+    auto it = pair_drop_.find({from, to});
     if (it != pair_drop_.end() && sim_->rng().NextBool(it->second)) {
       return false;
     }
@@ -146,29 +141,17 @@ SimTime Network::SampleJitter(const JitterSpec& spec) {
 
 SimTime Network::DeliveryLatency(NodeId from, NodeId to, size_t size) {
   SimTime latency = sim_->cost().MessageLatency(size);
-  if (!link_delay_.empty()) {
-    auto it = link_delay_.find(LinkKey(from, to));
-    if (it != link_delay_.end()) {
-      latency += it->second;
+  const JitterSpec* jitter = &default_jitter_;
+  if (!links_.empty()) {
+    auto it = links_.find({from, to});
+    if (it != links_.end()) {
+      latency += it->second.delay_us;
+      if (it->second.jitter.kind != JitterSpec::Kind::kNone) {
+        jitter = &it->second.jitter;
+      }
     }
   }
-  if (!pair_delay_.empty()) {
-    auto it = pair_delay_.find({from, to});  // directed: ordered key
-    if (it != pair_delay_.end()) {
-      latency += it->second;
-    }
-  }
-  if (!link_jitter_.empty()) {
-    auto it = link_jitter_.find(LinkKey(from, to));
-    if (it != link_jitter_.end()) {
-      latency += SampleJitter(it->second);
-    }
-  }
-  if (jitter_us_ > 0) {
-    latency += static_cast<SimTime>(
-        sim_->rng().NextBelow(static_cast<uint64_t>(jitter_us_) + 1));
-  }
-  return latency;
+  return latency + SampleJitter(*jitter);
 }
 
 void Network::Deliver(NodeId from, NodeId to, int tag,
@@ -273,12 +256,12 @@ void Network::Multicast(NodeId from, NodeId first, NodeId last,
 }
 
 void Network::BlockLink(NodeId a, NodeId b) {
-  blocked_links_.insert({std::min(a, b), std::max(a, b)});
+  blocked_links_.insert(LinkKey(a, b));
   RefreshFaultFlag();
 }
 
 void Network::UnblockLink(NodeId a, NodeId b) {
-  blocked_links_.erase({std::min(a, b), std::max(a, b)});
+  blocked_links_.erase(LinkKey(a, b));
   RefreshFaultFlag();
 }
 
@@ -292,29 +275,31 @@ void Network::Heal(NodeId node) {
   RefreshFaultFlag();
 }
 
-void Network::SetLinkDelay(NodeId a, NodeId b, SimTime extra_us) {
-  if (extra_us <= 0) {
-    link_delay_.erase(LinkKey(a, b));
-  } else {
-    link_delay_[LinkKey(a, b)] = extra_us;
-  }
+void Network::AddDelay(NodeId from, NodeId to, SimTime delta_us) {
+  auto it = links_.try_emplace({from, to}).first;
+  it->second.delay_us += delta_us;
+  assert(it->second.delay_us >= 0);
+  PruneLink(it);
+}
+
+SimTime Network::Delay(NodeId from, NodeId to) const {
+  auto it = links_.find({from, to});
+  return it == links_.end() ? 0 : it->second.delay_us;
 }
 
 void Network::SetLinkJitter(NodeId a, NodeId b, JitterSpec spec) {
-  if (spec.kind == JitterSpec::Kind::kNone) {
-    link_jitter_.erase(LinkKey(a, b));
-  } else {
-    link_jitter_[LinkKey(a, b)] = spec;
+  for (const Link& key : {Link{a, b}, Link{b, a}}) {
+    auto it = links_.try_emplace(key).first;
+    it->second.jitter = spec;
+    PruneLink(it);
   }
 }
 
-void Network::SetLinkDropProbability(NodeId a, NodeId b, double p) {
-  if (p <= 0.0) {
-    link_drop_.erase(LinkKey(a, b));
-  } else {
-    link_drop_[LinkKey(a, b)] = p;
+void Network::PruneLink(std::map<Link, LinkSpec>::iterator it) {
+  if (it->second.delay_us == 0 &&
+      it->second.jitter.kind == JitterSpec::Kind::kNone) {
+    links_.erase(it);
   }
-  RefreshFaultFlag();
 }
 
 void Network::SetPairDropProbability(NodeId from, NodeId to, double p) {
@@ -326,21 +311,13 @@ void Network::SetPairDropProbability(NodeId from, NodeId to, double p) {
   RefreshFaultFlag();
 }
 
-void Network::SetPairDelay(NodeId from, NodeId to, SimTime extra_us) {
-  if (extra_us <= 0) {
-    pair_delay_.erase({from, to});
-  } else {
-    pair_delay_[{from, to}] = extra_us;
-  }
-}
-
 void Network::SetDuplication(double p, int max_copies) {
   duplicate_probability_ = p;
   duplicate_max_ = max_copies;
 }
 
 bool Network::LinkBlocked(NodeId a, NodeId b) const {
-  return blocked_links_.count({std::min(a, b), std::max(a, b)}) > 0;
+  return blocked_links_.count(LinkKey(a, b)) > 0;
 }
 
 uint64_t Network::messages_offered() const {

@@ -1,12 +1,15 @@
 // Simulated network with fault injection.
 //
 // Point-to-point datagram transport between SimNodes. Charges the cost model
-// for latency and bandwidth, and exposes the adversarial controls the
-// fault-injection experiments need: blocked links and partitions, global and
-// per-link drop probability, per-link extra delay (reordering across links),
-// bounded message duplication, node isolation (crash), and an interceptor
-// hook that can observe, drop or rewrite messages in flight (a network-level
-// Byzantine adversary).
+// for latency and bandwidth. One directed link table decides what a message
+// adds to that latency: each (from, to) entry holds a one-way delay and a
+// jitter model. Topologies program the table (src/sim/topology.h), and delay
+// faults add to an entry and take back exactly what they added, so they
+// stack on the topology and on each other. The adversarial controls the
+// fault-injection experiments need are blocked links and partitions, global
+// and directed per-pair drop probability, bounded message duplication, node
+// isolation (crash), and an interceptor hook that can observe, drop or
+// rewrite messages in flight (a network-level Byzantine adversary).
 //
 // Zero-copy fabric: payloads travel as std::shared_ptr<const Bytes>. A
 // multicast materializes one shared buffer lazily — after the fault checks,
@@ -32,14 +35,14 @@
 
 namespace bftbase {
 
-// Per-link jitter model. The global SetJitter lever draws a single uniform
-// [0, jitter_us] per message — it cannot express WAN tails, where most
-// messages see a few hundred extra microseconds and a small fraction sees
-// tens of milliseconds. Topology presets (src/sim/topology.h) arm per-link
-// heavy-tailed models instead: log-normal (intra-region microbursts) and
-// Pareto (inter-region congestion tails). Draws come from the simulation's
-// seeded RNG — deterministic per seed — and only for links with a model
-// armed, so same-seed streams are unchanged when the lever is unused.
+// Per-link jitter model. A uniform [0, jitter_us] draw (SetJitter's shape)
+// cannot express WAN tails, where most messages see a few hundred extra
+// microseconds and a small fraction sees tens of milliseconds. Topology
+// presets (src/sim/topology.h) arm per-link heavy-tailed models instead:
+// log-normal (intra-region microbursts) and Pareto (inter-region congestion
+// tails). Draws come from the simulation's seeded RNG — deterministic per
+// seed — and only when a model is armed, so same-seed streams are unchanged
+// when the lever is unused.
 struct JitterSpec {
   enum class Kind {
     kNone = 0,
@@ -102,35 +105,32 @@ class Network {
     RefreshFaultFlag();
   }
 
-  // Extra random delay in [0, jitter_us] added per message.
-  void SetJitter(SimTime jitter_us) { jitter_us_ = jitter_us; }
+  // --- Link table -----------------------------------------------------------
+  // Adds `delta_us` (negative to take it back) to the one-way delay of the
+  // directed link from -> to. The only delay setter: a fault adds its delay
+  // when armed and subtracts exactly that amount when it heals. Distinct
+  // delays on different links reorder traffic across links while each link
+  // stays FIFO. The delay must never go below 0.
+  void AddDelay(NodeId from, NodeId to, SimTime delta_us);
+  // The one-way delay the table adds from -> to (0 when none is set).
+  SimTime Delay(NodeId from, NodeId to) const;
 
-  // Per-link extra delay (both directions) added to every message on the
-  // link {a, b}. Distinct delays on different links reorder traffic across
-  // links while each link stays FIFO. 0 clears the lever.
-  void SetLinkDelay(NodeId a, NodeId b, SimTime extra_us);
-
-  // Per-link jitter model (both directions) for {a, b}: every delivery on
-  // the link adds an independent draw from `spec` to its latency. Draws
-  // consume the simulation RNG only for links with a model armed (same-seed
-  // streams are unchanged when unused). Kind::kNone clears the lever.
+  // Jitter model for both directions of {a, b}: every delivery on the link
+  // adds an independent draw from `spec` to its latency. Kind::kNone hands
+  // the link back to the default below.
   void SetLinkJitter(NodeId a, NodeId b, JitterSpec spec);
+  // Default jitter for links without a model of their own: a uniform draw
+  // in [0, jitter_us] per message. 0 disables it.
+  void SetJitter(SimTime jitter_us) {
+    default_jitter_ = JitterSpec::Uniform(jitter_us);
+  }
 
-  // Per-link drop probability for {a, b}, checked after the global drop
-  // probability. Draws from the simulation RNG only for links with the
-  // lever set, so unaffected traffic keeps its same-seed behavior.
-  // 0 clears the lever.
-  void SetLinkDropProbability(NodeId a, NodeId b, double p);
-
-  // --- Directed per-destination-pair levers ---------------------------------
-  // Unlike the {a, b} link levers above, these affect only the from -> to
-  // direction — the lever a selective-suppression adversary needs: a replica
-  // can starve chosen peers without declaring a partition or touching the
-  // reverse path. Checked after every undirected lever, drawing from the RNG
-  // only when a pair lever is armed (same-seed streams are unchanged when
-  // unused). p = 0 / extra_us = 0 clears.
+  // Directed drop probability for from -> to only (no effect on the reverse
+  // path): the lever a selective-suppression adversary needs to starve
+  // chosen peers without declaring a partition. Checked after the global
+  // drop probability, drawing from the RNG only while a pair is armed
+  // (same-seed streams are unchanged when unused). p = 0 clears.
   void SetPairDropProbability(NodeId from, NodeId to, double p);
-  void SetPairDelay(NodeId from, NodeId to, SimTime extra_us);
 
   // Bounded message duplication: each non-loopback delivery that survives
   // the fault checks is duplicated with probability `p`, adding between 1
@@ -168,7 +168,9 @@ class Network {
   void ResetStats();
 
  private:
-  using Link = std::pair<NodeId, NodeId>;  // stored as (min,max)
+  // A node pair: (min, max) in the undirected blocked-link set, (from, to)
+  // in the directed link table and pair drop map.
+  using Link = std::pair<NodeId, NodeId>;
   static Link LinkKey(NodeId a, NodeId b) {
     return {std::min(a, b), std::max(a, b)};
   }
@@ -176,20 +178,21 @@ class Network {
   // Recomputes no_faults_armed_; called by every lever setter.
   void RefreshFaultFlag() {
     no_faults_armed_ = isolated_.empty() && blocked_links_.empty() &&
-                       drop_probability_ <= 0.0 && link_drop_.empty() &&
-                       pair_drop_.empty();
+                       drop_probability_ <= 0.0 && pair_drop_.empty();
   }
   // Consumes the per-message fault decisions (isolation, blocked link, random
   // drop) in the exact order the pre-zero-copy fabric did, so same-seed RNG
-  // streams are unchanged. The per-link levers draw afterwards, and only
+  // streams are unchanged. The pair drop lever draws afterwards, and only
   // when armed.
   bool PassesFaultChecks(NodeId from, NodeId to);
   void CountDrop(NodeId from, NodeId to, int tag, size_t size);
   void CountOffered(NodeId from, NodeId to, int tag, const Bytes& payload);
   void CountCopy(NodeId from, int tag, size_t size);
-  // Base wire latency for one delivery: cost-model latency plus the per-link
-  // extra delay plus one jitter draw (when enabled).
+  // Wire latency for one delivery: cost-model latency plus the link's delay
+  // plus one draw from its jitter model (or the default one).
   SimTime DeliveryLatency(NodeId from, NodeId to, size_t size);
+  // One draw from `spec` using the simulation RNG; respects spec.cap_us.
+  SimTime SampleJitter(const JitterSpec& spec);
   // Counts the delivery and schedules it after the cost model's latency;
   // rolls the duplication lever for extra aliased deliveries.
   void Deliver(NodeId from, NodeId to, int tag,
@@ -213,16 +216,17 @@ class Network {
   std::set<Link> blocked_links_;
   std::set<NodeId> isolated_;
   double drop_probability_ = 0.0;
-  SimTime jitter_us_ = 0;
-  // One draw from `spec` using the simulation RNG; respects spec.cap_us.
-  SimTime SampleJitter(const JitterSpec& spec);
-
-  std::map<Link, SimTime> link_delay_;
-  std::map<Link, JitterSpec> link_jitter_;
-  std::map<Link, double> link_drop_;
-  // Directed (from, to) pair levers; keys are ordered pairs, not LinkKeys.
   std::map<Link, double> pair_drop_;
-  std::map<Link, SimTime> pair_delay_;
+  // The link table. An entry lives only while it holds a delay or a jitter
+  // model of its own, so a healed network reads as one never touched.
+  struct LinkSpec {
+    SimTime delay_us = 0;
+    JitterSpec jitter;
+  };
+  std::map<Link, LinkSpec> links_;
+  JitterSpec default_jitter_;
+  // Erases `it` if it holds neither a delay nor a jitter model.
+  void PruneLink(std::map<Link, LinkSpec>::iterator it);
   double duplicate_probability_ = 0.0;
   int duplicate_max_ = 0;
   Interceptor interceptor_;

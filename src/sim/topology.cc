@@ -110,30 +110,14 @@ void ApplyTopology(Network& net, const Topology& topo, int node_count) {
   if (topo.regions <= 1) {
     return;  // lan: nothing to arm; traces stay byte-identical.
   }
-  const bool has_intra = topo.intra_jitter.kind != JitterSpec::Kind::kNone;
-  const bool has_inter = topo.inter_jitter.kind != JitterSpec::Kind::kNone;
   for (NodeId a = 0; a < node_count; ++a) {
     for (NodeId b = a + 1; b < node_count; ++b) {
-      const SimTime ab = topo.OneWayUs(a, b);
-      const SimTime ba = topo.OneWayUs(b, a);
-      const SimTime floor = std::min(ab, ba);
-      if (floor > 0) {
-        net.SetLinkDelay(a, b, floor);
-      }
-      // The directed excess rides on top of the symmetric floor, so the two
-      // delay levers compose on the same link.
-      if (ab > floor) {
-        net.SetPairDelay(a, b, ab - floor);
-      }
-      if (ba > floor) {
-        net.SetPairDelay(b, a, ba - floor);
-      }
-      const bool same_region = topo.RegionOf(a) == topo.RegionOf(b);
-      if (same_region && has_intra) {
-        net.SetLinkJitter(a, b, topo.intra_jitter);
-      } else if (!same_region && has_inter) {
-        net.SetLinkJitter(a, b, topo.inter_jitter);
-      }
+      net.AddDelay(a, b, topo.OneWayUs(a, b));
+      net.AddDelay(b, a, topo.OneWayUs(b, a));
+      net.SetLinkJitter(a, b,
+                        topo.RegionOf(a) == topo.RegionOf(b)
+                            ? topo.intra_jitter
+                            : topo.inter_jitter);
     }
   }
 }

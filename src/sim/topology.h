@@ -5,10 +5,10 @@
 // threshold) was calibrated against that. A topology preset models a WAN
 // deployment instead: nodes are assigned round-robin to regions, and an
 // asymmetric inter-region one-way latency matrix plus heavy-tailed per-link
-// jitter are programmed onto the existing Network levers (SetLinkDelay for
-// the symmetric floor, SetPairDelay for the directed excess, SetLinkJitter
-// for the tail). All jitter draws come from the simulation's seeded RNG, so
-// a (preset, seed) pair is bit-for-bit reproducible.
+// jitter are written into the Network's directed link table (AddDelay for
+// each one-way delay, SetLinkJitter for the tail). All jitter draws come
+// from the simulation's seeded RNG, so a (preset, seed) pair is bit-for-bit
+// reproducible.
 //
 // Presets:
 //   "lan"          — 1 region, zero matrix, no levers armed. Byte-identical
@@ -58,12 +58,11 @@ bool TopologyFromName(const std::string& name, Topology* out);
 // Names accepted by TopologyFromName, for CLI help and sweep loops.
 std::vector<std::string> KnownTopologyNames();
 
-// Programs the preset onto the network for nodes [0, node_count): for every
-// unordered pair the symmetric floor min(one_way(a,b), one_way(b,a)) goes
-// through SetLinkDelay, the directed excess through SetPairDelay (so both
-// levers compose on the same link — covered by sim_test), and the pair's
-// jitter model through SetLinkJitter. A "lan" (single-region / zero-matrix)
-// topology arms nothing.
+// Programs the preset onto a fresh network for nodes [0, node_count): every
+// directed link from -> to gets OneWayUs(from, to) as its delay and the
+// pair's jitter model. Delay faults add to these entries and take back what
+// they added, so once every fault has healed Network::Delay(from, to) equals
+// OneWayUs(from, to) again. A "lan" (single-region) topology arms nothing.
 void ApplyTopology(Network& net, const Topology& topo, int node_count);
 
 }  // namespace bftbase

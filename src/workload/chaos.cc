@@ -662,6 +662,24 @@ struct ChaosDriver {
   }
 };
 
+// The first directed link among nodes [0, nodes) whose delay differs from
+// the topology's, described; "" when every link matches. A fault that leaks
+// delay, or takes away the topology's, fails this once it has healed.
+std::string TopologyMismatch(const Network& net, const Topology& topo,
+                             int nodes) {
+  for (NodeId a = 0; a < nodes; ++a) {
+    for (NodeId b = 0; b < nodes; ++b) {
+      const SimTime delay = net.Delay(a, b);
+      if (a != b && delay != topo.OneWayUs(a, b)) {
+        return "link " + std::to_string(a) + "->" + std::to_string(b) +
+               " delay " + std::to_string(delay) + " us, topology " +
+               std::to_string(topo.OneWayUs(a, b)) + " us";
+      }
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 ChaosRunResult RunChaosSchedule(const ChaosOptions& options,
@@ -840,6 +858,12 @@ ChaosRunResult RunChaosSchedule(const ChaosOptions& options,
     result.first_invariant_violation = auditor.violations().front();
   }
   result.verdict = CheckLinearizable(driver.history);
+  if (has_topology) {
+    // Every fault has healed by now, so each link must be back on the
+    // topology's delay.
+    result.topology_mismatch =
+        TopologyMismatch(sim.network(), topo, params.config.node_count());
+  }
   if (judge) {
     LivenessInputs inputs;
     inputs.per_client_last_ok.assign(static_cast<size_t>(options.clients), 0);
@@ -977,6 +1001,9 @@ std::string EncodeChaosRepro(const ChaosOptions& options,
   }
   if (result.invariant_violations > 0) {
     out << "#   invariant: " << result.first_invariant_violation << "\n";
+  }
+  if (!result.topology_mismatch.empty()) {
+    out << "#   topology: " << result.topology_mismatch << "\n";
   }
   out << "seed " << options.seed << "\n";
   out << "clients " << options.clients << "\n";

@@ -147,16 +147,21 @@ struct ChaosRunResult {
   Digest schedule_digest;
   uint64_t history_events = 0;  // recorded invocations + responses
   LivenessVerdict liveness;     // judged only in adversary/judge mode
+  // Runs with a topology only: the first directed link whose delay differs
+  // from the topology's once every fault has healed ("" when all match).
+  std::string topology_mismatch;
 
   // Safety failure: a linearizability violation or an invariant-auditor
   // violation. Timeouts are unavailability, not failure.
   bool Failed() const {
     return !verdict.linearizable || invariant_violations > 0;
   }
-  // Safety failure OR a judged liveness failure: the shrinker's predicate in
-  // adversary mode, so minimal repros exist for stalls too.
+  // Safety failure, a judged liveness failure, or a run that did not end on
+  // its topology: the shrinker's predicate, so minimal repros exist for
+  // stalls and leaked link delays too.
   bool Unacceptable() const {
-    return Failed() || (liveness.judged && !liveness.live);
+    return Failed() || (liveness.judged && !liveness.live) ||
+           !topology_mismatch.empty();
   }
 };
 

@@ -279,14 +279,19 @@ void ArmFaultSchedule(ServiceGroup& group,
           sim.After(Simulation::kNoOwner, event.duration,
                     [&sim] { sim.network().SetDuplication(0.0, 0); });
           break;
-        case FaultKind::kLinkDelay:
-          sim.network().SetLinkDelay(event.replica, event.peer,
-                                     event.delay_us);
-          sim.After(Simulation::kNoOwner, event.duration,
-                    [&sim, a = event.replica, b = event.peer] {
-                      sim.network().SetLinkDelay(a, b, 0);
-                    });
+        case FaultKind::kLinkDelay: {
+          // Both directions of {replica, peer}, on top of whatever delay the
+          // topology or an overlapping fault already put there. One closure
+          // arms (+1) and heals (-1), so healing takes back exactly what
+          // arming added.
+          auto add = [&sim, e = event](SimTime sign) {
+            sim.network().AddDelay(e.replica, e.peer, sign * e.delay_us);
+            sim.network().AddDelay(e.peer, e.replica, sign * e.delay_us);
+          };
+          add(1);
+          sim.After(Simulation::kNoOwner, event.duration, [add] { add(-1); });
           break;
+        }
         case FaultKind::kEquivocate:
           group.replica(event.replica).SetEquivocateMask(event.side_mask);
           group.replica(event.replica).SetEquivocate(true);
@@ -297,36 +302,26 @@ void ArmFaultSchedule(ServiceGroup& group,
                     });
           break;
         case FaultKind::kSelectiveSuppress: {
-          const int n = group.replica_count();
-          for (NodeId peer = 0; peer < n; ++peer) {
-            if (peer == event.replica ||
-                ((event.side_mask >> peer) & 1) == 0) {
-              continue;
+          // Directed victim -> peer levers for every peer in side_mask. A
+          // delay stacks on the link's delay and heals like kLinkDelay; a
+          // drop probability is set and cleared.
+          auto apply = [&sim, &group, e = event](SimTime sign) {
+            for (NodeId peer = 0; peer < group.replica_count(); ++peer) {
+              if (peer == e.replica || ((e.side_mask >> peer) & 1) == 0) {
+                continue;
+              }
+              if (e.delay_us > 0) {
+                sim.network().AddDelay(e.replica, peer, sign * e.delay_us);
+              } else {
+                const double p = e.prob_ppm > 0 ? e.probability() : 1.0;
+                sim.network().SetPairDropProbability(e.replica, peer,
+                                                     sign > 0 ? p : 0.0);
+              }
             }
-            if (event.delay_us > 0) {
-              sim.network().SetPairDelay(event.replica, peer, event.delay_us);
-            } else {
-              sim.network().SetPairDropProbability(
-                  event.replica, peer,
-                  event.prob_ppm > 0 ? event.probability() : 1.0);
-            }
-          }
+          };
+          apply(1);
           sim.After(Simulation::kNoOwner, event.duration,
-                    [&sim, &group, e = event] {
-                      const int n = group.replica_count();
-                      for (NodeId peer = 0; peer < n; ++peer) {
-                        if (peer == e.replica ||
-                            ((e.side_mask >> peer) & 1) == 0) {
-                          continue;
-                        }
-                        if (e.delay_us > 0) {
-                          sim.network().SetPairDelay(e.replica, peer, 0);
-                        } else {
-                          sim.network().SetPairDropProbability(e.replica,
-                                                               peer, 0.0);
-                        }
-                      }
-                    });
+                    [apply] { apply(-1); });
           break;
         }
         case FaultKind::kSlowPrimary:

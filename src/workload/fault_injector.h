@@ -27,7 +27,8 @@ enum class FaultKind {
   kPartition,         // split replicas into two sides (side_mask) for `duration`
   kDropBurst,         // global drop probability `prob_ppm` for `duration`
   kDuplicate,         // duplicate deliveries with `prob_ppm` for `duration`
-  kLinkDelay,         // extra `delay_us` on link {replica, peer} for `duration`
+  kLinkDelay,         // extra `delay_us` on link {replica, peer} for `duration`,
+                      // added to the link's delay and taken back on heal
   // Active Byzantine adversary strategies (src/workload/adversary.{h,cc}):
   // the compromised replica speaks the real protocol maliciously. All of
   // them count toward the f budget and must target the schedule's single

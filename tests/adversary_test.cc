@@ -327,14 +327,14 @@ TEST(SelectiveSuppression, PairDelayIsDirected) {
   ASSERT_LT(baseline, kExtra);
 
   for (NodeId peer = 1; peer <= 3; ++peer) {
-    group->sim().network().SetPairDelay(0, peer, kExtra);
+    group->sim().network().AddDelay(0, peer, kExtra);
   }
   ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(1, ToBytes("w"))).ok());
   EXPECT_GE(group->client(0).last_latency(), kExtra);
 
   for (NodeId peer = 1; peer <= 3; ++peer) {
-    group->sim().network().SetPairDelay(0, peer, 0);
-    group->sim().network().SetPairDelay(peer, 0, kExtra);
+    group->sim().network().AddDelay(0, peer, -kExtra);
+    group->sim().network().AddDelay(peer, 0, kExtra);
   }
   ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(2, ToBytes("w"))).ok());
   EXPECT_LT(group->client(0).last_latency(), kExtra)

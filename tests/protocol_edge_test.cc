@@ -435,8 +435,7 @@ TEST(ProtocolEdge, SmallResultDoesNotWaitForSlowDesignatedReplier) {
   params.seed = 9010;
   auto group = MakeGroup(std::move(params));
   const NodeId client_id = group->config().ClientId(0);
-  group->sim().network().SetPairDelay(/*from=*/1, client_id,
-                                      50 * kMillisecond);
+  group->sim().network().AddDelay(/*from=*/1, client_id, 50 * kMillisecond);
 
   auto r = group->Invoke(KvAdapter::EncodeSet(1, ToBytes("v")));
   ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -412,7 +412,7 @@ TEST(Network, LinkDelayDelaysOnlyThatLink) {
   TimedNode c(&sim, 3, &arrivals);
   sim.AddNode(2, &b);
   sim.AddNode(3, &c);
-  sim.network().SetLinkDelay(1, 2, 5000);
+  sim.network().AddDelay(1, 2, 5000);
   sim.After(1, 0, [&] {
     sim.network().Send(1, 2, ToBytes("slow"));
     sim.network().Send(1, 3, ToBytes("fast"));
@@ -422,8 +422,8 @@ TEST(Network, LinkDelayDelaysOnlyThatLink) {
   EXPECT_EQ(arrivals[0].first, 3);  // the undelayed link wins
   EXPECT_EQ(arrivals[1].first, 2);
   EXPECT_EQ(arrivals[1].second - arrivals[0].second, 5000);
-  // Clearing the lever restores symmetry.
-  sim.network().SetLinkDelay(1, 2, 0);
+  // Taking the delay back restores symmetry.
+  sim.network().AddDelay(1, 2, -5000);
   arrivals.clear();
   sim.After(1, sim.Now(), [&] {
     sim.network().Send(1, 2, ToBytes("even"));
@@ -432,27 +432,6 @@ TEST(Network, LinkDelayDelaysOnlyThatLink) {
   sim.RunUntilIdle();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0].second, arrivals[1].second);
-}
-
-TEST(Network, LinkDropAffectsOnlyThatLink) {
-  Simulation sim(7);
-  RecordingNode b;
-  RecordingNode c;
-  sim.AddNode(2, &b);
-  sim.AddNode(3, &c);
-  sim.network().SetLinkDropProbability(1, 2, 1.0);
-  for (int i = 0; i < 20; ++i) {
-    sim.After(1, i, [&] {
-      sim.network().Send(1, 2, ToBytes("doomed"));
-      sim.network().Send(1, 3, ToBytes("fine"));
-    });
-  }
-  sim.RunUntilIdle();
-  EXPECT_TRUE(b.messages.empty());
-  EXPECT_EQ(c.messages.size(), 20u);
-  EXPECT_EQ(sim.network().messages_offered(), 40u);
-  EXPECT_EQ(sim.network().messages_delivered(), 20u);
-  EXPECT_EQ(sim.network().messages_dropped(), 20u);
 }
 
 TEST(Network, DuplicationAliasesTheSharedBuffer) {
@@ -499,8 +478,8 @@ TEST(Network, AccountingHoldsUnderComposedLevers) {
     sim.AddNode(i, &nodes[i]);
   }
   sim.network().SetDropProbability(0.3);
-  sim.network().SetLinkDropProbability(0, 1, 0.5);
-  sim.network().SetLinkDelay(1, 2, 3000);
+  sim.network().SetPairDropProbability(0, 1, 0.5);
+  sim.network().AddDelay(1, 2, 3000);
   sim.network().SetDuplication(0.5, 3);
   for (int i = 0; i < 300; ++i) {
     sim.After(i % 4, i, [&sim, i] {
@@ -959,10 +938,10 @@ class TimestampNode : public SimNode {
   std::vector<std::pair<NodeId, SimTime>>* arrivals_;
 };
 
-TEST(Network, LinkAndPairDelayComposeOnSameLink) {
-  // The symmetric link lever and the directed pair lever stack on one link:
-  // the composition ApplyTopology relies on to program asymmetric one-way
-  // latencies (floor through SetLinkDelay, directed excess via SetPairDelay).
+TEST(Network, AddedDelaysComposeOnOneLink) {
+  // Delays added to one directed link sum, and taking one back leaves the
+  // others in place: how a topology's one-way delays and overlapping delay
+  // faults share a link.
   Simulation sim(1);
   std::vector<std::pair<NodeId, SimTime>> arrivals;
   TimestampNode a(&sim, 1, &arrivals);
@@ -971,14 +950,19 @@ TEST(Network, LinkAndPairDelayComposeOnSameLink) {
   sim.AddNode(1, &a);
   sim.AddNode(2, &b);
   sim.AddNode(3, &c);
-  sim.network().SetLinkDelay(1, 2, 5000);   // both directions
-  sim.network().SetPairDelay(1, 2, 3000);   // only 1 -> 2
-  sim.network().SetPairDelay(2, 1, 1000);   // only 2 -> 1
+  Network& net = sim.network();
+  net.AddDelay(1, 2, 5000);  // a symmetric fault, both directions
+  net.AddDelay(2, 1, 5000);
+  net.AddDelay(1, 2, 3000);  // only 1 -> 2
+  net.AddDelay(2, 1, 1000);  // only 2 -> 1
+  EXPECT_EQ(net.Delay(1, 2), 8000);
+  EXPECT_EQ(net.Delay(2, 1), 6000);
+  EXPECT_EQ(net.Delay(1, 3), 0);
   sim.After(1, 0, [&] {
-    sim.network().Send(1, 2, ToBytes("fwd"));
-    sim.network().Send(1, 3, ToBytes("ref"));
+    net.Send(1, 2, ToBytes("fwd"));
+    net.Send(1, 3, ToBytes("ref"));
   });
-  sim.After(2, 0, [&] { sim.network().Send(2, 1, ToBytes("rev")); });
+  sim.After(2, 0, [&] { net.Send(2, 1, ToBytes("rev")); });
   sim.RunUntilIdle();
   ASSERT_EQ(arrivals.size(), 3u);
   SimTime to_b = 0, to_a = 0, baseline = 0;
@@ -987,8 +971,13 @@ TEST(Network, LinkAndPairDelayComposeOnSameLink) {
     if (node == 1) to_a = at;
     if (node == 3) baseline = at;
   }
-  EXPECT_EQ(to_b - baseline, 5000 + 3000);  // link floor + directed excess
+  EXPECT_EQ(to_b - baseline, 5000 + 3000);
   EXPECT_EQ(to_a - baseline, 5000 + 1000);
+  // Healing the symmetric fault takes back exactly its share.
+  net.AddDelay(1, 2, -5000);
+  net.AddDelay(2, 1, -5000);
+  EXPECT_EQ(net.Delay(1, 2), 3000);
+  EXPECT_EQ(net.Delay(2, 1), 1000);
 }
 
 TEST(Network, LinkJitterDeterministicPerSeedAndCapped) {
@@ -1065,6 +1054,34 @@ TEST(Network, UnusedLinkJitterLeavesOtherTrafficUntouched) {
   EXPECT_EQ(run(false), run(true));
 }
 
+TEST(Network, LinkJitterReplacesTheDefault) {
+  // SetJitter is the default model: a link with a model of its own draws
+  // from that model only, so arming the default on top of a topology's
+  // jitter leaves that link's arrivals unchanged.
+  auto run = [](bool with_default) {
+    Simulation sim(5);
+    std::vector<std::pair<NodeId, SimTime>> arrivals;
+    TimestampNode b(&sim, 2, &arrivals);
+    sim.AddNode(2, &b);
+    sim.network().SetLinkJitter(1, 2, JitterSpec::Pareto(500.0, 1.5, 30000));
+    if (with_default) {
+      sim.network().SetJitter(400);
+    }
+    for (int i = 0; i < 32; ++i) {
+      sim.After(1, i * 50000, [&sim] {
+        sim.network().Send(1, 2, ToBytes("x"));
+      });
+    }
+    sim.RunUntilIdle();
+    std::vector<SimTime> times;
+    for (const auto& [node, at] : arrivals) {
+      times.push_back(at);
+    }
+    return times;
+  };
+  EXPECT_EQ(run(false), run(true));
+}
+
 TEST(Topology, PresetsResolveWithExpectedShape) {
   Topology topo;
   ASSERT_TRUE(TopologyFromName("lan", &topo));
@@ -1084,8 +1101,8 @@ TEST(Topology, PresetsResolveWithExpectedShape) {
 }
 
 TEST(Topology, ApplyProgramsAsymmetricMatrixOntoLevers) {
-  // A jitter-free topology applies exactly: one-way latency i->j rides as
-  // link floor + directed excess, same-region traffic is untouched.
+  // A jitter-free topology applies exactly: one-way latency i->j is the
+  // directed link's delay, same-region traffic is untouched.
   Topology topo;
   topo.regions = 2;
   topo.latency_us = {{0, 10000}, {4000, 0}};
@@ -1098,6 +1115,9 @@ TEST(Topology, ApplyProgramsAsymmetricMatrixOntoLevers) {
   sim.AddNode(1, &nodes1);
   sim.AddNode(2, &nodes2);
   ApplyTopology(sim.network(), topo, 3);  // regions: 0 -> 0, 1 -> 1, 2 -> 0
+  EXPECT_EQ(sim.network().Delay(0, 1), 10000);
+  EXPECT_EQ(sim.network().Delay(1, 0), 4000);
+  EXPECT_EQ(sim.network().Delay(0, 2), 0);
   const SimTime base = sim.cost().MessageLatency(1);
   sim.After(0, 0, [&] { sim.network().Send(0, 1, ToBytes("a")); });
   sim.After(1, 0, [&] { sim.network().Send(1, 0, ToBytes("b")); });
@@ -1105,9 +1125,13 @@ TEST(Topology, ApplyProgramsAsymmetricMatrixOntoLevers) {
   sim.RunUntilIdle();
   ASSERT_EQ(arrivals.size(), 3u);
   for (const auto& [node, at] : arrivals) {
-    if (node == 1) EXPECT_EQ(at, base + 10000);  // cross-region, forward
-    if (node == 0) EXPECT_EQ(at, base + 4000);   // cross-region, reverse
-    if (node == 2) EXPECT_EQ(at, base);          // same region: no levers
+    if (node == 1) {
+      EXPECT_EQ(at, base + 10000);  // cross-region, forward
+    } else if (node == 0) {
+      EXPECT_EQ(at, base + 4000);  // cross-region, reverse
+    } else {
+      EXPECT_EQ(at, base);  // same region: no delay
+    }
   }
 }
 

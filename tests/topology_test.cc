@@ -20,7 +20,8 @@
 // watermark bounds it, and the suite pins the throughput, the tail and a
 // view change that carries more than two prepared batches. The
 // adaptive-batching kill switch gets its byte-identical-trace witness and a
-// burst-coalescing behavior check here too.
+// burst-coalescing behavior check here too, and the last section checks that
+// delay faults stack on the topology's link delays and heal back to them.
 #include <algorithm>
 #include <cstdint>
 #include <functional>
@@ -35,6 +36,7 @@
 #include "src/bft/config.h"
 #include "src/sim/topology.h"
 #include "src/util/percentile.h"
+#include "src/workload/fault_injector.h"
 
 namespace bftbase {
 namespace {
@@ -45,11 +47,9 @@ constexpr uint32_t kKvSlots = 4096;
 // and jitter are programmed onto the network and (unless the caller opts
 // into the old LAN constants) config.network_rtt_us is set from the preset,
 // exactly as bench_geo and the chaos runner do it.
-std::unique_ptr<ServiceGroup> MakeGeoGroup(const std::string& preset,
+std::unique_ptr<ServiceGroup> MakeGeoGroup(const Topology& topo,
                                            ServiceGroup::Params params,
                                            bool rtt_aware) {
-  Topology topo;
-  EXPECT_TRUE(TopologyFromName(preset, &topo)) << preset;
   if (rtt_aware) {
     params.config.network_rtt_us = topo.MaxRttUs();
   }
@@ -60,6 +60,14 @@ std::unique_ptr<ServiceGroup> MakeGeoGroup(const std::string& preset,
       });
   ApplyTopology(group->sim().network(), topo, node_count);
   return group;
+}
+
+std::unique_ptr<ServiceGroup> MakeGeoGroup(const std::string& preset,
+                                           ServiceGroup::Params params,
+                                           bool rtt_aware) {
+  Topology topo;
+  EXPECT_TRUE(TopologyFromName(preset, &topo)) << preset;
+  return MakeGeoGroup(topo, std::move(params), rtt_aware);
 }
 
 // Closed-loop KV writes: `clients` clients each issue `per_client` requests
@@ -172,10 +180,6 @@ TEST(GeoTimeouts, EffectiveValuesScaleWithDeploymentRtt) {
   EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 975 * kMillisecond);
   EXPECT_EQ(config.EffectivePipelineDepth(), config.log_window);
   EXPECT_EQ(config.CheckpointVoteDeadline(), 1u);
-
-  // An explicit threshold always wins over the derived one.
-  config.primary_latency_threshold = 123 * kMillisecond;
-  EXPECT_EQ(config.EffectivePrimaryLatencyThreshold(), 123 * kMillisecond);
 }
 
 // --- Client retransmission on a WAN (the first misfire) ---------------------
@@ -496,6 +500,112 @@ TEST(AdaptiveBatching, CoalescesBurstsIntoFewerBatches) {
   ASSERT_GT(static_batches, 0u);
   EXPECT_LT(adaptive_batches, static_batches)
       << "adaptive batching never widened the cap under a 64-client burst";
+}
+
+// --- Delay faults on a topology (src/workload/fault_injector.cc) -----------
+
+// An idle 3-region group (no clients, no null-request heartbeat) on the
+// preset's latency matrix without its jitter, so a probe's one-way latency
+// is exactly the cost model's latency plus the link's delay.
+std::unique_ptr<ServiceGroup> MakeQuiet3RegionGroup(Topology* topo) {
+  EXPECT_TRUE(TopologyFromName("3-region", topo));
+  topo->intra_jitter = JitterSpec::None();
+  topo->inter_jitter = JitterSpec::None();
+  ServiceGroup::Params params;
+  params.config.f = 1;
+  params.config.null_request_interval = 0;
+  params.seed = 9301;
+  return MakeGeoGroup(*topo, std::move(params), /*rtt_aware=*/true);
+}
+
+// One-way latency of a probe sent now from `from` to `to`, minus the cost
+// model's share: the delay the link adds. The receiver is swapped for a stub
+// while the probe is in flight, so the protocol never sees it.
+SimTime ProbeDelay(ServiceGroup& group, NodeId from, NodeId to) {
+  class Stub : public SimNode {
+   public:
+    explicit Stub(Simulation* sim) : sim_(sim) {}
+    void OnMessage(NodeId, const Bytes&) override { arrived = sim_->Now(); }
+    SimTime arrived = -1;
+
+   private:
+    Simulation* sim_;
+  };
+  Simulation& sim = group.sim();
+  Stub stub(&sim);
+  SimNode* receiver = sim.GetNode(to);
+  sim.AddNode(to, &stub);
+  const Bytes probe = ToBytes("probe");
+  const SimTime sent = sim.Now();
+  sim.After(Simulation::kNoOwner, 0,
+            [&] { sim.network().Send(from, to, probe); });
+  sim.RunUntilTrue([&] { return stub.arrived >= 0; }, sent + kSecond);
+  sim.AddNode(to, receiver);
+  EXPECT_GE(stub.arrived, 0) << "probe " << from << "->" << to << " lost";
+  return stub.arrived - sent - sim.cost().MessageLatency(probe.size());
+}
+
+// A slowed inter-region link (the chaos planner adds one to every topology
+// seed) adds its delay on top of the topology's in both directions and,
+// once healed, leaves the link at the topology's one-way delays again, not
+// at LAN speed.
+TEST(GeoFaults, LinkDelayHealsBackToTheTopology) {
+  Topology topo;
+  auto group = MakeQuiet3RegionGroup(&topo);
+  ASSERT_NE(topo.RegionOf(0), topo.RegionOf(1));
+  constexpr SimTime kExtra = 200 * kMillisecond;
+  const SimTime start = group->sim().Now();
+  ArmFaultSchedule(*group, {FaultEvent::LinkDelay(0, 0, 1, kExtra, kSecond)});
+  group->sim().RunUntil(start + kMillisecond);
+  EXPECT_EQ(ProbeDelay(*group, 0, 1), topo.OneWayUs(0, 1) + kExtra);
+  EXPECT_EQ(ProbeDelay(*group, 1, 0), topo.OneWayUs(1, 0) + kExtra);
+  group->sim().RunUntil(start + 2 * kSecond);
+  EXPECT_EQ(ProbeDelay(*group, 0, 1), topo.OneWayUs(0, 1));  // 48 ms
+  EXPECT_EQ(ProbeDelay(*group, 1, 0), topo.OneWayUs(1, 0));  // 52 ms
+}
+
+// Two delay faults overlap on one link: when the first heals it takes back
+// only its own delay, and the second's still applies until it heals too.
+TEST(GeoFaults, OverlappingLinkDelaysCompose) {
+  Topology topo;
+  auto group = MakeQuiet3RegionGroup(&topo);
+  constexpr SimTime kFirstExtra = 10 * kMillisecond;
+  constexpr SimTime kSecondExtra = 20 * kMillisecond;
+  const SimTime start = group->sim().Now();
+  ArmFaultSchedule(
+      *group, {FaultEvent::LinkDelay(0, 0, 1, kFirstExtra, kSecond),
+               FaultEvent::LinkDelay(500 * kMillisecond, 1, 0, kSecondExtra,
+                                     kSecond)});
+  group->sim().RunUntil(start + 600 * kMillisecond);
+  EXPECT_EQ(ProbeDelay(*group, 0, 1),
+            topo.OneWayUs(0, 1) + kFirstExtra + kSecondExtra);
+  group->sim().RunUntil(start + 1200 * kMillisecond);  // the first has healed
+  EXPECT_EQ(ProbeDelay(*group, 0, 1), topo.OneWayUs(0, 1) + kSecondExtra);
+  EXPECT_EQ(ProbeDelay(*group, 1, 0), topo.OneWayUs(1, 0) + kSecondExtra);
+  group->sim().RunUntil(start + 2 * kSecond);
+  EXPECT_EQ(ProbeDelay(*group, 0, 1), topo.OneWayUs(0, 1));
+  EXPECT_EQ(ProbeDelay(*group, 1, 0), topo.OneWayUs(1, 0));
+}
+
+// A selective-suppression delay slows only victim -> peer and, once healed,
+// leaves that direction at the topology's delay, which on 3-region differs
+// from the reverse one (1 -> 0 is 52 ms, 0 -> 1 is 48 ms).
+TEST(GeoFaults, SelectiveSuppressDelayHealsBackToTheTopology) {
+  Topology topo;
+  auto group = MakeQuiet3RegionGroup(&topo);
+  ASSERT_GT(topo.OneWayUs(1, 0), topo.OneWayUs(0, 1));
+  constexpr SimTime kExtra = 30 * kMillisecond;
+  const SimTime start = group->sim().Now();
+  ArmFaultSchedule(*group,
+                   {FaultEvent::SelectiveSuppress(0, /*replica=*/1,
+                                                  /*peer_mask=*/1u << 0,
+                                                  /*probability=*/0.0, kExtra,
+                                                  kSecond)});
+  group->sim().RunUntil(start + kMillisecond);
+  EXPECT_EQ(ProbeDelay(*group, 1, 0), topo.OneWayUs(1, 0) + kExtra);
+  EXPECT_EQ(ProbeDelay(*group, 0, 1), topo.OneWayUs(0, 1));  // not directed
+  group->sim().RunUntil(start + 2 * kSecond);
+  EXPECT_EQ(ProbeDelay(*group, 1, 0), topo.OneWayUs(1, 0));
 }
 
 }  // namespace
