@@ -2,10 +2,10 @@
 
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "src/util/codec.h"
+#include "src/util/hotpath.h"
 #include "src/util/log.h"
 
 namespace bftbase {
@@ -154,24 +154,27 @@ Result<WireMessage> Channel::Open(BytesView wire) {
   }
 
   // Simulated digest cost is charged unconditionally (the protocol's cost
-  // model is unchanged); the memo below only skips *real* SHA-256 work when
-  // this exact delivered buffer was already opened by an earlier receiver of
-  // the same multicast. Keyed by buffer identity, so any envelope whose
-  // bytes differ (fault hooks, re-encodes, stashed copies) recomputes.
+  // model is unchanged); the delivered Payload's memo only skips *real*
+  // SHA-256 work when an earlier receiver of the same buffer already opened
+  // it. Only a wire that *is* the delivered buffer uses the memo, so any
+  // envelope whose bytes live elsewhere (fault hooks, re-encodes, stashed
+  // copies) recomputes.
   sim_->ChargeCpu(sim_->cost().DigestCost(msg.payload.size()));
+  const std::shared_ptr<const Payload>& delivery = sim_->current_delivery();
+  Payload::Memo* memo = nullptr;
+  if (delivery != nullptr && delivery->bytes.data() == wire.data() &&
+      delivery->bytes.size() == wire.size()) {
+    memo = &delivery->memo;
+  }
   Digest digest;
-  const std::shared_ptr<const Bytes>& delivery = sim_->current_delivery();
-  const bool cacheable = delivery != nullptr &&
-                         delivery->data() == wire.data() &&
-                         delivery->size() == wire.size();
-  std::optional<DeliveryDigestMemo::Hit> memo =
-      cacheable ? sim_->digest_memo().Lookup(delivery) : std::nullopt;
-  if (memo.has_value()) {
-    digest = memo->digest;
+  if (memo != nullptr && memo->digest.has_value()) {
+    ++hotpath::counters().digest_memo_hits;
+    digest = *memo->digest;
   } else {
     digest = EnvelopeDigest(msg.type, msg.sender, msg.payload);
-    if (cacheable) {
-      sim_->digest_memo().Store(delivery, digest);
+    if (memo != nullptr) {
+      ++hotpath::counters().digest_memo_misses;
+      memo->digest = digest;
     }
   }
 
@@ -197,15 +200,15 @@ Result<WireMessage> Channel::Open(BytesView wire) {
       // Signing keys never rotate, so a signature verifies (or fails) alike
       // at every receiver: the first receiver of a buffer checks it and the
       // memo hands its verdict to the rest.
-      if (memo.has_value() && memo->signature_valid.has_value()) {
+      if (memo != nullptr && memo->signature_valid.has_value()) {
         valid = *memo->signature_valid;
         break;
       }
       auto expected = keys_->Sign(msg.sender, digest.view());
       valid = ConstantTimeEqual(BytesView(expected.data(), expected.size()),
                                 auth);
-      if (cacheable) {
-        sim_->digest_memo().Store(delivery, digest, valid);
+      if (memo != nullptr) {
+        memo->signature_valid = valid;
       }
       break;
     }

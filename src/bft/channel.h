@@ -66,13 +66,12 @@ class Channel {
 
   // --- Receiving -----------------------------------------------------------
 
-  // Parses and authenticates an envelope addressed to this node. Charges
-  // verification cost. Rejects unknown senders, bad MACs, bad signatures.
+  // Parses and authenticates an envelope. Charges verification cost.
+  // Rejects unknown senders, bad MACs, bad signatures. A MAC must be
+  // addressed to this node; a signature verifies anywhere, so the signed
+  // proofs a VIEW-CHANGE or NEW-VIEW carries open here too (the caller
+  // checks that they are kSigned).
   Result<WireMessage> Open(BytesView wire);
-
-  // Parses and verifies a *signed* envelope out of band (e.g. a proof buried
-  // in a VIEW-CHANGE). Does not require the message to be addressed to us.
-  Result<WireMessage> OpenDetached(BytesView wire) { return Open(wire); }
 
   // Parses an envelope WITHOUT authenticating it. Only for envelopes that
   // were already verified on receipt (e.g. re-reading a batched client

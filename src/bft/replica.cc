@@ -30,15 +30,15 @@ constexpr SimTime kAdaptiveBatchHoldMax = 2 * kMillisecond;
 // Latency samples per view the primary quality monitor needs before judging.
 constexpr size_t kPrimaryLatencyWindow = 8;
 
-// The buffer `wire` was delivered in, shared instead of copied; a copy when
+// The Payload `wire` was delivered in, shared instead of copied; a copy when
 // `wire` is not the delivery being handled (e.g. a replayed stash).
-std::shared_ptr<const Bytes> ShareDelivered(Simulation* sim,
-                                            const Bytes& wire) {
-  const std::shared_ptr<const Bytes>& delivery = sim->current_delivery();
-  if (delivery != nullptr && delivery->data() == wire.data()) {
+std::shared_ptr<const Payload> ShareDelivered(Simulation* sim,
+                                              const Bytes& wire) {
+  const std::shared_ptr<const Payload>& delivery = sim->current_delivery();
+  if (delivery != nullptr && delivery->bytes.data() == wire.data()) {
     return delivery;
   }
-  return std::make_shared<const Bytes>(wire);
+  return std::make_shared<const Payload>(wire);
 }
 
 // The body of a client's REQUEST envelope, parsed without authenticating
@@ -309,7 +309,7 @@ bool Replica::AdmitRequest(const Digest& digest, const RequestMsg& request,
 }
 
 void Replica::StoreBody(const Digest& digest, const RequestMsg& request,
-                        std::shared_ptr<const Bytes> wire) {
+                        std::shared_ptr<const Payload> wire) {
   StoredRequest& body = requests_[digest];
   body.client = request.client;
   body.timestamp = request.timestamp;
@@ -424,7 +424,7 @@ void Replica::HandleFetch(const WireMessage& msg) {
   for (const Digest& d : wanted) {
     auto it = requests_.find(d);
     if (it != requests_.end()) {
-      reply.request_wires.push_back(*it->second.client_wire);
+      reply.request_wires.push_back(it->second.client_wire->bytes);
     }
   }
   if (!reply.request_wires.empty()) {
@@ -476,7 +476,7 @@ void Replica::HandleFetchReply(const WireMessage& msg) {
         continue;
       }
     }
-    StoreBody(digest, *request, std::make_shared<const Bytes>(wire));
+    StoreBody(digest, *request, std::make_shared<const Payload>(wire));
     stored = true;
   }
   if (stored) {
@@ -869,7 +869,7 @@ void Replica::RecordPreparedCert(SeqNum seq, const LogEntry& entry,
     for (const Digest& d : entry.pre_prepare->request_digests) {
       auto body = requests_.find(d);
       if (body != requests_.end()) {
-        envelopes.push_back(body->second.client_wire.get());
+        envelopes.push_back(&body->second.client_wire->bytes);
       }
     }
     enc.PutU32(static_cast<uint32_t>(envelopes.size()));
@@ -936,7 +936,7 @@ void Replica::ExecuteBatch(SeqNum seq, LogEntry& entry) {
         body->second.timestamp <= ts_it->second) {
       continue;  // duplicate slipped into a batch; execute-once semantics
     }
-    auto request = ParseRequestEnvelope(*body->second.client_wire);
+    auto request = ParseRequestEnvelope(body->second.client_wire->bytes);
     if (!request.ok()) {
       continue;  // validated when stored; cannot happen
     }
@@ -1596,7 +1596,8 @@ void Replica::RestartFromStorage() {
       auto body = bodies.find(d);
       if (body != bodies.end() && requests_.count(d) == 0) {
         StoreBody(d, body->second.first,
-                  std::make_shared<const Bytes>(std::move(body->second.second)));
+                  std::make_shared<const Payload>(
+                      std::move(body->second.second)));
       }
     }
     LogEntry& entry = log_.Get(seq);

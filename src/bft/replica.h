@@ -285,11 +285,11 @@ class Replica : public SimNode {
   struct StoredRequest {
     NodeId client = 0;
     uint64_t timestamp = 0;
-    // The client's authenticated envelope, sharing the buffer it was
+    // The client's authenticated envelope, sharing the Payload it was
     // delivered in when it can: relayed to the primary, served to a peer's
     // FETCH, persisted with the prepared certificate, and parsed again (not
     // hashed again) at execution.
-    std::shared_ptr<const Bytes> client_wire;
+    std::shared_ptr<const Payload> client_wire;
     SimTime received_at = 0;  // first arrival, for the quality monitor
     // Highest sequence number of a logged batch that lists this request
     // (0: none yet) and the view of the batch that last listed it.
@@ -307,7 +307,7 @@ class Replica : public SimNode {
   bool AdmitRequest(const Digest& digest, const RequestMsg& request,
                     const Bytes& wire);
   void StoreBody(const Digest& digest, const RequestMsg& request,
-                 std::shared_ptr<const Bytes> wire);
+                 std::shared_ptr<const Payload> wire);
   // Drops `client`'s pending request once execution reached `timestamp`;
   // frees its body unless a batch lists it.
   void ReleasePending(NodeId client, uint64_t timestamp);

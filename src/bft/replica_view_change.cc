@@ -175,7 +175,7 @@ Result<ViewChangeMsg> Replica::ValidateViewChange(const WireMessage& msg) {
   if (vc->stable_seq > 0) {
     std::set<NodeId> signers;
     for (const Bytes& cp_wire : vc->checkpoint_proof) {
-      auto cp_env = channel_.OpenDetached(cp_wire);
+      auto cp_env = channel_.Open(cp_wire);
       if (!cp_env.ok() || cp_env->type != MsgType::kCheckpoint ||
           cp_env->auth != AuthKind::kSigned) {
         continue;
@@ -195,7 +195,7 @@ Result<ViewChangeMsg> Replica::ValidateViewChange(const WireMessage& msg) {
   // 2. Prepared certificates: signed pre-prepare + 2f signed prepares with
   //    matching (view, seq, digest) from distinct backups.
   for (const PreparedProof& proof : vc->prepared) {
-    auto pp_env = channel_.OpenDetached(proof.pre_prepare_wire);
+    auto pp_env = channel_.Open(proof.pre_prepare_wire);
     if (!pp_env.ok() || pp_env->type != MsgType::kPrePrepare ||
         pp_env->auth != AuthKind::kSigned) {
       return PermissionDenied("prepared proof: bad pre-prepare");
@@ -214,7 +214,7 @@ Result<ViewChangeMsg> Replica::ValidateViewChange(const WireMessage& msg) {
     Digest digest = pp->ComputeDigest();
     std::set<NodeId> signers;
     for (const Bytes& p_wire : proof.prepare_wires) {
-      auto p_env = channel_.OpenDetached(p_wire);
+      auto p_env = channel_.Open(p_wire);
       if (!p_env.ok() || p_env->type != MsgType::kPrepare ||
           p_env->auth != AuthKind::kSigned) {
         continue;
@@ -412,7 +412,7 @@ void Replica::HandleNewView(const WireMessage& msg, const Bytes& wire) {
   std::vector<ViewChangeMsg> vcs;
   std::set<NodeId> senders;
   for (const Bytes& vc_wire : nv->view_changes) {
-    auto vc_env = channel_.OpenDetached(vc_wire);
+    auto vc_env = channel_.Open(vc_wire);
     if (!vc_env.ok() || vc_env->type != MsgType::kViewChange ||
         vc_env->auth != AuthKind::kSigned) {
       return;
@@ -441,7 +441,7 @@ void Replica::HandleNewView(const WireMessage& msg, const Bytes& wire) {
   }
   std::map<SeqNum, Digest> offered;
   for (const Bytes& pp_wire : nv->pre_prepares) {
-    auto pp_env = channel_.OpenDetached(pp_wire);
+    auto pp_env = channel_.Open(pp_wire);
     if (!pp_env.ok() || pp_env->type != MsgType::kPrePrepare ||
         pp_env->auth != AuthKind::kSigned ||
         pp_env->sender != config_.PrimaryOf(nv->view)) {

@@ -55,10 +55,7 @@ class ServiceInterface {
   // checkpoint S < executed above `stable_seq` must have had at least
   // min(executed - S, D) / D of its digest work by now; the shortfall is
   // charged to this handler.
-  virtual void PaceCheckpoints(SeqNum executed, SeqNum stable_seq) {
-    (void)executed;
-    (void)stable_seq;
-  }
+  virtual void PaceCheckpoints(SeqNum executed, SeqNum stable_seq) = 0;
 
   // The checkpoint at `seq` became stable; older checkpoints can go.
   virtual void DiscardCheckpointsBefore(SeqNum seq) = 0;
@@ -105,9 +102,9 @@ class ServiceInterface {
   virtual Bytes GetProtocolState() const = 0;
 
   // --- Durable storage (WAL + checkpoint pages) -----------------------------
-  // Implemented by services backed by a simulated StorageDevice; the defaults
-  // make every hook a no-op so in-memory services (and test mocks) are
-  // unaffected.
+  // The Log* hooks write to a simulated StorageDevice. A service without one
+  // (HasDurableStorage() false) ignores them, and its RecoverFromStorage
+  // reports !ok.
 
   // One request the replica actually executed, as the WAL must remember it to
   // re-execute at recovery.
@@ -146,42 +143,32 @@ class ServiceInterface {
     SimTime replay_time_us = 0;  // virtual time to replay the WAL tail
   };
 
-  virtual bool HasDurableStorage() const { return false; }
+  virtual bool HasDurableStorage() const = 0;
 
   // Logs one executed batch (agreed nondet + the requests that ran) and makes
   // it durable before the replica's replies can matter.
   virtual void LogBatch(SeqNum seq, BytesView nondet,
-                        const std::vector<ExecutedRequest>& executed) {
-    (void)seq;
-    (void)nondet;
-    (void)executed;
-  }
+                        const std::vector<ExecutedRequest>& executed) = 0;
 
   // Logs a durable view mark when a new view is installed.
-  virtual void LogViewMark(ViewNum view) { (void)view; }
+  virtual void LogViewMark(ViewNum view) = 0;
 
   // Logs a prepared certificate for `seq` — made durable BEFORE the COMMIT
   // message that announces the promise, so a crashed replica cannot forget
   // it. The blob is opaque to the service layer.
-  virtual void LogPrepared(SeqNum seq, BytesView cert) {
-    (void)seq;
-    (void)cert;
-  }
+  virtual void LogPrepared(SeqNum seq, BytesView cert) = 0;
 
   // Logs the signed proof of the stable checkpoint at `seq` so a restarted
   // replica can prove its view-change window.
-  virtual void LogStableProof(SeqNum seq, BytesView proof) {
-    (void)seq;
-    (void)proof;
-  }
+  virtual void LogStableProof(SeqNum seq, BytesView proof) = 0;
 
   // The replica process died: drop everything volatile on the service side
   // and propagate the crash to the storage device (unsynced tail is lost).
-  virtual void OnCrash() {}
+  virtual void OnCrash() = 0;
 
   // Restart-from-disk: load the last durable checkpoint, replay the WAL tail
   // and report what was reconstructed.
-  virtual RecoveryInfo RecoverFromStorage() { return {}; }
+  virtual RecoveryInfo RecoverFromStorage() = 0;
 };
 
 }  // namespace bftbase

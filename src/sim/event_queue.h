@@ -11,7 +11,7 @@
 //  - EventPool: slab storage for in-flight events, recycled through an
 //    intrusive free list. The two dominant event kinds are inlined as tagged
 //    fields instead of capturing lambdas: a message delivery is just
-//    {to, from, tag, shared_ptr<const Bytes>}, and a timer is an InlineFn.
+//    {to, from, tag, shared_ptr<const Payload>}, and a timer is an InlineFn.
 //    Slot reuse is counted in hot.event_pool_reuses. Each slot carries a
 //    generation counter; a TimerId packs (slot, generation), so cancelling
 //    an already-fired or never-queued timer is an O(1) no-op instead of an
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "src/sim/cost_model.h"
-#include "src/util/bytes.h"
+#include "src/sim/payload.h"
 #include "src/util/hotpath.h"
 
 namespace bftbase {
@@ -154,7 +154,7 @@ struct PooledEvent {
   // kDelivery: the message, inlined instead of a capturing lambda.
   int from = -1;
   int tag = -1;
-  std::shared_ptr<const Bytes> payload;
+  std::shared_ptr<const Payload> payload;
   // kCallback: the timer body.
   InlineFn fn;
   // Free-list link, valid only while kind == kFree.

@@ -155,15 +155,16 @@ SimTime Network::DeliveryLatency(NodeId from, NodeId to, size_t size) {
 }
 
 void Network::Deliver(NodeId from, NodeId to, int tag,
-                      std::shared_ptr<const Bytes> payload) {
+                      std::shared_ptr<const Payload> payload) {
+  const size_t size = payload->bytes.size();
   c_msgs_delivered_.Inc(from, tag);
-  c_bytes_delivered_.Inc(from, tag, payload->size());
+  c_bytes_delivered_.Inc(from, tag, size);
 
   SimTime latency;
   if (from == to) {
     latency = sim_->cost().message_handling_us;  // loopback
   } else {
-    latency = DeliveryLatency(from, to, payload->size());
+    latency = DeliveryLatency(from, to, size);
   }
   // Messages leave the sender once its handler's accumulated CPU work is
   // done; this is what makes MAC/digest computation show up in end-to-end
@@ -179,13 +180,13 @@ void Network::Deliver(NodeId from, NodeId to, int tag,
     const int copies =
         1 + static_cast<int>(sim_->rng().NextBelow(
                 static_cast<uint64_t>(duplicate_max_)));
-    const SimTime base = sim_->cost().MessageLatency(payload->size());
+    const SimTime base = sim_->cost().MessageLatency(size);
     for (int i = 0; i < copies; ++i) {
       c_msgs_duplicated_.Inc(from, tag);
       c_msgs_delivered_.Inc(from, tag);
-      c_bytes_delivered_.Inc(from, tag, payload->size());
+      c_bytes_delivered_.Inc(from, tag, size);
       SimTime dup_latency =
-          DeliveryLatency(from, to, payload->size()) +
+          DeliveryLatency(from, to, size) +
           static_cast<SimTime>(
               sim_->rng().NextBelow(static_cast<uint64_t>(2 * base) + 1));
       sim_->ScheduleDelivery(depart + dup_latency, to, from, payload, tag);
@@ -204,17 +205,17 @@ void Network::Send(NodeId from, NodeId to, Bytes payload) {
     CountDrop(from, to, tag, payload.size());
     return;
   }
-  // The buffer is moved into a shared payload (no copy); its storage recycles
-  // through the BufferPool when the delivery releases it.
-  Deliver(from, to, tag, MakePooledShared(std::move(payload)));
+  // The buffer is moved into the Payload (no copy); its storage recycles
+  // through the BufferPool when the last delivery releases it.
+  Deliver(from, to, tag, std::make_shared<const Payload>(std::move(payload)));
 }
 
 void Network::Multicast(NodeId from, NodeId first, NodeId last,
                         const Bytes& payload, NodeId skip) {
   const int tag = MessageTag(payload);
-  // One shared buffer for every recipient, materialized only when the first
+  // One shared Payload for every recipient, materialized only when the first
   // recipient actually survives the fault checks.
-  std::shared_ptr<const Bytes> shared;
+  std::shared_ptr<const Payload> shared;
   for (NodeId to = first; to < last; ++to) {
     if (to == skip) {
       continue;
@@ -235,20 +236,23 @@ void Network::Multicast(NodeId from, NodeId first, NodeId last,
         continue;
       }
       if (copy == payload) {
-        // Untouched: fold back onto the shared buffer so downstream
-        // identity-keyed caches still see one buffer. The private copy
-        // doubles as the shared buffer if none exists yet.
+        // Untouched: fold back onto the shared Payload so the untouched
+        // recipients still share one digest memo. The private copy doubles
+        // as the shared Payload if none exists yet.
         if (shared == nullptr) {
-          shared = MakePooledShared(std::move(copy));
+          shared = std::make_shared<const Payload>(std::move(copy));
         }
         Deliver(from, to, tag, shared);
       } else {
-        Deliver(from, to, tag, MakePooledShared(std::move(copy)));
+        Deliver(from, to, tag,
+                std::make_shared<const Payload>(std::move(copy)));
       }
     } else {
       if (shared == nullptr) {
         CountCopy(from, tag, payload.size());
-        shared = MakePooledSharedCopy(payload);
+        Bytes copy = BufferPool::Acquire();
+        copy.assign(payload.begin(), payload.end());
+        shared = std::make_shared<const Payload>(std::move(copy));
       }
       Deliver(from, to, tag, shared);
     }

@@ -11,14 +11,15 @@
 // isolation (crash), and an interceptor hook that can observe, drop or
 // rewrite messages in flight (a network-level Byzantine adversary).
 //
-// Zero-copy fabric: payloads travel as std::shared_ptr<const Bytes>. A
-// multicast materializes one shared buffer lazily — after the fault checks,
-// only when at least one recipient survives — and schedules every delivery
-// against it; a 100%-dropped multicast copies nothing. When an interceptor is
-// installed the fabric falls back to copy-on-write at the fault-injection
-// boundary: each recipient gets a private copy to mutate, and unchanged
-// copies are folded back onto the shared buffer, so one recipient's rewrite
-// can never alias into another's bytes.
+// Zero-copy fabric: payloads travel as std::shared_ptr<const Payload>
+// (src/sim/payload.h). A multicast materializes one shared Payload lazily —
+// after the fault checks, only when at least one recipient survives — and
+// schedules every delivery against it; a 100%-dropped multicast copies
+// nothing. When an interceptor is installed the fabric falls back to
+// copy-on-write at the fault-injection boundary: each recipient gets a
+// private copy to mutate, and unchanged copies are folded back onto the
+// shared Payload, so one recipient's rewrite can never alias into another's
+// bytes, and the untouched recipients still share one digest memo.
 #ifndef SRC_SIM_NETWORK_H_
 #define SRC_SIM_NETWORK_H_
 
@@ -30,6 +31,7 @@
 #include <utility>
 
 #include "src/sim/cost_model.h"
+#include "src/sim/payload.h"
 #include "src/sim/simulation.h"
 #include "src/util/bytes.h"
 
@@ -75,14 +77,15 @@ class Network {
 
   // Sends `payload` from `from` to `to`. Delivery is scheduled after the cost
   // model's latency unless a fault suppresses it. Self-sends are delivered
-  // with only handling cost (loopback). The buffer is moved, never copied.
+  // with only handling cost (loopback). The buffer is moved into the
+  // delivered Payload, never copied.
   void Send(NodeId from, NodeId to, Bytes payload);
 
-  // Sends every id in [first, last) the *same* shared buffer (except `skip`,
-  // if in range). The caller keeps ownership of `payload`; at most one copy
-  // is made no matter how many recipients there are (zero if every recipient
-  // is dropped), plus one private copy per recipient when an interceptor is
-  // installed.
+  // Sends every id in [first, last) the *same* shared Payload (except
+  // `skip`, if in range). The caller keeps ownership of `payload`; at most
+  // one copy is made no matter how many recipients there are (zero if every
+  // recipient is dropped), plus one private copy per recipient when an
+  // interceptor is installed.
   static constexpr NodeId kNoSkip = -1;
   void Multicast(NodeId from, NodeId first, NodeId last, const Bytes& payload,
                  NodeId skip = kNoSkip);
@@ -196,7 +199,7 @@ class Network {
   // Counts the delivery and schedules it after the cost model's latency;
   // rolls the duplication lever for extra aliased deliveries.
   void Deliver(NodeId from, NodeId to, int tag,
-               std::shared_ptr<const Bytes> payload);
+               std::shared_ptr<const Payload> payload);
 
   Simulation* sim_;
   // True while no lever that PassesFaultChecks consults is armed; lets the

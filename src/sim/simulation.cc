@@ -173,7 +173,7 @@ void Simulation::SetBusyUntil(NodeId owner, SimTime until) {
 }
 
 void Simulation::ScheduleDelivery(SimTime when, NodeId to, NodeId from,
-                                  std::shared_ptr<const Bytes> payload,
+                                  std::shared_ptr<const Payload> payload,
                                   int tag) {
   // A delivery is a tagged struct in a recycled pool slot — no callback, no
   // allocation beyond the slot itself.
@@ -189,19 +189,19 @@ void Simulation::ScheduleDelivery(SimTime when, NodeId to, NodeId from,
 }
 
 void Simulation::RunDelivery(NodeId to, NodeId from, int tag,
-                             std::shared_ptr<const Bytes> payload) {
+                             std::shared_ptr<const Payload> payload) {
   SimNode* node = GetNode(to);
   if (node == nullptr) {
     return;
   }
-  trace_.Record(TraceEvent::kMsgDeliver, now_, from, to, payload->size(),
-                static_cast<uint64_t>(tag));
-  // Expose the shared buffer to the handler so the receive path can key
-  // caches by buffer identity. Saved/restored because OnMessage may replay
-  // stashed wires through nested OnMessage calls.
-  std::shared_ptr<const Bytes> prev = std::move(current_delivery_);
+  trace_.Record(TraceEvent::kMsgDeliver, now_, from, to,
+                payload->bytes.size(), static_cast<uint64_t>(tag));
+  // Expose the delivered Payload to the handler so the receive path can use
+  // its memo. Saved/restored because OnMessage may replay stashed wires
+  // through nested OnMessage calls.
+  std::shared_ptr<const Payload> prev = std::move(current_delivery_);
   current_delivery_ = std::move(payload);
-  node->OnMessage(from, *current_delivery_);
+  node->OnMessage(from, current_delivery_->bytes);
   current_delivery_ = std::move(prev);
 }
 
@@ -247,7 +247,7 @@ bool Simulation::Step() {
   const PooledEvent::Kind kind = slot.kind;
   const NodeId from = slot.from;
   const int tag = slot.tag;
-  std::shared_ptr<const Bytes> payload = std::move(slot.payload);
+  std::shared_ptr<const Payload> payload = std::move(slot.payload);
   InlineFn fn = std::move(slot.fn);
   pool_.Release(top.pool_index);
 

@@ -39,9 +39,9 @@
 #include <vector>
 
 #include "src/sim/cost_model.h"
-#include "src/sim/digest_memo.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/metrics.h"
+#include "src/sim/payload.h"
 #include "src/sim/trace.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
@@ -186,21 +186,18 @@ class Simulation {
 
   // Internal: used by Network to deliver messages with node serialization.
   // `tag` labels the payload (message type) for trace records. The payload is
-  // an immutable shared buffer: a multicast schedules n deliveries against
-  // one buffer instead of n copies.
+  // immutable and shared: a multicast schedules n deliveries against one
+  // Payload instead of n copies.
   void ScheduleDelivery(SimTime when, NodeId to, NodeId from,
-                        std::shared_ptr<const Bytes> payload, int tag = -1);
+                        std::shared_ptr<const Payload> payload, int tag = -1);
 
-  // The shared buffer of the message delivery currently being handled, or
-  // null outside OnMessage. Lets receive-side code (Channel::Open) key caches
-  // by buffer identity without changing the SimNode::OnMessage signature.
-  const std::shared_ptr<const Bytes>& current_delivery() const {
+  // The message delivery currently being handled, or null outside
+  // OnMessage. Lets receive-side code reach the delivered Payload (its memo,
+  // or the buffer itself to keep) without changing the SimNode::OnMessage
+  // signature.
+  const std::shared_ptr<const Payload>& current_delivery() const {
     return current_delivery_;
   }
-
-  // Envelope digests and signature verdicts memoized per delivered buffer
-  // (see digest_memo.h).
-  DeliveryDigestMemo& digest_memo() { return digest_memo_; }
 
  private:
   // TimerIds pack (pool slot, slot generation), so Cancel is O(1) and a
@@ -231,7 +228,7 @@ class Simulation {
 
   // Runs one message delivery through the receiving node's handler.
   void RunDelivery(NodeId to, NodeId from, int tag,
-                   std::shared_ptr<const Bytes> payload);
+                   std::shared_ptr<const Payload> payload);
 
   // Pops cancelled timers off the head of the queue so that the head always
   // refers to an event that will actually run.
@@ -272,8 +269,7 @@ class Simulation {
   MetricsRegistry metrics_;
   EventTrace trace_;
   Network* network_;
-  std::shared_ptr<const Bytes> current_delivery_;
-  DeliveryDigestMemo digest_memo_;
+  std::shared_ptr<const Payload> current_delivery_;
 };
 
 }  // namespace bftbase

@@ -62,19 +62,4 @@ void BufferPool::Clear() {
   // Buffers are freed outside the lock.
 }
 
-std::shared_ptr<const Bytes> MakePooledShared(Bytes buf) {
-  return std::shared_ptr<const Bytes>(new Bytes(std::move(buf)),
-                                      [](const Bytes* p) {
-                                        BufferPool::Release(
-                                            std::move(*const_cast<Bytes*>(p)));
-                                        delete p;
-                                      });
-}
-
-std::shared_ptr<const Bytes> MakePooledSharedCopy(BytesView data) {
-  Bytes buf = BufferPool::Acquire();
-  buf.assign(data.begin(), data.end());
-  return MakePooledShared(std::move(buf));
-}
-
 }  // namespace bftbase

@@ -4,9 +4,9 @@
 // network, delivered n times against one shared immutable buffer, and then
 // destroyed — a perfect recycling loop. The pool keeps the storage of retired
 // message buffers so the next Encoder starts with warm capacity instead of a
-// fresh allocation. MakePooledShared() is the other half of the loop: it wraps
-// a finished buffer in a shared_ptr whose deleter returns the storage here
-// when the last delivery releases it.
+// fresh allocation. The network's Payload (src/sim/payload.h) is the other
+// half of the loop: its destructor returns the storage here when the last
+// delivery releases it.
 //
 // The pool is a process-global freelist, bounded so adversarial benches with
 // huge payloads cannot make it hoard memory. It is mutex-protected: the
@@ -15,8 +15,6 @@
 // lock, never a corrupted freelist.
 #ifndef SRC_UTIL_BUFPOOL_H_
 #define SRC_UTIL_BUFPOOL_H_
-
-#include <memory>
 
 #include "src/util/bytes.h"
 
@@ -44,14 +42,6 @@ class BufferPool {
   // starts from a cold pool and alloc/reuse counters replay exactly.
   static void Clear();
 };
-
-// Wraps a finished buffer in an immutable shared payload whose deleter
-// recycles the storage through BufferPool.
-std::shared_ptr<const Bytes> MakePooledShared(Bytes buf);
-
-// Same, but copies from a view into pooled storage (used by Multicast when it
-// must materialize a shared buffer from a caller-owned payload).
-std::shared_ptr<const Bytes> MakePooledSharedCopy(BytesView data);
 
 }  // namespace bftbase
 

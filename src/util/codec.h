@@ -21,8 +21,8 @@ class Encoder {
   // Encoders draw their buffer from the process-wide BufferPool so the encode
   // hot path reuses capacity instead of allocating per message. A buffer that
   // is never Take()n goes back to the pool on destruction; Take()n buffers
-  // return when sent through the network (see MakePooledShared) or are freed
-  // normally by whoever keeps them.
+  // return when sent through the network (see src/sim/payload.h) or are
+  // freed normally by whoever keeps them.
   Encoder() : buf_(BufferPool::Acquire()) {}
   ~Encoder() {
     if (buf_.capacity() > 0) {
@@ -82,7 +82,15 @@ class Decoder {
   uint32_t GetU32() { return static_cast<uint32_t>(GetLittleEndian(4)); }
   uint64_t GetU64() { return GetLittleEndian(8); }
   int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
-  bool GetBool() { return GetU8() != 0; }
+  // PutBool writes only 0 and 1; any other byte fails the decode, so a bool
+  // has one encoding and a decoded message re-encodes to the same bytes.
+  bool GetBool() {
+    const uint8_t v = GetU8();
+    if (v > 1) {
+      ok_ = false;
+    }
+    return v == 1;
+  }
 
   Bytes GetBytes() {
     uint32_t n = GetU32();

@@ -35,7 +35,9 @@ struct Counters {
   // Encode-buffer pool (src/util/bufpool.cc).
   uint64_t encode_allocs = 0;  // pool misses: a fresh heap buffer was made
   uint64_t encode_reuses = 0;  // pool hits: capacity recycled from the pool
-  // Delivered-envelope digest memo (src/sim/digest_memo.cc).
+  // Delivered-envelope digest memo (Payload::Memo, read and filled by
+  // Channel::Open in src/bft/channel.cc): one bump per open of a delivered
+  // buffer.
   uint64_t digest_memo_hits = 0;
   uint64_t digest_memo_misses = 0;
   // Event kernel (src/sim/simulation.cc).

@@ -90,7 +90,14 @@ class XdrReader {
     return (hi << 32) | lo;
   }
   int64_t GetInt64() { return static_cast<int64_t>(GetUint64()); }
-  bool GetBool() { return GetUint32() != 0; }
+  // XDR's bool is the enum {FALSE = 0, TRUE = 1}; any other value fails.
+  bool GetBool() {
+    const uint32_t v = GetUint32();
+    if (v > 1) {
+      ok_ = false;
+    }
+    return v == 1;
+  }
 
   Bytes GetOpaque() {
     uint32_t n = GetUint32();

@@ -4,11 +4,12 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/bft/channel.h"
 #include "src/bft/message.h"
-#include "src/sim/digest_memo.h"
 #include "src/sim/network.h"
+#include "src/sim/payload.h"
 #include "src/sim/simulation.h"
 #include "src/util/hotpath.h"
 
@@ -457,19 +458,67 @@ TEST_F(ChannelTest, InterceptorMutatedCopyRejectedOthersUnaffected) {
   EXPECT_FALSE(carol_node.oks[0]);
 }
 
-TEST(DeliveryDigestMemo, StaleAddressDoesNotServeOldDigest) {
-  // The memo is keyed by buffer address; a freed buffer's address can be
-  // reused by a later allocation. The weak_ptr identity check must treat the
-  // reused address as a miss, never serving the old digest.
-  DeliveryDigestMemo memo;
-  Bytes storage = ToBytes("payload bytes");
-  auto no_op = [](const Bytes*) {};
-  std::shared_ptr<const Bytes> first(&storage, no_op);
-  memo.Store(first, Digest::Of(ToBytes("old digest input")));
-  ASSERT_TRUE(memo.Lookup(first).has_value());
-  first.reset();  // "free" the buffer; the address is about to be reused
-  std::shared_ptr<const Bytes> second(&storage, no_op);
-  EXPECT_FALSE(memo.Lookup(second).has_value());
+// Opens every wire like OpeningNode and keeps each delivered Payload (and
+// so its memo) alive.
+class KeepingNode : public SimNode {
+ public:
+  KeepingNode(Simulation* sim, Channel* channel)
+      : sim_(sim), channel_(channel) {}
+  void OnMessage(NodeId, const Bytes& payload) override {
+    oks.push_back(channel_->Open(payload).ok());
+    kept.push_back(sim_->current_delivery());
+  }
+  std::vector<bool> oks;
+  std::vector<std::shared_ptr<const Payload>> kept;
+
+ private:
+  Simulation* sim_;
+  Channel* channel_;
+};
+
+TEST_F(ChannelTest, DigestMemoSurvivesManyLiveBuffers) {
+  // The memo lives in the delivered Payload, so nothing evicts it while the
+  // buffer lives. Between the two opens of one multicast, dave opens and
+  // keeps alive more buffers than the 4,096 entries at which an
+  // address-keyed memo once swept itself (clearing every entry when all
+  // were live); carol, the second receiver, must still hit.
+  constexpr size_t kOtherBuffers = 4200;
+  Channel carol(&sim_, &keys_, config_, 2);
+  Channel dave(&sim_, &keys_, config_, 3);
+  OpeningNode bob_node(&bob_);
+  OpeningNode carol_node(&carol);
+  KeepingNode dave_node(&sim_, &dave);
+  sim_.AddNode(1, &bob_node);
+  sim_.AddNode(2, &carol_node);
+  sim_.AddNode(3, &dave_node);
+  sim_.network().AddDelay(0, 2, 10 * kSecond);  // carol opens last
+  Bytes wire = alice_.SealSigned(MsgType::kPrePrepare, ToBytes("late"));
+  Bytes other = alice_.SealAuthenticated(MsgType::kCommit, ToBytes("other"));
+  const hotpath::Counters before = hotpath::counters();
+  sim_.After(0, 0, [&] { sim_.network().Multicast(0, 1, 3, wire); });
+  for (size_t i = 0; i < kOtherBuffers; ++i) {
+    // A new Payload per send, one per millisecond so dave is idle for each.
+    sim_.After(0, static_cast<SimTime>(i) * kMillisecond,
+               [&] { sim_.network().Send(0, 3, other); });
+  }
+  sim_.RunUntilTrue([&] { return !bob_node.oks.empty(); },
+                    Simulation::kNoPendingEvent);
+  sim_.RunUntilTrue([&] { return dave_node.oks.size() == kOtherBuffers; },
+                    Simulation::kNoPendingEvent);
+  EXPECT_TRUE(carol_node.oks.empty());  // still in flight
+  sim_.RunUntilIdle();
+  ASSERT_EQ(bob_node.oks.size(), 1u);
+  ASSERT_EQ(carol_node.oks.size(), 1u);
+  EXPECT_TRUE(bob_node.oks[0]);
+  EXPECT_TRUE(carol_node.oks[0]);
+  ASSERT_EQ(dave_node.kept.size(), kOtherBuffers);
+  for (bool ok : dave_node.oks) {
+    EXPECT_TRUE(ok);
+  }
+  const hotpath::Counters& after = hotpath::counters();
+  EXPECT_EQ(after.digest_memo_hits - before.digest_memo_hits, 1u);
+  EXPECT_EQ(after.digest_memo_misses - before.digest_memo_misses,
+            kOtherBuffers + 1);
 }
 
 }  // namespace

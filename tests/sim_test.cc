@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/sim/network.h"
+#include "src/sim/payload.h"
 #include "src/sim/simulation.h"
 #include "src/sim/topology.h"
 #include "src/util/bufpool.h"
@@ -439,10 +440,10 @@ TEST(Network, DuplicationAliasesTheSharedBuffer) {
   // buffer — zero-copy, verified by pointer identity of the in-flight
   // delivery buffer across all arrivals.
   Simulation sim(5);
-  std::vector<const Bytes*> buffers;
+  std::vector<const Payload*> buffers;
   class AliasNode : public SimNode {
    public:
-    AliasNode(Simulation* sim, std::vector<const Bytes*>* buffers)
+    AliasNode(Simulation* sim, std::vector<const Payload*>* buffers)
         : sim_(sim), buffers_(buffers) {}
     void OnMessage(NodeId, const Bytes& payload) override {
       EXPECT_EQ(ToString(payload), "dup me");
@@ -451,7 +452,7 @@ TEST(Network, DuplicationAliasesTheSharedBuffer) {
 
    private:
     Simulation* sim_;
-    std::vector<const Bytes*>* buffers_;
+    std::vector<const Payload*>* buffers_;
   };
   AliasNode receiver(&sim, &buffers);
   sim.AddNode(2, &receiver);
@@ -460,7 +461,7 @@ TEST(Network, DuplicationAliasesTheSharedBuffer) {
   sim.RunUntilIdle();
   ASSERT_GE(buffers.size(), 2u);  // original + at least one duplicate
   ASSERT_LE(buffers.size(), 3u);  // ... and at most max_copies extras
-  for (const Bytes* buffer : buffers) {
+  for (const Payload* buffer : buffers) {
     EXPECT_EQ(buffer, buffers[0]);  // every arrival aliases one buffer
   }
   EXPECT_EQ(sim.network().payload_copies(), 0u);
@@ -902,10 +903,9 @@ TEST(BufferPool, SurvivesConcurrentAcquireRelease) {
         buf.assign(static_cast<size_t>(16 + (i % 64)),
                    static_cast<uint8_t>(t));
         if (i % 3 == 0) {
-          // Exercise the shared_ptr recycling path too.
-          std::shared_ptr<const Bytes> shared =
-              MakePooledShared(std::move(buf));
-          ASSERT_EQ((*shared)[0], static_cast<uint8_t>(t));
+          // Exercise the delivered Payload's recycling path too.
+          auto shared = std::make_shared<const Payload>(std::move(buf));
+          ASSERT_EQ(shared->bytes[0], static_cast<uint8_t>(t));
         } else {
           ASSERT_EQ(buf[0], static_cast<uint8_t>(t));
           BufferPool::Release(std::move(buf));

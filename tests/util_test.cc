@@ -93,6 +93,19 @@ TEST(Codec, TrailingGarbageDetectedByAtEnd) {
   EXPECT_FALSE(dec.AtEnd());
 }
 
+TEST(Codec, BoolHasOneEncoding) {
+  // PutBool writes 0 or 1. Any other byte fails the decode: accepted as
+  // true, it would give a message 255 encodings of one value, each with its
+  // own digest.
+  for (int v = 0; v < 256; ++v) {
+    Bytes wire = {static_cast<uint8_t>(v)};
+    Decoder dec(wire);
+    const bool b = dec.GetBool();
+    EXPECT_EQ(dec.AtEnd(), v <= 1) << v;
+    EXPECT_EQ(b, v == 1) << v;
+  }
+}
+
 TEST(Xdr, RoundTripAllTypes) {
   XdrWriter w;
   w.PutUint32(77);
@@ -134,6 +147,17 @@ TEST(Xdr, HostileLengthRejected) {
   XdrReader r(w.data());
   EXPECT_TRUE(r.GetOpaque().empty());
   EXPECT_FALSE(r.ok());
+}
+
+TEST(Xdr, BoolIsTheEnumZeroOrOne) {
+  for (uint32_t v : {0u, 1u, 2u, 0x100u, 0x01000000u, 0xffffffffu}) {
+    XdrWriter w;
+    w.PutUint32(v);
+    XdrReader r(w.data());
+    const bool b = r.GetBool();
+    EXPECT_EQ(r.AtEnd(), v <= 1) << v;
+    EXPECT_EQ(b, v == 1) << v;
+  }
 }
 
 TEST(Rng, DeterministicForSameSeed) {
