@@ -7,15 +7,26 @@
 // abstract objects, with the replayed root digest verified against an
 // independently computed expected root. `--wal-smoke` runs the small
 // configuration as a CI gate; results land in BENCH_recovery.json.
+//
+// Experiment E26 — what a cold replica keeps per abstract object: the live
+// heap bytes of a KV adapter plus its checkpoint manager and partition tree
+// (counted by tests/heap_counter.cc, which replaces the global operator new
+// in this binary), and the wall time of the FullResync that construction
+// and every restart from disk run.
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 
 #include "bench/bench_common.h"
+#include "src/base/checkpoint_manager.h"
 #include "src/base/kv_adapter.h"
 #include "src/base/replica_service.h"
 #include "src/basefs/basefs_group.h"
 #include "src/basefs/fs_session.h"
 #include "src/sim/storage.h"
+#include "src/util/bufpool.h"
 #include "tests/checkpoint_helpers.h"
+#include "tests/heap_counter.h"
 
 using namespace bftbase;
 
@@ -228,8 +239,93 @@ DurableCell RunDurableRecovery(size_t objects, uint64_t tail) {
   return cell;
 }
 
-// Recovery-time vs object-count table (EXPERIMENTS.md E15) plus the JSON
-// artifact. Returns false if any cell failed or failed verification.
+// --- E26: cold-deployment bookkeeping per object ------------------------------
+
+// The gate: a cold deployment keeps the partition tree's dense interior
+// nodes (~2.3 B per object at branching 16) and a dirty bit per leaf, but no
+// record per object; a leaf digest and a slot per object would read ~57.
+constexpr double kMaxColdBytesPerObject = 8.0;
+
+struct ColdCell {
+  size_t objects = 0;
+  double bytes_per_object = 0;
+  double resync_wall_ms = 0;  // median of kResyncRuns
+};
+
+constexpr int kResyncRuns = 5;
+
+ColdCell MeasureColdDeployment(size_t objects) {
+  ColdCell cell;
+  cell.objects = objects;
+  Simulation sim(1);
+  BufferPool::Clear();
+  const size_t before = heap_counter::LiveBytes();
+  KvAdapter adapter(&sim, objects);
+  CheckpointManager cm(&sim, &adapter);
+  BufferPool::Clear();
+  cell.bytes_per_object =
+      static_cast<double>(heap_counter::LiveBytes() - before) / objects;
+  std::vector<double> runs;
+  for (int i = 0; i < kResyncRuns; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    cm.FullResync(/*seq=*/0, /*protocol_state=*/Bytes());
+    runs.push_back(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count());
+  }
+  std::sort(runs.begin(), runs.end());
+  cell.resync_wall_ms = runs[runs.size() / 2];
+  return cell;
+}
+
+// One row per state size into the table and the JSON array. Returns false
+// if any row keeps more than kMaxColdBytesPerObject.
+bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
+  std::printf("\n-- E26: cold-deployment bookkeeping vs object count --\n");
+  std::vector<size_t> sizes;
+  if (smoke) {
+    sizes = {size_t{1} << 16};
+  } else {
+    for (int bits = 12; bits <= 20; bits += 2) {
+      sizes.push_back(size_t{1} << bits);
+    }
+  }
+  Table table({"objects", "bytes/object", "FullResync wall (ms)"});
+  json.Key("cold_deployment");
+  json.BeginArray();
+  bool ok = true;
+  for (size_t objects : sizes) {
+    ColdCell cell = MeasureColdDeployment(objects);
+    ok = ok && cell.bytes_per_object <= kMaxColdBytesPerObject;
+    char per_object[32], wall[32];
+    std::snprintf(per_object, sizeof(per_object), "%.2f",
+                  cell.bytes_per_object);
+    std::snprintf(wall, sizeof(wall), "%.3f", cell.resync_wall_ms);
+    table.AddRow({FormatCount(objects), per_object, wall});
+    json.BeginObject();
+    json.Field("objects", static_cast<uint64_t>(objects));
+    json.Field("bookkeeping_bytes_per_object", cell.bytes_per_object);
+    json.Field("full_resync_wall_ms", cell.resync_wall_ms);
+    json.EndObject();
+  }
+  json.EndArray();
+  table.Print();
+  std::printf("bytes/object: live heap of a KV adapter + checkpoint manager "
+              "+ partition tree\n"
+              "with no object written, over the object count (gate: <= "
+              "%.0f); FullResync\nwall: median of %d runs.\n",
+              kMaxColdBytesPerObject, kResyncRuns);
+  if (!ok) {
+    std::printf("FAIL: a cold deployment keeps more than %.0f bytes per "
+                "object\n",
+                kMaxColdBytesPerObject);
+  }
+  return ok;
+}
+
+// Recovery-time vs object-count table (EXPERIMENTS.md E15), the cold
+// deployment rows (E26), and the JSON artifact. Returns false if any cell
+// failed or failed verification, or a cold deployment broke its gate.
 bool DurableRecoverySweep(bool smoke, const std::string& json_path) {
   std::printf("\n-- E15: restart-from-disk cost vs object count --\n");
   std::vector<size_t> sizes;
@@ -280,18 +376,19 @@ bool DurableRecoverySweep(bool smoke, const std::string& json_path) {
   }
   json.EndArray();
   json.Field("all_verified", all_ok);
-  EmitBenchMetadata(json);
-  json.EndObject();
   table.Print();
   std::printf("recovery = durable checkpoint page load + WAL-tail replay; "
               "the replayed\nroot digest is checked against an independently "
               "computed expected root.\n");
+  const bool cold_ok = ColdDeploymentSweep(smoke, json);
+  EmitBenchMetadata(json);
+  json.EndObject();
   if (!json.WriteFile(json_path)) {
     std::printf("failed to write %s\n", json_path.c_str());
     return false;
   }
   std::printf("wrote %s\n", json_path.c_str());
-  return all_ok;
+  return all_ok && cold_ok;
 }
 
 }  // namespace
@@ -309,7 +406,8 @@ int main(int argc, char** argv) {
 
   if (wal_smoke) {
     // CI gate: the durable restart-from-disk path in its short
-    // configuration; fails if recovery breaks or the root diverges.
+    // configuration; fails if recovery breaks or the root diverges, or a
+    // cold 2^16-object deployment keeps more than 8 bytes per object.
     PrintHeader("E15 (smoke): durable restart-from-disk");
     return DurableRecoverySweep(/*smoke=*/true, json_path) ? 0 : 1;
   }

@@ -1,5 +1,6 @@
 #include "src/base/checkpoint_manager.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <vector>
@@ -19,15 +20,39 @@ void CheckpointManager::ChargeDigest(size_t bytes) {
   sim_->ChargeCpu(sim_->cost().DigestCost(bytes));
 }
 
+bool CheckpointManager::MarkDirty(size_t leaf) {
+  uint64_t& word = dirty_bits_[leaf / 64];
+  const uint64_t bit = uint64_t{1} << (leaf % 64);
+  if ((word & bit) != 0) {
+    return false;
+  }
+  word |= bit;
+  dirty_list_.push_back(leaf);
+  return true;
+}
+
+void CheckpointManager::ClearDirty() {
+  for (size_t leaf : dirty_list_) {
+    dirty_bits_[leaf / 64] = 0;
+  }
+  dirty_list_.clear();
+}
+
+std::vector<size_t> CheckpointManager::DirtyLeaves() const {
+  std::vector<size_t> leaves = dirty_list_;
+  std::sort(leaves.begin(), leaves.end());
+  return leaves;
+}
+
 void CheckpointManager::OnModify(size_t object_index) {
   size_t leaf = LeafForObject(object_index);
   if (leaf >= leaf_count_) {
     // A brand-new object: it has no value at the previous checkpoint, so
-    // there is nothing to copy; the leaf array grows at the next checkpoint.
-    new_leaves_.insert(leaf);
+    // there is nothing to copy; the leaf array grows at the next checkpoint,
+    // which marks every new leaf dirty.
     return;
   }
-  if (!dirty_.insert(leaf).second) {
+  if (!MarkDirty(leaf)) {
     return;  // already copied for the current checkpoint interval
   }
   if (full_copy_) {
@@ -48,16 +73,17 @@ CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
   // Account for array growth since the previous checkpoint.
   size_t new_leaf_count = adapter_->ObjectCount() + 1;
   if (new_leaf_count > leaf_count_) {
-    for (size_t leaf = leaf_count_; leaf < new_leaf_count; ++leaf) {
-      dirty_.insert(leaf);
-    }
+    const size_t old_leaf_count = leaf_count_;
     leaf_count_ = new_leaf_count;
+    dirty_bits_.resize((leaf_count_ + 63) / 64, 0);
+    for (size_t leaf = old_leaf_count; leaf < leaf_count_; ++leaf) {
+      MarkDirty(leaf);
+    }
     tree_.Resize(leaf_count_);
   }
-  new_leaves_.clear();
 
   protocol_state_ = protocol_state;
-  dirty_.insert(0);
+  MarkDirty(0);
   const SimTime node_cost =
       sim_->cost().DigestCost(tree_.branching() * Digest::kSize);
   Taken taken;
@@ -85,15 +111,16 @@ CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
     for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
       last_checkpoint_updates_.push_back(leaf);
     }
-    dirty_.clear();
+    ClearDirty();
     return taken;
   }
 
   // Copy-on-write mode: only leaves touched since the previous checkpoint
-  // need their digest recomputed; they are digested as interleaved SHA-256
-  // lanes (same digests, simulated charges and logical-work counters as one
-  // Digest::Of per leaf).
-  std::vector<size_t> leaves(dirty_.begin(), dirty_.end());
+  // need their digest recomputed; they are digested, in ascending order, as
+  // interleaved SHA-256 lanes (same digests, simulated charges and
+  // logical-work counters as one Digest::Of per leaf).
+  std::sort(dirty_list_.begin(), dirty_list_.end());
+  const std::vector<size_t>& leaves = dirty_list_;
   std::vector<Bytes> values;
   std::vector<BytesView> views;
   values.reserve(leaves.size());
@@ -123,8 +150,8 @@ CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
   checkpoints_.emplace(seq, std::move(checkpoint));
   latest_seq_ = seq;
   latest_root_ = taken.root;
-  last_checkpoint_updates_.assign(dirty_.begin(), dirty_.end());
-  dirty_.clear();
+  last_checkpoint_updates_ = dirty_list_;
+  ClearDirty();
   return taken;
 }
 
@@ -164,7 +191,7 @@ Bytes CheckpointManager::LeafValue(size_t index) {
 
 Digest CheckpointManager::CurrentLeafDigest(size_t index) {
   assert(index < leaf_count_);
-  if (dirty_.count(index) == 0) {
+  if (!IsDirty(index)) {
     return tree_.Leaf(index);
   }
   if (index == 0) {
@@ -178,8 +205,23 @@ Digest CheckpointManager::CurrentLeafDigest(size_t index) {
 }
 
 bool CheckpointManager::HasDirtyInRange(size_t first, size_t last) const {
-  auto it = dirty_.lower_bound(first);
-  return it != dirty_.end() && *it < last;
+  if (dirty_list_.empty()) {
+    return false;
+  }
+  last = std::min(last, leaf_count_);
+  while (first < last) {
+    const size_t offset = first % 64;
+    const size_t span = std::min<size_t>(64 - offset, last - first);
+    uint64_t bits = dirty_bits_[first / 64] >> offset;
+    if (span < 64) {
+      bits &= (uint64_t{1} << span) - 1;
+    }
+    if (bits != 0) {
+      return true;
+    }
+    first += span;
+  }
+  return false;
 }
 
 Bytes CheckpointManager::InstallFetchedState(
@@ -187,6 +229,7 @@ Bytes CheckpointManager::InstallFetchedState(
     const std::vector<ObjectUpdate>& leaf_updates) {
   if (leaf_count > leaf_count_) {
     leaf_count_ = leaf_count;
+    dirty_bits_.resize((leaf_count_ + 63) / 64, 0);
     tree_.Resize(leaf_count_);
   }
 
@@ -209,13 +252,14 @@ Bytes CheckpointManager::InstallFetchedState(
   // Leaves modified since our last checkpoint whose LIVE value already
   // matched the target were (correctly) not fetched, but the tree still
   // holds their stale checkpoint digests; refresh them so the recomputed
-  // root reflects the installed state.
-  std::set<size_t> updated;
+  // root reflects the installed state. A fetched leaf's digest is already
+  // set, so its dirty bit is dropped first.
   for (const ObjectUpdate& update : leaf_updates) {
-    updated.insert(update.index);
+    dirty_bits_[update.index / 64] &= ~(uint64_t{1} << (update.index % 64));
   }
-  for (size_t leaf : dirty_) {
-    if (leaf >= leaf_count_ || updated.count(leaf) > 0) {
+  std::sort(dirty_list_.begin(), dirty_list_.end());
+  for (size_t leaf : dirty_list_) {
+    if (!IsDirty(leaf)) {
       continue;
     }
     Bytes value =
@@ -235,8 +279,7 @@ Bytes CheckpointManager::InstallFetchedState(
               << recomputed.Hex() << ", want " << root.Hex() << ")";
   }
 
-  dirty_.clear();
-  new_leaves_.clear();
+  ClearDirty();
   last_checkpoint_updates_.clear();
   checkpoints_.clear();
   Checkpoint checkpoint;
@@ -254,26 +297,50 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
   tree_.Resize(leaf_count_);
   protocol_state_ = protocol_state;
   // A cold state repeats values leaf after leaf (empty slots, free inodes),
-  // so a leaf whose value equals its predecessor's reuses that digest. The
-  // model still charges one digest per leaf: only real hashing is skipped.
+  // so the leaves are walked as runs of equal values and each run is hashed
+  // once. The model still charges one digest per leaf: only real hashing is
+  // skipped. The longest run's digest becomes the tree's fill, so only the
+  // leaves that differ from it are stored.
+  struct Run {
+    size_t first;
+    Digest digest;
+  };
+  std::vector<Run> runs;
   Bytes previous;
-  Digest previous_digest;
   for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
     Bytes value =
         leaf == 0 ? protocol_state_ : adapter_->GetObj(ObjectForLeaf(leaf));
     ChargeDigest(value.size());
     if (leaf == 0 || value != previous) {
-      previous_digest = Digest::Of(value);
+      runs.push_back(Run{leaf, Digest::Of(value)});
       previous = std::move(value);
     }
-    tree_.SetLeaf(leaf, previous_digest);
+  }
+  auto run_end = [&](size_t r) {
+    return r + 1 < runs.size() ? runs[r + 1].first : leaf_count_;
+  };
+  size_t longest = 0;
+  for (size_t r = 1; r < runs.size(); ++r) {
+    if (run_end(r) - runs[r].first > run_end(longest) - runs[longest].first) {
+      longest = r;
+    }
+  }
+  const Digest fill = runs[longest].digest;
+  tree_.Fill(fill);
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r].digest == fill) {
+      continue;
+    }
+    for (size_t leaf = runs[r].first; leaf < run_end(r); ++leaf) {
+      tree_.SetLeaf(leaf, runs[r].digest);
+    }
   }
   latest_root_ = tree_.Root();
   sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *
                   sim_->cost().DigestCost(tree_.branching() * Digest::kSize));
   latest_seq_ = seq;
-  dirty_.clear();
-  new_leaves_.clear();
+  dirty_bits_.assign((leaf_count_ + 63) / 64, 0);
+  dirty_list_.clear();
   last_checkpoint_updates_.clear();
   checkpoints_.clear();
   Checkpoint checkpoint;

@@ -19,8 +19,6 @@
 #define SRC_BASE_CHECKPOINT_MANAGER_H_
 
 #include <map>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "src/base/adapter.h"
@@ -91,7 +89,8 @@ class CheckpointManager {
   // Recomputes every leaf digest from the adapter (used after RestartClean
   // during recovery and by tests/benches that need a cold start). Charges
   // one digest per leaf, but hashes only leaves whose value differs from the
-  // previous leaf's.
+  // previous leaf's; the longest run of equal values becomes the tree's fill
+  // and only the other leaves are stored.
   void FullResync(SeqNum seq, const Bytes& protocol_state);
 
   // Number of checkpoints currently retained.
@@ -106,11 +105,9 @@ class CheckpointManager {
   const std::vector<size_t>& last_checkpoint_updates() const {
     return last_checkpoint_updates_;
   }
-  // Leaves modified since the latest checkpoint (snapshot for the durable
-  // layer before an install clears the set).
-  std::vector<size_t> DirtyLeaves() const {
-    return std::vector<size_t>(dirty_.begin(), dirty_.end());
-  }
+  // Leaves modified since the latest checkpoint, ascending (snapshot for the
+  // durable layer before an install clears the set).
+  std::vector<size_t> DirtyLeaves() const;
   // False iff the most recent InstallFetchedState recomputed a root that did
   // not match the requested one (corrupt local/durable state).
   bool last_install_root_ok() const { return last_install_root_ok_; }
@@ -126,6 +123,12 @@ class CheckpointManager {
   };
 
   void ChargeDigest(size_t bytes);
+  bool IsDirty(size_t leaf) const {
+    return (dirty_bits_[leaf / 64] >> (leaf % 64)) & 1;
+  }
+  // Marks `leaf` dirty; false if it already was.
+  bool MarkDirty(size_t leaf);
+  void ClearDirty();
 
   Simulation* sim_;
   ServiceAdapter* adapter_;
@@ -133,9 +136,12 @@ class CheckpointManager {
 
   // The only copy of the leaf digests (as of the latest checkpoint).
   PartitionTree tree_;
-  std::set<size_t> dirty_;       // modified since the latest checkpoint
-  std::set<size_t> new_leaves_;  // created since the latest checkpoint
-  size_t leaf_count_ = 1;        // objects + protocol leaf
+  // Leaves modified since the latest checkpoint: one bit per leaf (sized to
+  // leaf_count_) for membership and range queries, plus the set leaves in
+  // the order they were marked (sorted where order matters).
+  std::vector<uint64_t> dirty_bits_;
+  std::vector<size_t> dirty_list_;
+  size_t leaf_count_ = 1;  // objects + protocol leaf
   SeqNum latest_seq_ = 0;
   Digest latest_root_;
   Bytes protocol_state_;  // as of the latest checkpoint

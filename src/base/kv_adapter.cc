@@ -5,7 +5,7 @@
 namespace bftbase {
 
 KvAdapter::KvAdapter(Simulation* sim, size_t slots, SimTime execute_cost_us)
-    : sim_(sim), execute_cost_us_(execute_cost_us), slots_(slots) {}
+    : sim_(sim), execute_cost_us_(execute_cost_us), slot_count_(slots) {}
 
 Bytes KvAdapter::EncodeSet(uint32_t slot, BytesView value) {
   Encoder enc;
@@ -37,7 +37,7 @@ Bytes KvAdapter::Execute(BytesView op, NodeId /*client*/, BytesView /*nondet*/,
   Decoder dec(op);
   uint8_t code = dec.GetU8();
   uint32_t slot = dec.GetU32();
-  if (!dec.ok() || slot >= slots_.size()) {
+  if (!dec.ok() || slot >= slot_count_) {
     return ToBytes("ERR bad-op");
   }
   switch (code) {
@@ -47,14 +47,14 @@ Bytes KvAdapter::Execute(BytesView op, NodeId /*client*/, BytesView /*nondet*/,
         return ToBytes(tentative ? "ERR read-only" : "ERR bad-op");
       }
       NotifyModify(slot);
-      slots_[slot] = std::move(value);
+      Store(slot, std::move(value));
       return ToBytes("OK");
     }
     case kGet: {
       if (!dec.AtEnd()) {
         return ToBytes("ERR bad-op");
       }
-      return slots_[slot];
+      return GetObj(slot);
     }
     case kAppend: {
       Bytes value = dec.GetBytes();
@@ -62,7 +62,9 @@ Bytes KvAdapter::Execute(BytesView op, NodeId /*client*/, BytesView /*nondet*/,
         return ToBytes(tentative ? "ERR read-only" : "ERR bad-op");
       }
       NotifyModify(slot);
-      Append(slots_[slot], value);
+      if (!value.empty()) {
+        Append(slots_[slot], value);
+      }
       return ToBytes("OK");
     }
     default:
@@ -70,32 +72,36 @@ Bytes KvAdapter::Execute(BytesView op, NodeId /*client*/, BytesView /*nondet*/,
   }
 }
 
-Bytes KvAdapter::GetObj(size_t index) {
-  if (index >= slots_.size()) {
-    return Bytes();
+void KvAdapter::Store(size_t index, Bytes value) {
+  if (value.empty()) {
+    slots_.erase(index);
+  } else {
+    slots_[index] = std::move(value);
   }
-  return slots_[index];
+}
+
+Bytes KvAdapter::GetObj(size_t index) {
+  auto it = slots_.find(index);
+  return it == slots_.end() ? Bytes() : it->second;
 }
 
 void KvAdapter::PutObjs(const std::vector<ObjectUpdate>& objs) {
   for (const ObjectUpdate& update : objs) {
-    if (update.index < slots_.size()) {
-      slots_[update.index] = update.value;
+    if (update.index < slot_count_) {
+      Store(update.index, update.value);
     }
   }
 }
 
-void KvAdapter::RestartClean() {
-  size_t n = slots_.size();
-  slots_.assign(n, Bytes());
-}
+void KvAdapter::RestartClean() { slots_.clear(); }
 
 void KvAdapter::CorruptSlot(size_t index, uint8_t xor_mask) {
-  if (index < slots_.size()) {
-    if (slots_[index].empty()) {
-      slots_[index].push_back(xor_mask);
+  if (index < slot_count_) {
+    Bytes& value = slots_[index];
+    if (value.empty()) {
+      value.push_back(xor_mask);
     } else {
-      for (uint8_t& b : slots_[index]) {
+      for (uint8_t& b : value) {
         b ^= xor_mask;
       }
     }

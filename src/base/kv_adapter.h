@@ -2,7 +2,9 @@
 // of the conformance-wrapper contract and the service used by the protocol
 // tests and the quickstart example.
 //
-// Abstract state: a fixed-size array of byte-string slots. Operations:
+// Abstract state: a fixed-size array of byte-string slots, all empty at
+// start. Only non-empty slots are stored (a missing slot reads as empty), so
+// memory follows the slots written, not the array. Operations:
 //   SET <slot> <value>    -> "OK"
 //   GET <slot>            -> value
 //   APPEND <slot> <value> -> "OK"   (exercises read-modify-write)
@@ -14,6 +16,7 @@
 #ifndef SRC_BASE_KV_ADAPTER_H_
 #define SRC_BASE_KV_ADAPTER_H_
 
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/adapter.h"
@@ -30,7 +33,7 @@ class KvAdapter : public ServiceAdapter {
                 bool tentative) override;
   Bytes GetObj(size_t index) override;
   void PutObjs(const std::vector<ObjectUpdate>& objs) override;
-  size_t ObjectCount() const override { return slots_.size(); }
+  size_t ObjectCount() const override { return slot_count_; }
   void RestartClean() override;
 
   // --- Operation encoding (client side) --------------------------------------
@@ -46,9 +49,13 @@ class KvAdapter : public ServiceAdapter {
  private:
   enum OpCode : uint8_t { kSet = 1, kGet = 2, kAppend = 3 };
 
+  // Stores `value` in slot `index`; an empty value drops the entry.
+  void Store(size_t index, Bytes value);
+
   Simulation* sim_;
   SimTime execute_cost_us_;
-  std::vector<Bytes> slots_;
+  size_t slot_count_;
+  std::unordered_map<size_t, Bytes> slots_;  // non-empty slots only
   uint64_t executions_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "src/base/partition_tree.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -19,7 +20,7 @@ void PartitionTree::Resize(size_t leaf_count) {
   const size_t old_leaf_count = levels_.empty() ? 0 : leaf_count_;
   std::vector<std::vector<Node>> old_levels = std::move(levels_);
   leaf_count_ = std::max<size_t>(leaf_count, 1);
-  leaves_.resize(leaf_count_, Digest());
+  block_slots_.resize((leaf_count_ + branching_ - 1) / branching_, 0);
   Rebuild();
   // The cost model charges a grow as a full rebuild: every interior node is
   // dirty and the next Root() counts each one as recomputed. Real hashing
@@ -62,15 +63,63 @@ void PartitionTree::Rebuild() {
   }
 }
 
+void PartitionTree::Fill(const Digest& digest) {
+  fill_ = digest;
+  filled_ = leaf_count_;
+  std::fill(block_slots_.begin(), block_slots_.end(), 0);
+  override_blocks_.clear();
+  override_count_ = 0;
+  for (auto& level : levels_) {
+    for (Node& node : level) {
+      node.dirty = true;
+      node.stale = true;
+    }
+  }
+}
+
 void PartitionTree::SetLeaf(size_t index, const Digest& digest) {
   assert(index < leaf_count_);
-  leaves_[index] = digest;
   MarkPathDirty(index);
+  const bool cold = digest == ColdLeaf(index);
+  uint32_t& slot = block_slots_[index / branching_];
+  if (slot == 0) {
+    if (cold) {
+      return;
+    }
+    override_blocks_.emplace_back();
+    slot = static_cast<uint32_t>(override_blocks_.size());
+  }
+  std::vector<Override>& overrides = override_blocks_[slot - 1];
+  const auto offset = static_cast<uint32_t>(index % branching_);
+  auto it = std::find_if(overrides.begin(), overrides.end(),
+                         [offset](const Override& o) {
+                           return o.offset == offset;
+                         });
+  if (it != overrides.end()) {
+    if (cold) {
+      *it = overrides.back();
+      overrides.pop_back();
+      --override_count_;
+    } else {
+      it->digest = digest;
+    }
+  } else if (!cold) {
+    overrides.push_back(Override{offset, digest});
+    ++override_count_;
+  }
 }
 
 Digest PartitionTree::Leaf(size_t index) const {
   assert(index < leaf_count_);
-  return leaves_[index];
+  if (const uint32_t slot = block_slots_[index / branching_]; slot != 0) {
+    const auto offset = static_cast<uint32_t>(index % branching_);
+    for (const Override& o : override_blocks_[slot - 1]) {
+      if (o.offset == offset) {
+        return o.digest;
+      }
+    }
+  }
+  return ColdLeaf(index);
 }
 
 void PartitionTree::MarkPathDirty(size_t leaf_index) {
@@ -128,8 +177,10 @@ Digest PartitionTree::ComputeNode(int level, size_t index) {
   Digest::Builder builder;
   builder.Add(static_cast<uint64_t>(level));
   builder.Add(static_cast<uint64_t>(index));
+  // The leaves of a block with no override hold their cold digest.
+  const bool cold_block = level + 1 == depth() && block_slots_[index] == 0;
   for (size_t child = first; child < last; ++child) {
-    builder.Add(NodeDigest(level + 1, child));
+    builder.Add(cold_block ? ColdLeaf(child) : NodeDigest(level + 1, child));
   }
   ++recomputed_nodes_;
   return builder.Build();
@@ -137,7 +188,7 @@ Digest PartitionTree::ComputeNode(int level, size_t index) {
 
 Digest PartitionTree::NodeDigest(int level, size_t index) {
   if (level == depth()) {
-    return leaves_[index];
+    return Leaf(index);
   }
   Node& node = levels_[level][index];
   if (node.dirty) {

@@ -10,6 +10,12 @@
 // Updates are lazy: SetLeaf marks the path dirty and Root()/NodeDigest()
 // recompute only dirty nodes, so the cost of a checkpoint is proportional to
 // the number of objects modified since the previous one.
+//
+// Leaves are stored sparsely: a fill digest (the cold state's common value,
+// set by Fill) plus the leaves whose digest differs from it, grouped by
+// block (the `branching` leaves under one bottom interior node), so a
+// replica's memory per object follows the objects that left the cold state.
+// Interior nodes stay dense.
 #ifndef SRC_BASE_PARTITION_TREE_H_
 #define SRC_BASE_PARTITION_TREE_H_
 
@@ -28,6 +34,11 @@ class PartitionTree {
 
   // Grows (never shrinks) the leaf array. New leaves hold the zero digest.
   void Resize(size_t leaf_count);
+
+  // Sets every leaf to `digest` (leaves added by a later Resize still hold
+  // the zero digest). Every interior node is recomputed by the next Root(),
+  // as if each leaf had been set one by one.
+  void Fill(const Digest& digest);
 
   void SetLeaf(size_t index, const Digest& digest);
   Digest Leaf(size_t index) const;
@@ -54,6 +65,9 @@ class PartitionTree {
   size_t branching() const { return branching_; }
   // Leaves are at this level; interior levels are 0 .. depth()-1.
   int depth() const { return static_cast<int>(levels_.size()); }
+  // Leaves stored explicitly: those whose digest differs from the fill (or,
+  // past the filled range, from zero).
+  size_t override_count() const { return override_count_; }
 
   // Interior hashes performed since the last call (for cost accounting).
   uint64_t TakeRecomputedNodes() {
@@ -76,13 +90,30 @@ class PartitionTree {
     bool stale = true;
   };
 
+  // A leaf whose digest differs from its cold one, by its offset in its block.
+  struct Override {
+    uint32_t offset;
+    Digest digest;
+  };
+
+  // The digest of a leaf with no override.
+  Digest ColdLeaf(size_t index) const {
+    return index < filled_ ? fill_ : Digest();
+  }
   void Rebuild();
   void MarkPathDirty(size_t leaf_index);
   Digest ComputeNode(int level, size_t index);
 
   size_t branching_;
   size_t leaf_count_ = 0;
-  std::vector<Digest> leaves_;
+  // Leaves [0, filled_) default to fill_, the rest to the zero digest.
+  Digest fill_;
+  size_t filled_ = 0;
+  // Per block: 0 if it has held no override since the last Fill, else 1 +
+  // the index of its overrides (in no particular order) in override_blocks_.
+  std::vector<uint32_t> block_slots_;
+  std::vector<std::vector<Override>> override_blocks_;
+  size_t override_count_ = 0;
   // levels_[0] is the root level (width 1); levels_.back() is the level just
   // above the leaves.
   std::vector<std::vector<Node>> levels_;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "src/util/bufpool.h"
 #include "src/util/codec.h"
 #include "src/util/hotpath.h"
 #include "src/util/log.h"
@@ -95,6 +96,24 @@ Bytes Channel::SealMac(MsgType type, BytesView payload, NodeId to) {
 
 Bytes Channel::SealSigned(MsgType type, BytesView payload) {
   return Seal(type, payload, AuthKind::kSigned, /*to=*/0);
+}
+
+Bytes Channel::SealAuthenticated(MsgType type, Bytes&& payload) {
+  Bytes wire = Seal(type, payload, AuthKind::kAuthenticator, /*to=*/0);
+  BufferPool::Release(std::move(payload));
+  return wire;
+}
+
+Bytes Channel::SealMac(MsgType type, Bytes&& payload, NodeId to) {
+  Bytes wire = Seal(type, payload, AuthKind::kSingleMac, to);
+  BufferPool::Release(std::move(payload));
+  return wire;
+}
+
+Bytes Channel::SealSigned(MsgType type, Bytes&& payload) {
+  Bytes wire = Seal(type, payload, AuthKind::kSigned, /*to=*/0);
+  BufferPool::Release(std::move(payload));
+  return wire;
 }
 
 void Channel::Send(NodeId to, Bytes wire) {

@@ -60,6 +60,12 @@ class Channel {
   Bytes SealMac(MsgType type, BytesView payload, NodeId to);
   // Envelope carrying a transferable signature.
   Bytes SealSigned(MsgType type, BytesView payload);
+  // The same for a body the caller is done with (typically a freshly
+  // encoded temporary): once it is copied into the envelope, its storage
+  // goes back to BufferPool for the next Encoder.
+  Bytes SealAuthenticated(MsgType type, Bytes&& payload);
+  Bytes SealMac(MsgType type, Bytes&& payload, NodeId to);
+  Bytes SealSigned(MsgType type, Bytes&& payload);
 
   void Send(NodeId to, Bytes wire);
   void MulticastReplicas(const Bytes& wire, bool include_self);

@@ -60,14 +60,13 @@ void Client::SendRequest() {
   req.timestamp = p.timestamp;
   req.read_only = p.tentative_phase;
   req.op = p.op;
-  Bytes payload = req.Encode();
   ++p.attempts;
 
   // Every attempt goes to every replica (separate request transmission): the
   // authenticator lets each one verify the body itself, and the primary's
   // PRE-PREPARE then orders only its digest.
   channel_.MulticastReplicas(
-      channel_.SealAuthenticated(MsgType::kRequest, payload),
+      channel_.SealAuthenticated(MsgType::kRequest, req.Encode()),
       /*include_self=*/false);
 
   // Exponential backoff on retransmission (the doubling stays capped at

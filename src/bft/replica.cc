@@ -561,8 +561,7 @@ void Replica::MaybeSendPrePrepare() {
                               proposable.begin() + batched);
     ++next_seq_;
 
-    Bytes payload = pp.Encode();
-    Bytes wire = channel_.SealSigned(MsgType::kPrePrepare, payload);
+    Bytes wire = channel_.SealSigned(MsgType::kPrePrepare, pp.Encode());
 
     LogEntry& entry = log_.Get(pp.seq);
     entry.pre_prepare = pp;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/crypto/sha256_multi.h"
@@ -159,7 +160,10 @@ Mac HmacKey::MacOf(BytesView message) const {
 }
 
 KeyTable::KeyTable(uint64_t master_secret, int node_count)
-    : master_secret_(master_secret), epochs_(node_count, 0) {}
+    : master_secret_(master_secret),
+      epochs_(node_count, 0),
+      session_cache_(static_cast<size_t>(node_count) * node_count),
+      signing_cache_(node_count) {}
 
 Bytes KeyTable::DeriveSessionKey(int lo, int hi, uint64_t epoch) const {
   uint8_t material[24];
@@ -202,14 +206,13 @@ const HmacKey& KeyTable::PairKey(int a, int b) const {
   int lo = std::min(a, b);
   int hi = std::max(a, b);
   uint64_t epoch = std::max(epochs_[lo], epochs_[hi]);
-  // The cached marker is epoch + 1 so that a default-constructed slot (0)
-  // can never pass for a legitimate epoch-0 entry.
-  auto& slot = session_cache_[{lo, hi}];
-  if (slot.first != epoch + 1) {
-    slot.second = HmacKey(DeriveSessionKey(lo, hi, epoch));
-    slot.first = epoch + 1;
+  std::unique_ptr<SessionEntry>& entry =
+      session_cache_[static_cast<size_t>(lo) * epochs_.size() + hi];
+  if (entry == nullptr || entry->epoch != epoch) {
+    entry = std::make_unique<SessionEntry>(
+        SessionEntry{epoch, HmacKey(DeriveSessionKey(lo, hi, epoch))});
   }
-  return slot.second;
+  return entry->key;
 }
 
 void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
@@ -235,11 +238,11 @@ void KeyTable::PairMacs(int sender, int n, BytesView message, Mac* out) const {
 }
 
 const HmacKey& KeyTable::SigningHmacKey(int node) const {
-  auto it = signing_cache_.find(node);
-  if (it == signing_cache_.end()) {
-    it = signing_cache_.emplace(node, HmacKey(SigningKey(node))).first;
+  std::unique_ptr<HmacKey>& key = signing_cache_[node];
+  if (key == nullptr) {
+    key = std::make_unique<HmacKey>(SigningKey(node));
   }
-  return it->second;
+  return *key;
 }
 
 std::array<uint8_t, Sha256::kDigestSize> KeyTable::Sign(

@@ -16,7 +16,7 @@
 #define SRC_CRYPTO_HMAC_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -104,14 +104,18 @@ class KeyTable {
   // The cached HmacKey over `node`'s signing key (built on a miss).
   const HmacKey& SigningHmacKey(int node) const;
 
+  struct SessionEntry {
+    uint64_t epoch;  // the pair's epoch when `key` was built
+    HmacKey key;
+  };
+
   uint64_t master_secret_;
   std::vector<uint64_t> epochs_;
-  // (lo, hi) -> (built-at epoch + 1, HmacKey); rebuilt on epoch mismatch, so
-  // RefreshKeysFor invalidates naturally (the +1 keeps a default-constructed
-  // slot from passing for a real epoch-0 entry). Signing keys never rotate.
-  mutable std::map<std::pair<int, int>, std::pair<uint64_t, HmacKey>>
-      session_cache_;
-  mutable std::map<int, HmacKey> signing_cache_;
+  // Indexed by lo * node_count + hi; an entry is built on first use and
+  // rebuilt when the pair's epoch no longer matches, so RefreshKeysFor
+  // invalidates naturally. Signing keys, one slot per node, never rotate.
+  mutable std::vector<std::unique_ptr<SessionEntry>> session_cache_;
+  mutable std::vector<std::unique_ptr<HmacKey>> signing_cache_;
 };
 
 // An authenticator: one MAC per receiving replica. The sender computes all of

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <vector>
 
 #include "src/base/checkpoint_manager.h"
 #include "src/base/kv_adapter.h"
 #include "src/util/hotpath.h"
+#include "src/util/rng.h"
 
 namespace bftbase {
 namespace {
@@ -101,6 +103,43 @@ TEST_F(CheckpointManagerTest, CurrentLeafDigestTracksLiveState) {
   EXPECT_NE(cm_.CurrentLeafDigest(leaf), at_checkpoint);  // live view
   EXPECT_TRUE(cm_.HasDirtyInRange(leaf, leaf + 1));
   EXPECT_FALSE(cm_.HasDirtyInRange(leaf + 1, leaf + 5));
+}
+
+// The dirty leaves answer range queries, list themselves and reach the
+// checkpoint in ascending order as a std::set of them would, across the
+// word boundaries of the dirty bitmap.
+TEST(CheckpointManagerDirty, QueriesMatchAReferenceSet) {
+  constexpr size_t kObjects = 1000;
+  Simulation sim(3);
+  KvAdapter adapter(&sim, kObjects);
+  CheckpointManager cm(&sim, &adapter);
+  adapter.SetModifyFn([&cm](size_t i) { cm.OnModify(i); });
+  Rng rng(26);
+  for (SeqNum seq = 1; seq <= 4; ++seq) {
+    std::set<size_t> dirty;
+    for (int i = 0; i < 40; ++i) {
+      const auto object = static_cast<uint32_t>(rng.NextBelow(kObjects));
+      adapter.Execute(KvAdapter::EncodeSet(object, ToBytes("v")), 100,
+                      Bytes(), false);
+      dirty.insert(CheckpointManager::LeafForObject(object));
+    }
+    EXPECT_EQ(cm.DirtyLeaves(),
+              std::vector<size_t>(dirty.begin(), dirty.end()));
+    for (int q = 0; q < 2000; ++q) {
+      const size_t first = rng.NextBelow(kObjects + 1);
+      const size_t last = first + rng.NextBelow(kObjects + 65 - first);
+      auto it = dirty.lower_bound(first);
+      ASSERT_EQ(cm.HasDirtyInRange(first, last),
+                it != dirty.end() && *it < last)
+          << "[" << first << ", " << last << ")";
+    }
+    cm.TakeCheckpoint(seq, Bytes());
+    dirty.insert(0);  // the protocol leaf is refreshed at every checkpoint
+    EXPECT_EQ(cm.last_checkpoint_updates(),
+              std::vector<size_t>(dirty.begin(), dirty.end()));
+    EXPECT_TRUE(cm.DirtyLeaves().empty());
+    EXPECT_FALSE(cm.HasDirtyInRange(0, kObjects + 1));
+  }
 }
 
 TEST_F(CheckpointManagerTest, DiscardKeepsLatest) {

@@ -1,6 +1,10 @@
 // Unit and property tests for the hierarchical state-partition tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "src/base/partition_tree.h"
 #include "src/util/hotpath.h"
 #include "src/util/rng.h"
@@ -213,6 +217,173 @@ TEST_P(PartitionTreeProperty, IncrementalEqualsFresh) {
     fresh.SetLeaf(i, values[i]);
   }
   EXPECT_EQ(incremental.Root(), fresh.Root());
+}
+
+// A dense reference for the sparse tree: every leaf digest stored, an
+// interior digest rebuilt from its children whenever its subtree changed,
+// and the cost-model count taken as the dirty nodes a query visits (a grow
+// or a fill dirties every node, a leaf write its path).
+class DenseReferenceTree {
+ public:
+  explicit DenseReferenceTree(size_t branching) : branching_(branching) {
+    Resize(1);
+  }
+
+  void Resize(size_t leaf_count) {
+    if (leaf_count <= leaves_.size()) {
+      return;
+    }
+    leaves_.resize(leaf_count);  // new leaves hold the zero digest
+    std::vector<size_t> widths;
+    size_t width = leaf_count;
+    do {
+      width = (width + branching_ - 1) / branching_;
+      widths.push_back(width);
+    } while (width > 1);
+    levels_.clear();  // a grow dirties every node
+    for (auto it = widths.rbegin(); it != widths.rend(); ++it) {
+      levels_.emplace_back(*it);
+    }
+  }
+
+  void Fill(const Digest& digest) {
+    std::fill(leaves_.begin(), leaves_.end(), digest);
+    for (auto& level : levels_) {
+      for (Node& node : level) {
+        node.dirty = true;
+      }
+    }
+  }
+
+  void SetLeaf(size_t leaf, const Digest& digest) {
+    leaves_[leaf] = digest;
+    for (int level = depth() - 1; level >= 0; --level) {
+      leaf /= branching_;
+      levels_[level][leaf].dirty = true;
+    }
+  }
+
+  Digest Leaf(size_t leaf) const { return leaves_[leaf]; }
+
+  Digest NodeDigest(int level, size_t index) {
+    if (level == depth()) {
+      return leaves_[index];
+    }
+    Node& node = levels_[level][index];
+    if (node.dirty) {
+      Digest::Builder builder;
+      builder.Add(static_cast<uint64_t>(level));
+      builder.Add(static_cast<uint64_t>(index));
+      for (const Digest& child : ChildDigests(level, index)) {
+        builder.Add(child);
+      }
+      node.digest = builder.Build();
+      node.dirty = false;
+      ++recomputed_;
+    }
+    return node.digest;
+  }
+
+  std::vector<Digest> ChildDigests(int level, size_t index) {
+    std::vector<Digest> out;
+    const size_t first = index * branching_;
+    const size_t last = std::min(first + branching_, LevelWidth(level + 1));
+    for (size_t child = first; child < last; ++child) {
+      out.push_back(NodeDigest(level + 1, child));
+    }
+    return out;
+  }
+
+  Digest Root() {
+    return Digest::Builder()
+        .Add(NodeDigest(0, 0))
+        .Add(static_cast<uint64_t>(leaves_.size()))
+        .Build();
+  }
+
+  uint64_t TakeRecomputedNodes() { return std::exchange(recomputed_, 0); }
+  size_t LevelWidth(int level) const {
+    return level == depth() ? leaves_.size() : levels_[level].size();
+  }
+  int depth() const { return static_cast<int>(levels_.size()); }
+  size_t leaf_count() const { return leaves_.size(); }
+
+ private:
+  struct Node {
+    Digest digest;
+    bool dirty = true;
+  };
+  size_t branching_;
+  std::vector<Digest> leaves_;
+  std::vector<std::vector<Node>> levels_;
+  uint64_t recomputed_ = 0;
+};
+
+// Random leaf writes, grows (some that change the depth, some no-ops) and
+// fill resets, with digests drawn from a small pool so that writes often
+// restore a leaf to the fill or to zero. After every step the sparse tree
+// answers every query as the dense reference does, cost-model counts
+// included.
+TEST_P(PartitionTreeProperty, MatchesDenseReference) {
+  auto [branching, leaves] = GetParam();
+  Rng rng(branching * 7919 + leaves);
+  PartitionTree tree(branching);
+  DenseReferenceTree reference(branching);
+  tree.Resize(leaves);
+  reference.Resize(leaves);
+  std::vector<Digest> pool = {Digest()};
+  for (int i = 0; i < 5; ++i) {
+    pool.push_back(LeafDigest(i));
+  }
+  auto pick = [&] { return pool[rng.NextBelow(pool.size())]; };
+
+  for (int step = 0; step < 60; ++step) {
+    const size_t count = tree.leaf_count();
+    const uint64_t op = rng.NextBelow(100);
+    if (op < 70) {
+      const size_t leaf = rng.NextBelow(count);
+      const Digest digest = pick();
+      tree.SetLeaf(leaf, digest);
+      reference.SetLeaf(leaf, digest);
+    } else if (op < 80) {
+      const size_t grown =
+          count < 4096 ? count + 1 + rng.NextBelow(count) : count;
+      tree.Resize(grown);
+      reference.Resize(grown);
+    } else if (op < 85) {
+      const size_t smaller = rng.NextBelow(count + 1);  // never shrinks
+      tree.Resize(smaller);
+      reference.Resize(smaller);
+    } else {
+      const Digest fill = pick();
+      tree.Fill(fill);
+      reference.Fill(fill);
+    }
+    ASSERT_EQ(tree.leaf_count(), reference.leaf_count()) << "step " << step;
+    ASSERT_EQ(tree.depth(), reference.depth()) << "step " << step;
+
+    // A partial query before the root: one node and one node's children.
+    const int level = static_cast<int>(rng.NextBelow(tree.depth() + 1));
+    const size_t index = rng.NextBelow(tree.LevelWidth(level));
+    EXPECT_EQ(tree.NodeDigest(level, index),
+              reference.NodeDigest(level, index))
+        << "step " << step << " node (" << level << ", " << index << ")";
+    const int parent = static_cast<int>(rng.NextBelow(tree.depth()));
+    const size_t parent_index = rng.NextBelow(tree.LevelWidth(parent));
+    EXPECT_EQ(tree.ChildDigests(parent, parent_index),
+              reference.ChildDigests(parent, parent_index))
+        << "step " << step;
+    EXPECT_EQ(tree.TakeRecomputedNodes(), reference.TakeRecomputedNodes())
+        << "step " << step;
+
+    ASSERT_EQ(tree.Root(), reference.Root()) << "step " << step;
+    EXPECT_EQ(tree.TakeRecomputedNodes(), reference.TakeRecomputedNodes())
+        << "step " << step;
+    for (size_t leaf = 0; leaf < tree.leaf_count(); ++leaf) {
+      ASSERT_EQ(tree.Leaf(leaf), reference.Leaf(leaf))
+          << "step " << step << " leaf " << leaf;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
