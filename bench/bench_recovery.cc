@@ -11,8 +11,8 @@
 // Experiment E26 — what a cold replica keeps per abstract object: the live
 // heap bytes of a KV adapter plus its checkpoint manager and partition tree
 // (counted by tests/heap_counter.cc, which replaces the global operator new
-// in this binary), and the wall time of the FullResync that construction
-// and every restart from disk run.
+// in this binary), and the wall time and real interior-node hashes of the
+// FullResync that construction and every restart from disk run.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -25,6 +25,7 @@
 #include "src/basefs/fs_session.h"
 #include "src/sim/storage.h"
 #include "src/util/bufpool.h"
+#include "src/util/hotpath.h"
 #include "tests/checkpoint_helpers.h"
 #include "tests/heap_counter.h"
 
@@ -241,15 +242,20 @@ DurableCell RunDurableRecovery(size_t objects, uint64_t tail) {
 
 // --- E26: cold-deployment bookkeeping per object ------------------------------
 
-// The gate: a cold deployment keeps the partition tree's dense interior
-// nodes (~2.3 B per object at branching 16) and a dirty bit per leaf, but no
-// record per object; a leaf digest and a slot per object would read ~57.
+// The gates: a cold deployment keeps the partition tree's dense interior
+// nodes (~2.2 B per object at branching 16) and a dirty bit per leaf, but no
+// record per object; a leaf digest and a slot per object would read ~57. Its
+// FullResync hashes one cold digest per height plus the partial last node of
+// each level, at most 2 x depth interior nodes; hashing every node would
+// read ~objects / 15.
 constexpr double kMaxColdBytesPerObject = 8.0;
 
 struct ColdCell {
   size_t objects = 0;
   double bytes_per_object = 0;
   double resync_wall_ms = 0;  // median of kResyncRuns
+  uint64_t nodes_rehashed = 0;  // real interior hashes: most in one run
+  int depth = 0;
 };
 
 constexpr int kResyncRuns = 5;
@@ -267,19 +273,25 @@ ColdCell MeasureColdDeployment(size_t objects) {
       static_cast<double>(heap_counter::LiveBytes() - before) / objects;
   std::vector<double> runs;
   for (int i = 0; i < kResyncRuns; ++i) {
+    const uint64_t rehashed = hotpath::counters().tree_nodes_rehashed;
     const auto start = std::chrono::steady_clock::now();
     cm.FullResync(/*seq=*/0, /*protocol_state=*/Bytes());
     runs.push_back(std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count());
+    cell.nodes_rehashed =
+        std::max(cell.nodes_rehashed,
+                 hotpath::counters().tree_nodes_rehashed - rehashed);
   }
   std::sort(runs.begin(), runs.end());
   cell.resync_wall_ms = runs[runs.size() / 2];
+  cell.depth = cm.tree().depth();
   return cell;
 }
 
 // One row per state size into the table and the JSON array. Returns false
-// if any row keeps more than kMaxColdBytesPerObject.
+// if any row keeps more than kMaxColdBytesPerObject or hashes more than
+// 2 x depth interior nodes per FullResync.
 bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
   std::printf("\n-- E26: cold-deployment bookkeeping vs object count --\n");
   std::vector<size_t> sizes;
@@ -290,22 +302,27 @@ bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
       sizes.push_back(size_t{1} << bits);
     }
   }
-  Table table({"objects", "bytes/object", "FullResync wall (ms)"});
+  Table table({"objects", "bytes/object", "FullResync wall (ms)",
+               "nodes hashed", "depth"});
   json.Key("cold_deployment");
   json.BeginArray();
   bool ok = true;
   for (size_t objects : sizes) {
     ColdCell cell = MeasureColdDeployment(objects);
-    ok = ok && cell.bytes_per_object <= kMaxColdBytesPerObject;
+    ok = ok && cell.bytes_per_object <= kMaxColdBytesPerObject &&
+         cell.nodes_rehashed <= 2 * static_cast<uint64_t>(cell.depth);
     char per_object[32], wall[32];
     std::snprintf(per_object, sizeof(per_object), "%.2f",
                   cell.bytes_per_object);
     std::snprintf(wall, sizeof(wall), "%.3f", cell.resync_wall_ms);
-    table.AddRow({FormatCount(objects), per_object, wall});
+    table.AddRow({FormatCount(objects), per_object, wall,
+                  FormatCount(cell.nodes_rehashed), FormatCount(cell.depth)});
     json.BeginObject();
     json.Field("objects", static_cast<uint64_t>(objects));
     json.Field("bookkeeping_bytes_per_object", cell.bytes_per_object);
     json.Field("full_resync_wall_ms", cell.resync_wall_ms);
+    json.Field("full_resync_nodes_rehashed", cell.nodes_rehashed);
+    json.Field("tree_depth", static_cast<uint64_t>(cell.depth));
     json.EndObject();
   }
   json.EndArray();
@@ -313,11 +330,14 @@ bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
   std::printf("bytes/object: live heap of a KV adapter + checkpoint manager "
               "+ partition tree\n"
               "with no object written, over the object count (gate: <= "
-              "%.0f); FullResync\nwall: median of %d runs.\n",
+              "%.0f); FullResync\nwall: median of %d runs; nodes hashed: "
+              "real interior-node hashes of one\nFullResync (gate: <= 2 x "
+              "depth).\n",
               kMaxColdBytesPerObject, kResyncRuns);
   if (!ok) {
     std::printf("FAIL: a cold deployment keeps more than %.0f bytes per "
-                "object\n",
+                "object or hashes more\nthan 2 x depth interior nodes per "
+                "FullResync\n",
                 kMaxColdBytesPerObject);
   }
   return ok;
@@ -407,7 +427,8 @@ int main(int argc, char** argv) {
   if (wal_smoke) {
     // CI gate: the durable restart-from-disk path in its short
     // configuration; fails if recovery breaks or the root diverges, or a
-    // cold 2^16-object deployment keeps more than 8 bytes per object.
+    // cold 2^16-object deployment keeps more than 8 bytes per object or
+    // hashes more than 2 x depth interior nodes per FullResync.
     PrintHeader("E15 (smoke): durable restart-from-disk");
     return DurableRecoverySweep(/*smoke=*/true, json_path) ? 0 : 1;
   }

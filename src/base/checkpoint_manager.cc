@@ -298,19 +298,20 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
   protocol_state_ = protocol_state;
   // A cold state repeats values leaf after leaf (empty slots, free inodes),
   // so the leaves are walked as runs of equal values and each run is hashed
-  // once. The model still charges one digest per leaf: only real hashing is
-  // skipped. The longest run's digest becomes the tree's fill, so only the
-  // leaves that differ from it are stored.
+  // once. The model still charges one digest per leaf, summed into one
+  // charge: only real hashing is skipped. The longest run's digest becomes
+  // the tree's fill, so only the leaves that differ from it are stored.
   struct Run {
     size_t first;
     Digest digest;
   };
   std::vector<Run> runs;
   Bytes previous;
+  SimTime cpu = 0;
   for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
     Bytes value =
         leaf == 0 ? protocol_state_ : adapter_->GetObj(ObjectForLeaf(leaf));
-    ChargeDigest(value.size());
+    cpu += sim_->cost().DigestCost(value.size());
     if (leaf == 0 || value != previous) {
       runs.push_back(Run{leaf, Digest::Of(value)});
       previous = std::move(value);
@@ -336,8 +337,9 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
     }
   }
   latest_root_ = tree_.Root();
-  sim_->ChargeCpu(static_cast<SimTime>(tree_.TakeRecomputedNodes()) *
-                  sim_->cost().DigestCost(tree_.branching() * Digest::kSize));
+  cpu += static_cast<SimTime>(tree_.TakeRecomputedNodes()) *
+         sim_->cost().DigestCost(tree_.branching() * Digest::kSize);
+  sim_->ChargeCpu(cpu);
   latest_seq_ = seq;
   dirty_bits_.assign((leaf_count_ + 63) / 64, 0);
   dirty_list_.clear();

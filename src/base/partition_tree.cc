@@ -13,66 +13,90 @@ PartitionTree::PartitionTree(size_t branching) : branching_(branching) {
   Resize(1);
 }
 
+Digest PartitionTree::InteriorDigest(int height,
+                                     std::span<const Digest> children) {
+  Digest::Builder builder;
+  builder.Add(static_cast<uint64_t>(height));
+  for (const Digest& child : children) {
+    builder.Add(child);
+  }
+  return builder.Build();
+}
+
+Digest PartitionTree::RootDigest(const Digest& top, size_t leaf_count) {
+  // Bind the leaf count so states of different sizes cannot collide.
+  return Digest::Builder()
+      .Add(top)
+      .Add(static_cast<uint64_t>(leaf_count))
+      .Build();
+}
+
+int PartitionTree::DepthFor(size_t leaf_count, size_t branching) {
+  int depth = 0;
+  size_t width = std::max<size_t>(leaf_count, 1);
+  do {
+    width = (width + branching - 1) / branching;
+    ++depth;
+  } while (width > 1);
+  return depth;
+}
+
 void PartitionTree::Resize(size_t leaf_count) {
   if (leaf_count <= leaf_count_ && !levels_.empty()) {
     return;  // never shrinks
   }
-  const size_t old_leaf_count = levels_.empty() ? 0 : leaf_count_;
+  const size_t old_leaf_count = leaf_count_;
   std::vector<std::vector<Node>> old_levels = std::move(levels_);
   leaf_count_ = std::max<size_t>(leaf_count, 1);
   block_slots_.resize((leaf_count_ + branching_ - 1) / branching_, 0);
   Rebuild();
   // The cost model charges a grow as a full rebuild: every interior node is
   // dirty and the next Root() counts each one as recomputed. Real hashing
-  // can do better: a node's hash covers (level, index, children), so when
-  // the depth is unchanged, any node whose leaf range was complete under the
-  // old leaf count — and whose digest was current — hashes to the same
-  // bytes. Keep those digests; the next Root() skips re-hashing them. Depth
-  // growth shifts every node's level id (which is bound into its hash), so
-  // nothing is preservable then.
-  if (old_leaf_count == 0 || old_levels.size() != levels_.size()) {
-    return;
-  }
-  size_t span = 1;  // leaves covered per node at the current level
-  for (int level = depth() - 1; level >= 0; --level) {
+  // can do better: a node's hash covers (height, children), so the node at
+  // the same height and index, once its leaf range was complete under the
+  // old leaf count, covers the same leaves as before, whether or not the
+  // depth grew. Those nodes keep their digest and their stale and cold
+  // marks; the next Root() re-hashes only the paths to the new leaves.
+  size_t span = 1;  // leaves covered per node at the current height
+  for (size_t height = 1; height <= old_levels.size(); ++height) {
     span *= branching_;
-    const auto& old_level = old_levels[level];
-    auto& new_level = levels_[level];
-    const size_t limit = std::min(old_level.size(), new_level.size());
-    for (size_t i = 0; i < limit; ++i) {
-      if (!old_level[i].stale && (i + 1) * span <= old_leaf_count) {
-        new_level[i].digest = old_level[i].digest;
-        new_level[i].stale = false;  // dirty stays true for the model
-      }
+    const auto& old_level = old_levels[old_levels.size() - height];
+    auto& new_level = levels_[levels_.size() - height];
+    for (size_t i = 0; i < old_leaf_count / span; ++i) {
+      new_level[i] = old_level[i];
+      new_level[i].dirty = true;
     }
   }
 }
 
 void PartitionTree::Rebuild() {
-  // Number of interior levels needed so the top level has width 1.
-  levels_.clear();
+  // Every node starts dirty and stale; the top level has width 1.
+  levels_.assign(DepthFor(leaf_count_, branching_), {});
   size_t width = leaf_count_;
-  std::vector<size_t> widths;
-  do {
+  for (auto level = levels_.rbegin(); level != levels_.rend(); ++level) {
     width = (width + branching_ - 1) / branching_;
-    widths.push_back(width);
-  } while (width > 1);
-  // widths are bottom-up; levels_ is top-down.
-  for (auto it = widths.rbegin(); it != widths.rend(); ++it) {
-    levels_.emplace_back(*it);  // all nodes start dirty
+    level->resize(width);
   }
 }
 
 void PartitionTree::Fill(const Digest& digest) {
   fill_ = digest;
   filled_ = leaf_count_;
+  cold_digests_.assign(1, digest);
   std::fill(block_slots_.begin(), block_slots_.end(), 0);
   override_blocks_.clear();
   override_count_ = 0;
-  for (auto& level : levels_) {
-    for (Node& node : level) {
-      node.dirty = true;
-      node.stale = true;
+  // Nodes whose whole leaf range lies in the filled range are cold; the
+  // partial last node of each level is hashed from its children.
+  size_t span = 1;
+  for (int level = depth() - 1; level >= 0; --level) {
+    span *= branching_;
+    const size_t complete = filled_ / span;
+    std::vector<Node>& nodes = levels_[level];
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i].dirty = true;
+      nodes[i].stale = true;
+      nodes[i].cold = i < complete;
     }
   }
 }
@@ -127,14 +151,15 @@ void PartitionTree::MarkPathDirty(size_t leaf_index) {
   for (int level = depth() - 1; level >= 0; --level) {
     index /= branching_;
     Node& node = levels_[level][index];
-    if (node.dirty && node.stale) {
+    if (node.dirty && node.stale && !node.cold) {
       break;  // everything above is already marked
     }
-    // A grow can leave nodes dirty (model) but not stale (digest preserved);
-    // a real leaf change must invalidate the digest too, so keep walking
-    // until both flags are set.
+    // A grow can leave nodes dirty (model) but not stale (digest preserved),
+    // and a Fill leaves them cold; a real leaf change must invalidate the
+    // digest, so keep walking until the node is dirty, stale and not cold.
     node.dirty = true;
     node.stale = true;
+    node.cold = false;
   }
 }
 
@@ -157,33 +182,40 @@ std::pair<size_t, size_t> PartitionTree::LeafRange(int level,
   return {first, last};
 }
 
+Digest PartitionTree::ColdDigest(int height) {
+  while (cold_digests_.size() <= static_cast<size_t>(height)) {
+    const std::vector<Digest> children(branching_, cold_digests_.back());
+    ++hotpath::counters().tree_nodes_rehashed;
+    cold_digests_.push_back(InteriorDigest(
+        static_cast<int>(cold_digests_.size()), children));
+  }
+  return cold_digests_[height];
+}
+
 Digest PartitionTree::ComputeNode(int level, size_t index) {
-  size_t child_width = LevelWidth(level + 1);
-  size_t first = index * branching_;
-  size_t last = std::min(first + branching_, child_width);
-  Node& node = levels_[level][index];
-  if (!node.stale) {
-    // Digest preserved across a grow. The children still get their model
-    // visit (the cost model charges a grow as a whole-subtree recompute),
-    // but no bytes are hashed for them unless their own digests are stale.
+  const Node& node = levels_[level][index];
+  const int height = depth() - level;
+  ++recomputed_nodes_;
+  if (node.stale && !node.cold) {
+    ++hotpath::counters().tree_nodes_rehashed;
+    return InteriorDigest(height, ChildDigests(level, index));
+  }
+  // The digest is known without hashing: preserved across a grow, or the
+  // cold digest of its height. The interior children still get their model
+  // visit (the cost model charges a whole-subtree recompute), but no bytes
+  // are hashed for them unless their own digests are stale.
+  if (height > 1) {
+    const size_t first = index * branching_;
+    const size_t last = std::min(first + branching_, LevelWidth(level + 1));
     for (size_t child = first; child < last; ++child) {
       NodeDigest(level + 1, child);
     }
-    ++recomputed_nodes_;
+  }
+  if (!node.stale) {
     ++hotpath::counters().tree_nodes_preserved;
     return node.digest;
   }
-  ++hotpath::counters().tree_nodes_rehashed;
-  Digest::Builder builder;
-  builder.Add(static_cast<uint64_t>(level));
-  builder.Add(static_cast<uint64_t>(index));
-  // The leaves of a block with no override hold their cold digest.
-  const bool cold_block = level + 1 == depth() && block_slots_[index] == 0;
-  for (size_t child = first; child < last; ++child) {
-    builder.Add(cold_block ? ColdLeaf(child) : NodeDigest(level + 1, child));
-  }
-  ++recomputed_nodes_;
-  return builder.Build();
+  return ColdDigest(height);
 }
 
 Digest PartitionTree::NodeDigest(int level, size_t index) {
@@ -212,11 +244,7 @@ std::vector<Digest> PartitionTree::ChildDigests(int level, size_t index) {
 }
 
 Digest PartitionTree::Root() {
-  // Bind the leaf count so states of different sizes cannot collide.
-  return Digest::Builder()
-      .Add(NodeDigest(0, 0))
-      .Add(static_cast<uint64_t>(leaf_count_))
-      .Build();
+  return RootDigest(NodeDigest(0, 0), leaf_count_);
 }
 
 }  // namespace bftbase

@@ -15,11 +15,14 @@
 // set by Fill) plus the leaves whose digest differs from it, grouped by
 // block (the `branching` leaves under one bottom interior node), so a
 // replica's memory per object follows the objects that left the cold state.
-// Interior nodes stay dense.
+// Interior nodes stay dense. An interior node's digest covers its height and
+// its children (InteriorDigest), not its position, so every complete subtree
+// whose leaves all hold the fill has one digest per height, hashed once.
 #ifndef SRC_BASE_PARTITION_TREE_H_
 #define SRC_BASE_PARTITION_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/crypto/digest.h"
@@ -32,13 +35,23 @@ class PartitionTree {
   // a small fixed hierarchy; 16 gives 4 levels for 64Ki objects).
   explicit PartitionTree(size_t branching = 16);
 
+  // The digest rules, shared with state transfer's verification. An interior
+  // node `height` levels above the leaves hashes (height, children in
+  // order); a child's position is committed through its parent's ordered
+  // children, and the root binds the leaf count, which fixes the shape.
+  static Digest InteriorDigest(int height, std::span<const Digest> children);
+  static Digest RootDigest(const Digest& top, size_t leaf_count);
+  // Interior levels of a tree over `leaf_count` leaves.
+  static int DepthFor(size_t leaf_count, size_t branching);
+
   // Grows (never shrinks) the leaf array. New leaves hold the zero digest.
   void Resize(size_t leaf_count);
 
   // Sets every leaf to `digest` (leaves added by a later Resize still hold
-  // the zero digest). Every interior node is recomputed by the next Root(),
-  // as if each leaf had been set one by one.
+  // the zero digest). The next Root() counts every interior node as
+  // recomputed, as if each leaf had been set one by one.
   void Fill(const Digest& digest);
+  const Digest& fill() const { return fill_; }
 
   void SetLeaf(size_t index, const Digest& digest);
   Digest Leaf(size_t index) const;
@@ -69,7 +82,8 @@ class PartitionTree {
   // past the filled range, from zero).
   size_t override_count() const { return override_count_; }
 
-  // Interior hashes performed since the last call (for cost accounting).
+  // Interior hashes the cost model counts since the last call (for cost
+  // accounting). Real hashing can be less: see Node.
   uint64_t TakeRecomputedNodes() {
     uint64_t n = recomputed_nodes_;
     recomputed_nodes_ = 0;
@@ -78,16 +92,18 @@ class PartitionTree {
 
  private:
   // `dirty` is the cost-model flag: a dirty node is counted in
-  // recomputed_nodes_ when next visited. `stale` is the real flag: the
-  // digest bytes need rebuilding. They diverge only across a grow (Resize
-  // re-dirties every node for the model, but digests of subtrees that were
-  // complete under the old leaf count are still valid), so a checkpoint
-  // after a grow re-hashes only genuinely changed paths while the model
-  // charges a full rebuild.
+  // recomputed_nodes_ when next visited, and its dirty descendants with it.
+  // `stale` is the real flag: the digest bytes need rebuilding. `cold` marks
+  // a complete subtree inside the filled range with no override beneath:
+  // its digest is its height's cold digest. A Fill dirties every node for
+  // the model, and a grow re-dirties every node while complete subtrees
+  // keep their digests, so the model charges a full rebuild where real
+  // hashing covers only the paths that changed.
   struct Node {
     Digest digest;
-    bool dirty = true;
-    bool stale = true;
+    bool dirty : 1 = true;
+    bool stale : 1 = true;
+    bool cold : 1 = false;
   };
 
   // A leaf whose digest differs from its cold one, by its offset in its block.
@@ -100,6 +116,9 @@ class PartitionTree {
   Digest ColdLeaf(size_t index) const {
     return index < filled_ ? fill_ : Digest();
   }
+  // The digest of a complete subtree of `height` whose leaves all hold the
+  // fill; hashed on first use after each Fill.
+  Digest ColdDigest(int height);
   void Rebuild();
   void MarkPathDirty(size_t leaf_index);
   Digest ComputeNode(int level, size_t index);
@@ -109,6 +128,8 @@ class PartitionTree {
   // Leaves [0, filled_) default to fill_, the rest to the zero digest.
   Digest fill_;
   size_t filled_ = 0;
+  // cold_digests_[h] is ColdDigest(h); [0] is the fill.
+  std::vector<Digest> cold_digests_;
   // Per block: 0 if it has held no override since the last Fill, else 1 +
   // the index of its overrides (in no particular order) in override_blocks_.
   std::vector<uint32_t> block_slots_;

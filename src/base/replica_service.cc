@@ -34,7 +34,7 @@ ReplicaService::ReplicaService(Simulation* sim, const Config& config,
       // The clean concrete state has been rebuilt from the saved abstract
       // state plus fetched objects; resume serving and drop the disk copy.
       rebuilding_ = false;
-      recovery_disk_.clear();
+      recovery_disk_ = RecoveryDisk{};
       state_transfer_.SetServing(true);
     }
     if (done_fn_) {
@@ -313,7 +313,7 @@ void ReplicaService::OnCrash() {
   state_transfer_.SetLocalSource(nullptr);
   DropPendingCheckpoints();
   rebuilding_ = false;
-  recovery_disk_.clear();
+  recovery_disk_ = RecoveryDisk{};
   pending_protocol_state_.clear();
   last_agreed_timestamp_ = 0;
   durable_checkpoint_seq_ = 0;  // re-learned from the header on recovery
@@ -457,20 +457,38 @@ size_t ReplicaService::SaveForRecovery() {
   // Save the abstract value of every leaf (protocol blob + objects) to the
   // simulated disk. The digests let the rebuild use the saved copies for
   // every object the group agrees is current, so only divergent objects hit
-  // the network.
-  recovery_disk_.clear();
+  // the network. A leaf that is clean since the latest checkpoint and whose
+  // digest there is the tree's fill holds the fill's value, so those leaves
+  // share one saved copy; the model still charges and counts every leaf.
+  recovery_disk_ = RecoveryDisk{};
+  recovery_disk_.leaf_count = adapter_->ObjectCount() + 1;
+  recovery_disk_.fill.digest = cm_.tree().fill();
+  bool fill_saved = false;
   size_t total_bytes = 0;
-  size_t object_count = adapter_->ObjectCount();
-  for (size_t leaf = 0; leaf < object_count + 1; ++leaf) {
-    SavedLeaf saved;
-    saved.value = leaf == 0
-                      ? pending_protocol_state_
-                      : adapter_->GetObj(CheckpointManager::ObjectForLeaf(leaf));
-    sim_->ChargeCpu(sim_->cost().DigestCost(saved.value.size()));
-    saved.digest = Digest::Of(saved.value);
-    total_bytes += saved.value.size();
-    recovery_disk_.emplace(leaf, std::move(saved));
+  SimTime cpu = 0;
+  for (size_t leaf = 0; leaf < recovery_disk_.leaf_count; ++leaf) {
+    const bool cold = leaf != 0 && leaf < cm_.LeafCount() &&
+                      !cm_.HasDirtyInRange(leaf, leaf + 1) &&
+                      cm_.tree().Leaf(leaf) == recovery_disk_.fill.digest;
+    if (cold && fill_saved) {
+      cpu += sim_->cost().DigestCost(recovery_disk_.fill.value.size());
+      total_bytes += recovery_disk_.fill.value.size();
+      continue;
+    }
+    Bytes value = leaf == 0 ? pending_protocol_state_
+                            : adapter_->GetObj(
+                                  CheckpointManager::ObjectForLeaf(leaf));
+    cpu += sim_->cost().DigestCost(value.size());
+    total_bytes += value.size();
+    if (cold) {
+      recovery_disk_.fill.value = std::move(value);
+      fill_saved = true;
+    } else {
+      const Digest digest = Digest::Of(value);
+      recovery_disk_.leaves.emplace(leaf, SavedLeaf{std::move(value), digest});
+    }
   }
+  sim_->ChargeCpu(cpu);
   return total_bytes;
 }
 
@@ -495,9 +513,13 @@ void ReplicaService::RestartFromRecovery() {
   cm_.FullResync(/*seq=*/0, /*protocol_state=*/Bytes());
   state_transfer_.SetLocalSource(
       [this](size_t leaf, const Digest& expected) -> std::optional<Bytes> {
-        auto it = recovery_disk_.find(leaf);
-        if (it != recovery_disk_.end() && it->second.digest == expected) {
-          return it->second.value;
+        const SavedLeaf* saved = &recovery_disk_.fill;
+        if (auto it = recovery_disk_.leaves.find(leaf);
+            it != recovery_disk_.leaves.end()) {
+          saved = &it->second;
+        }
+        if (leaf < recovery_disk_.leaf_count && saved->digest == expected) {
+          return saved->value;
         }
         return std::nullopt;
       });

@@ -139,7 +139,14 @@ class ReplicaService : public ServiceInterface {
     Bytes value;
     Digest digest;
   };
-  std::map<size_t, SavedLeaf> recovery_disk_;
+  struct RecoveryDisk {
+    // Leaves [0, leaf_count) were saved: those that left the cold state one
+    // by one, every other one as `fill`.
+    std::map<size_t, SavedLeaf> leaves;
+    SavedLeaf fill;
+    size_t leaf_count = 0;
+  };
+  RecoveryDisk recovery_disk_;
   bool rebuilding_ = false;
 };
 

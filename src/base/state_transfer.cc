@@ -15,46 +15,6 @@ constexpr size_t kDataBatch = 32;
 // Retransmission interval for unanswered fetches.
 constexpr SimTime kRetryInterval = 200 * kMillisecond;
 
-// Must mirror PartitionTree::ComputeNode exactly: interior digest covers
-// (level, index, children...).
-Digest InteriorDigest(int level, size_t index,
-                      const std::vector<Digest>& children) {
-  Digest::Builder builder;
-  builder.Add(static_cast<uint64_t>(level));
-  builder.Add(static_cast<uint64_t>(index));
-  for (const Digest& child : children) {
-    builder.Add(child);
-  }
-  return builder.Build();
-}
-
-Digest RootDigest(const Digest& node0, size_t leaf_count) {
-  return Digest::Builder()
-      .Add(node0)
-      .Add(static_cast<uint64_t>(leaf_count))
-      .Build();
-}
-
-// Tree geometry for a given leaf count (mirrors PartitionTree::Rebuild).
-int DepthFor(size_t leaf_count, size_t branching) {
-  int depth = 0;
-  size_t width = std::max<size_t>(leaf_count, 1);
-  do {
-    width = (width + branching - 1) / branching;
-    ++depth;
-  } while (width > 1);
-  return depth;
-}
-
-size_t WidthAt(size_t leaf_count, size_t branching, int level, int depth) {
-  // level `depth` = leaves.
-  size_t width = std::max<size_t>(leaf_count, 1);
-  for (int l = depth; l > level; --l) {
-    width = (width + branching - 1) / branching;
-  }
-  return width;
-}
-
 }  // namespace
 
 StateTransfer::StateTransfer(Simulation* sim, const Config& config,
@@ -353,11 +313,17 @@ void StateTransfer::HandleMeta(NodeId /*from*/, BytesView payload) {
     return;  // not requested (duplicate or unsolicited)
   }
 
-  Digest node = InteriorDigest(level, index, children);
+  // The root META is checked against the leaf count it claims (the root
+  // equation binds it); deeper ones against the verified count.
+  const size_t leaf_count =
+      level == 0 ? claimed_leaf_count : target_leaf_count_;
+  const int height =
+      PartitionTree::DepthFor(leaf_count, cm_->tree().branching()) - level;
+  Digest node = PartitionTree::InteriorDigest(height, children);
   sim_->ChargeCpu(sim_->cost().DigestCost(children.size() * Digest::kSize));
   if (level == 0) {
     // Verify through the root equation and adopt the leaf count.
-    if (RootDigest(node, claimed_leaf_count) != target_root_) {
+    if (PartitionTree::RootDigest(node, claimed_leaf_count) != target_root_) {
       LOG_WARN << "state transfer: root META failed verification";
       return;  // Byzantine or stale; the retry timer re-requests
     }
@@ -377,7 +343,7 @@ void StateTransfer::HandleMeta(NodeId /*from*/, BytesView payload) {
 void StateTransfer::ProcessMetaNode(int level, size_t index,
                                     const std::vector<Digest>& children) {
   const size_t branching = cm_->tree().branching();
-  const int depth = DepthFor(target_leaf_count_, branching);
+  const int depth = PartitionTree::DepthFor(target_leaf_count_, branching);
   const bool children_are_leaves = (level + 1 == depth);
 
   // Local tree comparable only if it has identical geometry.
@@ -404,9 +370,6 @@ void StateTransfer::ProcessMetaNode(int level, size_t index,
     }
     RequestMeta(level + 1, child, expected);
   }
-  // Defensive: the server may have fewer children than the target geometry
-  // implies only if it lied about leaf_count; the root equation catches it.
-  (void)WidthAt;
 }
 
 void StateTransfer::ConsiderLeaf(size_t leaf, const Digest& expected) {

@@ -113,12 +113,19 @@ TraceResult RunWallclock(int f, int clients, int requests_per_client,
 //     that work completes rather than inside the executing handler. Event
 //     counts are unchanged, and the fault-free wall-clock pins (no
 //     checkpoint in their runs) did not move.
-//   current  15ead6bbf8f9 / 3176 events (seeds 9 and 17 below) — separate
-//     request transmission (DESIGN.md §6): clients multicast every request,
-//     PRE-PREPAREs list digests, backups FETCH bodies they lack and the
-//     view-change timer moves a deadline. More messages (n copies of each
-//     request) and smaller pre-prepares change every interleaving; the
-//     wall-clock pins moved for the same reason.
+//   15ead6bbf8f9 / 3176 events — separate request transmission (DESIGN.md
+//     §6): clients multicast every request, PRE-PREPAREs list digests,
+//     backups FETCH bodies they lack and the view-change timer moves a
+//     deadline. More messages (n copies of each request) and smaller
+//     pre-prepares change every interleaving; the wall-clock pins moved for
+//     the same reason. Seeds 9 and 17 read ab7c9d2ad85d / 3033 and
+//     1e423e23d88b / 3155 until the next entry.
+//   current  806e5b35ee6e / 3176 events (seed 9: 8d68a9816c47 / 3033, seed
+//     17: f3c848af01b1 / 3155) — partition-tree interior nodes hash
+//     (height, children) instead of (level, index, children) (DESIGN.md
+//     §11), so every checkpoint root digest in CHECKPOINT messages and
+//     state-transfer replies has new bytes. Event counts are unchanged, and
+//     so are the wall-clock pins (their runs reach no checkpoint).
 TEST(KernelWitness, ChaosSeedsMatchPins) {
   struct Pin {
     uint64_t seed;
@@ -126,9 +133,9 @@ TEST(KernelWitness, ChaosSeedsMatchPins) {
     uint64_t events;
   };
   const Pin pins[] = {
-      {1, "15ead6bbf8f9", 3176},
-      {9, "ab7c9d2ad85d", 3033},
-      {17, "1e423e23d88b", 3155},
+      {1, "806e5b35ee6e", 3176},
+      {9, "8d68a9816c47", 3033},
+      {17, "f3c848af01b1", 3155},
   };
   for (const Pin& pin : pins) {
     ChaosOptions options;
@@ -196,13 +203,17 @@ TEST(KernelWitness, WallclockConfigsMatchPreOverhaulPins) {
 //   2edb80bccf6c / 10443 events — first pinned with the pacing itself
 //     (DESIGN.md §12). The code before it forced nothing here and read
 //     a98210177db9 / 10380.
+//   b9b469106fcd / 10443 events — partition-tree interior nodes hash
+//     (height, children) instead of (level, index, children) (DESIGN.md
+//     §11): the checkpoint digests in the CHECKPOINT votes have new bytes;
+//     the event count and every charge are unchanged.
 TEST(KernelWitness, PacedCheckpointDigestsMatchPin) {
   TraceResult r = RunWallclock(/*f=*/1, /*clients=*/16,
                                /*requests_per_client=*/20, /*seed=*/7003,
                                /*checkpoint_interval=*/8, /*log_window=*/16);
   ASSERT_TRUE(r.ok);
   EXPECT_GT(r.forced_us, 0u);
-  EXPECT_EQ(r.digest, "2edb80bccf6c");
+  EXPECT_EQ(r.digest, "b9b469106fcd");
   EXPECT_EQ(r.events, 10443u);
 }
 

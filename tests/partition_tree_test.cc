@@ -220,9 +220,10 @@ TEST_P(PartitionTreeProperty, IncrementalEqualsFresh) {
 }
 
 // A dense reference for the sparse tree: every leaf digest stored, an
-// interior digest rebuilt from its children whenever its subtree changed,
-// and the cost-model count taken as the dirty nodes a query visits (a grow
-// or a fill dirties every node, a leaf write its path).
+// interior digest rebuilt from its children, as H(height, children) with a
+// plain Digest::Builder, whenever its subtree changed (no cold or preserved
+// shortcut), and the cost-model count taken as the dirty nodes a query
+// visits (a grow or a fill dirties every node, a leaf write its path).
 class DenseReferenceTree {
  public:
   explicit DenseReferenceTree(size_t branching) : branching_(branching) {
@@ -272,8 +273,7 @@ class DenseReferenceTree {
     Node& node = levels_[level][index];
     if (node.dirty) {
       Digest::Builder builder;
-      builder.Add(static_cast<uint64_t>(level));
-      builder.Add(static_cast<uint64_t>(index));
+      builder.Add(static_cast<uint64_t>(depth() - level));  // the height
       for (const Digest& child : ChildDigests(level, index)) {
         builder.Add(child);
       }
@@ -319,11 +319,14 @@ class DenseReferenceTree {
   uint64_t recomputed_ = 0;
 };
 
-// Random leaf writes, grows (some that change the depth, some no-ops) and
-// fill resets, with digests drawn from a small pool so that writes often
+// Random leaf writes (some back to the fill, some to the last leaf, whose
+// nodes are the partial last ones of their levels), grows (some that change
+// the depth, some no-ops) and fill resets (some followed by a grow across a
+// depth change), with digests drawn from a small pool so that writes often
 // restore a leaf to the fill or to zero. After every step the sparse tree
 // answers every query as the dense reference does, cost-model counts
-// included.
+// included, and a tree that reaches the same leaves by one SetLeaf each,
+// with no Fill, has the same root.
 TEST_P(PartitionTreeProperty, MatchesDenseReference) {
   auto [branching, leaves] = GetParam();
   Rng rng(branching * 7919 + leaves);
@@ -336,28 +339,40 @@ TEST_P(PartitionTreeProperty, MatchesDenseReference) {
     pool.push_back(LeafDigest(i));
   }
   auto pick = [&] { return pool[rng.NextBelow(pool.size())]; };
+  Digest fill;
 
   for (int step = 0; step < 60; ++step) {
     const size_t count = tree.leaf_count();
     const uint64_t op = rng.NextBelow(100);
-    if (op < 70) {
-      const size_t leaf = rng.NextBelow(count);
-      const Digest digest = pick();
+    if (op < 67) {
+      // Some writes restore the fill; some hit the last leaf.
+      const size_t leaf = op < 60 ? rng.NextBelow(count) : count - 1;
+      const Digest digest = op >= 52 && op < 60 ? fill : pick();
       tree.SetLeaf(leaf, digest);
       reference.SetLeaf(leaf, digest);
-    } else if (op < 80) {
+    } else if (op < 77) {
       const size_t grown =
           count < 4096 ? count + 1 + rng.NextBelow(count) : count;
       tree.Resize(grown);
       reference.Resize(grown);
-    } else if (op < 85) {
+    } else if (op < 82) {
       const size_t smaller = rng.NextBelow(count + 1);  // never shrinks
       tree.Resize(smaller);
       reference.Resize(smaller);
     } else {
-      const Digest fill = pick();
+      fill = pick();
       tree.Fill(fill);
       reference.Fill(fill);
+      // The leaves the current depth can hold; one more deepens the tree.
+      size_t capacity = 1;
+      for (int level = 0; level < tree.depth(); ++level) {
+        capacity *= branching;
+      }
+      if (op >= 92 && capacity < 8192) {
+        const size_t grown = capacity + 1 + rng.NextBelow(capacity);
+        tree.Resize(grown);
+        reference.Resize(grown);
+      }
     }
     ASSERT_EQ(tree.leaf_count(), reference.leaf_count()) << "step " << step;
     ASSERT_EQ(tree.depth(), reference.depth()) << "step " << step;
@@ -376,14 +391,70 @@ TEST_P(PartitionTreeProperty, MatchesDenseReference) {
     EXPECT_EQ(tree.TakeRecomputedNodes(), reference.TakeRecomputedNodes())
         << "step " << step;
 
-    ASSERT_EQ(tree.Root(), reference.Root()) << "step " << step;
+    const Digest root = tree.Root();
+    ASSERT_EQ(root, reference.Root()) << "step " << step;
     EXPECT_EQ(tree.TakeRecomputedNodes(), reference.TakeRecomputedNodes())
         << "step " << step;
+    PartitionTree per_leaf(branching);
+    per_leaf.Resize(tree.leaf_count());
     for (size_t leaf = 0; leaf < tree.leaf_count(); ++leaf) {
       ASSERT_EQ(tree.Leaf(leaf), reference.Leaf(leaf))
           << "step " << step << " leaf " << leaf;
+      per_leaf.SetLeaf(leaf, reference.Leaf(leaf));
     }
+    ASSERT_EQ(per_leaf.Root(), root) << "step " << step;
   }
+}
+
+// A Fill leaves every complete subtree cold: one digest per height, hashed
+// once, so the root of a 2^18+1-leaf tree costs the cold digests plus the
+// partial last node of each level, while the cost model still counts every
+// interior node.
+TEST(PartitionTree, ColdTreeHashesOneNodePerHeight) {
+  constexpr size_t kLeaves = (size_t{1} << 18) + 1;
+  PartitionTree tree(16);
+  tree.Resize(kLeaves);
+  tree.Fill(LeafDigest(7));
+  const uint64_t before = hotpath::counters().tree_nodes_rehashed;
+  const Digest root = tree.Root();
+  const uint64_t rehashed = hotpath::counters().tree_nodes_rehashed - before;
+  EXPECT_LE(rehashed, 2u * static_cast<uint64_t>(tree.depth()));
+  EXPECT_EQ(tree.TakeRecomputedNodes(), 17481u);
+
+  DenseReferenceTree reference(16);
+  reference.Resize(kLeaves);
+  reference.Fill(LeafDigest(7));
+  EXPECT_EQ(root, reference.Root());
+  EXPECT_EQ(reference.TakeRecomputedNodes(), 17481u);
+}
+
+// A node's digest does not depend on its depth, so a grow that adds a level
+// keeps every subtree that was complete: 4,096 -> 4,097 leaves (depth 3 ->
+// 4) re-hashes only the path to the new leaf, while the cost model still
+// charges all 277 interior nodes.
+TEST(PartitionTree, GrowAcrossDepthKeepsCompleteSubtrees) {
+  PartitionTree tree(16);
+  DenseReferenceTree reference(16);
+  tree.Resize(4096);
+  reference.Resize(4096);
+  for (int i = 0; i < 4096; ++i) {
+    tree.SetLeaf(i, LeafDigest(i));
+    reference.SetLeaf(i, LeafDigest(i));
+  }
+  ASSERT_EQ(tree.Root(), reference.Root());
+  ASSERT_EQ(tree.depth(), 3);
+  tree.TakeRecomputedNodes();
+  reference.TakeRecomputedNodes();
+
+  tree.Resize(4097);
+  reference.Resize(4097);
+  ASSERT_EQ(tree.depth(), 4);
+  const uint64_t before = hotpath::counters().tree_nodes_rehashed;
+  const Digest root = tree.Root();
+  EXPECT_EQ(hotpath::counters().tree_nodes_rehashed - before, 4u);
+  EXPECT_EQ(tree.TakeRecomputedNodes(), 277u);
+  EXPECT_EQ(root, reference.Root());
+  EXPECT_EQ(reference.TakeRecomputedNodes(), 277u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

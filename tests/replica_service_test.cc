@@ -2,6 +2,8 @@
 // protocol-state piggyback, and the save/restart half of proactive recovery.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/base/kv_adapter.h"
 #include "src/base/replica_service.h"
 #include "tests/checkpoint_helpers.h"
@@ -80,6 +82,25 @@ TEST_F(ReplicaServiceTest, ProtocolStateTravelsThroughCheckpoints) {
   EXPECT_NE(with_blob, with_other);
 }
 
+// Runs `service`'s state transfer toward (seq, root) against a loopback
+// `peer`: our fetch messages go to the peer's handler (executed inline), its
+// replies to ours. True once the transfer completed at `seq`.
+bool TransferFrom(Simulation& sim, ReplicaService& service,
+                  ReplicaService& peer, SeqNum seq, const Digest& root) {
+  peer.SetStateSender([&](NodeId, const Bytes& payload) {
+    service.HandleStateMessage(1, payload);
+  });
+  std::optional<SeqNum> done_seq;
+  service.SetStateTransferDone(
+      [&](SeqNum done, const Digest&) { done_seq = done; });
+  service.SetStateSender([&](NodeId, const Bytes& payload) {
+    peer.HandleStateMessage(0, payload);
+  });
+  service.StartStateTransfer(seq, root);
+  sim.RunUntil(sim.Now() + kSecond);
+  return done_seq == seq;
+}
+
 TEST_F(ReplicaServiceTest, SaveAndRestartRebuildsFromLocalDisk) {
   service_.Execute(KvAdapter::EncodeSet(3, ToBytes("precious")), 100,
                    ReplicaService::EncodeNondet(1000), false);
@@ -92,8 +113,8 @@ TEST_F(ReplicaServiceTest, SaveAndRestartRebuildsFromLocalDisk) {
   // Clean concrete state after the restart.
   EXPECT_TRUE(adapter_.GetObj(3).empty());
 
-  // Wire a loopback "peer": serve the state transfer from a twin service
-  // holding the same checkpoint.
+  // Serve the state transfer from a twin service holding the same
+  // checkpoint.
   Simulation peer_sim(2);
   KvAdapter peer_adapter(&peer_sim, 32);
   ReplicaService peer(&peer_sim, config_, 1, &peer_adapter);
@@ -102,30 +123,53 @@ TEST_F(ReplicaServiceTest, SaveAndRestartRebuildsFromLocalDisk) {
   peer.SetProtocolState(ToBytes("ps"));
   ASSERT_EQ(TakeCheckpointNow(peer_sim, peer, 10), root);
 
-  // Route: our fetch messages -> peer's handler (executed inline); peer's
-  // replies -> our handler.
-  peer.SetStateSender([&](NodeId, const Bytes& payload) {
-    service_.HandleStateMessage(1, payload);
-  });
-  bool done = false;
-  SeqNum done_seq = 0;
-  service_.SetStateTransferDone([&](SeqNum seq, const Digest&) {
-    done = true;
-    done_seq = seq;
-  });
-  service_.SetStateSender([&](NodeId, const Bytes& payload) {
-    peer.HandleStateMessage(0, payload);
-  });
-
-  service_.StartStateTransfer(10, root);
-  sim_.RunUntil(sim_.Now() + kSecond);
-  ASSERT_TRUE(done);
-  EXPECT_EQ(done_seq, 10u);
+  ASSERT_TRUE(TransferFrom(sim_, service_, peer, 10, root));
   // The object was restored — from the local saved copy, not the network.
   EXPECT_EQ(ToString(adapter_.GetObj(3)), "precious");
   EXPECT_GE(service_.state_transfer().leaves_from_local_source(), 2u);
   EXPECT_EQ(service_.state_transfer().leaves_fetched(), 0u);
   EXPECT_EQ(ToString(service_.GetProtocolState()), "ps");
+}
+
+// A KV service whose clean restart is not the state it was built with:
+// slot 5 comes back holding "boot".
+class RebootDirtyKv : public KvAdapter {
+ public:
+  using KvAdapter::KvAdapter;
+  void RestartClean() override {
+    KvAdapter::RestartClean();
+    PutObjs({ObjectUpdate{5, ToBytes("boot")}});
+  }
+};
+
+// The save keeps one copy of the fill's value for every leaf that held it,
+// not one per leaf. A leaf that held the fill before the reboot is restored
+// from that copy, not the network, even when the clean restart left it
+// holding something else.
+TEST_F(ReplicaServiceTest, LeafThatHeldTheFillRestoresFromLocalDisk) {
+  Simulation sim(3);
+  RebootDirtyKv adapter(&sim, 32);
+  ReplicaService service(&sim, config_, 0, &adapter);
+  service.Execute(KvAdapter::EncodeSet(3, ToBytes("precious")), 100,
+                  ReplicaService::EncodeNondet(1000), false);
+  const Digest root = TakeCheckpointNow(sim, service, 10);
+
+  EXPECT_EQ(service.SaveForRecovery(), 8u);  // only "precious" is non-empty
+  service.RestartFromRecovery();
+  EXPECT_EQ(ToString(adapter.GetObj(5)), "boot");
+
+  Simulation peer_sim(4);
+  KvAdapter peer_adapter(&peer_sim, 32);
+  ReplicaService peer(&peer_sim, config_, 1, &peer_adapter);
+  peer.Execute(KvAdapter::EncodeSet(3, ToBytes("precious")), 100,
+               ReplicaService::EncodeNondet(1000), false);
+  ASSERT_EQ(TakeCheckpointNow(peer_sim, peer, 10), root);
+
+  ASSERT_TRUE(TransferFrom(sim, service, peer, 10, root));
+  EXPECT_TRUE(adapter.GetObj(5).empty());
+  EXPECT_EQ(ToString(adapter.GetObj(3)), "precious");
+  EXPECT_EQ(service.state_transfer().leaves_fetched(), 0u);
+  EXPECT_EQ(service.state_transfer().leaves_from_local_source(), 2u);
 }
 
 TEST_F(ReplicaServiceTest, TentativeExecutionDoesNotClampTimestamps) {
