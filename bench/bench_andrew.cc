@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
 
   // The last four columns are the real hot-path work done by the replicated
   // run (SHA-256 compressions, MB through the hashers, payload copies by the
-  // zero-copy fabric, encode-buffer pool misses).
+  // zero-copy fabric, buffers encoded).
   Table table({"phase", "NFS (ms)", "BASEFS (ms)", "BASEFS no-PR (ms)",
                "overhead", "msgs dlvd", "MB dlvd", "sha256 blk", "MB hashed",
                "copies", "enc allocs"});

@@ -24,7 +24,6 @@
 #include "src/basefs/basefs_group.h"
 #include "src/basefs/fs_session.h"
 #include "src/sim/storage.h"
-#include "src/util/bufpool.h"
 #include "src/util/hotpath.h"
 #include "tests/checkpoint_helpers.h"
 #include "tests/heap_counter.h"
@@ -264,11 +263,9 @@ ColdCell MeasureColdDeployment(size_t objects) {
   ColdCell cell;
   cell.objects = objects;
   Simulation sim(1);
-  BufferPool::Clear();
   const size_t before = heap_counter::LiveBytes();
   KvAdapter adapter(&sim, objects);
   CheckpointManager cm(&sim, &adapter);
-  BufferPool::Clear();
   cell.bytes_per_object =
       static_cast<double>(heap_counter::LiveBytes() - before) / objects;
   std::vector<double> runs;

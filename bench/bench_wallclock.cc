@@ -5,11 +5,12 @@
 // event-processing rate is the ceiling on every experiment we can run. It
 // drives a closed-loop KV workload through the full
 // send→authenticate→deliver→verify path and reports wall-clock requests/sec,
-// sim-events/sec, SHA-256 work per request and payload bytes copied per
-// delivered message, plus the run's checkpoint figures (CheckpointFigures in
-// bench_common.h: the primary's high-watermark stalls, checkpoint digest
-// CPU per request and its paced share, the slowest take-to-vote lag; all
-// virtual time, reported, not gated).
+// sim-events/sec, SHA-256 work per request, payload bytes copied per
+// delivered message by the fabric and by the receivers' opens, plus the
+// run's checkpoint figures (CheckpointFigures in bench_common.h: the
+// primary's high-watermark stalls, checkpoint digest CPU per request and its
+// paced share, the slowest take-to-vote lag; all virtual time, reported, not
+// gated).
 //
 // Each configuration runs once. SHA-256 invocations per request and payload
 // bytes copied per delivered message are deterministic per seed, so each is
@@ -69,9 +70,9 @@ struct RunStats {
   uint64_t sha256_blocks = 0;
   uint64_t bytes_hashed = 0;
   uint64_t encode_allocs = 0;
-  uint64_t encode_reuses = 0;
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
+  uint64_t open_bytes_copied = 0;
   // Network accounting (per-simulation, so no snapshot needed).
   uint64_t messages_delivered = 0;
   uint64_t bytes_delivered = 0;
@@ -95,6 +96,11 @@ struct RunStats {
   double CopiedPerDelivered() const {
     return messages_delivered > 0
                ? static_cast<double>(bytes_copied) / messages_delivered
+               : 0;
+  }
+  double OpenCopiedPerDelivered() const {
+    return messages_delivered > 0
+               ? static_cast<double>(open_bytes_copied) / messages_delivered
                : 0;
   }
 };
@@ -154,9 +160,9 @@ RunStats RunOnce(const WallclockConfig& cfg) {
   s.sha256_blocks = after.sha256_blocks - before.sha256_blocks;
   s.bytes_hashed = after.bytes_hashed - before.bytes_hashed;
   s.encode_allocs = after.encode_allocs - before.encode_allocs;
-  s.encode_reuses = after.encode_reuses - before.encode_reuses;
   s.memo_hits = after.digest_memo_hits - before.digest_memo_hits;
   s.memo_misses = after.digest_memo_misses - before.digest_memo_misses;
+  s.open_bytes_copied = after.open_bytes_copied - before.open_bytes_copied;
   const Network& net = group.sim().network();
   s.messages_delivered = net.messages_delivered();
   s.bytes_delivered = net.bytes_delivered();
@@ -185,8 +191,10 @@ void EmitRunJson(JsonWriter& json, const RunStats& s) {
   json.Field("payload_copies", s.payload_copies);
   json.Field("bytes_copied", s.bytes_copied);
   json.Field("bytes_copied_per_delivered_message", s.CopiedPerDelivered());
+  json.Field("open_bytes_copied", s.open_bytes_copied);
+  json.Field("open_bytes_copied_per_delivered_message",
+             s.OpenCopiedPerDelivered());
   json.Field("encode_allocs", s.encode_allocs);
-  json.Field("encode_reuses", s.encode_reuses);
   json.Field("digest_memo_hits", s.memo_hits);
   json.Field("digest_memo_misses", s.memo_misses);
   s.checkpoints.EmitJsonFields(json, s.requests);
@@ -205,8 +213,10 @@ void AddRow(Table& table, const std::string& config, const RunStats& s) {
                 s.BytesHashedPerRequest() / 1024.0);
   char copied[64];
   std::snprintf(copied, sizeof(copied), "%.0f", s.CopiedPerDelivered());
-  std::vector<std::string> row = {config, reqs,   evs,
-                                  sha,    hashed, copied,
+  char opened[64];
+  std::snprintf(opened, sizeof(opened), "%.0f", s.OpenCopiedPerDelivered());
+  std::vector<std::string> row = {config, reqs,   evs,    sha,
+                                  hashed, copied, opened,
                                   FormatCount(s.memo_hits)};
   s.checkpoints.AppendCells(&row, s.requests);
   table.AddRow(std::move(row));
@@ -256,7 +266,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> columns = {"config",        "req/s",
                                       "sim ev/s",      "SHA/req",
                                       "kB hashed/req", "B copied/msg",
-                                      "memo hits"};
+                                      "B opened/msg",  "memo hits"};
   for (const std::string& column : CheckpointFigures::Columns()) {
     columns.push_back(column);
   }

@@ -128,6 +128,12 @@ bool ReplicaService::CheckNondet(BytesView nondet) {
     // Not a timestamp: delegate to the adapter's own validator.
     return adapter_->CheckNondet(nondet);
   }
+  // A primary signs whatever it proposes. A negative time would become a
+  // huge agreed timestamp in Execute, and near INT64_MIN the distance to
+  // `now` overflows; with both times non-negative it cannot.
+  if (*t < 0) {
+    return false;
+  }
   SimTime now = sim_->Now();
   SimTime delta = *t > now ? *t - now : now - *t;
   return delta <= kNondetTolerance;

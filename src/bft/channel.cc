@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/util/bufpool.h"
 #include "src/util/codec.h"
 #include "src/util/hotpath.h"
 #include "src/util/log.h"
@@ -98,24 +97,6 @@ Bytes Channel::SealSigned(MsgType type, BytesView payload) {
   return Seal(type, payload, AuthKind::kSigned, /*to=*/0);
 }
 
-Bytes Channel::SealAuthenticated(MsgType type, Bytes&& payload) {
-  Bytes wire = Seal(type, payload, AuthKind::kAuthenticator, /*to=*/0);
-  BufferPool::Release(std::move(payload));
-  return wire;
-}
-
-Bytes Channel::SealMac(MsgType type, Bytes&& payload, NodeId to) {
-  Bytes wire = Seal(type, payload, AuthKind::kSingleMac, to);
-  BufferPool::Release(std::move(payload));
-  return wire;
-}
-
-Bytes Channel::SealSigned(MsgType type, Bytes&& payload) {
-  Bytes wire = Seal(type, payload, AuthKind::kSigned, /*to=*/0);
-  BufferPool::Release(std::move(payload));
-  return wire;
-}
-
 void Channel::Send(NodeId to, Bytes wire) {
   sim_->network().Send(self_, to, std::move(wire));
 }
@@ -156,6 +137,7 @@ Result<WireMessage> Channel::Open(BytesView wire) {
   uint8_t kind_raw = dec.GetU8();
   msg.payload = dec.GetBytes();
   Bytes auth = dec.GetBytes();
+  hotpath::counters().open_bytes_copied += msg.payload.size() + auth.size();
   if (!dec.AtEnd()) {
     return InvalidArgument("malformed envelope");
   }

@@ -286,6 +286,7 @@ Authenticator Authenticator::Decode(BytesView data) {
   }
   size_t count = data.size() / kMacSize;
   auth.macs_.resize(count);
+  hotpath::counters().open_bytes_copied += count * kMacSize;
   for (size_t i = 0; i < count; ++i) {
     std::memcpy(auth.macs_[i].data(), data.data() + i * kMacSize, kMacSize);
   }

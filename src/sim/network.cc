@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/util/bufpool.h"
 #include "src/util/log.h"
 
 namespace bftbase {
@@ -205,8 +204,8 @@ void Network::Send(NodeId from, NodeId to, Bytes payload) {
     CountDrop(from, to, tag, payload.size());
     return;
   }
-  // The buffer is moved into the Payload (no copy); its storage recycles
-  // through the BufferPool when the last delivery releases it.
+  // The buffer is moved into the Payload (no copy); it is freed when the
+  // last delivery releases it.
   Deliver(from, to, tag, std::make_shared<const Payload>(std::move(payload)));
 }
 
@@ -250,9 +249,7 @@ void Network::Multicast(NodeId from, NodeId first, NodeId last,
     } else {
       if (shared == nullptr) {
         CountCopy(from, tag, payload.size());
-        Bytes copy = BufferPool::Acquire();
-        copy.assign(payload.begin(), payload.end());
-        shared = std::make_shared<const Payload>(std::move(copy));
+        shared = std::make_shared<const Payload>(payload);
       }
       Deliver(from, to, tag, shared);
     }

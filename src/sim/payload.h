@@ -23,7 +23,6 @@
 #include <utility>
 
 #include "src/crypto/digest.h"
-#include "src/util/bufpool.h"
 #include "src/util/bytes.h"
 
 namespace bftbase {
@@ -35,8 +34,6 @@ struct Payload {
   };
 
   explicit Payload(Bytes wire) : bytes(std::move(wire)) {}
-  // The storage goes back to the pool the Encoders draw from.
-  ~Payload() { BufferPool::Release(std::move(bytes)); }
   Payload(const Payload&) = delete;
   Payload& operator=(const Payload&) = delete;
 

@@ -10,24 +10,18 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 
-#include "src/util/bufpool.h"
 #include "src/util/bytes.h"
+#include "src/util/hotpath.h"
 
 namespace bftbase {
 
 class Encoder {
  public:
-  // Encoders draw their buffer from the process-wide BufferPool so the encode
-  // hot path reuses capacity instead of allocating per message. A buffer that
-  // is never Take()n goes back to the pool on destruction; Take()n buffers
-  // return when sent through the network (see src/sim/payload.h) or are
-  // freed normally by whoever keeps them.
-  Encoder() : buf_(BufferPool::Acquire()) {}
-  ~Encoder() {
-    if (buf_.capacity() > 0) {
-      BufferPool::Release(std::move(buf_));
-    }
+  Encoder() {
+    buf_.reserve(kInitialCapacity);
+    ++hotpath::counters().encode_allocs;
   }
 
   Encoder(const Encoder&) = delete;
@@ -59,6 +53,12 @@ class Encoder {
   size_t size() const { return buf_.size(); }
 
  private:
+  // One allocation sized for a typical message: about 90% of encoded
+  // buffers are at most 256 bytes (DESIGN.md §8). Without it the
+  // byte-at-a-time puts below grow the buffer from zero through 1, 2, 4 ...
+  // bytes, one reallocation each.
+  static constexpr size_t kInitialCapacity = 256;
+
   void PutLittleEndian(uint64_t v, int n) {
     for (int i = 0; i < n; ++i) {
       buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));

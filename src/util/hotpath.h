@@ -32,14 +32,16 @@ struct Counters {
   // digests preserved across a grow.
   uint64_t tree_nodes_rehashed = 0;
   uint64_t tree_nodes_preserved = 0;
-  // Encode-buffer pool (src/util/bufpool.cc).
-  uint64_t encode_allocs = 0;  // pool misses: a fresh heap buffer was made
-  uint64_t encode_reuses = 0;  // pool hits: capacity recycled from the pool
+  // Encode buffers (src/util/codec.h): one per Encoder.
+  uint64_t encode_allocs = 0;
   // Delivered-envelope digest memo (Payload::Memo, read and filled by
   // Channel::Open in src/bft/channel.cc): one bump per open of a delivered
   // buffer.
   uint64_t digest_memo_hits = 0;
   uint64_t digest_memo_misses = 0;
+  // Bytes an open copies out of the envelope: the payload and auth bytes
+  // (Channel::Open) and an authenticator's MACs (Authenticator::Decode).
+  uint64_t open_bytes_copied = 0;
   // Event kernel (src/sim/simulation.cc).
   uint64_t event_pool_allocs = 0;   // pool misses: a fresh slot was created
   uint64_t event_pool_reuses = 0;   // pool hits: a slot came off the free list
@@ -47,8 +49,9 @@ struct Counters {
   uint64_t events_requeued = 0;     // deliveries/timers deferred behind a busy
                                     // node's CPU (moved, never copied)
   // Always 0: nothing bumps these. Their one reader is perfbench
-  // (pool.jobs_per_op, channel.verify_memo_hit_frac); they go when the
-  // benchmark drops those metrics.
+  // (bufpool.alloc_frac, pool.jobs_per_op, channel.verify_memo_hit_frac);
+  // they go when the benchmark drops those metrics.
+  uint64_t encode_reuses = 0;
   uint64_t pool_jobs = 0;
   uint64_t verify_memo_hits = 0;
   uint64_t verify_memo_misses = 0;
@@ -72,13 +75,14 @@ inline constexpr CounterField kCounterFields[] = {
     {"tree_nodes_rehashed", &Counters::tree_nodes_rehashed},
     {"tree_nodes_preserved", &Counters::tree_nodes_preserved},
     {"encode_allocs", &Counters::encode_allocs},
-    {"encode_reuses", &Counters::encode_reuses},
     {"digest_memo_hits", &Counters::digest_memo_hits},
     {"digest_memo_misses", &Counters::digest_memo_misses},
+    {"open_bytes_copied", &Counters::open_bytes_copied},
     {"event_pool_allocs", &Counters::event_pool_allocs},
     {"event_pool_reuses", &Counters::event_pool_reuses},
     {"events_pruned", &Counters::events_pruned},
     {"events_requeued", &Counters::events_requeued},
+    {"encode_reuses", &Counters::encode_reuses},
     {"pool_jobs", &Counters::pool_jobs},
     {"verify_memo_hits", &Counters::verify_memo_hits},
     {"verify_memo_misses", &Counters::verify_memo_misses},
@@ -86,13 +90,11 @@ inline constexpr CounterField kCounterFields[] = {
 static_assert(std::size(kCounterFields) * sizeof(uint64_t) == sizeof(Counters),
               "every hotpath::Counters field needs a kCounterFields entry");
 
-// Per-thread counters. The simulation is single-threaded, but the buffer
-// pool is process-global and its concurrency test bumps the encode counters
-// from 8 threads at once; thread-local counters keep those bumps race-free.
-// Inline thread_local so per-event bumps on the kernel fast path still
-// compile to a direct TLS increment instead of a function call.
+// Process-wide counters: the simulation runs on one thread and nothing in
+// the repo starts another. Inline so per-event bumps on the kernel fast path
+// compile to a direct increment instead of a function call.
 namespace internal {
-inline thread_local Counters g_counters;
+inline Counters g_counters;
 }  // namespace internal
 inline Counters& counters() { return internal::g_counters; }
 inline void ResetCounters() { internal::g_counters = Counters{}; }

@@ -5,12 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/base/checkpoint_manager.h"
 #include "src/base/kv_adapter.h"
 #include "src/base/replica_service.h"
+#include "src/sim/network.h"
 #include "src/sim/storage.h"
-#include "src/util/bufpool.h"
 #include "src/util/rng.h"
 #include "tests/checkpoint_helpers.h"
 #include "tests/heap_counter.h"
@@ -22,17 +23,12 @@ constexpr size_t kSlots = size_t{1} << 18;
 constexpr size_t kMiB = size_t{1} << 20;
 constexpr size_t kValueBytes = 64;
 
-// Heap bytes held now beyond `baseline`, not counting the retired buffers
-// the process-global BufferPool keeps for reuse.
+// Heap bytes held now beyond `baseline`.
 size_t HeldSince(size_t baseline) {
-  BufferPool::Clear();
   return heap_counter::LiveBytes() - baseline;
 }
 
-size_t Baseline() {
-  BufferPool::Clear();
-  return heap_counter::LiveBytes();
-}
+size_t Baseline() { return heap_counter::LiveBytes(); }
 
 Bytes ValueFor(uint64_t n) {
   Bytes value(kValueBytes);
@@ -173,6 +169,31 @@ TEST(Footprint, DurableRestartOverSparseStateInstallsAgreedRoot) {
   const size_t held = HeldSince(baseline);
   EXPECT_LT(held, 8 * kMiB) << held << " bytes";
   EXPECT_EQ(TakeCheckpointNow(sim, service, kWrites), expected_root);
+}
+
+class DiscardingNode : public SimNode {
+ public:
+  void OnMessage(NodeId, const Bytes&) override {}
+};
+
+// A delivered message's buffer is freed with its last delivery: nothing in
+// the process keeps retired message storage for reuse.
+TEST(Footprint, DeliveredMulticastLeavesNoBufferBehind) {
+  Simulation sim(1);
+  std::vector<DiscardingNode> nodes(4);
+  for (NodeId id = 0; id < 4; ++id) {
+    sim.AddNode(id, &nodes[id]);
+  }
+  // A warm-up multicast grows the kernel's and the network's own tables.
+  sim.network().Multicast(0, 0, 4, Bytes(64, 0x11), /*skip=*/0);
+  sim.RunUntilIdle();
+
+  const Bytes payload(64 * 1024, 0x11);
+  const size_t baseline = Baseline();
+  sim.network().Multicast(0, 0, 4, payload, /*skip=*/0);
+  sim.RunUntilIdle();
+  const size_t end = heap_counter::LiveBytes();
+  EXPECT_LE(end, baseline + 1024) << end - baseline << " bytes";
 }
 
 }  // namespace

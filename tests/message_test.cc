@@ -302,6 +302,26 @@ TEST_F(ChannelTest, ParseUnverifiedExtractsPayload) {
   EXPECT_EQ(parsed->sender, 0);
 }
 
+// An open copies the payload and auth bytes out of the envelope, and an
+// authenticator's MACs once more. For a 17-byte payload: 17 + 10 B under
+// one MAC, 17 + 32 B under a signature, 17 + 2 x 40 B under an n = 4
+// authenticator.
+TEST_F(ChannelTest, OpenCountsTheBytesItCopies) {
+  ASSERT_EQ(config_.n(), 4);
+  const Bytes payload(17, 0x5a);
+  auto copied_by_open = [&](const Bytes& wire) {
+    const uint64_t before = hotpath::counters().open_bytes_copied;
+    EXPECT_TRUE(bob_.Open(wire).ok());
+    return hotpath::counters().open_bytes_copied - before;
+  };
+  EXPECT_EQ(copied_by_open(alice_.SealMac(MsgType::kReply, payload, 1)), 27u);
+  EXPECT_EQ(copied_by_open(alice_.SealSigned(MsgType::kPrepare, payload)),
+            49u);
+  EXPECT_EQ(
+      copied_by_open(alice_.SealAuthenticated(MsgType::kCommit, payload)),
+      97u);
+}
+
 TEST_F(ChannelTest, KeyRefreshInvalidatesOldMacsNotSignatures) {
   Bytes mac_wire = alice_.SealMac(MsgType::kReply, ToBytes("m"), 1);
   Bytes signed_wire = alice_.SealSigned(MsgType::kCheckpoint, ToBytes("s"));

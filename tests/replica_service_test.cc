@@ -2,6 +2,7 @@
 // protocol-state piggyback, and the save/restart half of proactive recovery.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "src/base/kv_adapter.h"
@@ -56,6 +57,30 @@ TEST_F(ReplicaServiceTest, CheckNondetEnforcesClockTolerance) {
       ReplicaService::EncodeNondet(now + 10 * kSecond)));
   EXPECT_FALSE(service_.CheckNondet(
       ReplicaService::EncodeNondet(now - 10 * kSecond)));
+}
+
+// A Byzantine primary signs any timestamp it likes. INT64_MIN is 2^63 µs
+// from the clock, not within the tolerance, however the distance is formed.
+TEST_F(ReplicaServiceTest, CheckNondetRejectsTimestampsNearInt64Min) {
+  sim_.After(Simulation::kNoOwner, 10 * kSecond, [] {});
+  sim_.RunUntilIdle();
+  constexpr SimTime kMin = std::numeric_limits<SimTime>::min();
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  EXPECT_FALSE(service_.CheckNondet(ReplicaService::EncodeNondet(kMin)));
+  EXPECT_FALSE(service_.CheckNondet(ReplicaService::EncodeNondet(kMin + 1)));
+  EXPECT_FALSE(service_.CheckNondet(ReplicaService::EncodeNondet(kMax)));
+}
+
+// In a run's first 500 ms a negative time lies within the tolerance of the
+// clock. Agreed timestamps are unsigned, so -1 would agree as 2^64 - 1 and
+// clamp every later batch's time there.
+TEST_F(ReplicaServiceTest, CheckNondetRejectsNegativeTimestampsEarlyInARun) {
+  sim_.After(Simulation::kNoOwner, 100 * kMillisecond, [] {});
+  sim_.RunUntilIdle();
+  EXPECT_FALSE(service_.CheckNondet(ReplicaService::EncodeNondet(-1)));
+  EXPECT_FALSE(service_.CheckNondet(
+      ReplicaService::EncodeNondet(-100 * kMillisecond)));
+  EXPECT_TRUE(service_.CheckNondet(ReplicaService::EncodeNondet(0)));
 }
 
 TEST_F(ReplicaServiceTest, AgreedTimestampsAreMonotonic) {

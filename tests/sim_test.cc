@@ -1,14 +1,12 @@
 // Unit tests for the discrete-event simulation kernel and network model.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "src/sim/network.h"
 #include "src/sim/payload.h"
 #include "src/sim/simulation.h"
 #include "src/sim/topology.h"
-#include "src/util/bufpool.h"
 #include "src/util/hotpath.h"
 
 namespace bftbase {
@@ -885,39 +883,6 @@ TEST(Simulation, PeakQueueDepthTracksHighWaterMark) {
   sim.RunUntilIdle();
   EXPECT_EQ(sim.peak_queue_depth(), 32u);  // high-water mark persists
   EXPECT_EQ(sim.queued_events(), 0u);
-}
-
-// The buffer pool is process-global and guarded by a lock, so any thread
-// may acquire or release a pooled buffer. The freelist must tolerate
-// concurrent Acquire/Release without corruption or losing its size bound.
-TEST(BufferPool, SurvivesConcurrentAcquireRelease) {
-  BufferPool::Clear();
-  constexpr int kThreads = 8;
-  constexpr int kIters = 2000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t] {
-      for (int i = 0; i < kIters; ++i) {
-        Bytes buf = BufferPool::Acquire();
-        buf.assign(static_cast<size_t>(16 + (i % 64)),
-                   static_cast<uint8_t>(t));
-        if (i % 3 == 0) {
-          // Exercise the delivered Payload's recycling path too.
-          auto shared = std::make_shared<const Payload>(std::move(buf));
-          ASSERT_EQ(shared->bytes[0], static_cast<uint8_t>(t));
-        } else {
-          ASSERT_EQ(buf[0], static_cast<uint8_t>(t));
-          BufferPool::Release(std::move(buf));
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_LE(BufferPool::Size(), BufferPool::kMaxPooled);
-  BufferPool::Clear();
 }
 
 // --- Per-link jitter + topology presets -------------------------------------
