@@ -11,8 +11,9 @@
 // Experiment E26 — what a cold replica keeps per abstract object: the live
 // heap bytes of a KV adapter plus its checkpoint manager and partition tree
 // (counted by tests/heap_counter.cc, which replaces the global operator new
-// in this binary), and the wall time and real interior-node hashes of the
-// FullResync that construction and every restart from disk run.
+// in this binary), and the wall time, GetObj calls and real interior-node
+// hashes of the FullResync that construction and every restart from disk
+// run.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -246,13 +247,28 @@ DurableCell RunDurableRecovery(size_t objects, uint64_t tail) {
 // record per object; a leaf digest and a slot per object would read ~57. Its
 // FullResync hashes one cold digest per height plus the partial last node of
 // each level, at most 2 x depth interior nodes; hashing every node would
-// read ~objects / 15.
+// read ~objects / 15. It walks the adapter's runs of equal values, one
+// GetObj per run: a cold adapter is one run of empty slots, while a walk
+// object by object would read `objects`.
 constexpr double kMaxColdBytesPerObject = 8.0;
+constexpr uint64_t kMaxColdGetObjCalls = 2;
+
+// A KvAdapter that counts the GetObj calls made on it.
+class CountingKvAdapter : public KvAdapter {
+ public:
+  using KvAdapter::KvAdapter;
+  Bytes GetObj(size_t index) override {
+    ++getobj_calls;
+    return KvAdapter::GetObj(index);
+  }
+  uint64_t getobj_calls = 0;
+};
 
 struct ColdCell {
   size_t objects = 0;
   double bytes_per_object = 0;
   double resync_wall_ms = 0;  // median of kResyncRuns
+  uint64_t getobj_calls = 0;  // most in one run
   uint64_t nodes_rehashed = 0;  // real interior hashes: most in one run
   int depth = 0;
 };
@@ -264,18 +280,21 @@ ColdCell MeasureColdDeployment(size_t objects) {
   cell.objects = objects;
   Simulation sim(1);
   const size_t before = heap_counter::LiveBytes();
-  KvAdapter adapter(&sim, objects);
+  CountingKvAdapter adapter(&sim, objects);
   CheckpointManager cm(&sim, &adapter);
   cell.bytes_per_object =
       static_cast<double>(heap_counter::LiveBytes() - before) / objects;
   std::vector<double> runs;
   for (int i = 0; i < kResyncRuns; ++i) {
     const uint64_t rehashed = hotpath::counters().tree_nodes_rehashed;
+    const uint64_t calls = adapter.getobj_calls;
     const auto start = std::chrono::steady_clock::now();
     cm.FullResync(/*seq=*/0, /*protocol_state=*/Bytes());
     runs.push_back(std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count());
+    cell.getobj_calls =
+        std::max(cell.getobj_calls, adapter.getobj_calls - calls);
     cell.nodes_rehashed =
         std::max(cell.nodes_rehashed,
                  hotpath::counters().tree_nodes_rehashed - rehashed);
@@ -287,8 +306,9 @@ ColdCell MeasureColdDeployment(size_t objects) {
 }
 
 // One row per state size into the table and the JSON array. Returns false
-// if any row keeps more than kMaxColdBytesPerObject or hashes more than
-// 2 x depth interior nodes per FullResync.
+// if any row keeps more than kMaxColdBytesPerObject, makes more than
+// kMaxColdGetObjCalls GetObj calls or hashes more than 2 x depth interior
+// nodes per FullResync.
 bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
   std::printf("\n-- E26: cold-deployment bookkeeping vs object count --\n");
   std::vector<size_t> sizes;
@@ -300,24 +320,27 @@ bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
     }
   }
   Table table({"objects", "bytes/object", "FullResync wall (ms)",
-               "nodes hashed", "depth"});
+               "GetObj calls", "nodes hashed", "depth"});
   json.Key("cold_deployment");
   json.BeginArray();
   bool ok = true;
   for (size_t objects : sizes) {
     ColdCell cell = MeasureColdDeployment(objects);
     ok = ok && cell.bytes_per_object <= kMaxColdBytesPerObject &&
+         cell.getobj_calls <= kMaxColdGetObjCalls &&
          cell.nodes_rehashed <= 2 * static_cast<uint64_t>(cell.depth);
     char per_object[32], wall[32];
     std::snprintf(per_object, sizeof(per_object), "%.2f",
                   cell.bytes_per_object);
     std::snprintf(wall, sizeof(wall), "%.3f", cell.resync_wall_ms);
     table.AddRow({FormatCount(objects), per_object, wall,
+                  FormatCount(cell.getobj_calls),
                   FormatCount(cell.nodes_rehashed), FormatCount(cell.depth)});
     json.BeginObject();
     json.Field("objects", static_cast<uint64_t>(objects));
     json.Field("bookkeeping_bytes_per_object", cell.bytes_per_object);
     json.Field("full_resync_wall_ms", cell.resync_wall_ms);
+    json.Field("full_resync_getobj_calls", cell.getobj_calls);
     json.Field("full_resync_nodes_rehashed", cell.nodes_rehashed);
     json.Field("tree_depth", static_cast<uint64_t>(cell.depth));
     json.EndObject();
@@ -327,15 +350,18 @@ bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
   std::printf("bytes/object: live heap of a KV adapter + checkpoint manager "
               "+ partition tree\n"
               "with no object written, over the object count (gate: <= "
-              "%.0f); FullResync\nwall: median of %d runs; nodes hashed: "
-              "real interior-node hashes of one\nFullResync (gate: <= 2 x "
-              "depth).\n",
-              kMaxColdBytesPerObject, kResyncRuns);
+              "%.0f); FullResync\nwall: median of %d runs; GetObj calls: "
+              "adapter reads of one FullResync\n(gate: <= %llu); nodes "
+              "hashed: real interior-node hashes of one\nFullResync (gate: "
+              "<= 2 x depth).\n",
+              kMaxColdBytesPerObject, kResyncRuns,
+              static_cast<unsigned long long>(kMaxColdGetObjCalls));
   if (!ok) {
     std::printf("FAIL: a cold deployment keeps more than %.0f bytes per "
-                "object or hashes more\nthan 2 x depth interior nodes per "
-                "FullResync\n",
-                kMaxColdBytesPerObject);
+                "object, makes more\nthan %llu GetObj calls or hashes more "
+                "than 2 x depth interior nodes per\nFullResync\n",
+                kMaxColdBytesPerObject,
+                static_cast<unsigned long long>(kMaxColdGetObjCalls));
   }
   return ok;
 }
@@ -424,8 +450,9 @@ int main(int argc, char** argv) {
   if (wal_smoke) {
     // CI gate: the durable restart-from-disk path in its short
     // configuration; fails if recovery breaks or the root diverges, or a
-    // cold 2^16-object deployment keeps more than 8 bytes per object or
-    // hashes more than 2 x depth interior nodes per FullResync.
+    // cold 2^16-object deployment keeps more than 8 bytes per object, makes
+    // more than 2 GetObj calls or hashes more than 2 x depth interior nodes
+    // per FullResync.
     PrintHeader("E15 (smoke): durable restart-from-disk");
     return DurableRecoverySweep(/*smoke=*/true, json_path) ? 0 : 1;
   }

@@ -3,6 +3,9 @@
 // This is the paper's Figure 1 seen from the library's side:
 //   execute   -> Execute()
 //   get_obj   -> GetObj()      (the abstraction function, one object)
+//                RunLength()   (how many objects from an index share its
+//                               get_obj value, so a cold walk calls get_obj
+//                               once per run)
 //   put_objs  -> PutObjs()     (an inverse of the abstraction function)
 //   modify    -> the ModifyFn the library installs with SetModifyFn(); the
 //                wrapper MUST call it before mutating an abstract object so
@@ -44,6 +47,15 @@ class ServiceAdapter {
   // The abstraction function for one object: returns the abstract (encoded)
   // value of object `index`, computed from the concrete state.
   virtual Bytes GetObj(size_t index) = 0;
+
+  // A number of consecutive objects, starting at `index`, that all have the
+  // abstract value GetObj(index): at least 1, and none past ObjectCount().
+  // The library walks a whole state (FullResync) run by run, calling GetObj
+  // once per run and merging neighbouring runs whose values are equal, so a
+  // run may stop before the value changes. A wrapper whose free or empty
+  // objects repeat one value should say how far they repeat; the default,
+  // 1, walks object by object.
+  virtual size_t RunLength(size_t /*index*/) { return 1; }
 
   // An inverse of the abstraction function: updates the concrete state so
   // that the abstract values of the given objects match `objs`. The library

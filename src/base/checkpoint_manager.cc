@@ -297,10 +297,12 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
   tree_.Resize(leaf_count_);
   protocol_state_ = protocol_state;
   // A cold state repeats values leaf after leaf (empty slots, free inodes),
-  // so the leaves are walked as runs of equal values and each run is hashed
-  // once. The model still charges one digest per leaf, summed into one
-  // charge: only real hashing is skipped. The longest run's digest becomes
-  // the tree's fill, so only the leaves that differ from it are stored.
+  // and the adapter says how far each value repeats (RunLength), so the walk
+  // calls GetObj once per reported run, merges neighbouring runs whose bytes
+  // are equal and hashes each merged run once. The model still charges one
+  // digest per leaf, summed into one charge: only real work is skipped. The
+  // longest run's digest becomes the tree's fill, so only the leaves that
+  // differ from it are stored.
   struct Run {
     size_t first;
     Digest digest;
@@ -308,10 +310,14 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
   std::vector<Run> runs;
   Bytes previous;
   SimTime cpu = 0;
-  for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
+  for (size_t leaf = 0, length = 1; leaf < leaf_count_; leaf += length) {
+    if (leaf > 0) {  // leaf 0, the protocol blob, is a run of its own
+      length = std::clamp<size_t>(adapter_->RunLength(ObjectForLeaf(leaf)), 1,
+                                  leaf_count_ - leaf);
+    }
     Bytes value =
         leaf == 0 ? protocol_state_ : adapter_->GetObj(ObjectForLeaf(leaf));
-    cpu += sim_->cost().DigestCost(value.size());
+    cpu += static_cast<SimTime>(length) * sim_->cost().DigestCost(value.size());
     if (leaf == 0 || value != previous) {
       runs.push_back(Run{leaf, Digest::Of(value)});
       previous = std::move(value);

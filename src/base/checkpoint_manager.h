@@ -87,10 +87,12 @@ class CheckpointManager {
                             const std::vector<ObjectUpdate>& leaf_updates);
 
   // Recomputes every leaf digest from the adapter (used after RestartClean
-  // during recovery and by tests/benches that need a cold start). Charges
-  // one digest per leaf, but hashes only leaves whose value differs from the
-  // previous leaf's; the longest run of equal values becomes the tree's fill
-  // and only the other leaves are stored.
+  // during recovery and by tests/benches that need a cold start). Walks the
+  // objects in the runs the adapter reports (ServiceAdapter::RunLength),
+  // with one GetObj per run. Charges one digest per leaf, but hashes only
+  // runs whose value differs from the previous run's; the longest run of
+  // equal values becomes the tree's fill and only the other leaves are
+  // stored.
   void FullResync(SeqNum seq, const Bytes& protocol_state);
 
   // Number of checkpoints currently retained.

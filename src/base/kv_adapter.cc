@@ -85,6 +85,13 @@ Bytes KvAdapter::GetObj(size_t index) {
   return it == slots_.end() ? Bytes() : it->second;
 }
 
+size_t KvAdapter::RunLength(size_t index) {
+  // The cold walks (a replica's construction, a restart after RestartClean)
+  // see no stored slot: the whole array is one run of empty slots. Any
+  // other state walks slot by slot.
+  return index < slot_count_ && slots_.empty() ? slot_count_ - index : 1;
+}
+
 void KvAdapter::PutObjs(const std::vector<ObjectUpdate>& objs) {
   for (const ObjectUpdate& update : objs) {
     if (update.index < slot_count_) {

@@ -32,6 +32,7 @@ class KvAdapter : public ServiceAdapter {
   Bytes Execute(BytesView op, NodeId client, BytesView nondet,
                 bool tentative) override;
   Bytes GetObj(size_t index) override;
+  size_t RunLength(size_t index) override;
   void PutObjs(const std::vector<ObjectUpdate>& objs) override;
   size_t ObjectCount() const override { return slot_count_; }
   void RestartClean() override;

@@ -8,7 +8,9 @@ namespace bftbase {
 
 namespace {
 
-constexpr size_t kMaxDirEntries = 1 << 20;
+// A directory entry on the wire: a u32 name length, the padded name and a
+// u64 oid.
+constexpr size_t kMinDirEntryBytes = 4 + 8;
 
 Status Malformed(const char* what) {
   return InvalidArgument(std::string("malformed ") + what);
@@ -341,9 +343,10 @@ Result<NfsReply> NfsReply::Decode(NfsProc proc, BytesView bytes) {
       break;
     case NfsProc::kReaddir: {
       uint32_t count = r.GetUint32();
-      if (count > kMaxDirEntries) {
+      if (count > r.remaining() / kMinDirEntryBytes) {
         return Malformed("READDIR count");
       }
+      reply.entries.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         std::string name = r.GetString();
         Oid entry_oid = r.GetUint64();
@@ -437,10 +440,14 @@ Result<AbstractFsObject> AbstractFsObject::Decode(BytesView bytes) {
       obj.symlink_target = r.GetString();
       break;
     case FileType::kDirectory: {
+      // A count the remaining bytes cannot hold is malformed; checking it
+      // before reserving keeps the entries' memory in proportion to the
+      // input.
       uint32_t count = r.GetUint32();
-      if (count > kMaxDirEntries) {
+      if (count > r.remaining() / kMinDirEntryBytes) {
         return Malformed("abstract directory");
       }
+      obj.dir_entries.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         std::string name = r.GetString();
         Oid entry_oid = r.GetUint64();

@@ -716,6 +716,18 @@ Bytes FsConformanceWrapper::GetObj(size_t index) {
   return obj.Encode();
 }
 
+size_t FsConformanceWrapper::RunLength(size_t index) {
+  // A free entry's abstract value is only its generation number.
+  size_t end = index + 1;
+  if (index < rep_.size() && !rep_[index].in_use) {
+    while (end < rep_.size() && !rep_[end].in_use &&
+           rep_[end].gen == rep_[index].gen) {
+      ++end;
+    }
+  }
+  return end - index;
+}
+
 // --------------------------------------------- inverse abstraction function
 
 void FsConformanceWrapper::EnsureStagingDir() {

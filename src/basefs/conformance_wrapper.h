@@ -53,6 +53,7 @@ class FsConformanceWrapper : public ServiceAdapter {
   Bytes Execute(BytesView op, NodeId client, BytesView nondet,
                 bool tentative) override;
   Bytes GetObj(size_t index) override;
+  size_t RunLength(size_t index) override;
   void PutObjs(const std::vector<ObjectUpdate>& objs) override;
   size_t ObjectCount() const override { return options_.array_size; }
   void RestartClean() override;

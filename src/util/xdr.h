@@ -108,9 +108,17 @@ class XdrReader {
     return std::string(b.begin(), b.end());
   }
 
+  // The padding must be zero bytes, as XdrWriter writes it: a reader that
+  // skipped any padding would give each value more than one encoding.
   Bytes GetFixedOpaque(size_t n) {
     if (!Require(Padded(n))) {
       return {};
+    }
+    for (size_t i = pos_ + n; i < pos_ + Padded(n); ++i) {
+      if (data_[i] != 0) {
+        ok_ = false;
+        return {};
+      }
     }
     Bytes out(data_.begin() + pos_, data_.begin() + pos_ + n);
     pos_ += Padded(n);

@@ -9,6 +9,7 @@
 #include "src/base/kv_adapter.h"
 #include "src/util/hotpath.h"
 #include "src/util/rng.h"
+#include "tests/resync_checks.h"
 
 namespace bftbase {
 namespace {
@@ -248,6 +249,47 @@ TEST(CheckpointManagerResyncTest, RepeatedValuesHashOnceButChargeEveryLeaf) {
   }
   EXPECT_GT(charged[0], 0);
   EXPECT_EQ(charged[0], charged[1]);
+}
+
+// KvAdapter reports an empty adapter as one run of empty slots and walks
+// any other state slot by slot. After every step each reported run holds one
+// value, and a FullResync over those runs equals the walk object by object,
+// with the protocol blob empty (so leaf 0 and a run of empty slots merge) and
+// not.
+TEST(CheckpointManagerResyncTest, KvRunsMatchThePerObjectWalk) {
+  constexpr size_t kObjects = 200;
+  Simulation sim(3);
+  KvAdapter adapter(&sim, kObjects);
+  auto check = [&](const std::string& step) {
+    ASSERT_NO_FATAL_FAILURE(ExpectRunsHoldOneValue(adapter, step));
+    for (const Bytes& protocol_state : {Bytes(), ToBytes("protocol")}) {
+      ExpectResyncMatchesPerObjectWalk(sim, adapter, protocol_state, step);
+    }
+  };
+  auto execute = [&](const Bytes& op) {
+    ASSERT_EQ(ToString(adapter.Execute(op, 100, Bytes(), false)), "OK");
+  };
+
+  check("cold");
+  EXPECT_EQ(adapter.RunLength(0), kObjects);
+  EXPECT_EQ(adapter.RunLength(kObjects - 1), 1u);
+  execute(KvAdapter::EncodeSet(0, ToBytes("first")));
+  check("slot 0 set");
+  execute(KvAdapter::EncodeSet(kObjects - 1, ToBytes("last")));
+  check("last slot set");
+  execute(KvAdapter::EncodeSet(63, ToBytes("same")));
+  execute(KvAdapter::EncodeSet(64, ToBytes("same")));
+  check("equal neighbours");
+  execute(KvAdapter::EncodeSet(64, Bytes()));
+  check("slot set back to empty");
+  execute(KvAdapter::EncodeAppend(130, ToBytes("appended")));
+  check("append to an empty slot");
+  adapter.CorruptSlot(140);
+  adapter.CorruptSlot(63);
+  check("corrupt slots");
+  adapter.RestartClean();
+  check("restart clean");
+  EXPECT_EQ(adapter.RunLength(0), kObjects);
 }
 
 TEST_F(CheckpointManagerTest, LeafDigestsFollowTreeThroughInstall) {

@@ -141,6 +141,16 @@ TEST(Xdr, PaddingIsZeroed) {
   EXPECT_EQ(wire[7], 0);
 }
 
+TEST(Xdr, NonzeroPaddingRejected) {
+  XdrWriter w;
+  w.PutString("a");
+  Bytes wire = w.Take();
+  wire[6] = 1;
+  XdrReader r(wire);
+  EXPECT_TRUE(r.GetString().empty());
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(Xdr, HostileLengthRejected) {
   XdrWriter w;
   w.PutUint32(0x7fffffff);
