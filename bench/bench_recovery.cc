@@ -11,9 +11,9 @@
 // Experiment E26 — what a cold replica keeps per abstract object: the live
 // heap bytes of a KV adapter plus its checkpoint manager and partition tree
 // (counted by tests/heap_counter.cc, which replaces the global operator new
-// in this binary), and the wall time, GetObj calls and real interior-node
-// hashes of the FullResync that construction and every restart from disk
-// run.
+// in this binary), the interior nodes its partition tree stores, and the
+// wall time, GetObj calls and real interior-node hashes of the FullResync
+// that construction and every restart from disk run.
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -242,15 +242,17 @@ DurableCell RunDurableRecovery(size_t objects, uint64_t tail) {
 
 // --- E26: cold-deployment bookkeeping per object ------------------------------
 
-// The gates: a cold deployment keeps the partition tree's dense interior
-// nodes (~2.2 B per object at branching 16) and a dirty bit per leaf, but no
-// record per object; a leaf digest and a slot per object would read ~57. Its
-// FullResync hashes one cold digest per height plus the partial last node of
-// each level, at most 2 x depth interior nodes; hashing every node would
-// read ~objects / 15. It walks the adapter's runs of equal values, one
-// GetObj per run: a cold adapter is one run of empty slots, while a walk
-// object by object would read `objects`.
-constexpr double kMaxColdBytesPerObject = 8.0;
+// The gates: a cold deployment keeps a dirty bit per leaf and a slot word
+// per block of leaves, but no record per object; a leaf digest and a slot
+// per object would read ~57, dense interior nodes add ~2.2. Its partition
+// tree stores the path to the last leaf, at most branching x depth + 1
+// interior nodes; the dense tree stores ~objects / 15. Its FullResync hashes
+// one cold digest per height plus the partial last node of each level, at
+// most 2 x depth interior nodes; hashing every node would read ~objects /
+// 15. It walks the adapter's runs of equal values, one GetObj per run: a
+// cold adapter is one run of empty slots, while a walk object by object
+// would read `objects`.
+constexpr double kMaxColdBytesPerObject = 1.0;
 constexpr uint64_t kMaxColdGetObjCalls = 2;
 
 // A KvAdapter that counts the GetObj calls made on it.
@@ -270,7 +272,9 @@ struct ColdCell {
   double resync_wall_ms = 0;  // median of kResyncRuns
   uint64_t getobj_calls = 0;  // most in one run
   uint64_t nodes_rehashed = 0;  // real interior hashes: most in one run
+  size_t nodes_stored = 0;  // interior nodes the tree stores after the runs
   int depth = 0;
+  size_t branching = 0;
 };
 
 constexpr int kResyncRuns = 5;
@@ -301,14 +305,16 @@ ColdCell MeasureColdDeployment(size_t objects) {
   }
   std::sort(runs.begin(), runs.end());
   cell.resync_wall_ms = runs[runs.size() / 2];
+  cell.nodes_stored = cm.tree().stored_nodes();
   cell.depth = cm.tree().depth();
+  cell.branching = cm.tree().branching();
   return cell;
 }
 
 // One row per state size into the table and the JSON array. Returns false
 // if any row keeps more than kMaxColdBytesPerObject, makes more than
-// kMaxColdGetObjCalls GetObj calls or hashes more than 2 x depth interior
-// nodes per FullResync.
+// kMaxColdGetObjCalls GetObj calls, hashes more than 2 x depth interior
+// nodes per FullResync or stores more than branching x depth + 1.
 bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
   std::printf("\n-- E26: cold-deployment bookkeeping vs object count --\n");
   std::vector<size_t> sizes;
@@ -320,7 +326,7 @@ bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
     }
   }
   Table table({"objects", "bytes/object", "FullResync wall (ms)",
-               "GetObj calls", "nodes hashed", "depth"});
+               "GetObj calls", "nodes hashed", "nodes stored", "depth"});
   json.Key("cold_deployment");
   json.BeginArray();
   bool ok = true;
@@ -328,20 +334,24 @@ bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
     ColdCell cell = MeasureColdDeployment(objects);
     ok = ok && cell.bytes_per_object <= kMaxColdBytesPerObject &&
          cell.getobj_calls <= kMaxColdGetObjCalls &&
-         cell.nodes_rehashed <= 2 * static_cast<uint64_t>(cell.depth);
+         cell.nodes_rehashed <= 2 * static_cast<uint64_t>(cell.depth) &&
+         cell.nodes_stored <=
+             cell.branching * static_cast<size_t>(cell.depth) + 1;
     char per_object[32], wall[32];
     std::snprintf(per_object, sizeof(per_object), "%.2f",
                   cell.bytes_per_object);
     std::snprintf(wall, sizeof(wall), "%.3f", cell.resync_wall_ms);
     table.AddRow({FormatCount(objects), per_object, wall,
                   FormatCount(cell.getobj_calls),
-                  FormatCount(cell.nodes_rehashed), FormatCount(cell.depth)});
+                  FormatCount(cell.nodes_rehashed),
+                  FormatCount(cell.nodes_stored), FormatCount(cell.depth)});
     json.BeginObject();
     json.Field("objects", static_cast<uint64_t>(objects));
     json.Field("bookkeeping_bytes_per_object", cell.bytes_per_object);
     json.Field("full_resync_wall_ms", cell.resync_wall_ms);
     json.Field("full_resync_getobj_calls", cell.getobj_calls);
     json.Field("full_resync_nodes_rehashed", cell.nodes_rehashed);
+    json.Field("tree_nodes_stored", static_cast<uint64_t>(cell.nodes_stored));
     json.Field("tree_depth", static_cast<uint64_t>(cell.depth));
     json.EndObject();
   }
@@ -353,13 +363,15 @@ bool ColdDeploymentSweep(bool smoke, JsonWriter& json) {
               "%.0f); FullResync\nwall: median of %d runs; GetObj calls: "
               "adapter reads of one FullResync\n(gate: <= %llu); nodes "
               "hashed: real interior-node hashes of one\nFullResync (gate: "
-              "<= 2 x depth).\n",
+              "<= 2 x depth); nodes stored: interior nodes the tree\nkeeps "
+              "(gate: <= branching x depth + 1).\n",
               kMaxColdBytesPerObject, kResyncRuns,
               static_cast<unsigned long long>(kMaxColdGetObjCalls));
   if (!ok) {
     std::printf("FAIL: a cold deployment keeps more than %.0f bytes per "
-                "object, makes more\nthan %llu GetObj calls or hashes more "
-                "than 2 x depth interior nodes per\nFullResync\n",
+                "object, makes more\nthan %llu GetObj calls, hashes more "
+                "than 2 x depth interior nodes per\nFullResync or stores "
+                "more than branching x depth + 1\n",
                 kMaxColdBytesPerObject,
                 static_cast<unsigned long long>(kMaxColdGetObjCalls));
   }
@@ -450,9 +462,9 @@ int main(int argc, char** argv) {
   if (wal_smoke) {
     // CI gate: the durable restart-from-disk path in its short
     // configuration; fails if recovery breaks or the root diverges, or a
-    // cold 2^16-object deployment keeps more than 8 bytes per object, makes
-    // more than 2 GetObj calls or hashes more than 2 x depth interior nodes
-    // per FullResync.
+    // cold 2^16-object deployment keeps more than 1 byte per object, makes
+    // more than 2 GetObj calls, hashes more than 2 x depth interior nodes
+    // per FullResync or stores more than branching x depth + 1.
     PrintHeader("E15 (smoke): durable restart-from-disk");
     return DurableRecoverySweep(/*smoke=*/true, json_path) ? 0 : 1;
   }

@@ -41,42 +41,87 @@ int PartitionTree::DepthFor(size_t leaf_count, size_t branching) {
   return depth;
 }
 
+size_t PartitionTree::Span(int height) const {
+  size_t span = 1;
+  for (int h = 0; h < height; ++h) {
+    span *= branching_;
+  }
+  return span;
+}
+
 void PartitionTree::Resize(size_t leaf_count) {
-  if (leaf_count <= leaf_count_ && !levels_.empty()) {
+  if (leaf_count <= leaf_count_) {
     return;  // never shrinks
   }
   const size_t old_leaf_count = leaf_count_;
-  std::vector<std::vector<Node>> old_levels = std::move(levels_);
-  leaf_count_ = std::max<size_t>(leaf_count, 1);
+  const int old_depth = static_cast<int>(widths_.size()) - 1;
+  Node old_root = root_;
+  std::vector<std::unique_ptr<Node[]>> old_groups =
+      std::exchange(groups_, {});
+  leaf_count_ = leaf_count;
   block_slots_.resize((leaf_count_ + branching_ - 1) / branching_, 0);
-  Rebuild();
+  widths_.assign(1, leaf_count_);
+  do {
+    widths_.push_back((widths_.back() + branching_ - 1) / branching_);
+  } while (widths_.back() > 1);
+  // Every node starts dirty and stale: one unsplit root.
+  root_ = Node{};
   // The cost model charges a grow as a full rebuild: every interior node is
   // dirty and the next Root() counts each one as recomputed. Real hashing
   // can do better: a node's hash covers (height, children), so the node at
   // the same height and index, once its leaf range was complete under the
   // old leaf count, covers the same leaves as before, whether or not the
-  // depth grew. Those nodes keep their digest and their stale and cold
+  // depth grew. Those subtrees keep their digests and their stale and cold
   // marks; the next Root() re-hashes only the paths to the new leaves.
-  size_t span = 1;  // leaves covered per node at the current height
-  for (size_t height = 1; height <= old_levels.size(); ++height) {
-    span *= branching_;
-    const auto& old_level = old_levels[old_levels.size() - height];
-    auto& new_level = levels_[levels_.size() - height];
-    for (size_t i = 0; i < old_leaf_count / span; ++i) {
-      new_level[i] = old_level[i];
-      new_level[i].dirty = true;
-    }
+  if (old_leaf_count > 0) {
+    GraftComplete(old_root, old_depth, 0, old_leaf_count, old_groups);
   }
 }
 
-void PartitionTree::Rebuild() {
-  // Every node starts dirty and stale; the top level has width 1.
-  levels_.assign(DepthFor(leaf_count_, branching_), {});
-  size_t width = leaf_count_;
-  for (auto level = levels_.rbegin(); level != levels_.rend(); ++level) {
-    width = (width + branching_ - 1) / branching_;
-    level->resize(width);
+void PartitionTree::GraftComplete(
+    const Node& node, int height, size_t index, size_t old_leaf_count,
+    std::vector<std::unique_ptr<Node[]>>& old_groups) {
+  if ((index + 1) * Span(height) <= old_leaf_count) {
+    *Find(depth() - height, index) = Graft(node, old_groups);
+    return;
   }
+  // A partial node left unsplit is dirty and stale below, as a new node
+  // is; so is the unused end of a group.
+  if (node.children == 0) {
+    return;
+  }
+  const Node* children = old_groups[node.children - 1].get();
+  for (size_t k = 0; k < branching_; ++k) {
+    GraftComplete(children[k], height - 1, index * branching_ + k,
+                  old_leaf_count, old_groups);
+  }
+}
+
+PartitionTree::Node PartitionTree::Graft(
+    Node node, std::vector<std::unique_ptr<Node[]>>& old_groups) {
+  node.dirty = true;
+  if (node.children != 0) {
+    std::unique_ptr<Node[]> group = std::move(old_groups[node.children - 1]);
+    for (size_t k = 0; k < branching_; ++k) {
+      group[k] = Graft(group[k], old_groups);
+    }
+    groups_.push_back(std::move(group));
+    node.children = static_cast<uint32_t>(groups_.size());
+  }
+  return node;
+}
+
+void PartitionTree::Split(Node& node, int height) {
+  assert(node.children == 0 && height > 1);
+  Node child = node;
+  if (node.cold && !node.stale) {
+    child.digest = ColdDigest(height - 1);  // hashed with the node's own
+  }
+  auto group = std::make_unique<Node[]>(branching_);
+  std::fill_n(group.get(), branching_, child);
+  groups_.push_back(std::move(group));
+  node.children = static_cast<uint32_t>(groups_.size());
+  assert(node.children == groups_.size());
 }
 
 void PartitionTree::Fill(const Digest& digest) {
@@ -86,18 +131,25 @@ void PartitionTree::Fill(const Digest& digest) {
   std::fill(block_slots_.begin(), block_slots_.end(), 0);
   override_blocks_.clear();
   override_count_ = 0;
-  // Nodes whose whole leaf range lies in the filled range are cold; the
-  // partial last node of each level is hashed from its children.
-  size_t span = 1;
-  for (int level = depth() - 1; level >= 0; --level) {
-    span *= branching_;
-    const size_t complete = filled_ / span;
-    std::vector<Node>& nodes = levels_[level];
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      nodes[i].dirty = true;
-      nodes[i].stale = true;
-      nodes[i].cold = i < complete;
+  // Every node is dirty and stale, and cold if its leaf range is complete.
+  // Only the nodes on the path to the last leaf can be partial, so the
+  // stored tree is that path, each node split into its complete (cold)
+  // children, its child on the path and the unused rest.
+  groups_.clear();
+  root_ = Node{};
+  Node* node = &root_;
+  for (int height = depth();; --height) {
+    node->cold = leaf_count_ % Span(height) == 0;
+    if (node->cold || height == 1) {
+      break;
     }
+    Split(*node, height);
+    const size_t on_path = (leaf_count_ - 1) / Span(height - 1) % branching_;
+    Node* children = Children(*node);
+    for (size_t k = 0; k < on_path; ++k) {
+      children[k].cold = true;
+    }
+    node = &children[on_path];
   }
 }
 
@@ -147,36 +199,34 @@ Digest PartitionTree::Leaf(size_t index) const {
 }
 
 void PartitionTree::MarkPathDirty(size_t leaf_index) {
-  size_t index = leaf_index;
-  for (int level = depth() - 1; level >= 0; --level) {
-    index /= branching_;
-    Node& node = levels_[level][index];
-    if (node.dirty && node.stale && !node.cold) {
-      break;  // everything above is already marked
+  // Top down: an unsplit node is split before it is marked, so that its
+  // other children keep its flags.
+  Node* node = &root_;
+  size_t span = Span(depth() - 1);  // leaves under each of its children
+  for (int height = depth();; --height, span /= branching_) {
+    if (height > 1 && node->children == 0) {
+      Split(*node, height);
     }
     // A grow can leave nodes dirty (model) but not stale (digest preserved),
     // and a Fill leaves them cold; a real leaf change must invalidate the
-    // digest, so keep walking until the node is dirty, stale and not cold.
-    node.dirty = true;
-    node.stale = true;
-    node.cold = false;
+    // digest, so every node on the path ends dirty, stale and not cold.
+    node->dirty = true;
+    node->stale = true;
+    node->cold = false;
+    if (height == 1) {
+      break;
+    }
+    node = &Children(*node)[leaf_index / span % branching_];
   }
 }
 
 size_t PartitionTree::LevelWidth(int level) const {
-  if (level == depth()) {
-    return leaf_count_;
-  }
-  return levels_[level].size();
+  return widths_[depth() - level];
 }
 
 std::pair<size_t, size_t> PartitionTree::LeafRange(int level,
                                                    size_t index) const {
-  // span(level) = branching ^ (depth - level)
-  size_t span = 1;
-  for (int l = level; l < depth(); ++l) {
-    span *= branching_;
-  }
+  const size_t span = Span(depth() - level);
   size_t first = index * span;
   size_t last = std::min(first + span, leaf_count_);
   return {first, last};
@@ -192,59 +242,113 @@ Digest PartitionTree::ColdDigest(int height) {
   return cold_digests_[height];
 }
 
-Digest PartitionTree::ComputeNode(int level, size_t index) {
-  const Node& node = levels_[level][index];
-  const int height = depth() - level;
-  ++recomputed_nodes_;
-  if (node.stale && !node.cold) {
-    ++hotpath::counters().tree_nodes_rehashed;
-    return InteriorDigest(height, ChildDigests(level, index));
-  }
-  // The digest is known without hashing: preserved across a grow, or the
-  // cold digest of its height. The interior children still get their model
-  // visit (the cost model charges a whole-subtree recompute), but no bytes
-  // are hashed for them unless their own digests are stale.
-  if (height > 1) {
-    const size_t first = index * branching_;
-    const size_t last = std::min(first + branching_, LevelWidth(level + 1));
-    for (size_t child = first; child < last; ++child) {
-      NodeDigest(level + 1, child);
+PartitionTree::Node* PartitionTree::Find(int level, size_t index) {
+  Node* node = &root_;
+  size_t span = Span(level) / branching_;  // nodes at `level` per child
+  for (int l = 0; l < level; ++l, span /= branching_) {
+    if (node->children == 0) {
+      if (!node->dirty) {
+        return nullptr;
+      }
+      Split(*node, depth() - l);
     }
+    node = &Children(*node)[index / span % branching_];
   }
-  if (!node.stale) {
-    ++hotpath::counters().tree_nodes_preserved;
+  return node;
+}
+
+Digest PartitionTree::Visit(Node& node, int height, size_t index) {
+  if (!node.dirty) {
     return node.digest;
   }
-  return ColdDigest(height);
+  if (node.cold && node.children == 0) {
+    // A whole cold subtree: the model counts each of its nodes, as a visit
+    // of each would; its digest is its height's cold digest, kept across a
+    // grow or hashed once per fill.
+    uint64_t nodes = 0;
+    for (int h = 0; h < height; ++h) {
+      nodes = nodes * branching_ + 1;
+    }
+    recomputed_nodes_ += nodes;
+    if (node.stale) {
+      node.digest = ColdDigest(height);
+    } else {
+      hotpath::counters().tree_nodes_preserved += nodes;
+    }
+  } else {
+    if (node.children == 0 && height > 1) {
+      Split(node, height);  // a region a grow added: hashed node by node
+    }
+    ++recomputed_nodes_;
+    if (node.stale && !node.cold) {
+      ++hotpath::counters().tree_nodes_rehashed;
+      node.digest = InteriorDigest(height, VisitChildren(node, height, index));
+    } else {
+      // The digest is known without hashing: preserved across a grow, or
+      // the cold digest of its height. The interior children still get
+      // their model visit (the cost model charges a whole-subtree
+      // recompute), but no bytes are hashed for them unless their own
+      // digests are stale.
+      if (height > 1) {
+        VisitChildren(node, height, index);
+      }
+      if (node.stale) {
+        node.digest = ColdDigest(height);
+      } else {
+        ++hotpath::counters().tree_nodes_preserved;
+      }
+    }
+  }
+  node.dirty = false;
+  node.stale = false;
+  return node.digest;
+}
+
+std::vector<Digest> PartitionTree::VisitChildren(const Node& node, int height,
+                                                 size_t index) {
+  const size_t first = index * branching_;
+  const size_t last = std::min(first + branching_, widths_[height - 1]);
+  std::vector<Digest> out;
+  out.reserve(last - first);
+  for (size_t child = first; child < last; ++child) {
+    out.push_back(height == 1 ? Leaf(child)
+                              : Visit(Children(node)[child - first],
+                                      height - 1, child));
+  }
+  return out;
 }
 
 Digest PartitionTree::NodeDigest(int level, size_t index) {
   if (level == depth()) {
     return Leaf(index);
   }
-  Node& node = levels_[level][index];
-  if (node.dirty) {
-    node.digest = ComputeNode(level, index);
-    node.dirty = false;
-    node.stale = false;
-  }
-  return node.digest;
+  // Below a clean unsplit node every node holds its height's cold digest:
+  // a read there splits nothing and counts nothing.
+  Node* node = Find(level, index);
+  const int height = depth() - level;
+  return node != nullptr ? Visit(*node, height, index) : ColdDigest(height);
 }
 
 std::vector<Digest> PartitionTree::ChildDigests(int level, size_t index) {
-  std::vector<Digest> out;
-  size_t child_width = LevelWidth(level + 1);
-  size_t first = index * branching_;
-  size_t last = std::min(first + branching_, child_width);
-  out.reserve(last - first);
-  for (size_t child = first; child < last; ++child) {
-    out.push_back(NodeDigest(level + 1, child));
+  const int height = depth() - level;
+  Node* node = Find(level, index);
+  if (node != nullptr && node->children == 0 && height > 1) {
+    if (node->dirty) {
+      Split(*node, height);  // its children are cleaned, it stays dirty
+    } else {
+      node = nullptr;
+    }
   }
-  return out;
+  if (node == nullptr) {
+    // A clean cold subtree: every child holds the cold digest of its height
+    // (a leaf, the fill).
+    return std::vector<Digest>(branching_, ColdDigest(height - 1));
+  }
+  return VisitChildren(*node, height, index);
 }
 
 Digest PartitionTree::Root() {
-  return RootDigest(NodeDigest(0, 0), leaf_count_);
+  return RootDigest(Visit(root_, depth(), 0), leaf_count_);
 }
 
 }  // namespace bftbase

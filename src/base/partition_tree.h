@@ -15,13 +15,21 @@
 // set by Fill) plus the leaves whose digest differs from it, grouped by
 // block (the `branching` leaves under one bottom interior node), so a
 // replica's memory per object follows the objects that left the cold state.
-// Interior nodes stay dense. An interior node's digest covers its height and
-// its children (InteriorDigest), not its position, so every complete subtree
-// whose leaves all hold the fill has one digest per height, hashed once.
+// Interior nodes are sparse too. A node whose whole subtree is uniform (a
+// cold subtree after a Fill, or a region a grow added) is stored once,
+// unsplit, and every node below it is implied by its flags. A node is split
+// (its `branching` children are stored as copies of it) only when a leaf
+// write goes below it or a query below it needs different flags, so a cold
+// tree stores the path to its last leaf. An interior node's digest covers
+// its height and its children (InteriorDigest), not its position, so every
+// complete subtree whose leaves all hold the fill has one digest per height,
+// hashed once, and the cost model's count of an unsplit cold subtree follows
+// from its height.
 #ifndef SRC_BASE_PARTITION_TREE_H_
 #define SRC_BASE_PARTITION_TREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -77,10 +85,13 @@ class PartitionTree {
   size_t leaf_count() const { return leaf_count_; }
   size_t branching() const { return branching_; }
   // Leaves are at this level; interior levels are 0 .. depth()-1.
-  int depth() const { return static_cast<int>(levels_.size()); }
+  int depth() const { return static_cast<int>(widths_.size()) - 1; }
   // Leaves stored explicitly: those whose digest differs from the fill (or,
   // past the filled range, from zero).
   size_t override_count() const { return override_count_; }
+  // Interior nodes stored: the root and `branching` per split node. A cold
+  // tree stores at most branching x depth + 1, the dense tree every one.
+  size_t stored_nodes() const { return 1 + groups_.size() * branching_; }
 
   // Interior hashes the cost model counts since the last call (for cost
   // accounting). Real hashing can be less: see Node.
@@ -98,12 +109,17 @@ class PartitionTree {
   // its digest is its height's cold digest. A Fill dirties every node for
   // the model, and a grow re-dirties every node while complete subtrees
   // keep their digests, so the model charges a full rebuild where real
-  // hashing covers only the paths that changed.
+  // hashing covers only the paths that changed. `children` is 0 while the
+  // node is unsplit, else 1 + the index of its children in groups_. Below
+  // an unsplit node every node has its flags and, once hashed, its height's
+  // cold digest: a clean unsplit node (above height 1) is cold, and an
+  // unsplit node that is not cold is dirty and stale.
   struct Node {
     Digest digest;
-    bool dirty : 1 = true;
-    bool stale : 1 = true;
-    bool cold : 1 = false;
+    uint32_t children : 29 = 0;
+    uint32_t dirty : 1 = 1;
+    uint32_t stale : 1 = 1;
+    uint32_t cold : 1 = 0;
   };
 
   // A leaf whose digest differs from its cold one, by its offset in its block.
@@ -119,9 +135,31 @@ class PartitionTree {
   // The digest of a complete subtree of `height` whose leaves all hold the
   // fill; hashed on first use after each Fill.
   Digest ColdDigest(int height);
-  void Rebuild();
+  // branching ^ height: the leaves under a node of `height`.
+  size_t Span(int height) const;
+  Node* Children(const Node& node) const {
+    return groups_[node.children - 1].get();
+  }
+  // Stores `branching` copies of `node` (of `height`) as its children.
+  void Split(Node& node, int height);
+  // The stored node (level, index), or nullptr if it lies below a clean
+  // unsplit node. A dirty unsplit node on the way is split, since the
+  // caller is about to clean the nodes below it.
+  Node* Find(int level, size_t index);
   void MarkPathDirty(size_t leaf_index);
-  Digest ComputeNode(int level, size_t index);
+  // The digest of `node` at (height, index), recomputed if it is dirty.
+  Digest Visit(Node& node, int height, size_t index);
+  std::vector<Digest> VisitChildren(const Node& node, int height,
+                                    size_t index);
+  // Moves each maximal subtree below `node` at (height, index) of a
+  // smaller tree that was complete under its `old_leaf_count` leaves to the
+  // same (height, index) here.
+  void GraftComplete(const Node& node, int height, size_t index,
+                     size_t old_leaf_count,
+                     std::vector<std::unique_ptr<Node[]>>& old_groups);
+  // `node` with its stored subtree moved out of `old_groups`, every node
+  // dirty.
+  Node Graft(Node node, std::vector<std::unique_ptr<Node[]>>& old_groups);
 
   size_t branching_;
   size_t leaf_count_ = 0;
@@ -135,9 +173,13 @@ class PartitionTree {
   std::vector<uint32_t> block_slots_;
   std::vector<std::vector<Override>> override_blocks_;
   size_t override_count_ = 0;
-  // levels_[0] is the root level (width 1); levels_.back() is the level just
-  // above the leaves.
-  std::vector<std::vector<Node>> levels_;
+  // widths_[h] is the number of nodes at height h; widths_[0] is the leaf
+  // count and widths_.back() 1, the root's.
+  std::vector<size_t> widths_;
+  Node root_;
+  // The stored children of split nodes, `branching` per group (those past
+  // the end of a level are unused).
+  std::vector<std::unique_ptr<Node[]>> groups_;
   uint64_t recomputed_nodes_ = 0;
 };
 

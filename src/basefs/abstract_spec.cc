@@ -32,6 +32,31 @@ SetAttrs DecodeSetAttrsFrom(XdrReader& reader) {
   return attrs;
 }
 
+// True for the statuses NfsStat defines.
+bool IsNfsStat(uint32_t raw) {
+  switch (static_cast<NfsStat>(raw)) {
+    case NfsStat::kOk:
+    case NfsStat::kPerm:
+    case NfsStat::kNoEnt:
+    case NfsStat::kIo:
+    case NfsStat::kAcces:
+    case NfsStat::kExist:
+    case NfsStat::kNoDev:
+    case NfsStat::kNotDir:
+    case NfsStat::kIsDir:
+    case NfsStat::kInval:
+    case NfsStat::kFBig:
+    case NfsStat::kNoSpc:
+    case NfsStat::kRoFs:
+    case NfsStat::kNameTooLong:
+    case NfsStat::kNotEmpty:
+    case NfsStat::kDQuot:
+    case NfsStat::kStale:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* NfsProcName(NfsProc proc) {
@@ -308,11 +333,16 @@ Bytes NfsReply::Encode(NfsProc proc) const {
 Result<NfsReply> NfsReply::Decode(NfsProc proc, BytesView bytes) {
   XdrReader r(bytes);
   NfsReply reply;
-  reply.stat = static_cast<NfsStat>(r.GetUint32());
-  if (!r.ok()) {
+  const uint32_t stat = r.GetUint32();
+  if (!r.ok() || !IsNfsStat(stat)) {
     return Malformed("NFS reply status");
   }
+  reply.stat = static_cast<NfsStat>(stat);
   if (reply.stat != NfsStat::kOk) {
+    // An error reply is its status alone.
+    if (!r.AtEnd()) {
+      return Malformed("NFS error reply");
+    }
     return reply;
   }
   switch (proc) {

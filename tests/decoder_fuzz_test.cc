@@ -1,9 +1,10 @@
 // Seeded mutation harness for the receive path's decoders: Channel::Open,
 // Channel::ParseUnverified, RequestMsg::Decode and ReplyMsg::Decode, and the
 // BASEFS wrapper's NfsCall::Decode (an authenticated client's op reaches it
-// at every replica) and AbstractFsObject::Decode (state transfer's PutObjs
-// decodes each fetched object). A Byzantine peer holds valid keys, so any
-// bytes it sends reach them. The harness mutates valid encodings
+// at every replica), AbstractFsObject::Decode (state transfer's PutObjs
+// decodes each fetched object) and NfsReply::Decode (a client decodes the
+// result its replicas vouched for). A Byzantine peer holds valid keys, so
+// any bytes it sends reach them. The harness mutates valid encodings
 // (truncations, bit flips, inflated u32 length fields, splices of two valid
 // encodings) and checks, on every mutated input:
 //   - no crash and no undefined behaviour (the asan-ubsan preset runs this
@@ -126,10 +127,12 @@ struct LengthField {
   bool big_endian = false;
 };
 
-// A valid encoding and its length prefixes.
+// A valid encoding and its length prefixes; an NFS reply also names the
+// procedure it answers, which its decoder takes.
 struct Sample {
   Bytes bytes;
   std::vector<LengthField> length_fields;
+  NfsProc proc = NfsProc::kNull;
 };
 
 // Envelope layout (Channel::Seal): u8 type, u32 sender, u8 auth kind, then
@@ -187,12 +190,18 @@ constexpr Mutation kMutations[] = {Mutation::kTruncate, Mutation::kFlipBits,
                                    Mutation::kInflateLength,
                                    Mutation::kSplice};
 
-Bytes Mutate(Mutation m, const std::vector<Sample>& corpus, Rng& rng) {
+// Mutates a sample drawn from `corpus`; `picked`, if given, gets the
+// sample drawn.
+Bytes Mutate(Mutation m, const std::vector<Sample>& corpus, Rng& rng,
+             const Sample** picked = nullptr) {
   const Sample* pick = &corpus[rng.NextBelow(corpus.size())];
   // An inflated length needs a sample that has one (a GETATTR call and a
   // free abstract object are fixed-size).
   while (m == Mutation::kInflateLength && pick->length_fields.empty()) {
     pick = &corpus[rng.NextBelow(corpus.size())];
+  }
+  if (picked != nullptr) {
+    *picked = pick;
   }
   const Sample& s = *pick;
   Bytes out = s.bytes;
@@ -312,6 +321,7 @@ class DecoderFuzz : public ::testing::Test {
     direct_sim_.DiscardCpuOutsideEvents();
     AddNfsCalls();
     AddAbstractFsObjects();
+    AddNfsReplies();
   }
 
   // NFS calls with every kind of variable-length field. An encoding starts
@@ -391,6 +401,54 @@ class DecoderFuzz : public ::testing::Test {
     fs_bodies_.push_back(XdrSample(dir.Encode(), {36, 40, 40 + 4 + 4 + 8}));
   }
 
+  // A success and an error reply to every procedure. A reply starts with
+  // its u32 status; READ's data follows an 80-byte fattr, and a READDIR
+  // listing is an entry count and then each entry's name and oid.
+  void AddNfsReplies() {
+    constexpr NfsProc kProcs[] = {
+        NfsProc::kNull,   NfsProc::kGetAttr, NfsProc::kSetAttr,
+        NfsProc::kLookup, NfsProc::kReadlink, NfsProc::kRead,
+        NfsProc::kWrite,  NfsProc::kCreate,  NfsProc::kRemove,
+        NfsProc::kRename, NfsProc::kSymlink, NfsProc::kMkdir,
+        NfsProc::kRmdir,  NfsProc::kReaddir, NfsProc::kStatfs};
+    constexpr NfsStat kErrors[] = {NfsStat::kNoEnt, NfsStat::kStale,
+                                   NfsStat::kAcces, NfsStat::kNotEmpty};
+    NfsReply ok;
+    ok.stat = NfsStat::kOk;
+    ok.attr.type = FileType::kRegular;
+    ok.attr.mode = 0644;
+    ok.attr.nlink = 1;
+    ok.attr.size = 5;
+    ok.attr.fileid = 3;
+    ok.attr.mtime_us = 1'000'000;
+    ok.oid = MakeOid(3, 1);
+    ok.data = ToBytes("hello");
+    ok.target = "a/b";
+    ok.entries = {{"a", MakeOid(1, 1)}, {"bb", MakeOid(2, 4)}};
+    ok.block_size = 4096;
+    ok.total_blocks = 1000;
+    ok.free_blocks = 10;
+    for (size_t i = 0; i < std::size(kProcs); ++i) {
+      const NfsProc proc = kProcs[i];
+      std::vector<size_t> lengths;
+      if (proc == NfsProc::kRead) {
+        lengths = {4 + 80};
+      } else if (proc == NfsProc::kReadlink) {
+        lengths = {4};
+      } else if (proc == NfsProc::kReaddir) {
+        lengths = {4, 8, 8 + 4 + 4 + 8};
+      }
+      Sample success = XdrSample(ok.Encode(proc), lengths);
+      success.proc = proc;
+      fs_replies_.push_back(std::move(success));
+      NfsReply error;
+      error.stat = kErrors[i % std::size(kErrors)];
+      Sample failure = XdrSample(error.Encode(proc), {});
+      failure.proc = proc;
+      fs_replies_.push_back(std::move(failure));
+    }
+  }
+
   void Seal(Bytes wire, const Sample& body) {
     auto opened = Channel::ParseUnverified(wire);
     ASSERT_TRUE(opened.ok());
@@ -415,9 +473,11 @@ class DecoderFuzz : public ::testing::Test {
     direct_sim_.DiscardCpuOutsideEvents();
   }
 
-  // Decodes `body` every way; whatever decodes must re-encode to `body`.
-  // Returns how many decoders accepted it.
-  int CheckBody(const Bytes& body) {
+  // Decodes `body` every way, and as a reply to `reply_proc` if one is
+  // given; whatever decodes must re-encode to `body`, and a reply's status
+  // must be one NfsStat defines. Returns how many decoders accepted it.
+  int CheckBody(const Bytes& body,
+                std::optional<NfsProc> reply_proc = std::nullopt) {
     int accepted = 0;
     auto request = DecodeProbed("RequestMsg::Decode", body,
                                 [&] { return RequestMsg::Decode(body); });
@@ -443,6 +503,18 @@ class DecoderFuzz : public ::testing::Test {
     if (object.ok()) {
       ++accepted;
       EXPECT_EQ(HexEncode(object->Encode()), HexEncode(body));
+    }
+    if (reply_proc.has_value()) {
+      auto nfs_reply = DecodeProbed(
+          "NfsReply::Decode", body,
+          [&] { return NfsReply::Decode(*reply_proc, body); },
+          kDirEntryGrowth);
+      if (nfs_reply.ok()) {
+        ++accepted;
+        EXPECT_EQ(HexEncode(nfs_reply->Encode(*reply_proc)), HexEncode(body));
+        EXPECT_STRNE(NfsStatName(nfs_reply->stat), "NFSERR_UNKNOWN")
+            << HexEncode(body);
+      }
     }
     bodies_decoded_ += accepted;
     return accepted;
@@ -507,6 +579,7 @@ class DecoderFuzz : public ::testing::Test {
   std::vector<Sample> bodies_;     // RequestMsg and ReplyMsg encodings
   std::vector<Sample> envelopes_;  // each of bodies_, sealed three ways
   std::vector<Sample> fs_bodies_;  // NfsCall and AbstractFsObject encodings
+  std::vector<Sample> fs_replies_;  // NfsReply encodings, with their procs
   std::set<Opened> sealed_;
   int bodies_decoded_ = 0;
   int envelopes_opened_ = 0;
@@ -522,7 +595,7 @@ TEST_F(DecoderFuzz, CorpusIsValid) {
   // Each length prefix is where the sample says: it counts no more than
   // the bytes behind it. Each body is accepted by exactly one decoder.
   for (const std::vector<Sample>* corpus : {&bodies_, &envelopes_,
-                                            &fs_bodies_}) {
+                                            &fs_bodies_, &fs_replies_}) {
     for (const Sample& sample : *corpus) {
       for (LengthField field : sample.length_fields) {
         ASSERT_LE(field.at + 4, sample.bytes.size());
@@ -536,6 +609,13 @@ TEST_F(DecoderFuzz, CorpusIsValid) {
     for (const Sample& body : *corpus) {
       EXPECT_EQ(CheckBody(body.bytes), 1) << HexEncode(body.bytes);
     }
+  }
+  // Each reply decodes as a reply to its procedure (a bare NFS_OK is also
+  // a NULL call, so other decoders may accept it too).
+  for (const Sample& reply : fs_replies_) {
+    EXPECT_TRUE(NfsReply::Decode(reply.proc, reply.bytes).ok())
+        << HexEncode(reply.bytes);
+    EXPECT_GE(CheckBody(reply.bytes, reply.proc), 1);
   }
 }
 
@@ -586,6 +666,23 @@ TEST_F(DecoderFuzz, MutatedFsBodiesDecodeCanonically) {
   EXPECT_GT(bodies_decoded_, 0);
 }
 
+// Replies, each mutated and decoded as a reply to the procedure of the
+// sample it came from (a splice keeps its prefix's).
+TEST_F(DecoderFuzz, MutatedNfsRepliesDecodeCanonically) {
+  Rng rng(0x5e);
+  for (Mutation m : kMutations) {
+    for (int i = 0; i < kRounds; ++i) {
+      const Sample* picked = nullptr;
+      const Bytes body = Mutate(m, fs_replies_, rng, &picked);
+      CheckBody(body, picked->proc);
+      if (HasFailure()) {
+        return;  // the first failing input is reported above
+      }
+    }
+  }
+  EXPECT_GT(bodies_decoded_, 0);
+}
+
 // The shrunk inputs of the defects this harness found; each is rejected
 // now, within the allocation bound.
 TEST_F(DecoderFuzz, FoundDefectsStayFixed) {
@@ -609,6 +706,16 @@ TEST_F(DecoderFuzz, FoundDefectsStayFixed) {
   EXPECT_FALSE(DecodeProbed("NfsReply::Decode", listing, [&] {
                  return NfsReply::Decode(NfsProc::kReaddir, listing);
                }, kDirEntryGrowth).ok());
+  // An error reply with bytes after its status decoded as the bare error,
+  // NFSERR_NOENT here, one reply under many encodings; and a status
+  // NfsStat does not define (999) decoded too.
+  const Bytes trailing = HexDecode("00000002" "deadbeef");
+  const Bytes undefined = HexDecode("000003e7");
+  for (const Bytes& input : {trailing, undefined}) {
+    EXPECT_FALSE(NfsReply::Decode(NfsProc::kLookup, input).ok())
+        << HexEncode(input);
+    EXPECT_EQ(CheckBody(input, NfsProc::kLookup), 0) << HexEncode(input);
+  }
 }
 
 }  // namespace

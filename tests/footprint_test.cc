@@ -38,16 +38,17 @@ Bytes ValueFor(uint64_t n) {
   return value;
 }
 
-// A cold 2^18-slot state costs the dense interior nodes of the partition
-// tree and one dirty bit per leaf: ~0.7 MB. A record per object (a 32-byte
-// leaf digest and a 24-byte slot) would be ~15 MB.
+// A cold 2^18-slot state costs one dirty bit per leaf and one override slot
+// per block of 16 leaves, ~0.1 MB; its partition tree stores only the path
+// to the last leaf. Dense interior nodes would add ~0.6 MB, and a record per
+// object (a 32-byte leaf digest and a 24-byte slot) ~15 MB.
 TEST(Footprint, ColdStateKeepsNoPerObjectRecords) {
   Simulation sim(1);
   const size_t baseline = Baseline();
   KvAdapter adapter(&sim, kSlots);
   CheckpointManager cm(&sim, &adapter);
   const size_t held = HeldSince(baseline);
-  EXPECT_LT(held, 3 * kMiB / 2) << held << " bytes";
+  EXPECT_LT(held, 256 * size_t{1024}) << held << " bytes";
   EXPECT_EQ(cm.tree().override_count(), 0u);
   EXPECT_EQ(cm.LeafCount(), kSlots + 1);
 

@@ -428,6 +428,47 @@ TEST(PartitionTree, ColdTreeHashesOneNodePerHeight) {
   EXPECT_EQ(reference.TakeRecomputedNodes(), 17481u);
 }
 
+// A cold tree stores the path to its last leaf and no other interior node:
+// its root counts all 17,481 nodes from the shape of its unsplit subtrees,
+// a read inside a clean cold subtree stores and counts nothing, and a leaf
+// write splits its path and costs one node per level.
+TEST(PartitionTree, ColdTreeStoresOnePathPerLevel) {
+  constexpr size_t kLeaves = (size_t{1} << 18) + 1;
+  PartitionTree tree(16);
+  tree.Resize(kLeaves);
+  tree.Fill(LeafDigest(7));
+  uint64_t before = hotpath::counters().tree_nodes_rehashed;
+  const Digest root = tree.Root();
+  const auto depth = static_cast<uint64_t>(tree.depth());
+  const size_t path_bound = 16 * depth + 1;
+  EXPECT_LE(tree.stored_nodes(), path_bound);
+  EXPECT_EQ(tree.TakeRecomputedNodes(), 17481u);
+  EXPECT_LE(hotpath::counters().tree_nodes_rehashed - before, 2 * depth);
+
+  DenseReferenceTree reference(16);
+  reference.Resize(kLeaves);
+  reference.Fill(LeafDigest(7));
+  ASSERT_EQ(root, reference.Root());
+
+  const size_t stored = tree.stored_nodes();
+  before = hotpath::counters().tree_nodes_rehashed;
+  const int bottom = tree.depth() - 1;
+  EXPECT_EQ(tree.NodeDigest(bottom, 12345),
+            reference.NodeDigest(bottom, 12345));
+  EXPECT_EQ(tree.ChildDigests(bottom - 1, 500),
+            reference.ChildDigests(bottom - 1, 500));
+  EXPECT_EQ(tree.ChildDigests(bottom, 7), reference.ChildDigests(bottom, 7));
+  EXPECT_EQ(tree.stored_nodes(), stored);
+  EXPECT_EQ(tree.TakeRecomputedNodes(), 0u);
+  EXPECT_EQ(hotpath::counters().tree_nodes_rehashed, before);
+
+  tree.SetLeaf(100000, LeafDigest(8));
+  reference.SetLeaf(100000, LeafDigest(8));
+  EXPECT_EQ(tree.Root(), reference.Root());
+  EXPECT_EQ(tree.TakeRecomputedNodes(), depth);
+  EXPECT_EQ(hotpath::counters().tree_nodes_rehashed - before, depth);
+}
+
 // A node's digest does not depend on its depth, so a grow that adds a level
 // keeps every subtree that was complete: 4,096 -> 4,097 leaves (depth 3 ->
 // 4) re-hashes only the path to the new leaf, while the cost model still
