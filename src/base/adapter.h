@@ -64,9 +64,11 @@ class ServiceAdapter {
   // referencing newly created objects).
   virtual void PutObjs(const std::vector<ObjectUpdate>& objs) = 0;
 
-  // Size of the abstract-state object array. For services with a fixed-size
-  // array (the NFS example) this is constant; growable services may extend
-  // it (never shrink).
+  // Size of the abstract-state object array, fixed for the adapter's
+  // lifetime: the library builds its partition tree once at this size. A
+  // wrapper whose service creates and deletes objects keeps free entries in
+  // the array (as the NFS and object-database wrappers do) instead of
+  // growing it.
   virtual size_t ObjectCount() const = 0;
 
   // Restarts the concrete implementation from a clean initial state

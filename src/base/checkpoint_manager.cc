@@ -12,7 +12,11 @@ namespace bftbase {
 
 CheckpointManager::CheckpointManager(Simulation* sim, ServiceAdapter* adapter,
                                      bool full_copy_checkpoints)
-    : sim_(sim), adapter_(adapter), full_copy_(full_copy_checkpoints) {
+    : sim_(sim),
+      adapter_(adapter),
+      full_copy_(full_copy_checkpoints),
+      tree_(adapter->ObjectCount() + 1),
+      dirty_bits_((tree_.leaf_count() + 63) / 64, 0) {
   FullResync(/*seq=*/0, /*protocol_state=*/Bytes());
 }
 
@@ -45,13 +49,8 @@ std::vector<size_t> CheckpointManager::DirtyLeaves() const {
 }
 
 void CheckpointManager::OnModify(size_t object_index) {
-  size_t leaf = LeafForObject(object_index);
-  if (leaf >= leaf_count_) {
-    // A brand-new object: it has no value at the previous checkpoint, so
-    // there is nothing to copy; the leaf array grows at the next checkpoint,
-    // which marks every new leaf dirty.
-    return;
-  }
+  const size_t leaf = LeafForObject(object_index);
+  assert(leaf < LeafCount());
   if (!MarkDirty(leaf)) {
     return;  // already copied for the current checkpoint interval
   }
@@ -70,18 +69,6 @@ void CheckpointManager::OnModify(size_t object_index) {
 CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
     SeqNum seq, const Bytes& protocol_state) {
   assert(seq > latest_seq_);
-  // Account for array growth since the previous checkpoint.
-  size_t new_leaf_count = adapter_->ObjectCount() + 1;
-  if (new_leaf_count > leaf_count_) {
-    const size_t old_leaf_count = leaf_count_;
-    leaf_count_ = new_leaf_count;
-    dirty_bits_.resize((leaf_count_ + 63) / 64, 0);
-    for (size_t leaf = old_leaf_count; leaf < leaf_count_; ++leaf) {
-      MarkDirty(leaf);
-    }
-    tree_.Resize(leaf_count_);
-  }
-
   protocol_state_ = protocol_state;
   MarkDirty(0);
   const SimTime node_cost =
@@ -92,8 +79,7 @@ CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
     // Ablation mode (bench E4): snapshot the entire abstract state.
     Checkpoint full;
     full.seq = seq;
-    full.leaf_count = leaf_count_;
-    for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
+    for (size_t leaf = 0; leaf < LeafCount(); ++leaf) {
       Bytes value = leaf == 0 ? protocol_state_
                               : adapter_->GetObj(ObjectForLeaf(leaf));
       taken.digest_cpu += sim_->cost().DigestCost(value.size());
@@ -108,7 +94,7 @@ CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
     latest_root_ = taken.root;
     checkpoints_.emplace(seq, std::move(full));
     last_checkpoint_updates_.clear();
-    for (size_t leaf = 0; leaf < leaf_count_; ++leaf) {
+    for (size_t leaf = 0; leaf < LeafCount(); ++leaf) {
       last_checkpoint_updates_.push_back(leaf);
     }
     ClearDirty();
@@ -146,7 +132,6 @@ CheckpointManager::Taken CheckpointManager::TakeCheckpoint(
   Checkpoint checkpoint;
   checkpoint.seq = seq;
   checkpoint.root = taken.root;
-  checkpoint.leaf_count = leaf_count_;
   checkpoints_.emplace(seq, std::move(checkpoint));
   latest_seq_ = seq;
   latest_root_ = taken.root;
@@ -162,18 +147,17 @@ void CheckpointManager::DiscardBefore(SeqNum seq) {
     Checkpoint checkpoint;
     checkpoint.seq = latest_seq_;
     checkpoint.root = latest_root_;
-    checkpoint.leaf_count = leaf_count_;
     checkpoints_.emplace(latest_seq_, std::move(checkpoint));
   }
 }
 
 Digest CheckpointManager::LeafDigest(size_t index) {
-  assert(index < leaf_count_);
+  assert(index < LeafCount());
   return tree_.Leaf(index);
 }
 
 Bytes CheckpointManager::LeafValue(size_t index) {
-  assert(index < leaf_count_);
+  assert(index < LeafCount());
   // If the leaf was modified after the latest checkpoint, its checkpoint
   // value lives in the latest checkpoint's COW set.
   auto cp_it = checkpoints_.find(latest_seq_);
@@ -190,7 +174,7 @@ Bytes CheckpointManager::LeafValue(size_t index) {
 }
 
 Digest CheckpointManager::CurrentLeafDigest(size_t index) {
-  assert(index < leaf_count_);
+  assert(index < LeafCount());
   if (!IsDirty(index)) {
     return tree_.Leaf(index);
   }
@@ -208,7 +192,7 @@ bool CheckpointManager::HasDirtyInRange(size_t first, size_t last) const {
   if (dirty_list_.empty()) {
     return false;
   }
-  last = std::min(last, leaf_count_);
+  last = std::min(last, LeafCount());
   while (first < last) {
     const size_t offset = first % 64;
     const size_t span = std::min<size_t>(64 - offset, last - first);
@@ -225,18 +209,12 @@ bool CheckpointManager::HasDirtyInRange(size_t first, size_t last) const {
 }
 
 Bytes CheckpointManager::InstallFetchedState(
-    SeqNum seq, const Digest& root, size_t leaf_count,
+    SeqNum seq, const Digest& root,
     const std::vector<ObjectUpdate>& leaf_updates) {
-  if (leaf_count > leaf_count_) {
-    leaf_count_ = leaf_count;
-    dirty_bits_.resize((leaf_count_ + 63) / 64, 0);
-    tree_.Resize(leaf_count_);
-  }
-
   std::vector<ObjectUpdate> object_updates;
   object_updates.reserve(leaf_updates.size());
   for (const ObjectUpdate& update : leaf_updates) {
-    assert(update.index < leaf_count_);
+    assert(update.index < LeafCount());
     ChargeDigest(update.value.size());
     tree_.SetLeaf(update.index, Digest::Of(update.value));
     if (update.index == 0) {
@@ -285,7 +263,6 @@ Bytes CheckpointManager::InstallFetchedState(
   Checkpoint checkpoint;
   checkpoint.seq = seq;
   checkpoint.root = root;
-  checkpoint.leaf_count = leaf_count_;
   checkpoints_.emplace(seq, std::move(checkpoint));
   latest_seq_ = seq;
   latest_root_ = root;
@@ -293,8 +270,8 @@ Bytes CheckpointManager::InstallFetchedState(
 }
 
 void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
-  leaf_count_ = adapter_->ObjectCount() + 1;
-  tree_.Resize(leaf_count_);
+  assert(adapter_->ObjectCount() + 1 == LeafCount());
+  const size_t leaf_count = LeafCount();
   protocol_state_ = protocol_state;
   // A cold state repeats values leaf after leaf (empty slots, free inodes),
   // and the adapter says how far each value repeats (RunLength), so the walk
@@ -310,10 +287,10 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
   std::vector<Run> runs;
   Bytes previous;
   SimTime cpu = 0;
-  for (size_t leaf = 0, length = 1; leaf < leaf_count_; leaf += length) {
+  for (size_t leaf = 0, length = 1; leaf < leaf_count; leaf += length) {
     if (leaf > 0) {  // leaf 0, the protocol blob, is a run of its own
       length = std::clamp<size_t>(adapter_->RunLength(ObjectForLeaf(leaf)), 1,
-                                  leaf_count_ - leaf);
+                                  leaf_count - leaf);
     }
     Bytes value =
         leaf == 0 ? protocol_state_ : adapter_->GetObj(ObjectForLeaf(leaf));
@@ -324,7 +301,7 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
     }
   }
   auto run_end = [&](size_t r) {
-    return r + 1 < runs.size() ? runs[r + 1].first : leaf_count_;
+    return r + 1 < runs.size() ? runs[r + 1].first : leaf_count;
   };
   size_t longest = 0;
   for (size_t r = 1; r < runs.size(); ++r) {
@@ -347,14 +324,12 @@ void CheckpointManager::FullResync(SeqNum seq, const Bytes& protocol_state) {
          sim_->cost().DigestCost(tree_.branching() * Digest::kSize);
   sim_->ChargeCpu(cpu);
   latest_seq_ = seq;
-  dirty_bits_.assign((leaf_count_ + 63) / 64, 0);
-  dirty_list_.clear();
+  ClearDirty();
   last_checkpoint_updates_.clear();
   checkpoints_.clear();
   Checkpoint checkpoint;
   checkpoint.seq = seq;
   checkpoint.root = latest_root_;
-  checkpoint.leaf_count = leaf_count_;
   checkpoints_.emplace(seq, std::move(checkpoint));
 }
 

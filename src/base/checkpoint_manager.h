@@ -13,8 +13,9 @@
 //
 // Leaf layout: leaf 0 holds the replica's protocol-state blob (reply cache),
 // so it is covered by the agreed state digest and travels with state
-// transfer; leaf i (i >= 1) holds abstract object i-1. Keeping the protocol
-// blob at index 0 keeps its position stable when the object array grows.
+// transfer; leaf i (i >= 1) holds abstract object i-1. The adapter's object
+// count is fixed, so the leaf count is too: ObjectCount() + 1, set when the
+// manager is built.
 #ifndef SRC_BASE_CHECKPOINT_MANAGER_H_
 #define SRC_BASE_CHECKPOINT_MANAGER_H_
 
@@ -58,8 +59,8 @@ class CheckpointManager {
   // --- Serving state transfer (values/digests at the latest checkpoint) ----
   SeqNum latest_seq() const { return latest_seq_; }
   Digest latest_root() const { return latest_root_; }
-  // Total leaves = ObjectCount() + 1 (protocol leaf) as of latest checkpoint.
-  size_t LeafCount() const { return leaf_count_; }
+  // Total leaves = ObjectCount() + 1 (protocol leaf), fixed.
+  size_t LeafCount() const { return tree_.leaf_count(); }
   Digest LeafDigest(size_t index);
   // Protocol-state blob as of the latest checkpoint / installed state.
   const Bytes& protocol_state() const { return protocol_state_; }
@@ -83,7 +84,7 @@ class CheckpointManager {
   // current state; object leaves go to the adapter through one PutObjs call
   // and the protocol leaf (if present) replaces the protocol blob, which is
   // returned. Resets dirty/copy bookkeeping to a single checkpoint at seq.
-  Bytes InstallFetchedState(SeqNum seq, const Digest& root, size_t leaf_count,
+  Bytes InstallFetchedState(SeqNum seq, const Digest& root,
                             const std::vector<ObjectUpdate>& leaf_updates);
 
   // Recomputes every leaf digest from the adapter (used after RestartClean
@@ -118,7 +119,6 @@ class CheckpointManager {
   struct Checkpoint {
     SeqNum seq = 0;
     Digest root;
-    size_t leaf_count = 0;
     // Copy-on-write set: value AS OF this checkpoint for leaves modified
     // after it was taken.
     std::map<size_t, Bytes> cow;
@@ -138,12 +138,11 @@ class CheckpointManager {
 
   // The only copy of the leaf digests (as of the latest checkpoint).
   PartitionTree tree_;
-  // Leaves modified since the latest checkpoint: one bit per leaf (sized to
-  // leaf_count_) for membership and range queries, plus the set leaves in
-  // the order they were marked (sorted where order matters).
+  // Leaves modified since the latest checkpoint: one bit per leaf for
+  // membership and range queries, plus the set leaves in the order they were
+  // marked (sorted where order matters).
   std::vector<uint64_t> dirty_bits_;
   std::vector<size_t> dirty_list_;
-  size_t leaf_count_ = 1;  // objects + protocol leaf
   SeqNum latest_seq_ = 0;
   Digest latest_root_;
   Bytes protocol_state_;  // as of the latest checkpoint

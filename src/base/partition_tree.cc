@@ -8,9 +8,17 @@
 
 namespace bftbase {
 
-PartitionTree::PartitionTree(size_t branching) : branching_(branching) {
-  assert(branching >= 2);
-  Resize(1);
+PartitionTree::PartitionTree(size_t leaf_count, size_t branching)
+    : branching_(branching),
+      leaf_count_(leaf_count),
+      cold_digests_(1, fill_),
+      block_slots_((leaf_count + branching - 1) / branching, 0),
+      widths_(1, leaf_count) {
+  assert(branching >= 2 && leaf_count >= 1);
+  do {
+    widths_.push_back((widths_.back() + branching_ - 1) / branching_);
+  } while (widths_.back() > 1);
+  StoreColdPath();
 }
 
 Digest PartitionTree::InteriorDigest(int height,
@@ -31,16 +39,6 @@ Digest PartitionTree::RootDigest(const Digest& top, size_t leaf_count) {
       .Build();
 }
 
-int PartitionTree::DepthFor(size_t leaf_count, size_t branching) {
-  int depth = 0;
-  size_t width = std::max<size_t>(leaf_count, 1);
-  do {
-    width = (width + branching - 1) / branching;
-    ++depth;
-  } while (width > 1);
-  return depth;
-}
-
 size_t PartitionTree::Span(int height) const {
   size_t span = 1;
   for (int h = 0; h < height; ++h) {
@@ -49,72 +47,10 @@ size_t PartitionTree::Span(int height) const {
   return span;
 }
 
-void PartitionTree::Resize(size_t leaf_count) {
-  if (leaf_count <= leaf_count_) {
-    return;  // never shrinks
-  }
-  const size_t old_leaf_count = leaf_count_;
-  const int old_depth = static_cast<int>(widths_.size()) - 1;
-  Node old_root = root_;
-  std::vector<std::unique_ptr<Node[]>> old_groups =
-      std::exchange(groups_, {});
-  leaf_count_ = leaf_count;
-  block_slots_.resize((leaf_count_ + branching_ - 1) / branching_, 0);
-  widths_.assign(1, leaf_count_);
-  do {
-    widths_.push_back((widths_.back() + branching_ - 1) / branching_);
-  } while (widths_.back() > 1);
-  // Every node starts dirty and stale: one unsplit root.
-  root_ = Node{};
-  // The cost model charges a grow as a full rebuild: every interior node is
-  // dirty and the next Root() counts each one as recomputed. Real hashing
-  // can do better: a node's hash covers (height, children), so the node at
-  // the same height and index, once its leaf range was complete under the
-  // old leaf count, covers the same leaves as before, whether or not the
-  // depth grew. Those subtrees keep their digests and their stale and cold
-  // marks; the next Root() re-hashes only the paths to the new leaves.
-  if (old_leaf_count > 0) {
-    GraftComplete(old_root, old_depth, 0, old_leaf_count, old_groups);
-  }
-}
-
-void PartitionTree::GraftComplete(
-    const Node& node, int height, size_t index, size_t old_leaf_count,
-    std::vector<std::unique_ptr<Node[]>>& old_groups) {
-  if ((index + 1) * Span(height) <= old_leaf_count) {
-    *Find(depth() - height, index) = Graft(node, old_groups);
-    return;
-  }
-  // A partial node left unsplit is dirty and stale below, as a new node
-  // is; so is the unused end of a group.
-  if (node.children == 0) {
-    return;
-  }
-  const Node* children = old_groups[node.children - 1].get();
-  for (size_t k = 0; k < branching_; ++k) {
-    GraftComplete(children[k], height - 1, index * branching_ + k,
-                  old_leaf_count, old_groups);
-  }
-}
-
-PartitionTree::Node PartitionTree::Graft(
-    Node node, std::vector<std::unique_ptr<Node[]>>& old_groups) {
-  node.dirty = true;
-  if (node.children != 0) {
-    std::unique_ptr<Node[]> group = std::move(old_groups[node.children - 1]);
-    for (size_t k = 0; k < branching_; ++k) {
-      group[k] = Graft(group[k], old_groups);
-    }
-    groups_.push_back(std::move(group));
-    node.children = static_cast<uint32_t>(groups_.size());
-  }
-  return node;
-}
-
 void PartitionTree::Split(Node& node, int height) {
   assert(node.children == 0 && height > 1);
   Node child = node;
-  if (node.cold && !node.stale) {
+  if (node.cold && !node.dirty) {
     child.digest = ColdDigest(height - 1);  // hashed with the node's own
   }
   auto group = std::make_unique<Node[]>(branching_);
@@ -126,17 +62,20 @@ void PartitionTree::Split(Node& node, int height) {
 
 void PartitionTree::Fill(const Digest& digest) {
   fill_ = digest;
-  filled_ = leaf_count_;
   cold_digests_.assign(1, digest);
   std::fill(block_slots_.begin(), block_slots_.end(), 0);
   override_blocks_.clear();
   override_count_ = 0;
-  // Every node is dirty and stale, and cold if its leaf range is complete.
-  // Only the nodes on the path to the last leaf can be partial, so the
-  // stored tree is that path, each node split into its complete (cold)
-  // children, its child on the path and the unused rest.
   groups_.clear();
   root_ = Node{};
+  StoreColdPath();
+}
+
+void PartitionTree::StoreColdPath() {
+  // Every node is dirty, and cold if its leaf range is complete. Only the
+  // nodes on the path to the last leaf can be partial, so the stored tree
+  // is that path, each node split into its complete (cold) children, its
+  // child on the path and the unused rest.
   Node* node = &root_;
   for (int height = depth();; --height) {
     node->cold = leaf_count_ % Span(height) == 0;
@@ -156,7 +95,7 @@ void PartitionTree::Fill(const Digest& digest) {
 void PartitionTree::SetLeaf(size_t index, const Digest& digest) {
   assert(index < leaf_count_);
   MarkPathDirty(index);
-  const bool cold = digest == ColdLeaf(index);
+  const bool cold = digest == fill_;
   uint32_t& slot = block_slots_[index / branching_];
   if (slot == 0) {
     if (cold) {
@@ -195,7 +134,7 @@ Digest PartitionTree::Leaf(size_t index) const {
       }
     }
   }
-  return ColdLeaf(index);
+  return fill_;
 }
 
 void PartitionTree::MarkPathDirty(size_t leaf_index) {
@@ -207,11 +146,9 @@ void PartitionTree::MarkPathDirty(size_t leaf_index) {
     if (height > 1 && node->children == 0) {
       Split(*node, height);
     }
-    // A grow can leave nodes dirty (model) but not stale (digest preserved),
-    // and a Fill leaves them cold; a real leaf change must invalidate the
-    // digest, so every node on the path ends dirty, stale and not cold.
+    // A Fill leaves the path cold; a leaf change must invalidate the cold
+    // digest, so every node on the path ends dirty and not cold.
     node->dirty = true;
-    node->stale = true;
     node->cold = false;
     if (height == 1) {
       break;
@@ -263,44 +200,21 @@ Digest PartitionTree::Visit(Node& node, int height, size_t index) {
   }
   if (node.cold && node.children == 0) {
     // A whole cold subtree: the model counts each of its nodes, as a visit
-    // of each would; its digest is its height's cold digest, kept across a
-    // grow or hashed once per fill.
+    // of each would; its digest is its height's cold digest, hashed once
+    // per fill.
     uint64_t nodes = 0;
     for (int h = 0; h < height; ++h) {
       nodes = nodes * branching_ + 1;
     }
     recomputed_nodes_ += nodes;
-    if (node.stale) {
-      node.digest = ColdDigest(height);
-    } else {
-      hotpath::counters().tree_nodes_preserved += nodes;
-    }
+    node.digest = ColdDigest(height);
   } else {
-    if (node.children == 0 && height > 1) {
-      Split(node, height);  // a region a grow added: hashed node by node
-    }
+    assert(node.children != 0 || height == 1);
     ++recomputed_nodes_;
-    if (node.stale && !node.cold) {
-      ++hotpath::counters().tree_nodes_rehashed;
-      node.digest = InteriorDigest(height, VisitChildren(node, height, index));
-    } else {
-      // The digest is known without hashing: preserved across a grow, or
-      // the cold digest of its height. The interior children still get
-      // their model visit (the cost model charges a whole-subtree
-      // recompute), but no bytes are hashed for them unless their own
-      // digests are stale.
-      if (height > 1) {
-        VisitChildren(node, height, index);
-      }
-      if (node.stale) {
-        node.digest = ColdDigest(height);
-      } else {
-        ++hotpath::counters().tree_nodes_preserved;
-      }
-    }
+    ++hotpath::counters().tree_nodes_rehashed;
+    node.digest = InteriorDigest(height, VisitChildren(node, height, index));
   }
   node.dirty = false;
-  node.stale = false;
   return node.digest;
 }
 

@@ -7,24 +7,26 @@
 // their children, and the root digest is the checkpoint state digest the
 // replicas agree on.
 //
+// The tree is built once at its leaf count, which the abstract-state array
+// fixes (ServiceAdapter::ObjectCount), and never changes shape.
+//
 // Updates are lazy: SetLeaf marks the path dirty and Root()/NodeDigest()
 // recompute only dirty nodes, so the cost of a checkpoint is proportional to
 // the number of objects modified since the previous one.
 //
 // Leaves are stored sparsely: a fill digest (the cold state's common value,
-// set by Fill) plus the leaves whose digest differs from it, grouped by
-// block (the `branching` leaves under one bottom interior node), so a
-// replica's memory per object follows the objects that left the cold state.
-// Interior nodes are sparse too. A node whose whole subtree is uniform (a
-// cold subtree after a Fill, or a region a grow added) is stored once,
-// unsplit, and every node below it is implied by its flags. A node is split
-// (its `branching` children are stored as copies of it) only when a leaf
-// write goes below it or a query below it needs different flags, so a cold
-// tree stores the path to its last leaf. An interior node's digest covers
-// its height and its children (InteriorDigest), not its position, so every
-// complete subtree whose leaves all hold the fill has one digest per height,
-// hashed once, and the cost model's count of an unsplit cold subtree follows
-// from its height.
+// zero until the first Fill) plus the leaves whose digest differs from it,
+// grouped by block (the `branching` leaves under one bottom interior node),
+// so a replica's memory per object follows the objects that left the cold
+// state. Interior nodes are sparse too. A node whose whole subtree is cold
+// (every leaf holds the fill) is stored once, unsplit, and every node below
+// it is implied by its flags. A node is split (its `branching` children are
+// stored as copies of it) only when a leaf write goes below it or a query
+// below it needs different flags, so a cold tree stores the path to its
+// last leaf. An interior node's digest covers its height and its children
+// (InteriorDigest), not its position, so every complete subtree whose
+// leaves all hold the fill has one digest per height, hashed once, and the
+// cost model's count of an unsplit cold subtree follows from its height.
 #ifndef SRC_BASE_PARTITION_TREE_H_
 #define SRC_BASE_PARTITION_TREE_H_
 
@@ -39,9 +41,11 @@ namespace bftbase {
 
 class PartitionTree {
  public:
-  // `branching`: children per interior node (the paper's implementation used
-  // a small fixed hierarchy; 16 gives 4 levels for 64Ki objects).
-  explicit PartitionTree(size_t branching = 16);
+  // A cold tree over `leaf_count` (at least 1) leaves, each holding the zero
+  // digest. `branching`: children per interior node (the paper's
+  // implementation used a small fixed hierarchy; 16 gives 4 levels for 64Ki
+  // objects).
+  explicit PartitionTree(size_t leaf_count, size_t branching = 16);
 
   // The digest rules, shared with state transfer's verification. An interior
   // node `height` levels above the leaves hashes (height, children in
@@ -49,15 +53,9 @@ class PartitionTree {
   // children, and the root binds the leaf count, which fixes the shape.
   static Digest InteriorDigest(int height, std::span<const Digest> children);
   static Digest RootDigest(const Digest& top, size_t leaf_count);
-  // Interior levels of a tree over `leaf_count` leaves.
-  static int DepthFor(size_t leaf_count, size_t branching);
 
-  // Grows (never shrinks) the leaf array. New leaves hold the zero digest.
-  void Resize(size_t leaf_count);
-
-  // Sets every leaf to `digest` (leaves added by a later Resize still hold
-  // the zero digest). The next Root() counts every interior node as
-  // recomputed, as if each leaf had been set one by one.
+  // Sets every leaf to `digest`. The next Root() counts every interior node
+  // as recomputed, as if each leaf had been set one by one.
   void Fill(const Digest& digest);
   const Digest& fill() const { return fill_; }
 
@@ -86,8 +84,7 @@ class PartitionTree {
   size_t branching() const { return branching_; }
   // Leaves are at this level; interior levels are 0 .. depth()-1.
   int depth() const { return static_cast<int>(widths_.size()) - 1; }
-  // Leaves stored explicitly: those whose digest differs from the fill (or,
-  // past the filled range, from zero).
+  // Leaves stored explicitly: those whose digest differs from the fill.
   size_t override_count() const { return override_count_; }
   // Interior nodes stored: the root and `branching` per split node. A cold
   // tree stores at most branching x depth + 1, the dense tree every one.
@@ -102,36 +99,30 @@ class PartitionTree {
   }
 
  private:
-  // `dirty` is the cost-model flag: a dirty node is counted in
-  // recomputed_nodes_ when next visited, and its dirty descendants with it.
-  // `stale` is the real flag: the digest bytes need rebuilding. `cold` marks
-  // a complete subtree inside the filled range with no override beneath:
-  // its digest is its height's cold digest. A Fill dirties every node for
-  // the model, and a grow re-dirties every node while complete subtrees
-  // keep their digests, so the model charges a full rebuild where real
-  // hashing covers only the paths that changed. `children` is 0 while the
-  // node is unsplit, else 1 + the index of its children in groups_. Below
-  // an unsplit node every node has its flags and, once hashed, its height's
-  // cold digest: a clean unsplit node (above height 1) is cold, and an
-  // unsplit node that is not cold is dirty and stale.
+  // A dirty node is recomputed when next visited: it is counted in
+  // recomputed_nodes_, with its dirty descendants, and its digest rebuilt.
+  // `cold` marks a complete subtree with no override beneath: its digest is
+  // its height's cold digest, so an unsplit cold node is counted from its
+  // height and never hashed. A Fill dirties every node for the model, so
+  // the model charges a full rebuild where real hashing covers only the
+  // path to the last leaf. `children` is 0 while the node is unsplit, else
+  // 1 + the index of its children in groups_. Below an unsplit node every
+  // node has its flags and, once hashed, its height's cold digest: an
+  // unsplit node above height 1 is cold (or past the end of its level, and
+  // never visited).
   struct Node {
     Digest digest;
-    uint32_t children : 29 = 0;
+    uint32_t children : 30 = 0;
     uint32_t dirty : 1 = 1;
-    uint32_t stale : 1 = 1;
     uint32_t cold : 1 = 0;
   };
 
-  // A leaf whose digest differs from its cold one, by its offset in its block.
+  // A leaf whose digest differs from the fill, by its offset in its block.
   struct Override {
     uint32_t offset;
     Digest digest;
   };
 
-  // The digest of a leaf with no override.
-  Digest ColdLeaf(size_t index) const {
-    return index < filled_ ? fill_ : Digest();
-  }
   // The digest of a complete subtree of `height` whose leaves all hold the
   // fill; hashed on first use after each Fill.
   Digest ColdDigest(int height);
@@ -142,6 +133,8 @@ class PartitionTree {
   }
   // Stores `branching` copies of `node` (of `height`) as its children.
   void Split(Node& node, int height);
+  // Turns a lone, unsplit root into a cold tree: the path to the last leaf.
+  void StoreColdPath();
   // The stored node (level, index), or nullptr if it lies below a clean
   // unsplit node. A dirty unsplit node on the way is split, since the
   // caller is about to clean the nodes below it.
@@ -151,21 +144,11 @@ class PartitionTree {
   Digest Visit(Node& node, int height, size_t index);
   std::vector<Digest> VisitChildren(const Node& node, int height,
                                     size_t index);
-  // Moves each maximal subtree below `node` at (height, index) of a
-  // smaller tree that was complete under its `old_leaf_count` leaves to the
-  // same (height, index) here.
-  void GraftComplete(const Node& node, int height, size_t index,
-                     size_t old_leaf_count,
-                     std::vector<std::unique_ptr<Node[]>>& old_groups);
-  // `node` with its stored subtree moved out of `old_groups`, every node
-  // dirty.
-  Node Graft(Node node, std::vector<std::unique_ptr<Node[]>>& old_groups);
 
   size_t branching_;
-  size_t leaf_count_ = 0;
-  // Leaves [0, filled_) default to fill_, the rest to the zero digest.
+  size_t leaf_count_;
+  // The digest of every leaf without an override.
   Digest fill_;
-  size_t filled_ = 0;
   // cold_digests_[h] is ColdDigest(h); [0] is the fill.
   std::vector<Digest> cold_digests_;
   // Per block: 0 if it has held no override since the last Fill, else 1 +

@@ -51,11 +51,10 @@ ReplicaService::ReplicaService(Simulation* sim, const Config& config,
     // not fetched when the live value already matched the target. Then cut
     // the WAL back to the installed sequence number.
     state_transfer_.SetInstaller([this](SeqNum seq, const Digest& root,
-                                        size_t leaf_count,
                                         const std::vector<ObjectUpdate>&
                                             updates) {
       std::vector<size_t> stale = cm_.DirtyLeaves();
-      cm_.InstallFetchedState(seq, root, leaf_count, updates);
+      cm_.InstallFetchedState(seq, root, updates);
       std::set<size_t> persist(stale.begin(), stale.end());
       for (const DurableCheckpoint& pending : pending_checkpoints_) {
         for (const auto& page : pending.pages) {
@@ -65,14 +64,8 @@ ReplicaService::ReplicaService(Simulation* sim, const Config& config,
       for (const ObjectUpdate& update : updates) {
         persist.insert(update.index);
       }
-      std::vector<size_t> leaves;
-      leaves.reserve(persist.size());
-      for (size_t leaf : persist) {
-        if (leaf < cm_.LeafCount()) {
-          leaves.push_back(leaf);
-        }
-      }
-      CommitCheckpoint(CaptureCheckpoint(seq, root, leaves));
+      CommitCheckpoint(CaptureCheckpoint(
+          seq, root, std::vector<size_t>(persist.begin(), persist.end())));
       wal_->TruncateThrough(seq);
     });
   }
@@ -353,11 +346,16 @@ ServiceInterface::RecoveryInfo ReplicaService::RecoverFromStorage() {
     Decoder dec(BytesView(header.data(), header.size()));
     SeqNum seq = dec.GetU64();
     Digest root = Digest::FromBytes(dec.GetFixed(Digest::kSize));
-    size_t leaf_count = dec.GetU64();
+    const uint64_t leaf_count = dec.GetU64();
     uint64_t agreed_ts = dec.GetU64();
     if (!dec.AtEnd()) {
       LOG_ERROR << "recovery: corrupt durable checkpoint header";
       return info;  // ok == false: caller falls back to a full rebuild
+    }
+    if (leaf_count != cm_.LeafCount()) {
+      LOG_ERROR << "recovery: durable checkpoint has " << leaf_count
+                << " leaves, the state has " << cm_.LeafCount();
+      return info;
     }
     info.had_checkpoint = true;
     info.checkpoint_seq = seq;
@@ -365,13 +363,12 @@ ServiceInterface::RecoveryInfo ReplicaService::RecoverFromStorage() {
     std::vector<ObjectUpdate> updates;
     updates.reserve(storage_->pages().size());
     for (const auto& [key, value] : storage_->pages()) {
-      if (key >= leaf_count) {
+      if (key >= cm_.LeafCount()) {
         continue;
       }
       updates.push_back(ObjectUpdate{key, storage_->ReadPage(key)});
     }
-    pending_protocol_state_ =
-        cm_.InstallFetchedState(seq, root, leaf_count, updates);
+    pending_protocol_state_ = cm_.InstallFetchedState(seq, root, updates);
     info.ok = cm_.last_install_root_ok();
     if (!info.ok) {
       LOG_ERROR << "recovery: durable checkpoint failed root verification";
@@ -467,14 +464,12 @@ size_t ReplicaService::SaveForRecovery() {
   // digest there is the tree's fill holds the fill's value, so those leaves
   // share one saved copy; the model still charges and counts every leaf.
   recovery_disk_ = RecoveryDisk{};
-  recovery_disk_.leaf_count = adapter_->ObjectCount() + 1;
   recovery_disk_.fill.digest = cm_.tree().fill();
   bool fill_saved = false;
   size_t total_bytes = 0;
   SimTime cpu = 0;
-  for (size_t leaf = 0; leaf < recovery_disk_.leaf_count; ++leaf) {
-    const bool cold = leaf != 0 && leaf < cm_.LeafCount() &&
-                      !cm_.HasDirtyInRange(leaf, leaf + 1) &&
+  for (size_t leaf = 0; leaf < cm_.LeafCount(); ++leaf) {
+    const bool cold = leaf != 0 && !cm_.HasDirtyInRange(leaf, leaf + 1) &&
                       cm_.tree().Leaf(leaf) == recovery_disk_.fill.digest;
     if (cold && fill_saved) {
       cpu += sim_->cost().DigestCost(recovery_disk_.fill.value.size());
@@ -524,7 +519,7 @@ void ReplicaService::RestartFromRecovery() {
             it != recovery_disk_.leaves.end()) {
           saved = &it->second;
         }
-        if (leaf < recovery_disk_.leaf_count && saved->digest == expected) {
+        if (saved->digest == expected) {
           return saved->value;
         }
         return std::nullopt;

@@ -140,11 +140,10 @@ class ReplicaService : public ServiceInterface {
     Digest digest;
   };
   struct RecoveryDisk {
-    // Leaves [0, leaf_count) were saved: those that left the cold state one
-    // by one, every other one as `fill`.
+    // Every leaf was saved: those that left the cold state one by one, every
+    // other one as `fill`.
     std::map<size_t, SavedLeaf> leaves;
     SavedLeaf fill;
-    size_t leaf_count = 0;
   };
   RecoveryDisk recovery_disk_;
   bool rebuilding_ = false;

@@ -196,7 +196,6 @@ void StateTransfer::Start(SeqNum target_seq, const Digest& target_root) {
     discovering_ = false;
     target_seq_ = target_seq;
     target_root_ = target_root;
-    target_leaf_count_ = 0;  // learned and verified from the root META
     BeginDescent();
   }
 
@@ -209,7 +208,6 @@ void StateTransfer::Abort() {
   target_verified_ = false;
   target_seq_ = 0;
   target_root_ = Digest();
-  target_leaf_count_ = 0;
   root_claims_.clear();
   outstanding_meta_.clear();
   needed_leaves_.clear();
@@ -257,21 +255,25 @@ void StateTransfer::HandleRootInfo(NodeId from, BytesView payload) {
     return;
   }
   Decoder dec(payload);
-  RootClaim claim;
-  claim.seq = dec.GetU64();
-  claim.root = Digest::FromBytes(dec.GetFixed(Digest::kSize));
-  claim.leaf_count = dec.GetU64();
+  const SeqNum seq = dec.GetU64();
+  const Digest root = Digest::FromBytes(dec.GetFixed(Digest::kSize));
+  const uint64_t leaf_count = dec.GetU64();
   if (!dec.AtEnd()) {
     return;
   }
-  root_claims_[claim].insert(from);
+  if (leaf_count != cm_->LeafCount()) {
+    LOG_WARN << "state transfer: ROOT-INFO claims " << leaf_count
+             << " leaves, we have " << cm_->LeafCount();
+    return;
+  }
+  root_claims_[{seq, root}].insert(from);
 
   // Adopt the highest checkpoint vouched for by f+1 replicas (at least one
   // of which must be correct).
-  const RootClaim* best = nullptr;
+  const std::pair<SeqNum, Digest>* best = nullptr;
   for (const auto& [candidate, voters] : root_claims_) {
     if (voters.size() >= static_cast<size_t>(config_.f + 1)) {
-      if (best == nullptr || candidate.seq > best->seq) {
+      if (best == nullptr || candidate.first > best->first) {
         best = &candidate;
       }
     }
@@ -280,9 +282,8 @@ void StateTransfer::HandleRootInfo(NodeId from, BytesView payload) {
     return;
   }
   discovering_ = false;
-  target_seq_ = best->seq;
-  target_root_ = best->root;
-  target_leaf_count_ = 0;
+  target_seq_ = best->first;
+  target_root_ = best->second;
   BeginDescent();
 }
 
@@ -294,10 +295,15 @@ void StateTransfer::HandleMeta(NodeId /*from*/, BytesView payload) {
   SeqNum seq = dec.GetU64();
   int level = static_cast<int>(dec.GetU32());
   size_t index = dec.GetU64();
-  size_t claimed_leaf_count = dec.GetU64();
+  const uint64_t leaf_count = dec.GetU64();
   uint32_t count = dec.GetU32();
   if (seq != target_seq_ || count > 1024) {
     return;
+  }
+  if (leaf_count != cm_->LeafCount()) {
+    LOG_WARN << "state transfer: META claims " << leaf_count
+             << " leaves, we have " << cm_->LeafCount();
+    return;  // the retry timer re-requests from another source
   }
   std::vector<Digest> children;
   children.reserve(count);
@@ -313,21 +319,15 @@ void StateTransfer::HandleMeta(NodeId /*from*/, BytesView payload) {
     return;  // not requested (duplicate or unsolicited)
   }
 
-  // The root META is checked against the leaf count it claims (the root
-  // equation binds it); deeper ones against the verified count.
-  const size_t leaf_count =
-      level == 0 ? claimed_leaf_count : target_leaf_count_;
-  const int height =
-      PartitionTree::DepthFor(leaf_count, cm_->tree().branching()) - level;
-  Digest node = PartitionTree::InteriorDigest(height, children);
+  Digest node =
+      PartitionTree::InteriorDigest(cm_->tree().depth() - level, children);
   sim_->ChargeCpu(sim_->cost().DigestCost(children.size() * Digest::kSize));
   if (level == 0) {
-    // Verify through the root equation and adopt the leaf count.
-    if (PartitionTree::RootDigest(node, claimed_leaf_count) != target_root_) {
+    // Verify through the root equation, which binds the leaf count.
+    if (PartitionTree::RootDigest(node, leaf_count) != target_root_) {
       LOG_WARN << "state transfer: root META failed verification";
       return;  // Byzantine or stale; the retry timer re-requests
     }
-    target_leaf_count_ = claimed_leaf_count;
     target_verified_ = true;
   } else {
     if (node != out_it->second) {
@@ -343,13 +343,7 @@ void StateTransfer::HandleMeta(NodeId /*from*/, BytesView payload) {
 void StateTransfer::ProcessMetaNode(int level, size_t index,
                                     const std::vector<Digest>& children) {
   const size_t branching = cm_->tree().branching();
-  const int depth = PartitionTree::DepthFor(target_leaf_count_, branching);
-  const bool children_are_leaves = (level + 1 == depth);
-
-  // Local tree comparable only if it has identical geometry.
-  const bool local_comparable =
-      cm_->LeafCount() == target_leaf_count_ &&
-      cm_->tree().leaf_count() == target_leaf_count_;
+  const bool children_are_leaves = level + 1 == cm_->tree().depth();
 
   size_t first_child = index * branching;
   for (size_t i = 0; i < children.size(); ++i) {
@@ -361,7 +355,7 @@ void StateTransfer::ProcessMetaNode(int level, size_t index,
     }
     // Interior child: skip the whole subtree when it matches our local tree
     // and nothing under it was modified since our latest checkpoint.
-    if (local_comparable && !options_.fetch_everything) {
+    if (!options_.fetch_everything) {
       auto [lo, hi] = cm_->tree().LeafRange(level + 1, child);
       if (!cm_->HasDirtyInRange(lo, hi) &&
           cm_->tree().NodeDigest(level + 1, child) == expected) {
@@ -373,7 +367,7 @@ void StateTransfer::ProcessMetaNode(int level, size_t index,
 }
 
 void StateTransfer::ConsiderLeaf(size_t leaf, const Digest& expected) {
-  if (!options_.fetch_everything && leaf < cm_->LeafCount() &&
+  if (!options_.fetch_everything &&
       cm_->CurrentLeafDigest(leaf) == expected) {
     return;  // already up to date
   }
@@ -467,10 +461,9 @@ void StateTransfer::MaybeFinish() {
   }
   fetched_values_.clear();
   if (installer_) {
-    installer_(target_seq_, target_root_, target_leaf_count_, updates);
+    installer_(target_seq_, target_root_, updates);
   } else {
-    cm_->InstallFetchedState(target_seq_, target_root_, target_leaf_count_,
-                             updates);
+    cm_->InstallFetchedState(target_seq_, target_root_, updates);
   }
   LOG_INFO << "state transfer complete: seq " << target_seq_ << ", "
            << leaves_fetched_ << " leaves fetched, " << leaves_from_local_

@@ -13,9 +13,11 @@
 // Replies are self-verifying: every META is checked against the parent
 // digest (the root against the agreed checkpoint digest), and every DATA
 // value against its leaf digest, so a Byzantine replica can at worst waste
-// our time. Discovery mode (unknown target) requires f+1 replicas to agree
-// on (seq, root) before adopting it: at least one of them is correct, and a
-// correct replica's checkpoint is on the canonical history.
+// our time. Every replica's tree has the leaf count its adapter fixes, so a
+// ROOT-INFO or META that claims another count is refused. Discovery mode
+// (unknown target) requires f+1 replicas to agree on (seq, root) before
+// adopting it: at least one of them is correct, and a correct replica's
+// checkpoint is on the canonical history.
 //
 // During proactive recovery the fetcher is given a "local source" (the
 // abstract state saved to disk before the reboot): a leaf whose saved digest
@@ -82,7 +84,7 @@ class StateTransfer {
   // to this function instead of calling CheckpointManager::InstallFetchedState
   // directly. The durable layer uses it to persist the installed checkpoint
   // (pages + header + WAL truncation) atomically with the install.
-  using InstallFn = std::function<void(SeqNum, const Digest&, size_t,
+  using InstallFn = std::function<void(SeqNum, const Digest&,
                                        const std::vector<ObjectUpdate>&)>;
   void SetInstaller(InstallFn fn) { installer_ = std::move(fn); }
 
@@ -169,25 +171,10 @@ class StateTransfer {
   bool discovering_ = false;
   SeqNum target_seq_ = 0;
   Digest target_root_;
-  size_t target_leaf_count_ = 0;
   bool target_verified_ = false;  // root equation checked against a META
 
-  // Discovery votes: (seq, root, leaf_count) -> replicas.
-  struct RootClaim {
-    SeqNum seq;
-    Digest root;
-    uint64_t leaf_count;
-    bool operator<(const RootClaim& o) const {
-      if (seq != o.seq) {
-        return seq < o.seq;
-      }
-      if (!(root == o.root)) {
-        return root < o.root;
-      }
-      return leaf_count < o.leaf_count;
-    }
-  };
-  std::map<RootClaim, std::set<NodeId>> root_claims_;
+  // Discovery votes: (seq, root) -> replicas.
+  std::map<std::pair<SeqNum, Digest>, std::set<NodeId>> root_claims_;
 
   // Outstanding meta fetches: (level, index) -> expected digest.
   std::map<std::pair<int, size_t>, Digest> outstanding_meta_;

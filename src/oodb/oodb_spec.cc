@@ -7,10 +7,17 @@ namespace bftbase {
 namespace {
 
 constexpr size_t kMaxFields = 1 << 16;
-constexpr size_t kMaxRefs = 1 << 20;
 
 Status Malformed(const char* what) {
   return InvalidArgument(std::string("malformed ") + what);
+}
+
+// True iff `name` sorts after every name already in `fields`. The maps are
+// name-sorted on the wire, so a name out of order or repeated would give
+// one object a second encoding.
+template <typename Map>
+bool SortsLast(const Map& fields, const std::string& name) {
+  return fields.empty() || fields.rbegin()->first < name;
 }
 
 }  // namespace
@@ -82,14 +89,18 @@ Result<DbReply> DbReply::Decode(BytesView bytes) {
   Decoder dec(bytes);
   DbReply reply;
   reply.status = dec.GetU32();
+  if (reply.status > 2) {
+    return Malformed("db reply status");
+  }
   reply.oid = dec.GetU64();
   reply.value = dec.GetI64();
   reply.visited = dec.GetU64();
   reply.text = dec.GetString();
-  uint32_t count = dec.GetU32();
-  if (count > kMaxRefs) {
+  const uint32_t count = dec.GetU32();
+  if (count > dec.remaining() / 8) {
     return Malformed("db reply");
   }
+  reply.oids.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     reply.oids.push_back(dec.GetU64());
   }
@@ -146,7 +157,10 @@ Result<AbstractDbObject> AbstractDbObject::Decode(BytesView bytes) {
   }
   for (uint32_t i = 0; i < scalar_count; ++i) {
     std::string name = dec.GetString();
-    obj.scalars[name] = dec.GetI64();
+    if (!SortsLast(obj.scalars, name)) {
+      return Malformed("db object scalars");
+    }
+    obj.scalars.emplace_hint(obj.scalars.end(), std::move(name), dec.GetI64());
   }
   uint32_t string_count = dec.GetU32();
   if (string_count > kMaxFields) {
@@ -154,7 +168,11 @@ Result<AbstractDbObject> AbstractDbObject::Decode(BytesView bytes) {
   }
   for (uint32_t i = 0; i < string_count; ++i) {
     std::string name = dec.GetString();
-    obj.strings[name] = dec.GetString();
+    if (!SortsLast(obj.strings, name)) {
+      return Malformed("db object strings");
+    }
+    obj.strings.emplace_hint(obj.strings.end(), std::move(name),
+                             dec.GetString());
   }
   uint32_t ref_count = dec.GetU32();
   if (ref_count > kMaxFields) {
@@ -162,8 +180,11 @@ Result<AbstractDbObject> AbstractDbObject::Decode(BytesView bytes) {
   }
   for (uint32_t i = 0; i < ref_count; ++i) {
     std::string name = dec.GetString();
-    uint32_t target_count = dec.GetU32();
-    if (target_count > kMaxRefs) {
+    if (!SortsLast(obj.refs, name)) {
+      return Malformed("db object refs");
+    }
+    const uint32_t target_count = dec.GetU32();
+    if (target_count > dec.remaining() / 8) {
       return Malformed("db object ref list");
     }
     std::vector<Oid> targets;
@@ -171,7 +192,8 @@ Result<AbstractDbObject> AbstractDbObject::Decode(BytesView bytes) {
     for (uint32_t t = 0; t < target_count; ++t) {
       targets.push_back(dec.GetU64());
     }
-    obj.refs[name] = std::move(targets);
+    obj.refs.emplace_hint(obj.refs.end(), std::move(name),
+                          std::move(targets));
   }
   if (!dec.AtEnd()) {
     return Malformed("db object");

@@ -55,7 +55,7 @@ struct DbCall {
 };
 
 struct DbReply {
-  // 0 = OK; nonzero = error class (1 not-found, 2 invalid).
+  // 0 = OK, 1 = not found, 2 = invalid; Decode rejects any other.
   uint32_t status = 0;
   Oid oid = 0;
   int64_t value = 0;         // GETSCALAR / COUNT / TRAVERSE sum

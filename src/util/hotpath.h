@@ -27,11 +27,9 @@ struct Counters {
   uint64_t sha256_ni_blocks = 0;    // blocks compressed by the SHA-NI unit
   uint64_t sha256_multi_blocks = 0; // blocks compressed in interleaved lanes
   uint64_t hmac_lane_batches = 0;   // multi-lane HMAC passes (authenticators)
-  // Partition tree (src/base/partition_tree.cc). The cost model still sees
-  // every model-dirty node as recomputed; these split real hashing from
-  // digests preserved across a grow.
+  // Partition tree (src/base/partition_tree.cc): interior nodes really
+  // hashed. The cost model counts every dirty node as recomputed.
   uint64_t tree_nodes_rehashed = 0;
-  uint64_t tree_nodes_preserved = 0;
   // Encode buffers (src/util/codec.h): one per Encoder.
   uint64_t encode_allocs = 0;
   // Delivered-envelope digest memo (Payload::Memo, read and filled by
@@ -49,8 +47,10 @@ struct Counters {
   uint64_t events_requeued = 0;     // deliveries/timers deferred behind a busy
                                     // node's CPU (moved, never copied)
   // Always 0: nothing bumps these. Their one reader is perfbench
-  // (bufpool.alloc_frac, pool.jobs_per_op, channel.verify_memo_hit_frac);
-  // they go when the benchmark drops those metrics.
+  // (tree.nodes_preserved_per_ckpt, bufpool.alloc_frac, pool.jobs_per_op,
+  // channel.verify_memo_hit_frac); they go when the benchmark drops those
+  // metrics.
+  uint64_t tree_nodes_preserved = 0;
   uint64_t encode_reuses = 0;
   uint64_t pool_jobs = 0;
   uint64_t verify_memo_hits = 0;
@@ -73,7 +73,6 @@ inline constexpr CounterField kCounterFields[] = {
     {"sha256_multi_blocks", &Counters::sha256_multi_blocks},
     {"hmac_lane_batches", &Counters::hmac_lane_batches},
     {"tree_nodes_rehashed", &Counters::tree_nodes_rehashed},
-    {"tree_nodes_preserved", &Counters::tree_nodes_preserved},
     {"encode_allocs", &Counters::encode_allocs},
     {"digest_memo_hits", &Counters::digest_memo_hits},
     {"digest_memo_misses", &Counters::digest_memo_misses},
@@ -82,6 +81,7 @@ inline constexpr CounterField kCounterFields[] = {
     {"event_pool_reuses", &Counters::event_pool_reuses},
     {"events_pruned", &Counters::events_pruned},
     {"events_requeued", &Counters::events_requeued},
+    {"tree_nodes_preserved", &Counters::tree_nodes_preserved},
     {"encode_reuses", &Counters::encode_reuses},
     {"pool_jobs", &Counters::pool_jobs},
     {"verify_memo_hits", &Counters::verify_memo_hits},

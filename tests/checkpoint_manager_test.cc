@@ -178,8 +178,7 @@ TEST_F(CheckpointManagerTest, InstallFetchedStateReplacesEverything) {
     }
   }
   EXPECT_EQ(updates.size(), 3u);  // slots 5, 6 and the protocol leaf
-  Bytes protocol = cm_.InstallFetchedState(30, remote_root, cm2.LeafCount(),
-                                           updates);
+  Bytes protocol = cm_.InstallFetchedState(30, remote_root, updates);
   EXPECT_EQ(ToString(protocol), "remote-ps");
   EXPECT_EQ(cm_.latest_root(), remote_root);
   EXPECT_EQ(cm_.latest_seq(), 30u);
@@ -233,8 +232,7 @@ TEST(CheckpointManagerResyncTest, RepeatedValuesHashOnceButChargeEveryLeaf) {
                 cm.LeafCount());
     }
 
-    PartitionTree reference;
-    reference.Resize(kObjects + 1);
+    PartitionTree reference(kObjects + 1);
     reference.SetLeaf(0, Digest::Of(protocol_state));
     for (const ObjectUpdate& value : values) {
       reference.SetLeaf(CheckpointManager::LeafForObject(value.index),
@@ -312,7 +310,7 @@ TEST_F(CheckpointManagerTest, LeafDigestsFollowTreeThroughInstall) {
   CheckpointManager target(&sim2, &adapter2, false);
   target.FullResync(20, ToBytes("ps-20"));
 
-  cm_.InstallFetchedState(20, target.latest_root(), kSlots + 1, updates);
+  cm_.InstallFetchedState(20, target.latest_root(), updates);
   EXPECT_TRUE(cm_.last_install_root_ok());
   EXPECT_EQ(cm_.LeafDigest(leaf9), Digest::Of(ToBytes("dirty")));
   for (size_t leaf = 0; leaf < cm_.LeafCount(); ++leaf) {

@@ -1,10 +1,12 @@
 // Seeded mutation harness for the receive path's decoders: Channel::Open,
-// Channel::ParseUnverified, RequestMsg::Decode and ReplyMsg::Decode, and the
+// Channel::ParseUnverified, RequestMsg::Decode and ReplyMsg::Decode, the
 // BASEFS wrapper's NfsCall::Decode (an authenticated client's op reaches it
 // at every replica), AbstractFsObject::Decode (state transfer's PutObjs
 // decodes each fetched object) and NfsReply::Decode (a client decodes the
-// result its replicas vouched for). A Byzantine peer holds valid keys, so
-// any bytes it sends reach them. The harness mutates valid encodings
+// result its replicas vouched for), and the OODB wrapper's DbCall::Decode,
+// AbstractDbObject::Decode and DbReply::Decode, which sit at the same three
+// places. A Byzantine peer holds valid keys, so any bytes it sends reach
+// them. The harness mutates valid encodings
 // (truncations, bit flips, inflated u32 length fields, splices of two valid
 // encodings) and checks, on every mutated input:
 //   - no crash and no undefined behaviour (the asan-ubsan preset runs this
@@ -37,6 +39,7 @@
 #include "src/basefs/abstract_spec.h"
 #include "src/bft/channel.h"
 #include "src/bft/message.h"
+#include "src/oodb/oodb_spec.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
 #include "src/util/rng.h"
@@ -98,6 +101,15 @@ constexpr size_t kErrorAllowance = 64;
 constexpr double kDirEntryGrowth =
     static_cast<double>(sizeof(std::pair<std::string, Oid>)) / 12;
 
+// An OODB object's field takes at least 8 bytes on the wire (a string
+// field's name and value, each an empty string behind its u32 length) and
+// one map node in memory: a red-black node's colour and three links, then
+// the field's name and value.
+constexpr double kDbFieldGrowth =
+    static_cast<double>(4 * sizeof(void*) +
+                        sizeof(std::pair<const std::string, std::string>)) /
+    8;
+
 // Runs `decode` with the probe armed, checks what it allocated against the
 // size of `input`, and returns its result. `growth` is how many bytes of
 // memory the decoder's records may take per input byte.
@@ -154,6 +166,70 @@ Sample XdrSample(Bytes body, std::vector<size_t> offsets) {
     sample.length_fields.push_back({at, /*big_endian=*/true});
   }
   return sample;
+}
+
+// Walks an OODB spec encoding (the protocol codec: little-endian) to find
+// its u32 length and count prefixes: Skip passes fixed-size fields, Prefix
+// a length or count, String a length and the bytes behind it.
+class DbLayout {
+ public:
+  DbLayout& Skip(size_t n) {
+    at_ += n;
+    return *this;
+  }
+  DbLayout& Prefix() {
+    fields_.push_back({at_});
+    return Skip(4);
+  }
+  DbLayout& String(const std::string& s) { return Prefix().Skip(s.size()); }
+  Sample Take(Bytes bytes) {
+    EXPECT_EQ(at_, bytes.size()) << "layout of " << HexEncode(bytes);
+    return Sample{std::move(bytes), std::move(fields_)};
+  }
+
+ private:
+  size_t at_ = 0;
+  std::vector<LengthField> fields_;
+};
+
+Sample DbCallSample(const DbCall& call) {
+  return DbLayout()
+      .Skip(1 + 8 + 8)  // procedure, oid, target
+      .String(call.field)
+      .String(call.klass)
+      .Skip(8)  // value
+      .String(call.text)
+      .Skip(4)  // depth
+      .Take(call.Encode());
+}
+
+Sample DbReplySample(const DbReply& reply) {
+  return DbLayout()
+      .Skip(4 + 8 + 8 + 8)  // status, oid, value, visited
+      .String(reply.text)
+      .Prefix()
+      .Skip(8 * reply.oids.size())
+      .Take(reply.Encode());
+}
+
+Sample DbObjectSample(const AbstractDbObject& object) {
+  DbLayout layout;
+  layout.Skip(4 + 1);  // generation, live
+  if (object.live) {
+    layout.String(object.klass).Prefix();
+    for (const auto& [name, value] : object.scalars) {
+      layout.String(name).Skip(8);
+    }
+    layout.Prefix();
+    for (const auto& [name, value] : object.strings) {
+      layout.String(name).String(value);
+    }
+    layout.Prefix();
+    for (const auto& [name, targets] : object.refs) {
+      layout.String(name).Prefix().Skip(8 * targets.size());
+    }
+  }
+  return layout.Take(object.Encode());
 }
 
 // The envelope's payload and auth lengths, and the body's own prefixes.
@@ -322,6 +398,7 @@ class DecoderFuzz : public ::testing::Test {
     AddNfsCalls();
     AddAbstractFsObjects();
     AddNfsReplies();
+    AddDbBodies();
   }
 
   // NFS calls with every kind of variable-length field. An encoding starts
@@ -449,6 +526,98 @@ class DecoderFuzz : public ::testing::Test {
     }
   }
 
+  // A call to every OODB procedure, replies with every status the wrapper
+  // sends, and objects dead and live, with scalar, string and ref fields.
+  void AddDbBodies() {
+    for (int p = static_cast<int>(DbProc::kCreate);
+         p <= static_cast<int>(DbProc::kCount); ++p) {
+      DbCall call;
+      call.proc = static_cast<DbProc>(p);
+      call.oid = MakeOid(4, 2);
+      switch (call.proc) {
+        case DbProc::kCreate:
+          call.oid = 0;
+          call.klass = "Part";
+          break;
+        case DbProc::kSetScalar:
+          call.value = -42;
+          [[fallthrough]];
+        case DbProc::kGetScalar:
+          call.field = "value";
+          break;
+        case DbProc::kSetString:
+          call.text = "a part name";
+          [[fallthrough]];
+        case DbProc::kGetString:
+          call.field = "name";
+          break;
+        case DbProc::kAddRef:
+        case DbProc::kRemoveRef:
+          call.target = MakeOid(7, 3);
+          [[fallthrough]];
+        case DbProc::kGetRefs:
+          call.field = "children";
+          break;
+        case DbProc::kTraverse:
+          call.field = "children";
+          call.depth = 5;
+          break;
+        case DbProc::kScan:
+        case DbProc::kCount:
+          call.oid = 0;
+          break;
+        case DbProc::kDelete:
+          break;
+      }
+      db_bodies_.push_back(DbCallSample(call));
+    }
+
+    DbReply created;
+    created.oid = MakeOid(4, 2);
+    DbReply text;
+    text.text = "a part name";
+    DbReply refs;
+    refs.oids = {MakeOid(1, 1), MakeOid(7, 3), MakeOid(9, 2)};
+    DbReply traversed;
+    traversed.value = 17;
+    traversed.visited = 4;
+    DbReply not_found;
+    not_found.status = 1;
+    DbReply invalid;
+    invalid.status = 2;
+    for (const DbReply* reply :
+         {&created, &text, &refs, &traversed, &not_found, &invalid}) {
+      db_bodies_.push_back(DbReplySample(*reply));
+    }
+
+    AbstractDbObject dead;
+    dead.generation = 3;
+    AbstractDbObject scalars;
+    scalars.generation = 1;
+    scalars.live = true;
+    scalars.klass = "Part";
+    scalars.scalars = {{"size", 9}, {"value", -1}};
+    AbstractDbObject strings;
+    strings.generation = 2;
+    strings.live = true;
+    strings.klass = "Doc";
+    strings.strings = {{"name", "x"}, {"title", "a title"}};
+    AbstractDbObject refs_object;
+    refs_object.generation = 1;
+    refs_object.live = true;
+    refs_object.klass = "Node";
+    refs_object.refs = {{"children", {MakeOid(1, 1), MakeOid(2, 4)}},
+                        {"parent", {MakeOid(3, 1)}},
+                        {"peers", {}}};
+    AbstractDbObject all = refs_object;
+    all.scalars = scalars.scalars;
+    all.strings = strings.strings;
+    for (const AbstractDbObject* object :
+         {&dead, &scalars, &strings, &refs_object, &all}) {
+      db_bodies_.push_back(DbObjectSample(*object));
+    }
+  }
+
   void Seal(Bytes wire, const Sample& body) {
     auto opened = Channel::ParseUnverified(wire);
     ASSERT_TRUE(opened.ok());
@@ -520,6 +689,35 @@ class DecoderFuzz : public ::testing::Test {
     return accepted;
   }
 
+  // Decodes `body` as each OODB spec type; whatever decodes must re-encode
+  // to `body`, and a reply's status must be one the wrapper sends (0 OK,
+  // 1 not found, 2 invalid). Returns how many decoders accepted it.
+  int CheckDbBody(const Bytes& body) {
+    int accepted = 0;
+    auto call = DecodeProbed("DbCall::Decode", body,
+                             [&] { return DbCall::Decode(body); });
+    if (call.ok()) {
+      ++accepted;
+      EXPECT_EQ(HexEncode(call->Encode()), HexEncode(body));
+    }
+    auto reply = DecodeProbed("DbReply::Decode", body,
+                              [&] { return DbReply::Decode(body); });
+    if (reply.ok()) {
+      ++accepted;
+      EXPECT_EQ(HexEncode(reply->Encode()), HexEncode(body));
+      EXPECT_LE(reply->status, 2u) << HexEncode(body);
+    }
+    auto object = DecodeProbed(
+        "AbstractDbObject::Decode", body,
+        [&] { return AbstractDbObject::Decode(body); }, kDbFieldGrowth);
+    if (object.ok()) {
+      ++accepted;
+      EXPECT_EQ(HexEncode(object->Encode()), HexEncode(body));
+    }
+    bodies_decoded_ += accepted;
+    return accepted;
+  }
+
   void CheckEnvelope(const Bytes& wire) {
     auto opened = DecodeProbed("Channel::Open", wire,
                                [&] { return direct_[0].Open(wire); });
@@ -580,6 +778,7 @@ class DecoderFuzz : public ::testing::Test {
   std::vector<Sample> envelopes_;  // each of bodies_, sealed three ways
   std::vector<Sample> fs_bodies_;  // NfsCall and AbstractFsObject encodings
   std::vector<Sample> fs_replies_;  // NfsReply encodings, with their procs
+  std::vector<Sample> db_bodies_;  // DbCall, DbReply, AbstractDbObject
   std::set<Opened> sealed_;
   int bodies_decoded_ = 0;
   int envelopes_opened_ = 0;
@@ -594,8 +793,8 @@ TEST_F(DecoderFuzz, CorpusIsValid) {
   }
   // Each length prefix is where the sample says: it counts no more than
   // the bytes behind it. Each body is accepted by exactly one decoder.
-  for (const std::vector<Sample>* corpus : {&bodies_, &envelopes_,
-                                            &fs_bodies_, &fs_replies_}) {
+  for (const std::vector<Sample>* corpus :
+       {&bodies_, &envelopes_, &fs_bodies_, &fs_replies_, &db_bodies_}) {
     for (const Sample& sample : *corpus) {
       for (LengthField field : sample.length_fields) {
         ASSERT_LE(field.at + 4, sample.bytes.size());
@@ -609,6 +808,9 @@ TEST_F(DecoderFuzz, CorpusIsValid) {
     for (const Sample& body : *corpus) {
       EXPECT_EQ(CheckBody(body.bytes), 1) << HexEncode(body.bytes);
     }
+  }
+  for (const Sample& body : db_bodies_) {
+    EXPECT_EQ(CheckDbBody(body.bytes), 1) << HexEncode(body.bytes);
   }
   // Each reply decodes as a reply to its procedure (a bare NFS_OK is also
   // a NULL call, so other decoders may accept it too).
@@ -683,6 +885,19 @@ TEST_F(DecoderFuzz, MutatedNfsRepliesDecodeCanonically) {
   EXPECT_GT(bodies_decoded_, 0);
 }
 
+TEST_F(DecoderFuzz, MutatedDbBodiesDecodeCanonically) {
+  Rng rng(0xdb);
+  for (Mutation m : kMutations) {
+    for (int i = 0; i < kRounds; ++i) {
+      CheckDbBody(Mutate(m, db_bodies_, rng));
+      if (HasFailure()) {
+        return;  // the first failing input is reported above
+      }
+    }
+  }
+  EXPECT_GT(bodies_decoded_, 0);
+}
+
 // The shrunk inputs of the defects this harness found; each is rejected
 // now, within the allocation bound.
 TEST_F(DecoderFuzz, FoundDefectsStayFixed) {
@@ -715,6 +930,37 @@ TEST_F(DecoderFuzz, FoundDefectsStayFixed) {
     EXPECT_FALSE(NfsReply::Decode(NfsProc::kLookup, input).ok())
         << HexEncode(input);
     EXPECT_EQ(CheckBody(input, NfsProc::kLookup), 0) << HexEncode(input);
+  }
+
+  // OODB (little-endian). A reply that claims 2^20 oids and holds none: the
+  // decoder pushed an oid per claimed one, 8 MiB for these 36 bytes.
+  const Bytes oids = HexDecode(
+      "00000000" "0000000000000000" "0000000000000000" "0000000000000000"
+      "00000000" "00001000");
+  // A reply with status 3: the wrapper sends only 0, 1 and 2.
+  const Bytes status = HexDecode(
+      "03000000" "0000000000000000" "0000000000000000" "0000000000000000"
+      "00000000" "00000000");
+  // A live object whose one ref field claims 2^20 targets and holds none:
+  // the decoder reserved 8 MiB before reading any.
+  const Bytes targets = HexDecode(
+      "01000000" "01" "00000000" "00000000" "00000000" "01000000"
+      "00000000" "00001000");
+  // Fields out of order or repeated decoded to the sorted object, one object
+  // under two encodings: scalars "b" then "a", string "a" twice, refs "b"
+  // then "a".
+  const Bytes scalars = HexDecode(
+      "01000000" "01" "00000000" "02000000"
+      "0100000062" "0000000000000000" "0100000061" "0000000000000000"
+      "00000000" "00000000");
+  const Bytes strings = HexDecode(
+      "01000000" "01" "00000000" "00000000" "02000000"
+      "0100000061" "00000000" "0100000061" "00000000" "00000000");
+  const Bytes refs = HexDecode(
+      "01000000" "01" "00000000" "00000000" "00000000" "02000000"
+      "0100000062" "00000000" "0100000061" "00000000");
+  for (const Bytes& input : {oids, status, targets, scalars, strings, refs}) {
+    EXPECT_EQ(CheckDbBody(input), 0) << HexEncode(input);
   }
 }
 

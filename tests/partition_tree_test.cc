@@ -17,8 +17,7 @@ Digest LeafDigest(int i) {
 }
 
 TEST(PartitionTree, RootChangesWithAnyLeaf) {
-  PartitionTree tree(4);
-  tree.Resize(64);
+  PartitionTree tree(64, 4);
   for (int i = 0; i < 64; ++i) {
     tree.SetLeaf(i, LeafDigest(i));
   }
@@ -30,10 +29,8 @@ TEST(PartitionTree, RootChangesWithAnyLeaf) {
 }
 
 TEST(PartitionTree, IdenticalLeavesGiveIdenticalRoots) {
-  PartitionTree a(16);
-  PartitionTree b(16);
-  a.Resize(100);
-  b.Resize(100);
+  PartitionTree a(100, 16);
+  PartitionTree b(100, 16);
   for (int i = 0; i < 100; ++i) {
     a.SetLeaf(i, LeafDigest(i));
   }
@@ -45,10 +42,8 @@ TEST(PartitionTree, IdenticalLeavesGiveIdenticalRoots) {
 }
 
 TEST(PartitionTree, DifferentSizesGiveDifferentRoots) {
-  PartitionTree a(16);
-  PartitionTree b(16);
-  a.Resize(10);
-  b.Resize(11);
+  PartitionTree a(10, 16);
+  PartitionTree b(11, 16);
   // Same digests for the shared prefix; extra zero leaf in b.
   for (int i = 0; i < 10; ++i) {
     a.SetLeaf(i, LeafDigest(i));
@@ -58,8 +53,7 @@ TEST(PartitionTree, DifferentSizesGiveDifferentRoots) {
 }
 
 TEST(PartitionTree, LazyRecomputationTouchesOnlyDirtyPath) {
-  PartitionTree tree(16);
-  tree.Resize(16 * 16 * 16);  // three interior levels
+  PartitionTree tree(16 * 16 * 16, 16);  // three interior levels
   for (size_t i = 0; i < tree.leaf_count(); ++i) {
     tree.SetLeaf(i, LeafDigest(static_cast<int>(i)));
   }
@@ -75,8 +69,7 @@ TEST(PartitionTree, LazyRecomputationTouchesOnlyDirtyPath) {
 }
 
 TEST(PartitionTree, ChildDigestsMatchNodeDigests) {
-  PartitionTree tree(4);
-  tree.Resize(64);
+  PartitionTree tree(64, 4);
   for (int i = 0; i < 64; ++i) {
     tree.SetLeaf(i, LeafDigest(i));
   }
@@ -92,8 +85,7 @@ TEST(PartitionTree, ChildDigestsMatchNodeDigests) {
 }
 
 TEST(PartitionTree, LeafRangeCoversAllLeavesExactlyOnce) {
-  PartitionTree tree(4);
-  tree.Resize(50);  // not a power of the branching factor
+  PartitionTree tree(50, 4);  // not a power of the branching factor
   for (int level = 0; level <= tree.depth(); ++level) {
     std::vector<bool> covered(tree.leaf_count(), false);
     size_t width = tree.LevelWidth(level);
@@ -110,82 +102,6 @@ TEST(PartitionTree, LeafRangeCoversAllLeavesExactlyOnce) {
   }
 }
 
-TEST(PartitionTree, GrowKeepsExistingLeaves) {
-  PartitionTree tree(4);
-  tree.Resize(10);
-  for (int i = 0; i < 10; ++i) {
-    tree.SetLeaf(i, LeafDigest(i));
-  }
-  tree.Resize(100);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(tree.Leaf(i), LeafDigest(i));
-  }
-  EXPECT_TRUE(tree.Leaf(50).IsZero());
-}
-
-TEST(PartitionTree, IncrementalGrowRehashMatchesFullRebuild) {
-  // Growing the tree and re-digesting only the genuinely stale paths must
-  // give, at every step, the root of a tree built fresh at that size. The
-  // cost-model node count (which feeds the simulated CPU charge) must still
-  // charge each grow as a full rebuild: the pinned totals are what the
-  // rebuild-everything path counted (commit fb72bea).
-  struct Case {
-    int branching;
-    uint64_t model_recomputed;
-  };
-  const std::vector<int> sizes = {5, 9, 16, 40, 41, 100};
-  for (const Case& c : {Case{2, 219}, Case{4, 76}, Case{16, 19}}) {
-    PartitionTree tree(c.branching);
-    uint64_t preserved = 0;
-    int set = 0;
-    for (int size : sizes) {
-      tree.Resize(size);
-      for (; set < size; ++set) {
-        tree.SetLeaf(set, LeafDigest(set));
-      }
-      const uint64_t before = hotpath::counters().tree_nodes_preserved;
-      const Digest root = tree.Root();
-      preserved += hotpath::counters().tree_nodes_preserved - before;
-      PartitionTree fresh(c.branching);
-      fresh.Resize(size);
-      for (int i = 0; i < size; ++i) {
-        fresh.SetLeaf(i, LeafDigest(i));
-      }
-      EXPECT_EQ(root, fresh.Root())
-          << "branching " << c.branching << " size " << size;
-    }
-    EXPECT_EQ(tree.TakeRecomputedNodes(), c.model_recomputed)
-        << "branching " << c.branching;
-    EXPECT_GT(preserved, 0u) << "branching " << c.branching;
-  }
-}
-
-TEST(PartitionTree, GrowThenMutateOldAndNewLeavesStaysConsistent) {
-  // Preserved subtree digests must not go stale silently: after a grow,
-  // mutate leaves inside and outside the preserved region and compare
-  // against a freshly built tree.
-  PartitionTree tree(4);
-  tree.Resize(16);
-  for (int i = 0; i < 16; ++i) {
-    tree.SetLeaf(i, LeafDigest(i));
-  }
-  tree.Root();
-  tree.Resize(60);  // same depth for branching 4 (capacity 64)
-  for (int i = 16; i < 60; ++i) {
-    tree.SetLeaf(i, LeafDigest(i));
-  }
-  tree.SetLeaf(3, Digest::Of(ToBytes("mutated-old")));
-  tree.SetLeaf(45, Digest::Of(ToBytes("mutated-new")));
-  PartitionTree fresh(4);
-  fresh.Resize(60);
-  for (int i = 0; i < 60; ++i) {
-    fresh.SetLeaf(i, LeafDigest(i));
-  }
-  fresh.SetLeaf(3, Digest::Of(ToBytes("mutated-old")));
-  fresh.SetLeaf(45, Digest::Of(ToBytes("mutated-new")));
-  EXPECT_EQ(tree.Root(), fresh.Root());
-}
-
 // Property sweep: across branching factors and sizes, incremental updates
 // always give the same root as a freshly built tree with the same leaves.
 class PartitionTreeProperty
@@ -194,8 +110,7 @@ class PartitionTreeProperty
 TEST_P(PartitionTreeProperty, IncrementalEqualsFresh) {
   auto [branching, leaves] = GetParam();
   Rng rng(branching * 1000 + leaves);
-  PartitionTree incremental(branching);
-  incremental.Resize(leaves);
+  PartitionTree incremental(leaves, branching);
   std::vector<Digest> values(leaves);
   for (int i = 0; i < leaves; ++i) {
     values[i] = LeafDigest(i);
@@ -211,8 +126,7 @@ TEST_P(PartitionTreeProperty, IncrementalEqualsFresh) {
       incremental.Root();
     }
   }
-  PartitionTree fresh(branching);
-  fresh.Resize(leaves);
+  PartitionTree fresh(leaves, branching);
   for (int i = 0; i < leaves; ++i) {
     fresh.SetLeaf(i, values[i]);
   }
@@ -221,27 +135,20 @@ TEST_P(PartitionTreeProperty, IncrementalEqualsFresh) {
 
 // A dense reference for the sparse tree: every leaf digest stored, an
 // interior digest rebuilt from its children, as H(height, children) with a
-// plain Digest::Builder, whenever its subtree changed (no cold or preserved
-// shortcut), and the cost-model count taken as the dirty nodes a query
-// visits (a grow or a fill dirties every node, a leaf write its path).
+// plain Digest::Builder, whenever its subtree changed (no cold shortcut),
+// and the cost-model count taken as the dirty nodes a query visits (a new
+// tree or a fill dirties every node, a leaf write its path).
 class DenseReferenceTree {
  public:
-  explicit DenseReferenceTree(size_t branching) : branching_(branching) {
-    Resize(1);
-  }
-
-  void Resize(size_t leaf_count) {
-    if (leaf_count <= leaves_.size()) {
-      return;
-    }
-    leaves_.resize(leaf_count);  // new leaves hold the zero digest
+  // `leaf_count` leaves, each holding the zero digest.
+  DenseReferenceTree(size_t leaf_count, size_t branching)
+      : branching_(branching), leaves_(leaf_count) {
     std::vector<size_t> widths;
     size_t width = leaf_count;
     do {
       width = (width + branching_ - 1) / branching_;
       widths.push_back(width);
     } while (width > 1);
-    levels_.clear();  // a grow dirties every node
     for (auto it = widths.rbegin(); it != widths.rend(); ++it) {
       levels_.emplace_back(*it);
     }
@@ -320,20 +227,17 @@ class DenseReferenceTree {
 };
 
 // Random leaf writes (some back to the fill, some to the last leaf, whose
-// nodes are the partial last ones of their levels), grows (some that change
-// the depth, some no-ops) and fill resets (some followed by a grow across a
-// depth change), with digests drawn from a small pool so that writes often
-// restore a leaf to the fill or to zero. After every step the sparse tree
-// answers every query as the dense reference does, cost-model counts
-// included, and a tree that reaches the same leaves by one SetLeaf each,
-// with no Fill, has the same root.
+// nodes are the partial last ones of their levels) and fill resets, with
+// digests drawn from a small pool so that writes often restore a leaf to
+// the fill or to zero. After every step the sparse tree answers every query
+// as the dense reference does, cost-model counts included, and a tree that
+// reaches the same leaves by one SetLeaf each, with no Fill, has the same
+// root.
 TEST_P(PartitionTreeProperty, MatchesDenseReference) {
   auto [branching, leaves] = GetParam();
   Rng rng(branching * 7919 + leaves);
-  PartitionTree tree(branching);
-  DenseReferenceTree reference(branching);
-  tree.Resize(leaves);
-  reference.Resize(leaves);
+  PartitionTree tree(leaves, branching);
+  DenseReferenceTree reference(leaves, branching);
   std::vector<Digest> pool = {Digest()};
   for (int i = 0; i < 5; ++i) {
     pool.push_back(LeafDigest(i));
@@ -344,35 +248,16 @@ TEST_P(PartitionTreeProperty, MatchesDenseReference) {
   for (int step = 0; step < 60; ++step) {
     const size_t count = tree.leaf_count();
     const uint64_t op = rng.NextBelow(100);
-    if (op < 67) {
+    if (op < 82) {
       // Some writes restore the fill; some hit the last leaf.
-      const size_t leaf = op < 60 ? rng.NextBelow(count) : count - 1;
-      const Digest digest = op >= 52 && op < 60 ? fill : pick();
+      const size_t leaf = op < 72 ? rng.NextBelow(count) : count - 1;
+      const Digest digest = op >= 60 && op < 72 ? fill : pick();
       tree.SetLeaf(leaf, digest);
       reference.SetLeaf(leaf, digest);
-    } else if (op < 77) {
-      const size_t grown =
-          count < 4096 ? count + 1 + rng.NextBelow(count) : count;
-      tree.Resize(grown);
-      reference.Resize(grown);
-    } else if (op < 82) {
-      const size_t smaller = rng.NextBelow(count + 1);  // never shrinks
-      tree.Resize(smaller);
-      reference.Resize(smaller);
     } else {
       fill = pick();
       tree.Fill(fill);
       reference.Fill(fill);
-      // The leaves the current depth can hold; one more deepens the tree.
-      size_t capacity = 1;
-      for (int level = 0; level < tree.depth(); ++level) {
-        capacity *= branching;
-      }
-      if (op >= 92 && capacity < 8192) {
-        const size_t grown = capacity + 1 + rng.NextBelow(capacity);
-        tree.Resize(grown);
-        reference.Resize(grown);
-      }
     }
     ASSERT_EQ(tree.leaf_count(), reference.leaf_count()) << "step " << step;
     ASSERT_EQ(tree.depth(), reference.depth()) << "step " << step;
@@ -395,8 +280,7 @@ TEST_P(PartitionTreeProperty, MatchesDenseReference) {
     ASSERT_EQ(root, reference.Root()) << "step " << step;
     EXPECT_EQ(tree.TakeRecomputedNodes(), reference.TakeRecomputedNodes())
         << "step " << step;
-    PartitionTree per_leaf(branching);
-    per_leaf.Resize(tree.leaf_count());
+    PartitionTree per_leaf(tree.leaf_count(), branching);
     for (size_t leaf = 0; leaf < tree.leaf_count(); ++leaf) {
       ASSERT_EQ(tree.Leaf(leaf), reference.Leaf(leaf))
           << "step " << step << " leaf " << leaf;
@@ -406,14 +290,34 @@ TEST_P(PartitionTreeProperty, MatchesDenseReference) {
   }
 }
 
+// A tree is built at its leaf count as a cold tree whose leaves all hold
+// the zero digest: it stores the path to its last leaf and no other interior
+// node, and its first root hashes one node per height plus the partial ones
+// while the cost model counts every interior node, as the dense reference
+// does.
+TEST(PartitionTree, NewTreeIsColdAndZeroFilled) {
+  constexpr size_t kLeaves = (size_t{1} << 18) + 1;
+  PartitionTree tree(kLeaves, 16);
+  const auto depth = static_cast<uint64_t>(tree.depth());
+  EXPECT_LE(tree.stored_nodes(), 16 * depth + 1);
+  EXPECT_EQ(tree.override_count(), 0u);
+  EXPECT_TRUE(tree.Leaf(kLeaves - 1).IsZero());
+
+  DenseReferenceTree reference(kLeaves, 16);
+  const uint64_t before = hotpath::counters().tree_nodes_rehashed;
+  EXPECT_EQ(tree.Root(), reference.Root());
+  EXPECT_LE(hotpath::counters().tree_nodes_rehashed - before, 2 * depth);
+  EXPECT_EQ(tree.TakeRecomputedNodes(), 17481u);
+  EXPECT_EQ(reference.TakeRecomputedNodes(), 17481u);
+}
+
 // A Fill leaves every complete subtree cold: one digest per height, hashed
 // once, so the root of a 2^18+1-leaf tree costs the cold digests plus the
 // partial last node of each level, while the cost model still counts every
 // interior node.
 TEST(PartitionTree, ColdTreeHashesOneNodePerHeight) {
   constexpr size_t kLeaves = (size_t{1} << 18) + 1;
-  PartitionTree tree(16);
-  tree.Resize(kLeaves);
+  PartitionTree tree(kLeaves, 16);
   tree.Fill(LeafDigest(7));
   const uint64_t before = hotpath::counters().tree_nodes_rehashed;
   const Digest root = tree.Root();
@@ -421,8 +325,7 @@ TEST(PartitionTree, ColdTreeHashesOneNodePerHeight) {
   EXPECT_LE(rehashed, 2u * static_cast<uint64_t>(tree.depth()));
   EXPECT_EQ(tree.TakeRecomputedNodes(), 17481u);
 
-  DenseReferenceTree reference(16);
-  reference.Resize(kLeaves);
+  DenseReferenceTree reference(kLeaves, 16);
   reference.Fill(LeafDigest(7));
   EXPECT_EQ(root, reference.Root());
   EXPECT_EQ(reference.TakeRecomputedNodes(), 17481u);
@@ -434,8 +337,7 @@ TEST(PartitionTree, ColdTreeHashesOneNodePerHeight) {
 // write splits its path and costs one node per level.
 TEST(PartitionTree, ColdTreeStoresOnePathPerLevel) {
   constexpr size_t kLeaves = (size_t{1} << 18) + 1;
-  PartitionTree tree(16);
-  tree.Resize(kLeaves);
+  PartitionTree tree(kLeaves, 16);
   tree.Fill(LeafDigest(7));
   uint64_t before = hotpath::counters().tree_nodes_rehashed;
   const Digest root = tree.Root();
@@ -445,8 +347,7 @@ TEST(PartitionTree, ColdTreeStoresOnePathPerLevel) {
   EXPECT_EQ(tree.TakeRecomputedNodes(), 17481u);
   EXPECT_LE(hotpath::counters().tree_nodes_rehashed - before, 2 * depth);
 
-  DenseReferenceTree reference(16);
-  reference.Resize(kLeaves);
+  DenseReferenceTree reference(kLeaves, 16);
   reference.Fill(LeafDigest(7));
   ASSERT_EQ(root, reference.Root());
 
@@ -467,35 +368,6 @@ TEST(PartitionTree, ColdTreeStoresOnePathPerLevel) {
   EXPECT_EQ(tree.Root(), reference.Root());
   EXPECT_EQ(tree.TakeRecomputedNodes(), depth);
   EXPECT_EQ(hotpath::counters().tree_nodes_rehashed - before, depth);
-}
-
-// A node's digest does not depend on its depth, so a grow that adds a level
-// keeps every subtree that was complete: 4,096 -> 4,097 leaves (depth 3 ->
-// 4) re-hashes only the path to the new leaf, while the cost model still
-// charges all 277 interior nodes.
-TEST(PartitionTree, GrowAcrossDepthKeepsCompleteSubtrees) {
-  PartitionTree tree(16);
-  DenseReferenceTree reference(16);
-  tree.Resize(4096);
-  reference.Resize(4096);
-  for (int i = 0; i < 4096; ++i) {
-    tree.SetLeaf(i, LeafDigest(i));
-    reference.SetLeaf(i, LeafDigest(i));
-  }
-  ASSERT_EQ(tree.Root(), reference.Root());
-  ASSERT_EQ(tree.depth(), 3);
-  tree.TakeRecomputedNodes();
-  reference.TakeRecomputedNodes();
-
-  tree.Resize(4097);
-  reference.Resize(4097);
-  ASSERT_EQ(tree.depth(), 4);
-  const uint64_t before = hotpath::counters().tree_nodes_rehashed;
-  const Digest root = tree.Root();
-  EXPECT_EQ(hotpath::counters().tree_nodes_rehashed - before, 4u);
-  EXPECT_EQ(tree.TakeRecomputedNodes(), 277u);
-  EXPECT_EQ(root, reference.Root());
-  EXPECT_EQ(reference.TakeRecomputedNodes(), 277u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

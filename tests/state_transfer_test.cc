@@ -5,6 +5,8 @@
 // and pin how a replica that fetches state rejoins agreement.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/base/kv_adapter.h"
 #include "src/base/replica_service.h"
 #include "src/base/service_group.h"
@@ -145,6 +147,94 @@ TEST(StateTransfer, ByzantineDataIsRejectedAndRefetched) {
   // honest nodes and the final state is correct.
   EXPECT_EQ(ToString(h.node(3).adapter.GetObj(5)), "truth");
   EXPECT_EQ(h.node(3).cm.latest_root(), root);
+}
+
+// Every replica's tree has the leaf count its adapter fixes, so a ROOT-INFO
+// or META that claims another count is refused rather than adopted. Here
+// nodes 0 and 1 first vouch for a later checkpoint of one leaf more (f+1
+// votes: adopting it would leave the fetch chasing a checkpoint nobody
+// serves), and every META they send claims that count too. The fetch still
+// completes, from node 2's META replies and the honest ROOT-INFO that
+// nodes 0 and 1 send on the retry.
+TEST(StateTransfer, ForeignLeafCountIsRefused) {
+  StateTransferHarness h(4);
+  h.SetOnAll(0, 3, 7, "agreed");
+  const Digest root = h.CheckpointAll(0, 3, 20);
+  constexpr size_t kRootInfoSize = 1 + 8 + Digest::kSize + 8;
+  auto add_u64 = [](Bytes& payload, size_t at, uint64_t delta) {
+    uint64_t v = 0;
+    for (size_t i = 0; i < 8; ++i) {
+      v |= uint64_t{payload[at + i]} << (8 * i);
+    }
+    v += delta;
+    for (size_t i = 0; i < 8; ++i) {
+      payload[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  std::set<NodeId> lied_root_info;
+  int metas_lied = 0;
+  h.sim().network().SetInterceptor(
+      [&](NodeId from, NodeId to, Bytes& payload) {
+        if (to != 3 || from > 1 || payload.empty()) {
+          return true;
+        }
+        if (payload[0] == 2 /* kRootInfo */ &&
+            payload.size() == kRootInfoSize &&
+            lied_root_info.insert(from).second) {
+          add_u64(payload, 1, 10);                     // seq
+          add_u64(payload, 1 + 8 + Digest::kSize, 1);  // leaf count
+        } else if (payload[0] == 4 /* kMeta */) {
+          add_u64(payload, 1 + 8 + 4 + 8, 1);  // after seq, level, index
+          ++metas_lied;
+        }
+        return true;
+      });
+  h.node(3).st.Start(0, Digest());
+  ASSERT_TRUE(h.sim().RunUntilTrue([&] { return h.node(3).done; },
+                                   30 * kSecond));
+  EXPECT_EQ(lied_root_info.size(), 2u);
+  EXPECT_GT(metas_lied, 0);
+  EXPECT_EQ(h.node(3).done_seq, 20u);
+  EXPECT_EQ(h.node(3).cm.latest_root(), root);
+  EXPECT_EQ(h.node(3).cm.LeafCount(), kSlots + 1);
+  EXPECT_EQ(ToString(h.node(3).adapter.GetObj(7)), "agreed");
+}
+
+// A replica whose state array has another size than the group's cannot take
+// the group's checkpoint. Every META names the group's leaf count, under
+// which the root equation would verify, so only the count check keeps the
+// fetcher from installing the group's leaves into a tree of its own shape:
+// each META is refused and nothing is installed.
+TEST(StateTransfer, ReplicaOfAnotherSizeRefusesTheGroupsTree) {
+  StateTransferHarness h(4);
+  h.SetOnAll(0, 3, 7, "agreed");
+  const Digest root = h.CheckpointAll(0, 3, 20);
+  KvAdapter adapter(&h.sim(), 2 * kSlots);
+  CheckpointManager cm(&h.sim(), &adapter);
+  StateTransfer st(&h.sim(), h.config_, 3, &cm);
+  st.SetSender([&](NodeId to, const Bytes& payload) {
+    h.sim().network().Send(3, to, payload);
+  });
+  bool done = false;
+  st.SetDone([&](SeqNum, const Digest&) { done = true; });
+  struct Router : SimNode {
+    StateTransfer* target;
+    void OnMessage(NodeId from, const Bytes& payload) override {
+      target->HandleMessage(from, payload);
+    }
+  };
+  Router router;
+  router.target = &st;
+  h.sim().RemoveNode(3);
+  h.sim().AddNode(3, &router);
+
+  st.Start(20, root);
+  h.sim().RunUntil(h.sim().Now() + 5 * kSecond);
+  EXPECT_FALSE(done);
+  EXPECT_GT(st.meta_requests_sent(), 1u);  // re-requested after each refusal
+  EXPECT_EQ(st.leaves_fetched(), 0u);
+  EXPECT_EQ(cm.latest_seq(), 0u);
+  EXPECT_TRUE(adapter.GetObj(7).empty());
 }
 
 // Checkpoint/state-transfer lying (the adversary engine's kCheckpointLie

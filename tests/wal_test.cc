@@ -260,6 +260,22 @@ TEST_F(WalTest, TruncateThroughCanEmptyTheLog) {
 
 // A durable service plus an identical in-memory twin: the twin provides the
 // expected partition-tree root the recovered state must reproduce exactly.
+// Rewrites the durable checkpoint header (u64 seq, root, u64 leaf count,
+// u64 agreed timestamp) to name `delta` more leaves: a disk written for a
+// state of another size.
+void ShiftHeaderLeafCount(StorageDevice* dev, uint64_t delta) {
+  const Bytes header = dev->ReadHeader();
+  Decoder dec(BytesView(header.data(), header.size()));
+  Encoder enc;
+  enc.PutU64(dec.GetU64());
+  enc.PutFixed(dec.GetFixed(Digest::kSize));
+  enc.PutU64(dec.GetU64() + delta);
+  enc.PutU64(dec.GetU64());
+  ASSERT_TRUE(dec.AtEnd());
+  dev->StageHeader(enc.Take());
+  dev->CommitPages();
+}
+
 class DurableRecoveryTest : public ::testing::Test {
  protected:
   DurableRecoveryTest()
@@ -427,6 +443,21 @@ TEST_F(DurableRecoveryTest, CrashBetweenLocalCheckpointAndStabilization) {
   EXPECT_EQ(ToString(info.prepared_certs[1].second), "cert8");
 }
 
+// The state's leaf count is fixed, so a durable header that names another
+// count is refused: the restart from disk fails instead of installing it.
+TEST_F(DurableRecoveryTest, HeaderWithAnotherLeafCountFailsRecovery) {
+  for (SeqNum seq = 1; seq <= 4; ++seq) {
+    RunBatch(seq, static_cast<uint32_t>(seq), "v" + std::to_string(seq));
+  }
+  TakeCheckpointNow(sim_, service_, 4);
+  ShiftHeaderLeafCount(&dev_, 1);
+  service_.OnCrash();
+  const auto info = service_.RecoverFromStorage();
+  EXPECT_FALSE(info.ok);
+  EXPECT_FALSE(info.had_checkpoint);
+  EXPECT_EQ(service_.checkpoints().LeafCount(), 32u + 1);
+}
+
 // --- Group level: restart-from-disk ------------------------------------------
 
 ServiceGroup::Params DurableParams(uint64_t seed = 7) {
@@ -487,6 +518,44 @@ TEST(DurableGroup, CrashedReplicaRestartsFromDiskAndCatchesUp) {
     EXPECT_EQ(ToString(group->adapter(2)->GetObj(slot)),
               ToString(group->adapter(0)->GetObj(slot)));
   }
+}
+
+// A replica whose durable header names another leaf count cannot restart
+// from its disk: it rebuilds from the group, as a proactive recovery does,
+// and ends with the group's state and a header that names its own count.
+TEST(DurableGroup, HeaderWithAnotherLeafCountRebuildsFromGroup) {
+  auto group = MakeDurableKvGroup(DurableParams());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(i % 4, ToBytes("a"))).ok());
+  }
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return group->replica(2).stable_seq() >= 8; }, 30 * kSecond));
+  group->replica(2).Crash();
+  ASSERT_NO_FATAL_FAILURE(ShiftHeaderLeafCount(group->storage(2), 1));
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(i % 4, ToBytes("b"))).ok());
+  }
+
+  group->replica(2).RestartFromStorage();
+  EXPECT_TRUE(group->replica(2).recovering());
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return group->replica(2).recoveries_completed() == 1; },
+      group->sim().Now() + 30 * kSecond));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(group->Invoke(KvAdapter::EncodeSet(i % 4, ToBytes("c"))).ok());
+  }
+  const SeqNum target = group->replica(0).last_executed();
+  ASSERT_TRUE(group->sim().RunUntilTrue(
+      [&] { return group->replica(2).last_executed() >= target; },
+      group->sim().Now() + 30 * kSecond));
+  for (uint32_t slot = 0; slot < 4; ++slot) {
+    EXPECT_EQ(ToString(group->adapter(2)->GetObj(slot)), "c");
+  }
+  const Bytes header = group->storage(2)->ReadHeader();
+  Decoder dec(BytesView(header.data(), header.size()));
+  dec.GetU64();
+  dec.GetFixed(Digest::kSize);
+  EXPECT_EQ(dec.GetU64(), 64u + 1);
 }
 
 // The primary drops out (crashed, or only cut off) while the others install
